@@ -4,10 +4,7 @@ search services, and fault-tolerant covering-path embedding."""
 from .embedder import (
     CaseTrace,
     EmbedResult,
-    Hop,
     embed,
-    orient,
-    select_cross_edge,
     splice,
 )
 from .errors import (
@@ -31,9 +28,7 @@ from .errors import (
 from .faults import (
     FaultPartition,
     FaultSet,
-    HalfAnalysis,
     SurvivingView,
-    analyze_half,
     neighbor_condition,
     partition,
     surviving_view,

@@ -34,7 +34,7 @@ from .errors import (
     PreconditionViolated,
     ThlnError,
 )
-from .faults import FaultSet, neighbor_condition, surviving_view
+from .faults import FaultSet, neighbor_condition, sample_faults, surviving_view
 from .oracle import (
     SearchBudget,
     ham_cycle,
@@ -61,13 +61,10 @@ class RunConfig:
 
     seed: int = 0
     dimension: int = 8
-    variant: str = "random"
     fault_count: int = 0
     trial_count: int = 0
     budget: SearchBudget = field(default_factory=SearchBudget)
     unsafe: bool = False
-    out: Optional[str] = None
-    csv: Optional[str] = None
     timing: bool = False
 
     def validate(self) -> None:
@@ -82,12 +79,15 @@ class RunConfig:
 
 
 def _default_budget(args) -> SearchBudget:
-    if getattr(args, "budget", None):
-        return SearchBudget(max_expansions=args.budget)
-    env = os.environ.get("THLN_BUDGET")
-    if env:
-        return SearchBudget(max_expansions=int(env))
-    return SearchBudget()
+    """The budget from ``--budget``, else from ``THLN_BUDGET``, else the
+    default. Raises ValueError unless the value given is a positive integer."""
+    raw = args.budget if args.budget is not None else os.environ.get("THLN_BUDGET")
+    if raw is None or raw == "":
+        return SearchBudget()
+    try:
+        return SearchBudget(max_expansions=int(raw))
+    except ValueError:
+        raise ValueError(f"budget must be a positive integer, got {raw!r}") from None
 
 
 def _variant_spec(name: str, seed: int) -> VariantSpec:
@@ -104,6 +104,13 @@ def _write(path: Optional[str], text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _random_instance(n: int, fault_count: int, rng: random.Random):
+    """Fresh random-variant graph, uniform faults, and the surviving view."""
+    g = make_preset(VariantSpec.random(rng.randrange(1 << 30)), n)
+    f = sample_faults(g, fault_count, rng)
+    return g, f, surviving_view(g, f)
 
 
 def _load_graph(path: str) -> ThlnGraph:
@@ -158,13 +165,13 @@ def cmd_export(args) -> int:
 
 def cmd_embed(args) -> int:
     try:
+        budget = _default_budget(args)
         g = _load_graph(args.graph)
         with open(args.faults, "r", encoding="utf-8") as fh:
             f = FaultSet.from_json(fh.read())
     except (OSError, MalformedGraph, ValueError) as exc:
         _info(f"error: {exc}")
         return 2
-    budget = _default_budget(args)
     out_of_contract = args.unsafe and len(f) > 2 * g.dimension - 10
 
     def emit(obj) -> None:
@@ -227,14 +234,7 @@ def run_stress_trial(n: int, fault_count: int, seed: int,
     endpoints resampled until the neighbor condition holds, then embed and
     independently validate. Deterministic in its arguments."""
     rng = random.Random(seed)
-    g = make_preset(VariantSpec.random(rng.randrange(1 << 30)), n)
-    elements = [("node", v) for v in g.nodes] + [("edge", e) for e in g.edges]
-    picked = rng.sample(elements, fault_count) if fault_count else []
-    f = FaultSet.of(
-        nodes=(p for k, p in picked if k == "node"),
-        edges=(p for k, p in picked if k == "edge"),
-    )
-    view = surviving_view(g, f)
+    g, f, view = _random_instance(n, fault_count, rng)
     s = t = None
     for _ in range(1000):
         cand_s, cand_t = rng.sample(view.nodes, 2)
@@ -347,18 +347,18 @@ def _stress_csv(report: dict, timing: bool, elapsed: list[float]) -> str:
 
 
 def cmd_stress(args) -> int:
-    cfg = RunConfig(
-        seed=args.seed,
-        dimension=args.n,
-        fault_count=args.faults,
-        trial_count=args.trials,
-        budget=_default_budget(args),
-        unsafe=args.unsafe,
-        timing=args.timing,
-    )
     try:
+        cfg = RunConfig(
+            seed=args.seed,
+            dimension=args.n,
+            fault_count=args.faults,
+            trial_count=args.trials,
+            budget=_default_budget(args),
+            unsafe=args.unsafe,
+            timing=args.timing,
+        )
         cfg.validate()
-    except PreconditionViolated as exc:
+    except (PreconditionViolated, ValueError) as exc:
         _info(f"error: {exc}")
         return 2
     report, elapsed = run_stress(cfg)
@@ -397,17 +397,6 @@ def _check_topology(seed: int) -> dict:
             bad.append({"variant": "random", "n": n,
                         "failures": [c.name for c in rep.failures]})
     return {"name": "topology-shape-sweep", "ok": not bad, "detail": {"failures": bad}}
-
-
-def _random_instance(n: int, fault_count: int, rng: random.Random):
-    g = make_preset(VariantSpec.random(rng.randrange(1 << 30)), n)
-    elements = [("node", v) for v in g.nodes] + [("edge", e) for e in g.edges]
-    picked = rng.sample(elements, fault_count) if fault_count else []
-    f = FaultSet.of(
-        nodes=(p for k, p in picked if k == "node"),
-        edges=(p for k, p in picked if k == "edge"),
-    )
-    return g, f, surviving_view(g, f)
 
 
 def _check_ham_path_service(seed: int, trials: int, budget: SearchBudget) -> dict:
@@ -472,7 +461,11 @@ def _check_disjoint_paths_service(seed: int, draws: int, budget: SearchBudget) -
 
 
 def cmd_check(args) -> int:
-    budget = _default_budget(args)
+    try:
+        budget = _default_budget(args)
+    except ValueError as exc:
+        _info(f"error: {exc}")
+        return 2
     suites = []
     if args.graph:
         try:

@@ -24,11 +24,16 @@ reproducible. Choices the construction guarantees but cannot find raise
 InternalContradiction instead of being patched around. At dimension 7 the
 level is solved directly by exact search, which the fault bound (at most 4)
 keeps feasible.
+
+Each level works on the surviving view of its own scope: the root on the
+view ``embed`` validated, every lower level on the half-1 view of the level
+above. Every search-service call goes through one traced call on the
+runtime, which records it and raises when a guaranteed answer is missing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from . import oracle
 from .errors import (
@@ -56,54 +61,19 @@ PathSeq = tuple[int, ...]
 # path utilities
 
 
-def orient(path: Sequence[int], first: int) -> PathSeq:
-    """The path as a tuple starting at ``first`` (reversing if needed)."""
-    if path and path[0] == first:
-        return tuple(path)
-    if path and path[-1] == first:
-        return tuple(reversed(path))
-    raise PreconditionViolated(f"{first} is not an endpoint of the path")
+def splice(view, segments: Iterable[Sequence[int]]) -> PathSeq:
+    """Concatenate non-empty node sequences into one path, verifying it.
 
-
-class Hop(NamedTuple):
-    """Explicit connector edge between two spliced segments."""
-
-    u: int
-    v: int
-
-
-Segment = Union[Sequence[int], Hop]
-
-
-def splice(view, segments: Iterable[Segment]) -> PathSeq:
-    """Concatenate path segments into one path, verifying it as it goes.
-
-    Segments are node sequences optionally separated by :class:`Hop`
-    connectors naming the joining edge. Every junction (stated or implied)
-    and every step inside a segment must be an edge of ``view``; any repeated
-    node fails. The result is the validated node tuple.
+    Consecutive segments join over the edge from the last node of one to the
+    first node of the next. Every junction and every step inside a segment
+    must be an edge of ``view``; an empty segment or a repeated node fails.
+    The result is the validated node tuple.
     """
     out: list[int] = []
-    pending: Optional[Hop] = None
     for seg in segments:
-        if isinstance(seg, Hop):
-            if pending is not None:
-                raise AdjacencyViolated("two connectors in a row")
-            if not out:
-                raise AdjacencyViolated("connector before any segment")
-            pending = seg
-            continue
-        seq = list(seg)
-        if not seq:
+        if not seg:
             raise AdjacencyViolated("empty segment")
-        if out and pending is not None and (pending.u, pending.v) != (out[-1], seq[0]):
-            raise AdjacencyViolated(
-                f"connector {tuple(pending)} does not join {out[-1]} to {seq[0]}"
-            )
-        pending = None
-        out.extend(seq)
-    if pending is not None:
-        raise AdjacencyViolated("dangling connector")
+        out.extend(seg)
     seen: set[int] = set()
     for i, v in enumerate(out):
         if v in seen:
@@ -117,41 +87,12 @@ def splice(view, segments: Iterable[Segment]) -> PathSeq:
     return tuple(out)
 
 
-def select_cross_edge(
-    path: Sequence[int],
-    view,
-    exclude: Iterable[int] = (),
-    *,
-    partner: dict[int, int],
-    partner_view=None,
-    min_partner_degree: int = 0,
-) -> tuple[int, int]:
-    """First consecutive pair on ``path`` whose cross partners both survive,
-    whose cross edges are live, whose partners avoid ``exclude``, and (when
-    requested) whose partners keep at least ``min_partner_degree`` surviving
-    neighbors inside their own half."""
-    idx = _first_cross_pair_index(
-        path, view, partner, frozenset(exclude), partner_view, min_partner_degree
-    )
-    if idx is None:
-        raise NoCandidate("no consecutive pair with two usable cross edges")
-    return path[idx], path[idx + 1]
+def _cross_pair_indexes(path, view, partner):
+    """Indexes i, ascending, where path[i] and path[i + 1] both keep a live
+    cross edge in ``view``."""
 
-
-def _first_cross_pair_index(path, view, partner, exclude, partner_view, min_deg):
-    for i in _cross_pair_indexes(path, view, partner, exclude, partner_view, min_deg):
-        return i
-    return None
-
-
-def _cross_pair_indexes(path, view, partner, exclude=frozenset(), partner_view=None, min_deg=0):
     def usable(x):
-        p = partner[x]
-        if p in exclude or not view.has_edge(x, p):
-            return False
-        if min_deg and partner_view.degree(p) < min_deg:
-            return False
-        return True
+        return view.has_edge(x, partner[x])
 
     for i in range(len(path) - 1):
         if usable(path[i]) and usable(path[i + 1]):
@@ -222,13 +163,31 @@ class _Runtime:
     faults: FaultSet
     budget: SearchBudget
     trace: list = field(default_factory=list)
-    debug: bool = False
+
+    def traced(self, service: str, out, what: str, level: int, **extra):
+        """Record one search-service call in the trace and demand the answer
+        the construction guarantees for ``what`` at dimension ``level``:
+        budget exhaustion raises OracleBudgetExhausted, a proven absence
+        InternalContradiction. Returns ``out``."""
+        rec = {"service": service, "status": out.status.value, "expansions": out.expansions}
+        rec.update(extra)
+        self.trace.append(rec)
+        if out.status is SearchStatus.BUDGET_EXHAUSTED:
+            raise OracleBudgetExhausted(
+                f"search budget exhausted during {what} at dimension {level}",
+                trace=CaseTrace(tuple(self.trace)),
+            )
+        if out.status is SearchStatus.PROVEN_ABSENT:
+            raise InternalContradiction(
+                f"{what} at dimension {level} was guaranteed but proven absent"
+            )
+        return out
 
 
 @dataclass(frozen=True)
 class _Level:
     dim: int
-    scope: frozenset[int]
+    view: SurvivingView
     decomp: Optional[DecompositionNode]
 
 
@@ -249,20 +208,20 @@ class _Ctx:
         self.swapped = len(part.f2) > len(part.f1)
         if self.swapped:
             self.h1, self.h2 = decomp.half2_set, decomp.half1_set
-            self.child1, self.child2 = decomp.child2, decomp.child1
+            self.child1 = decomp.child2
             self.f1_count, self.f2_count = len(part.f2), len(part.f1)
             self.f1 = part.f2
         else:
             self.h1, self.h2 = decomp.half1_set, decomp.half2_set
-            self.child1, self.child2 = decomp.child1, decomp.child2
+            self.child1 = decomp.child1
             self.f1_count, self.f2_count = len(part.f1), len(part.f2)
             self.f1 = part.f1
         self.fc_count = len(part.fc_direct)
         self.partner = decomp.partner_map
-        self.view = SurvivingView(rt.graph, rt.faults, scope=level.scope, _validate=False)
+        self.view = level.view
         self.h1_view = SurvivingView(rt.graph, rt.faults, scope=self.h1, _validate=False)
         self.h2_view = SurvivingView(rt.graph, rt.faults, scope=self.h2, _validate=False)
-        self.delta1, self.delta1_witness = self.h1_view.min_degree_witness()
+        self.delta1 = self.h1_view.min_degree_witness()[0]
 
     # -- predicates
 
@@ -274,37 +233,22 @@ class _Ctx:
 
     # -- traced search services
 
-    def _record(self, name: str, out, **extra):
-        rec = {"service": name, "status": out.status.value, "expansions": out.expansions}
-        rec.update(extra)
-        self.rt.trace.append(rec)
-
-    def _demand(self, name: str, out):
-        if out.status is SearchStatus.BUDGET_EXHAUSTED:
-            raise OracleBudgetExhausted(
-                f"search budget exhausted during {name} at dimension {self.dim}",
-                trace=CaseTrace(tuple(self.rt.trace)),
-            )
-        if out.status is SearchStatus.PROVEN_ABSENT:
-            raise InternalContradiction(
-                f"{name} at dimension {self.dim} was guaranteed but proven absent"
-            )
+    def _traced(self, service: str, out, what: str, half: int, **extra):
+        return self.rt.traced(service, out, what, self.dim, half=half, dim=self.k, **extra)
 
     def ham_path_h2(self, a: int, b: int, exclude: Iterable[int] = ()) -> PathSeq:
         v = self.h2_view.without_nodes(exclude) if exclude else self.h2_view
         out = oracle.ham_path(v, a, b, self.rt.budget)
-        self._record("ham_path", out, half=2, dim=self.k)
-        self._demand("half-2 covering path", out)
-        return out.path
+        return self._traced("ham_path", out, "half-2 covering path", 2).path
 
     def two_paths_h2(
         self, a1: int, b1: int, a2: int, b2: int, exclude: Iterable[int] = ()
     ) -> tuple[PathSeq, PathSeq]:
         v = self.h2_view.without_nodes(exclude) if exclude else self.h2_view
         out = oracle.two_disjoint_spanning_paths(v, a1, b1, a2, b2, self.rt.budget)
-        self._record("two_disjoint_spanning_paths", out, half=2, dim=self.k)
-        self._demand("half-2 disjoint path cover", out)
-        return out.paths
+        return self._traced(
+            "two_disjoint_spanning_paths", out, "half-2 disjoint path cover", 2
+        ).paths
 
     def _h1_restored_view(self, restore) -> SurvivingView:
         if restore is None:
@@ -319,26 +263,23 @@ class _Ctx:
 
     def ham_cycle_h1(self, restore=None) -> PathSeq:
         out = oracle.ham_cycle(self._h1_restored_view(restore), self.rt.budget)
-        self._record("ham_cycle", out, half=1, dim=self.k)
-        self._demand("half-1 covering cycle", out)
-        return out.path
+        return self._traced("ham_cycle", out, "half-1 covering cycle", 1).path
 
     def near_cycle_h1(self, restore=None) -> tuple[PathSeq, Optional[int]]:
         out = oracle.near_ham_cycle(self._h1_restored_view(restore), self.rt.budget)
-        self._record("near_ham_cycle", out, half=1, dim=self.k, missed=out.missed)
-        self._demand("half-1 near-covering cycle", out)
+        self._traced("near_ham_cycle", out, "half-1 near-covering cycle", 1, missed=out.missed)
         return out.path, out.missed
 
     def recurse(self, s: int, t: int) -> tuple[PathSeq, Optional[int]]:
-        child = _Level(self.k, self.h1, self.child1)
+        child = _Level(self.k, self.h1_view, self.child1)
         return _solve_level(self.rt, child, s, t)
 
-    # -- cross-edge selection helpers
+    # -- cross-edge selection
 
-    def first_cross_pair(self, path, exclude=(), min_partner_degree=0, partner_view=None):
-        idx = _first_cross_pair_index(
-            path, self.view, self.partner, frozenset(exclude), partner_view, min_partner_degree
-        )
+    def first_cross_pair(self, path) -> int:
+        """Index of the first consecutive pair on ``path`` whose cross edges
+        both survive."""
+        idx = next(_cross_pair_indexes(path, self.view, self.partner), None)
         if idx is None:
             raise NoCandidate(
                 f"no usable cross pair on a path of {len(path)} nodes at dimension {self.dim}"
@@ -1039,7 +980,7 @@ def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
 def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
     rec: dict = {"dim": level.dim}
     rt.trace.append(rec)
-    view = SurvivingView(rt.graph, rt.faults, scope=level.scope, _validate=False)
+    view = level.view
     if not neighbor_condition(view, s, t):
         raise InternalContradiction(
             f"level at dimension {level.dim} received endpoints violating the "
@@ -1047,23 +988,10 @@ def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
         )
 
     if level.dim == 7:
+        # at most 4 faults keep the dimension-7 base covered by paths
         out = oracle.ham_path(view, s, t, rt.budget)
-        rt.trace.append(
-            {"service": "ham_path", "status": out.status.value,
-             "expansions": out.expansions, "half": 0, "dim": 7}
-        )
-        if out.status is SearchStatus.BUDGET_EXHAUSTED:
-            raise OracleBudgetExhausted(
-                "search budget exhausted at the dimension-7 base",
-                trace=CaseTrace(tuple(rt.trace)),
-            )
-        if out.status is SearchStatus.PROVEN_ABSENT:
-            raise InternalContradiction(
-                "dimension-7 base with at most 4 faults must stay fully connected "
-                "by covering paths"
-            )
+        path = rt.traced("ham_path", out, "base covering path", 7, half=0, dim=7).path
         rec.update(case="base", missed=None)
-        path = out.path
     else:
         ctx = _Ctx(rt, level, s, t)
         k = ctx.k
@@ -1110,12 +1038,6 @@ def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
     missed = next(iter(missing)) if missing else None
     if missed is not None and missed in (s, t):
         raise InternalContradiction("assembled path misses one of its endpoints")
-    if rt.debug:
-        for i in range(len(path) - 1):
-            if not view.has_edge(path[i], path[i + 1]):
-                raise InternalContradiction(
-                    f"debug: dead step ({path[i]},{path[i + 1]}) at dimension {level.dim}"
-                )
     rec["missed"] = missed
     return path, missed
 
@@ -1127,7 +1049,6 @@ def embed(
     t: int,
     budget: Optional[SearchBudget] = None,
     *,
-    debug: bool = False,
     enforce_bounds: bool = True,
 ) -> EmbedResult:
     """Covering (or one-short) path between s and t in the surviving graph.
@@ -1156,7 +1077,7 @@ def embed(
         raise PreconditionViolated(
             "neighbor condition: an endpoint has no surviving neighbor besides the other"
         )
-    rt = _Runtime(graph=g, faults=f, budget=budget, debug=debug)
-    root = _Level(n, frozenset(g.nodes), g.decomposition)
+    rt = _Runtime(graph=g, faults=f, budget=budget)
+    root = _Level(n, view, g.decomposition)
     path, missed = _solve_level(rt, root, s, t)
     return EmbedResult(path=tuple(path), missed=missed, trace=CaseTrace(tuple(rt.trace)))

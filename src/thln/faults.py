@@ -1,4 +1,5 @@
-"""Fault sets, the surviving subgraph view, and fault bookkeeping per half.
+"""Fault sets, fault sampling, the surviving subgraph view, and the fault
+split across the top decomposition level.
 
 A fault set holds failed nodes and failed edges. The surviving view is the
 graph with faulty nodes removed and an edge present only when both endpoints
@@ -9,6 +10,7 @@ faults only make bound checks more conservative.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -38,10 +40,6 @@ class FaultSet:
 
     def __len__(self) -> int:
         return len(self.nodes) + len(self.edges)
-
-    @property
-    def size(self) -> int:
-        return len(self)
 
     def restricted(self, node_set: frozenset[int]) -> "FaultSet":
         """Faults lying entirely inside ``node_set`` (edges need both ends)."""
@@ -108,12 +106,18 @@ class SurvivingView:
         self.graph = graph
         self.faults = faults
         self.scope = frozenset(scope) if scope is not None else None
-        in_scope = self.scope.__contains__ if self.scope is not None else lambda v: True
+        if self.scope is None:
+            nodes, in_scope = graph.nodes, lambda v: True
+        else:
+            # walk the scope, not the whole graph; nodes outside the graph drop out
+            n = graph.num_nodes
+            nodes = [v for v in sorted(self.scope) if 0 <= v < n]
+            in_scope = self.scope.__contains__
         dead = faults.nodes
         bad_edge = faults.edges
         adj: dict[int, tuple[int, ...]] = {}
-        for v in graph.nodes:
-            if v in dead or not in_scope(v):
+        for v in nodes:
+            if v in dead:
                 continue
             row = tuple(
                 w
@@ -124,7 +128,7 @@ class SurvivingView:
             )
             adj[v] = row
         self._adj = adj
-        self._nodes = tuple(sorted(adj))
+        self._nodes = tuple(adj)  # ascending: built in node order
         self._node_set = frozenset(self._nodes)
 
     @property
@@ -161,15 +165,21 @@ class SurvivingView:
                 best_deg, best_node = d, v
         return best_deg, best_node
 
-    def restrict(self, nodes: Iterable[int]) -> "SurvivingView":
-        keep = frozenset(nodes)
-        base = keep if self.scope is None else (keep & self.scope)
-        return SurvivingView(self.graph, self.faults, scope=base, _validate=False)
-
     def without_nodes(self, nodes: Iterable[int]) -> "SurvivingView":
         drop = frozenset(nodes)
         base = self.node_set - drop
         return SurvivingView(self.graph, self.faults, scope=base, _validate=False)
+
+
+def sample_faults(g: ThlnGraph, count: int, rng: random.Random) -> FaultSet:
+    """``count`` distinct faults drawn uniformly from the nodes and edges of
+    ``g`` by one ``rng.sample`` call (no draw at all when ``count`` is 0)."""
+    elements = [("node", v) for v in g.nodes] + [("edge", e) for e in g.edges]
+    picked = rng.sample(elements, count) if count else []
+    return FaultSet.of(
+        nodes=(p for k, p in picked if k == "node"),
+        edges=(p for k, p in picked if k == "edge"),
+    )
 
 
 def surviving_view(g: ThlnGraph, f: FaultSet) -> SurvivingView:
@@ -181,15 +191,13 @@ def surviving_view(g: ThlnGraph, f: FaultSet) -> SurvivingView:
 class FaultPartition:
     """Fault set split across the top decomposition level.
 
-    ``fc_direct`` holds cross edges that are faulty themselves;
-    ``fc_effective`` additionally includes cross edges killed by a faulty
-    endpoint, i.e. every cross edge absent from the surviving graph.
+    ``fc_direct`` holds the cross edges that are faulty themselves; a cross
+    edge lost only to a faulty endpoint is not counted again.
     """
 
     f1: FaultSet
     f2: FaultSet
     fc_direct: frozenset[Edge]
-    fc_effective: tuple[Edge, ...]
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -197,22 +205,11 @@ class FaultPartition:
 
 
 def partition_decomposition(decomp: DecompositionNode, f: FaultSet) -> FaultPartition:
-    h1, h2 = decomp.half1_set, decomp.half2_set
     matching_set = frozenset(decomp.matching)
-    fc_direct = frozenset(e for e in f.edges if e in matching_set)
-    dead = f.nodes
-    fc_effective = tuple(
-        sorted(
-            e
-            for e in decomp.matching
-            if e in fc_direct or e[0] in dead or e[1] in dead
-        )
-    )
     return FaultPartition(
-        f1=f.restricted(h1),
-        f2=f.restricted(h2),
-        fc_direct=fc_direct,
-        fc_effective=fc_effective,
+        f1=f.restricted(decomp.half1_set),
+        f2=f.restricted(decomp.half2_set),
+        fc_direct=frozenset(e for e in f.edges if e in matching_set),
     )
 
 
@@ -222,37 +219,6 @@ def partition(g: ThlnGraph, f: FaultSet) -> FaultPartition:
         raise NoDecomposition("cannot partition faults without a decomposition")
     f.validate_against(g)
     return partition_decomposition(g.decomposition, f)
-
-
-@dataclass(frozen=True)
-class HalfAnalysis:
-    """Fault load and minimum surviving intra-half degree of one half."""
-
-    fault_count: int
-    min_degree: Optional[int]
-    min_degree_witness: Optional[int]
-    empty: bool = False
-
-
-def analyze_half(view: SurvivingView, half: Iterable[int]) -> HalfAnalysis:
-    """Minimum degree over the half's surviving nodes, counting only
-    surviving edges that stay inside the half. An all-faulty half is reported
-    as empty rather than raised."""
-    half_set = frozenset(half)
-    if not half_set <= frozenset(view.graph.nodes):
-        raise PreconditionViolated("half contains nodes outside the host graph")
-    fault_count = len(view.faults.restricted(half_set))
-    best_deg: Optional[int] = None
-    best_node: Optional[int] = None
-    for v in sorted(half_set):
-        if not view.has_node(v):
-            continue
-        d = sum(1 for w in view.neighbors(v) if w in half_set)
-        if best_deg is None or d < best_deg:
-            best_deg, best_node = d, v
-    if best_deg is None:
-        return HalfAnalysis(fault_count, None, None, empty=True)
-    return HalfAnalysis(fault_count, best_deg, best_node)
 
 
 def neighbor_condition(view: SurvivingView, s: int, t: int) -> bool:

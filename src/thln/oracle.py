@@ -16,7 +16,6 @@ deliberately independent of the main engine; tests use it as ground truth.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -29,10 +28,11 @@ _VIRTUAL = -1  # helper node used by the two-path reduction; never a real id
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limit on search-tree node expansions, optionally wall-clock bounded."""
+    """Limit on search-tree node expansions, shared by every phase of one
+    search call. Counting expansions, not seconds, keeps answers independent
+    of host speed."""
 
     max_expansions: int = DEFAULT_MAX_EXPANSIONS
-    wall_clock_s: Optional[float] = None
 
     def __post_init__(self):
         if self.max_expansions <= 0:
@@ -61,15 +61,11 @@ class SearchOutcome:
 class _BudgetState:
     """Mutable expansion counter shared by the phases of one operation."""
 
-    __slots__ = ("remaining", "spent", "deadline", "_tick")
+    __slots__ = ("remaining", "spent")
 
     def __init__(self, budget: SearchBudget):
         self.remaining = budget.max_expansions
         self.spent = 0
-        self.deadline = (
-            time.monotonic() + budget.wall_clock_s if budget.wall_clock_s else None
-        )
-        self._tick = 0
 
     def spend(self) -> bool:
         """Account one expansion; False once the budget is gone."""
@@ -77,13 +73,6 @@ class _BudgetState:
             return False
         self.remaining -= 1
         self.spent += 1
-        if self.deadline is not None:
-            self._tick += 1
-            if self._tick >= 256:
-                self._tick = 0
-                if time.monotonic() > self.deadline:
-                    self.remaining = 0
-                    return False
         return True
 
     @property

@@ -1,4 +1,3 @@
-import random
 import sys
 from pathlib import Path
 
@@ -8,21 +7,7 @@ if str(SRC) not in sys.path:
 
 import pytest
 
-from thln import FaultSet, VariantSpec, make_preset
-
-
-def sample_faults(g, count, rng):
-    """Uniform fault set over nodes and edges, without replacement."""
-    elements = [("node", v) for v in g.nodes] + [("edge", e) for e in g.edges]
-    picked = rng.sample(elements, count) if count else []
-    return FaultSet.of(
-        nodes=(p for k, p in picked if k == "node"),
-        edges=(p for k, p in picked if k == "edge"),
-    )
-
-
-def fault_free_pair(view, rng):
-    return rng.sample(view.nodes, 2)
+from thln import VariantSpec, make_preset
 
 
 @pytest.fixture(scope="session")

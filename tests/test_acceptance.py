@@ -9,16 +9,15 @@ import json
 import random
 import statistics
 import time
+from pathlib import Path
 
 import pytest
 
-from conftest import sample_faults
 from thln import (
     FaultSet,
     SearchBudget,
     SearchStatus,
     VariantSpec,
-    analyze_half,
     cross_partner,
     embed,
     enumerate_ham_path_exists,
@@ -30,9 +29,12 @@ from thln import (
     validate_cycle,
     validate_path,
 )
-from thln.cli import RunConfig, run_stress
+from thln.cli import RunConfig, _dump, run_stress
 from thln.embedder import _canon_cycle
-from thln.faults import SurvivingView
+from thln.faults import SurvivingView, sample_faults
+
+#: committed by ``scripts/stress_campaign.py`` from criterion 6's configuration
+STRESS_N8 = Path(__file__).resolve().parent.parent / "out" / "stress_n8.json"
 
 
 def _artifact(obj) -> bytes:
@@ -158,6 +160,7 @@ def _criterion6():
         "histogram": report["case_histogram"],
         "median": statistics.median(elapsed) if elapsed else 0.0,
         "elapsed": time.perf_counter() - started,
+        "report_bytes": _dump(report).encode(),
     }
     return _artifact(report), data
 
@@ -186,14 +189,15 @@ def _criterion7():
     q = 20
     intra = [w for w in g.neighbors(q) if w < 128]
     adversarial = FaultSet.of(edges=[(q, w) for w in intra[:5]])
-    info = analyze_half(surviving_view(g, adversarial), range(128))
+    half1 = SurvivingView(g, adversarial, scope=frozenset(range(128)))
+    min_degree, _ = half1.min_degree_witness()
     res = embed(g, adversarial, 5, 77)
     results["case3-unreachable"] = {
         "arithmetic": arithmetic_unreachable,
-        "adversarial_min_degree": info.min_degree,
+        "adversarial_min_degree": min_degree,
         "dispatched": res.trace.labels()[0],
     }
-    ok = ok and arithmetic_unreachable and info.min_degree == 2
+    ok = ok and arithmetic_unreachable and min_degree == 2
     ok = ok and res.trace.labels()[0].startswith("2.")
     return _artifact(results), {"ok": ok, "results": results,
                                 "elapsed": time.perf_counter() - started}
@@ -291,6 +295,7 @@ def test_criterion6_embedding_campaign(acceptance):
     art, data = acceptance["c6"]
     assert data["successes"] == 200, data["failures"]
     assert data["failures"] == []
+    assert data["report_bytes"] == STRESS_N8.read_bytes()
     assert data["median"] < 5.0
     assert data["elapsed"] < 1800.0
     _report(

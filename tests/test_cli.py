@@ -112,6 +112,28 @@ def test_embed_budget_env_override(instance, capsys, monkeypatch):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["embed", "stress", "check"])
+@pytest.mark.parametrize(
+    "flag,env",
+    [(["--budget", "0"], None), (["--budget", "-5"], None), ([], "abc")],
+    ids=["budget-zero", "budget-negative", "env-not-a-number"],
+)
+def test_bad_budget_exits_2(instance, capsys, monkeypatch, command, flag, env):
+    # a budget that is not a positive integer is bad configuration, whether it
+    # comes from --budget or from THLN_BUDGET
+    gpath, fpath = instance
+    if env is not None:
+        monkeypatch.setenv("THLN_BUDGET", env)
+    argv = {
+        "embed": ["--graph", str(gpath), "--faults", str(fpath), "-s", "5", "-t", "200"],
+        "stress": ["--n", "8", "--faults", "6", "--trials", "1"],
+        "check": ["--trials", "1"],
+    }[command]
+    code, _, err = run_cli(capsys, command, *argv, *flag)
+    assert code == 2
+    assert "budget" in err
+
+
 def test_embed_missing_file_exits_2(instance, capsys, tmp_path):
     gpath, _ = instance
     code, _, _ = run_cli(capsys, "embed", "--graph", str(gpath), "--faults",

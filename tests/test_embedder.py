@@ -2,35 +2,30 @@ import random
 
 import pytest
 
-from conftest import sample_faults
 from thln import (
     AdjacencyViolated,
     DisjointnessViolated,
     FaultSet,
-    Hop,
     NoCandidate,
     OracleBudgetExhausted,
     PreconditionViolated,
     SearchBudget,
     VariantSpec,
-    analyze_half,
     cross_partner,
     embed,
     make_preset,
     neighbor_condition,
-    orient,
-    select_cross_edge,
     splice,
     surviving_view,
     validate_path,
 )
 from thln.embedder import _Ctx, _Level, _Runtime, _canon_cycle, _cut_cycle, _select_restorable_fault
-from thln.faults import SurvivingView
+from thln.faults import SurvivingView, sample_faults
 from thln.oracle import ham_cycle, near_ham_cycle
 
 
 def embed_and_check(g, f, s, t, **kw):
-    res = embed(g, f, s, t, debug=True, **kw)
+    res = embed(g, f, s, t, **kw)
     verdict = validate_path(g, f, s, t, res.path)
     assert verdict.is_valid, verdict.reason
     assert verdict.missed == res.missed
@@ -123,8 +118,8 @@ def test_random_trials_validate_with_consistent_traces(graph8):
         assert top["f1"] == part_counts[0]
         assert top["f2"] == part_counts[1]
         h1 = range(128, 256) if top["swapped"] else range(128)
-        info = analyze_half(view, h1)
-        assert top["delta1"] == info.min_degree
+        half = SurvivingView(graph8, f, scope=frozenset(h1))
+        assert top["delta1"] == half.min_degree_witness()[0]
     assert "1" in seen
 
 
@@ -204,10 +199,14 @@ def test_case2_blocked_exit_with_partner_endpoint(graph8):
     assert res.trace.labels()[0] == "2.3.2"
 
 
+def _ctx(g, f, s, t):
+    """The top-level working state ``embed`` builds for this instance."""
+    rt = _Runtime(graph=g, faults=f, budget=SearchBudget())
+    return _Ctx(rt, _Level(g.dimension, surviving_view(g, f), g.decomposition), s, t)
+
+
 def _case4_path(graph8):
-    rt = _Runtime(graph=graph8, faults=CASE4_FAULTS, budget=SearchBudget())
-    lvl = _Level(8, frozenset(graph8.nodes), graph8.decomposition)
-    ctx = _Ctx(rt, lvl, 5, 77)
+    ctx = _ctx(graph8, CASE4_FAULTS, 5, 77)
     fe = _select_restorable_fault(ctx)
     return _cut_cycle(ctx, ctx.ham_cycle_h1(restore=fe), fe)
 
@@ -258,9 +257,8 @@ def case3_setup(graph9):
 
 def test_case3_dispatch_reached(graph9, case3_setup):
     q, f = case3_setup
-    view = surviving_view(graph9, f)
-    info = analyze_half(view, range(256))
-    assert info.min_degree == 1 and info.min_degree_witness == q
+    half = SurvivingView(graph9, f, scope=frozenset(range(256)))
+    assert half.min_degree_witness() == (1, q)
 
 
 @pytest.mark.parametrize(
@@ -358,14 +356,13 @@ def test_starved_endpoint_routed_through_cross_edge_at_n10():
 # splice and cross-edge selection
 
 
-def test_splice_basic_and_connector(graph4):
+def test_splice_basic(graph4):
     view = surviving_view(graph4, FaultSet.empty())
     a = 0
     b = graph4.neighbors(a)[0]
     c = next(w for w in graph4.neighbors(b) if w != a)
     d = next(w for w in graph4.neighbors(c) if w not in (a, b))
     assert splice(view, [(a, b), (c, d)]) == (a, b, c, d)
-    assert splice(view, [(a, b), Hop(b, c), (c, d)]) == (a, b, c, d)
 
 
 def test_splice_rejects_overlap_and_gaps(graph4):
@@ -377,25 +374,14 @@ def test_splice_rejects_overlap_and_gaps(graph4):
     far = next(v for v in graph4.nodes if v not in graph4.neighbors(b) and v != b)
     with pytest.raises(AdjacencyViolated):
         splice(view, [(a, b), (far,)])
-    with pytest.raises(AdjacencyViolated):
-        splice(view, [(a, b), Hop(b, far), (far,)])
 
 
-def test_orient_reverses_when_needed():
-    assert orient((1, 2, 3), 1) == (1, 2, 3)
-    assert orient((1, 2, 3), 3) == (3, 2, 1)
-    with pytest.raises(PreconditionViolated):
-        orient((1, 2, 3), 2)
-
-
-def test_select_cross_edge_first_and_excluded(graph8):
-    view = surviving_view(graph8, FaultSet.empty())
-    partner = graph8.decomposition.partner_map
+def test_select_cross_edge_first_pair(graph8):
+    ctx = _ctx(graph8, FaultSet.empty(), 5, 77)
     path = tuple(range(10))  # nodes 0..9 need not be a real path for selection
-    u, v = select_cross_edge(path, view, partner=partner)
-    assert (u, v) == (0, 1)
-    u, v = select_cross_edge(path, view, exclude={partner[0]}, partner=partner)
-    assert (u, v) == (1, 2)
+    assert ctx.first_cross_pair(path) == 0
+    blocked = _ctx(graph8, FaultSet.of(nodes=[ctx.partner[1]]), 5, 77)
+    assert blocked.first_cross_pair(path) == 2
 
 
 def test_select_cross_edge_candidate_floor(graph8):
@@ -412,9 +398,8 @@ def test_select_cross_edge_no_candidate(graph8):
     partner = graph8.decomposition.partner_map
     u = 0
     f = FaultSet.of(edges=[(u, partner[u]), (1, partner[1])])
-    view = surviving_view(graph8, f)
     with pytest.raises(NoCandidate):
-        select_cross_edge((0, 1), view, partner=partner)
+        _ctx(graph8, f, 5, 77).first_cross_pair((0, 1))
 
 
 def test_degree_floor_arithmetic():

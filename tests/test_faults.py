@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_faults
 from thln import (
     FaultSet,
     FaultyEndpoint,
     ForeignFault,
     NoDecomposition,
+    SurvivingView,
     VariantSpec,
-    analyze_half,
     cross_partner,
     make_base,
     make_preset,
@@ -19,6 +18,7 @@ from thln import (
     partition,
     surviving_view,
 )
+from thln.faults import sample_faults
 
 
 def test_empty_faults_view_equals_graph(graph4):
@@ -75,23 +75,18 @@ def test_partition_example_three_dead_cross_edges(graph4):
     f = FaultSet.of(nodes=[a, b], edges=[(x1, x2)])
     part = partition(graph4, f)
     assert part.counts == (1, 1, 1)
-    expected = {
-        (x1, x2),
-        tuple(sorted((a, cross_partner(graph4, a)))),
-        tuple(sorted((cross_partner(graph4, b), b))),
-    }
-    assert set(part.fc_effective) == expected
+    assert part.fc_direct == {(x1, x2)}
 
 
 def test_partition_empty_and_intra_edge(graph4):
     part = partition(graph4, FaultSet.empty())
-    assert part.counts == (0, 0, 0) and part.fc_effective == ()
+    assert part.counts == (0, 0, 0) and part.fc_direct == frozenset()
     d = graph4.decomposition
     h1 = set(d.half1)
     edge = next(e for e in graph4.edges if e[0] in h1 and e[1] in h1)
     part = partition(graph4, FaultSet.of(edges=[edge]))
     assert part.counts == (1, 0, 0)
-    assert part.fc_effective == ()
+    assert part.fc_direct == frozenset()
 
 
 def test_partition_needs_decomposition():
@@ -101,46 +96,39 @@ def test_partition_needs_decomposition():
 
 
 def test_count_identity_and_effective_cross_brute_force():
-    # |F| = |F1| + |F2| + |Fc-direct| over many random fault sets, and the
-    # effective dead-cross set equals an independent recomputation
+    # |F| = |F1| + |F2| + |Fc-direct| over many random fault sets
     g = make_preset(VariantSpec.random(11), 5)
-    d = g.decomposition
     rng = random.Random(0)
     for _ in range(10_000):
         f = sample_faults(g, rng.randrange(0, 9), rng)
         part = partition(g, f)
         assert len(f) == sum(part.counts)
-        view = surviving_view(g, f)
-        brute = tuple(sorted(
-            e for e in d.matching if not view.has_edge(*e)
-        ))
-        assert part.fc_effective == brute
+
+
+# a half's minimum intra-half degree is read from a view scoped to the half
 
 
 def test_analyze_half_no_faults(graph4):
-    view = surviving_view(graph4, FaultSet.empty())
-    info = analyze_half(view, graph4.decomposition.half1)
-    assert info.min_degree == 3  # halves of a dimension-4 network are 3-regular
-    assert info.fault_count == 0 and not info.empty
+    half = SurvivingView(graph4, FaultSet.empty(), scope=graph4.decomposition.half1_set)
+    # halves of a dimension-4 network are 3-regular
+    assert half.min_degree_witness() == (3, graph4.decomposition.half1[0])
 
 
 def test_analyze_half_targeted_faults(graph4):
-    h1 = set(graph4.decomposition.half1)
+    h1 = graph4.decomposition.half1_set
     q = graph4.decomposition.half1[0]
     intra = [w for w in graph4.neighbors(q) if w in h1]
-    view = surviving_view(graph4, FaultSet.of(nodes=intra[:-1]))
-    info = analyze_half(view, h1)
-    assert info.min_degree <= 1
-    assert info.min_degree_witness == q
-    view0 = surviving_view(graph4, FaultSet.of(nodes=intra))
-    assert analyze_half(view0, h1).min_degree == 0
+    half = SurvivingView(graph4, FaultSet.of(nodes=intra[:-1]), scope=h1)
+    assert half.min_degree_witness() == (1, q)
+    half0 = SurvivingView(graph4, FaultSet.of(nodes=intra), scope=h1)
+    assert half0.min_degree_witness() == (0, q)
 
 
 def test_analyze_half_reports_empty(graph4):
-    h1 = graph4.decomposition.half1
-    view = surviving_view(graph4, FaultSet.of(nodes=h1))
-    info = analyze_half(view, h1)
-    assert info.empty and info.min_degree is None
+    h1 = graph4.decomposition.half1_set
+    half = SurvivingView(graph4, FaultSet.of(nodes=h1), scope=h1)
+    assert len(half) == 0
+    assert half.min_degree_witness() == (None, None)
 
 
 def test_neighbor_condition_basics(graph4):
@@ -201,8 +189,7 @@ def test_failed_neighbor_condition_means_no_long_path(seed):
 
 
 def test_view_scoping(graph4):
-    view = surviving_view(graph4, FaultSet.of(nodes=[3]))
-    half = view.restrict(range(8))
+    half = SurvivingView(graph4, FaultSet.of(nodes=[3]), scope=frozenset(range(8)))
     assert half.node_set == frozenset(range(8)) - {3}
     for v in half.nodes:
         assert all(w < 8 for w in half.neighbors(v))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_faults
 from thln import (
     FaultSet,
     PreconditionViolated,
@@ -23,6 +22,7 @@ from thln import (
     validate_cycle,
     validate_path,
 )
+from thln.faults import sample_faults
 
 
 class FakeView:
