@@ -68,13 +68,22 @@ class RunConfig:
     timing: bool = False
 
     def validate(self) -> None:
-        if self.dimension < 3:
-            raise PreconditionViolated("dimension must be at least 3")
-        bound = 2 * self.dimension - 10
-        if not self.unsafe and self.fault_count > max(bound, 0):
+        n = self.dimension
+        if n < 7:
+            raise PreconditionViolated(f"dimension must be at least 7, got {n}")
+        elements = (1 << n) + n * (1 << (n - 1))  # nodes plus edges
+        if not 0 <= self.fault_count <= elements:
+            raise PreconditionViolated(
+                f"fault count must be between 0 and {elements} at dimension {n}, "
+                f"got {self.fault_count}"
+            )
+        if self.trial_count < 0:
+            raise PreconditionViolated(f"trial count must be non-negative, got {self.trial_count}")
+        bound = 2 * n - 10
+        if not self.unsafe and self.fault_count > bound:
             raise PreconditionViolated(
                 f"fault count {self.fault_count} exceeds {bound} at dimension "
-                f"{self.dimension}; pass --unsafe to probe beyond the contract"
+                f"{n}; pass --unsafe to probe beyond the contract"
             )
 
 
@@ -171,6 +180,12 @@ def cmd_embed(args) -> int:
             f = FaultSet.from_json(fh.read())
     except (OSError, MalformedGraph, ValueError) as exc:
         _info(f"error: {exc}")
+        return 2
+    shape = check_shape(g)
+    if not shape.ok:
+        bad = shape.failures[0]
+        detail = f" ({bad.detail})" if bad.detail else ""
+        _info(f"error: graph fails shape check {bad.name}{detail}")
         return 2
     out_of_contract = args.unsafe and len(f) > 2 * g.dimension - 10
 

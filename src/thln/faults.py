@@ -72,11 +72,26 @@ class FaultSet:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "FaultSet":
-        return cls.of(
-            nodes=(int(v) for v in obj.get("nodes", ())),
-            edges=((int(u), int(v)) for u, v in obj.get("edges", ())),
-        )
+    def from_json_obj(cls, obj) -> "FaultSet":
+        """Raises ValueError unless ``obj`` is an object whose ``nodes`` are
+        integers and whose ``edges`` are pairs of integers."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a fault file must hold an object, got {type(obj).__name__}")
+
+        def node(x) -> int:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"fault entries must be integers, got {x!r}")
+            return x
+
+        def edge(e) -> Edge:
+            if not isinstance(e, list) or len(e) != 2:
+                raise ValueError(f"a faulty edge must be a pair of integers, got {e!r}")
+            return node(e[0]), node(e[1])
+
+        nodes, edges = obj.get("nodes", []), obj.get("edges", [])
+        if not isinstance(nodes, list) or not isinstance(edges, list):
+            raise ValueError("fault 'nodes' and 'edges' must be lists")
+        return cls.of(nodes=[node(v) for v in nodes], edges=[edge(e) for e in edges])
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSet":

@@ -1,10 +1,15 @@
 """Budgeted exact search for covering paths and cycles on surviving views.
 
-The searches are deterministic depth-first backtracking with two prune rules
-applied at every expansion: the unvisited region must stay reachable from the
-search head, and no unvisited non-terminal node may drop to remaining degree
-one or less. Successors are tried lowest-remaining-degree first, ties broken
-by node index, so identical inputs always explore the identical tree.
+Every service runs one search core, ``_dfs_cover``: a deterministic
+depth-first backtracking search for a path from a start node through every
+node that stops on a node of a given set of ends. A covering path has the
+single end t, entered only last; a covering cycle starts at an anchor and
+may stop on any of its neighbours. Each expansion prunes unless an end is
+left to stop on, at most one unvisited node has remaining degree one and
+that node is an end, and the unvisited region stays reachable from the head
+(no cut leaves a piece without an end). Successors are tried
+lowest-remaining-degree first, ties broken by node index, so identical
+inputs always explore the identical tree.
 
 An expansion budget separates "proven absent" (search space exhausted) from
 "gave up" (budget exhausted); growing the budget can only turn the latter
@@ -163,17 +168,19 @@ def _tie(salt: int, c: int) -> int:
     return ((c + 0x9E3779B9 * salt) * 2654435761) & 0xFFFFFFFF
 
 
-def _dfs_cover_path(
+def _dfs_cover(
     adj: dict[int, frozenset[int]],
     nodes: Iterable[int],
     s: int,
-    t: int,
+    ends: frozenset[int],
+    ends_last: bool,
     state: _BudgetState,
     cap: Optional[int],
     salt: int,
     gate: Optional[Callable[[int, int], bool]] = None,
 ) -> tuple[SearchStatus, Optional[tuple[int, ...]], bool]:
-    """One path-search attempt from s to t visiting every node exactly once.
+    """One search attempt for a path from s through every node that stops on
+    a node of ``ends``; with ``ends_last`` the ends are entered only last.
 
     Returns (status, path, cap_hit); ``cap_hit`` means this attempt was cut
     off by its slice of the schedule, not by the overall budget.
@@ -182,7 +189,6 @@ def _dfs_cover_path(
     remaining.discard(s)
     path = [s]
     stack: list[list[int]] = []
-    target = frozenset((t,))
     spent_here = 0
 
     def expand(v: int) -> Optional[list[int]]:
@@ -193,15 +199,25 @@ def _dfs_cover_path(
         if not state.spend():
             return None
         spent_here += 1
+        closers = ends & remaining
+        if not closers:
+            return []  # no end left to stop on
+        stuck = 0
         for u in remaining:
             d = len(adj[u] & remaining) + (1 if v in adj[u] else 0)
-            if d == 0 or (d == 1 and u != t):
+            if d == 0:
                 return []
-        if _cut_prune(adj, v, remaining, target):
+            if d == 1:
+                if u not in ends:
+                    return []
+                stuck += 1
+                if stuck > 1:
+                    return []
+        if _cut_prune(adj, v, remaining, closers):
             return []
         cands = adj[v] & remaining
-        if len(remaining) > 1:
-            cands = cands - {t}
+        if ends_last and len(remaining) > 1:
+            cands = cands - ends
         if gate is not None:
             cands = {c for c in cands if gate(v, c)}
         return sorted(cands, key=lambda c: (len(adj[c] & remaining), _tie(salt, c)))
@@ -221,7 +237,7 @@ def _dfs_cover_path(
         path.append(c)
         remaining.discard(c)
         if not remaining:
-            if c == t:
+            if c in ends:
                 return SearchStatus.FOUND, tuple(path), False
             remaining.add(path.pop())
             continue
@@ -230,137 +246,56 @@ def _dfs_cover_path(
             return SearchStatus.BUDGET_EXHAUSTED, None, not state.exhausted
         stack.append(succ)
     return SearchStatus.PROVEN_ABSENT, None, False
+
+
+_Answer = tuple[SearchStatus, Optional[tuple[int, ...]]]
+
+
+def _engine(attempt: Callable[[Optional[int], int], tuple], state: _BudgetState) -> _Answer:
+    """Run ``attempt(cap, phase)`` over the restart schedule; the final
+    attempt runs on whatever budget remains. A single completed attempt
+    settles absence, whichever slice it ran in."""
+    phase = 0
+    while True:
+        cap = _RESTART_SLICES[phase] if phase < len(_RESTART_SLICES) else None
+        status, path, cap_hit = attempt(cap, phase)
+        if status is SearchStatus.FOUND or status is SearchStatus.PROVEN_ABSENT:
+            return status, path
+        if not cap_hit or state.exhausted:
+            return SearchStatus.BUDGET_EXHAUSTED, None
+        phase += 1
 
 
 def _path_engine(
-    adj: dict[int, frozenset[int]],
-    nodes,
-    s: int,
-    t: int,
-    state: _BudgetState,
-    gate: Optional[Callable[[int, int], bool]] = None,
-    gate_rev: Optional[Callable[[int, int], bool]] = None,
-) -> tuple[SearchStatus, Optional[tuple[int, ...]]]:
-    """Path search with restart diversification.
+    adj, nodes, s: int, t: int, state: _BudgetState, gate=None, gate_rev=None
+) -> _Answer:
+    """Covering-path search from s to t; slices alternate forward and
+    reversed endpoints (``gate_rev`` filters the reversed ones), with a
+    fresh tie-break salt every second slice."""
 
-    Slices alternate forward and reversed endpoints with fresh tie-break
-    salts; the final attempt runs on whatever budget remains. A single
-    completed attempt settles absence, whichever slice it ran in.
-    """
-    phase = 0
-    while True:
-        final = phase >= len(_RESTART_SLICES)
-        cap = None if final else _RESTART_SLICES[phase]
-        reverse = phase % 2 == 1
-        salt = phase // 2
-        if reverse:
-            status, path, cap_hit = _dfs_cover_path(
-                adj, nodes, t, s, state, cap, salt, gate_rev
-            )
-            if path is not None:
-                path = tuple(reversed(path))
-        else:
-            status, path, cap_hit = _dfs_cover_path(
-                adj, nodes, s, t, state, cap, salt, gate
-            )
-        if status is SearchStatus.FOUND or status is SearchStatus.PROVEN_ABSENT:
-            return status, path
-        if not cap_hit or state.exhausted:
-            return SearchStatus.BUDGET_EXHAUSTED, None
-        phase += 1
+    def attempt(cap, phase):
+        rev = phase % 2 == 1
+        a, b, g = (t, s, gate_rev) if rev else (s, t, gate)
+        status, path, cap_hit = _dfs_cover(
+            adj, nodes, a, frozenset((b,)), True, state, cap, phase // 2, g
+        )
+        return status, path[::-1] if rev and path else path, cap_hit
+
+    return _engine(attempt, state)
 
 
-def _dfs_cover_cycle(
-    adj: dict[int, frozenset[int]],
-    nodes: Iterable[int],
-    state: _BudgetState,
-    cap: Optional[int],
-    salt: int,
-) -> tuple[SearchStatus, Optional[tuple[int, ...]], bool]:
-    """One cycle-search attempt visiting every node exactly once.
-
-    Anchored at the most constrained node (lowest degree, then lowest index)
-    so that both forced edges of a degree-2 node bind early.
-    """
-    node_list = sorted(nodes)
-    if len(node_list) < 3:
-        return SearchStatus.PROVEN_ABSENT, None, False
-    v0 = min(node_list, key=lambda v: (len(adj[v]), v))
-    home = adj[v0]
-    remaining = set(node_list)
-    remaining.discard(v0)
-    path = [v0]
-    stack: list[list[int]] = []
-    spent_here = 0
-
-    def expand(v: int) -> Optional[list[int]]:
-        nonlocal spent_here
-        if cap is not None and spent_here >= cap:
-            return None
-        if not state.spend():
-            return None
-        spent_here += 1
-        closers = home & remaining
-        if not closers:
-            return []  # no way left to close the cycle
-        stuck = 0
-        for u in remaining:
-            d = len(adj[u] & remaining) + (1 if v in adj[u] else 0)
-            if d == 0:
-                return []
-            if d == 1:
-                if u not in home:
-                    return []
-                stuck += 1
-                if stuck > 1:
-                    return []
-        if _cut_prune(adj, v, remaining, closers):
-            return []
-        cands = adj[v] & remaining
-        return sorted(cands, key=lambda c: (len(adj[c] & remaining), _tie(salt, c)))
-
-    succ = expand(v0)
-    if succ is None:
-        return SearchStatus.BUDGET_EXHAUSTED, None, not state.exhausted
-    stack.append(succ)
-    while stack:
-        top = stack[-1]
-        if not top:
-            stack.pop()
-            if len(path) > 1:
-                remaining.add(path.pop())
-            continue
-        c = top.pop(0)
-        path.append(c)
-        remaining.discard(c)
-        if not remaining:
-            if c in home:
-                return SearchStatus.FOUND, tuple(path), False
-            remaining.add(path.pop())
-            continue
-        succ = expand(c)
-        if succ is None:
-            return SearchStatus.BUDGET_EXHAUSTED, None, not state.exhausted
-        stack.append(succ)
-    return SearchStatus.PROVEN_ABSENT, None, False
-
-
-def _cycle_engine(
-    adj: dict[int, frozenset[int]],
-    nodes,
-    state: _BudgetState,
-) -> tuple[SearchStatus, Optional[tuple[int, ...]]]:
-    """Cycle search with restart diversification (fixed salt schedule)."""
-    phase = 0
-    while True:
-        final = phase >= len(_RESTART_SLICES)
-        cap = None if final else _RESTART_SLICES[phase]
-        status, path, cap_hit = _dfs_cover_cycle(adj, nodes, state, cap, phase)
-        if status is SearchStatus.FOUND or status is SearchStatus.PROVEN_ABSENT:
-            return status, path
-        if not cap_hit or state.exhausted:
-            return SearchStatus.BUDGET_EXHAUSTED, None
-        phase += 1
+def _cycle_engine(adj, nodes, state: _BudgetState) -> _Answer:
+    """Covering-cycle search: a covering path from the most constrained node
+    (lowest degree, then lowest index, so that both forced edges of a
+    degree-2 node bind early) that stops on one of its neighbours. Every
+    slice uses a fresh tie-break salt."""
+    if len(nodes) < 3:
+        return SearchStatus.PROVEN_ABSENT, None
+    v0 = min(nodes, key=lambda v: (len(adj[v]), v))
+    return _engine(
+        lambda cap, phase: _dfs_cover(adj, nodes, v0, adj[v0], False, state, cap, phase),
+        state,
+    )
 
 
 def _require_alive(view, *nodes: int) -> None:

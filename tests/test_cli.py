@@ -141,6 +141,72 @@ def test_embed_missing_file_exits_2(instance, capsys, tmp_path):
     assert code == 2
 
 
+def _cut_matching(doc):
+    m = doc["decomposition"]["matching"]
+    doc["decomposition"]["matching"] = m[: len(m) // 2]
+
+
+def _rotate_matching(doc):
+    m = doc["decomposition"]["matching"]
+    seconds = [v for _, v in m]
+    seconds = seconds[1:] + seconds[:1]
+    doc["decomposition"]["matching"] = [[u, v] for (u, _), v in zip(m, seconds)]
+
+
+def _swap_half1_node(doc):
+    half1 = doc["decomposition"]["half1"]
+    doc["decomposition"]["half1"] = sorted(half1[:-1] + [255])
+
+
+@pytest.mark.parametrize(
+    "edit,failing_check",
+    [(_cut_matching, "root: matching-size"),
+     (_rotate_matching, "root: matching-edges-present"),
+     (_swap_half1_node, "root: matching-bijection")],
+    ids=["matching-cut-in-half", "matching-rotated", "half1-node-swapped"],
+)
+def test_embed_shape_checks_the_graph(tmp_path, capsys, edit, failing_check):
+    # a hand-edited decomposition is bad input (exit 2), not a crash or an
+    # internal contradiction in the embedder
+    gpath = tmp_path / "g.json"
+    run_cli(capsys, "generate", "--variant", "random", "--n", "8", "--seed", "3",
+            "-o", str(gpath))
+    doc = json.loads(gpath.read_text())
+    edit(doc)
+    gpath.write_text(json.dumps(doc))
+    fpath = tmp_path / "f.json"
+    fpath.write_text(FaultSet.empty().to_json())
+    code, _, err = run_cli(capsys, "embed", "--graph", str(gpath), "--faults", str(fpath),
+                           "-s", "130", "-t", "200")
+    assert code == 2
+    assert failing_check in err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"nodes": [[1, 2]]}'],
+                         ids=["not-an-object", "non-integer-node"])
+def test_embed_malformed_fault_file_exits_2(instance, capsys, tmp_path, text):
+    gpath, _ = instance
+    fpath = tmp_path / "bad.json"
+    fpath.write_text(text)
+    code, _, err = run_cli(capsys, "embed", "--graph", str(gpath), "--faults", str(fpath),
+                           "-s", "5", "-t", "200")
+    assert code == 2
+    assert "error:" in err
+
+
+def test_stress_rejects_configs_it_cannot_run(capsys):
+    # below dimension 7 every trial would break embed's precondition, a fault
+    # count outside 0..(nodes + edges) cannot be sampled, and a negative trial
+    # count runs nothing
+    for argv in (["--n", "5", "--faults", "0", "--trials", "2"],
+                 ["--n", "7", "--faults", "-1"],
+                 ["--n", "7", "--faults", "100000", "--unsafe"],
+                 ["--n", "8", "--trials", "-1"]):
+        code, _, err = run_cli(capsys, "stress", *argv)
+        assert code == 2, argv
+        assert "error:" in err, argv
+
+
 def test_stress_zero_trials(tmp_path, capsys):
     out = tmp_path / "r.json"
     code, _, _ = run_cli(capsys, "stress", "--n", "8", "--trials", "0", "-o", str(out))

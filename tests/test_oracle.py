@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import random
 
@@ -297,3 +299,81 @@ def test_budget_exhaustion_is_reported(graph9):
     out = ham_path(view, 0, 500, SearchBudget(10))
     assert out.status is SearchStatus.BUDGET_EXHAUSTED
     assert out.expansions == 10
+
+
+# ----------------------------------------------------------------------
+# pinned search tree
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_graph(n):
+    return make_preset(VariantSpec.random({4: 2, 7: 1}[n]), n)
+
+
+def _drawn(n, faults, seed, picks):
+    """Seeded instance: uniform faults, then ``picks`` distinct survivors."""
+    graph = _pinned_graph(n)
+    rng = random.Random(seed)
+    view = surviving_view(graph, sample_faults(graph, faults, rng))
+    return view, rng.sample(view.nodes, picks)
+
+
+def _pinned_call(service, n, faults, seed, budget=None):
+    picks = {ham_path: 2, two_disjoint_spanning_paths: 4}.get(service, 0)
+    view, ends = _drawn(n, faults, seed, picks)
+    return service(view, *ends, budget and SearchBudget(budget))
+
+
+#: (service, n, faults, seed, budget) -> (status, expansions, missed, digest
+#: of the path or path pair). Every search is deterministic, so any change in
+#: pruning or successor order moves these numbers. The n = 7 cases run past
+#: the first 5,000-expansion slice: the path and the two-path pair finish in
+#: the reversed slice, the cycle in the first salted restart.
+_PINNED_SEARCH_TREES = {
+    "path-n4-found": ((ham_path, 4, 3, 0),
+        ("found", 30, None, "d63c987d15c44b08")),
+    "path-n4-absent": ((ham_path, 4, 4, 8),
+        ("proven-absent", 98, None, None)),
+    "path-n7-reversed-slice": ((ham_path, 7, 5, 90),
+        ("found", 5135, None, "d9e933071d4c6c90")),
+    "path-n7-budget-in-slice-2": ((ham_path, 7, 5, 90, 5050),
+        ("budget-exhausted", 5050, None, None)),
+    "cycle-n4-found": ((ham_cycle, 4, 2, 0),
+        ("found", 24, None, "3bcffaa4b8b0968e")),
+    "cycle-n4-absent": ((ham_cycle, 4, 3, 2136),
+        ("proven-absent", 130, None, None)),
+    "cycle-n7-budget-in-slice-2": ((ham_cycle, 7, 5, 170, 5200),
+        ("budget-exhausted", 5200, None, None)),
+    "cycle-n7-salted-restart": ((ham_cycle, 7, 5, 170),
+        ("found", 5315, None, "ee899f765afe6db5")),
+    "near-n4-full": ((near_ham_cycle, 4, 2, 0),
+        ("found", 24, None, "3bcffaa4b8b0968e")),
+    "near-n4-degree-below-two": ((near_ham_cycle, 4, 3, 26),
+        ("found", 15, 14, "df6a42f59d8cb0c1")),
+    "near-n4-full-absent-then-missed": ((near_ham_cycle, 4, 3, 2136),
+        ("found", 142, 7, "d8ff739d4c339489")),
+    "near-n4-absent": ((near_ham_cycle, 4, 4, 342),
+        ("proven-absent", 182, None, None)),
+    "near-n7-full-restart": ((near_ham_cycle, 7, 5, 170),
+        ("found", 5315, None, "ee899f765afe6db5")),
+    "two-n4-found": ((two_disjoint_spanning_paths, 4, 2, 0),
+        ("found", 53, None, "8bbcea9a66be0718")),
+    "two-n4-absent": ((two_disjoint_spanning_paths, 4, 1, 171),
+        ("proven-absent", 833, None, None)),
+    "two-n7-reversed-slice": ((two_disjoint_spanning_paths, 7, 1, 24),
+        ("found", 5139, None, "1b26c53340bdc97f")),
+}
+
+
+def _search_tree_fingerprint(out):
+    body = out.path if out.path is not None else out.paths
+    digest = None
+    if body is not None:
+        digest = hashlib.sha256(repr(body).encode()).hexdigest()[:16]
+    return out.status.value, out.expansions, out.missed, digest
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SEARCH_TREES))
+def test_search_tree_is_pinned(name):
+    call, expected = _PINNED_SEARCH_TREES[name]
+    assert _search_tree_fingerprint(_pinned_call(*call)) == expected
