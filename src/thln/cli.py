@@ -481,6 +481,9 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         _info(f"error: {exc}")
         return 2
+    if args.trials < 0:
+        _info(f"error: trial count must be non-negative, got {args.trials}")
+        return 2
     suites = []
     if args.graph:
         try:

@@ -9,7 +9,9 @@ The solver works level by level on the decomposition. After relabeling the
 halves so half 1 carries at least as many faults as half 2 (written f1 below,
 with k the halves' dimension), it dispatches:
 
-  case 1  f1 <= 2k-10          solve half 1 recursively, stitch half 2 by search
+  case 1  f1 <= 2k-10          solve half 1 recursively, and half 2 recursively
+                               when its own faults and endpoints meet the bound,
+                               by search otherwise
   case 2  f1  = 2k-9, min degree of half 1 >= 2   covering cycle in half 1, splice
   case 3  f1  = 2k-9, min degree <= 1             near-covering cycle missing the
                                                   starved node, agents stand in
@@ -25,10 +27,24 @@ InternalContradiction instead of being patched around. At dimension 7 the
 level is solved directly by exact search, which the fault bound (at most 4)
 keeps feasible.
 
+A covering path of half 2 (no node excluded) is the theorem's own instance
+one dimension down whenever f2 <= 2k-10 and its endpoints meet the neighbor
+condition, so for k >= 8 it is solved as a level of its own; when that level
+comes back one short, exact search over the half runs instead. At k = 7 the
+level would be the same single search, so half 2 is searched directly.
+A chain of case-1 levels therefore bottoms out in dimension-7 searches.
+
 Each level works on the surviving view of its own scope: the root on the
-view ``embed`` validated, every lower level on the half-1 view of the level
-above. Every search-service call goes through one traced call on the
-runtime, which records it and raises when a guaranteed answer is missing.
+view ``embed`` validated, every lower level on the view of the half of the
+level above that it covers. Every search-service call goes through one
+traced call on the runtime, which records it and raises when a guaranteed
+answer is missing.
+
+The trace holds one record per level, in solve order: ``id`` (that order),
+``parent`` (the calling level's ``id``, None at the root) and ``half`` (the
+half of the parent it covers, None at the root). Search records carry the
+``level`` that issued them; a half-2 search run because the recursion came
+back one short carries ``fallback: True``.
 """
 from __future__ import annotations
 
@@ -163,10 +179,11 @@ class _Runtime:
     faults: FaultSet
     budget: SearchBudget
     trace: list = field(default_factory=list)
+    levels: int = 0  # levels started so far; the next level's id
 
-    def traced(self, service: str, out, what: str, level: int, **extra):
+    def traced(self, service: str, out, what: str, at_dim: int, **extra):
         """Record one search-service call in the trace and demand the answer
-        the construction guarantees for ``what`` at dimension ``level``:
+        the construction guarantees for ``what`` at dimension ``at_dim``:
         budget exhaustion raises OracleBudgetExhausted, a proven absence
         InternalContradiction. Returns ``out``."""
         rec = {"service": service, "status": out.status.value, "expansions": out.expansions}
@@ -174,12 +191,12 @@ class _Runtime:
         self.trace.append(rec)
         if out.status is SearchStatus.BUDGET_EXHAUSTED:
             raise OracleBudgetExhausted(
-                f"search budget exhausted during {what} at dimension {level}",
+                f"search budget exhausted during {what} at dimension {at_dim}",
                 trace=CaseTrace(tuple(self.trace)),
             )
         if out.status is SearchStatus.PROVEN_ABSENT:
             raise InternalContradiction(
-                f"{what} at dimension {level} was guaranteed but proven absent"
+                f"{what} at dimension {at_dim} was guaranteed but proven absent"
             )
         return out
 
@@ -189,31 +206,35 @@ class _Level:
     dim: int
     view: SurvivingView
     decomp: Optional[DecompositionNode]
+    parent: Optional[int] = None  # id of the calling level; None at the root
+    half: Optional[int] = None  # half of the calling level this one covers
 
 
 class _Ctx:
     """Per-level working state: halves ordered by fault count, views, and
     traced access to the search services."""
 
-    def __init__(self, rt: _Runtime, level: _Level, s: int, t: int):
+    def __init__(self, rt: _Runtime, level: _Level, s: int, t: int, level_id: int):
         decomp = level.decomp
         if decomp is None:
             raise InternalContradiction(f"no decomposition at dimension {level.dim}")
         self.rt = rt
+        self.id = level_id
         self.dim = level.dim
         self.k = level.dim - 1
         self.s = s
         self.t = t
         part = partition_decomposition(decomp, rt.faults)
         self.swapped = len(part.f2) > len(part.f1)
+        # the halves' node sets and the partner map live as long as this level
         if self.swapped:
             self.h1, self.h2 = decomp.half2_set, decomp.half1_set
-            self.child1 = decomp.child2
+            self.child1, self.child2 = decomp.child2, decomp.child1
             self.f1_count, self.f2_count = len(part.f2), len(part.f1)
             self.f1 = part.f2
         else:
             self.h1, self.h2 = decomp.half1_set, decomp.half2_set
-            self.child1 = decomp.child1
+            self.child1, self.child2 = decomp.child1, decomp.child2
             self.f1_count, self.f2_count = len(part.f1), len(part.f2)
             self.f1 = part.f1
         self.fc_count = len(part.fc_direct)
@@ -234,12 +255,25 @@ class _Ctx:
     # -- traced search services
 
     def _traced(self, service: str, out, what: str, half: int, **extra):
-        return self.rt.traced(service, out, what, self.dim, half=half, dim=self.k, **extra)
+        return self.rt.traced(
+            service, out, what, self.dim, level=self.id, half=half, dim=self.k, **extra
+        )
 
     def ham_path_h2(self, a: int, b: int, exclude: Iterable[int] = ()) -> PathSeq:
+        extra = {}
+        if (
+            not exclude
+            and self.k >= 8
+            and self.f2_count <= 2 * self.k - 10
+            and neighbor_condition(self.h2_view, a, b)
+        ):
+            path, missed = self.recurse(a, b, half=2)
+            if missed is None:
+                return path
+            extra["fallback"] = True
         v = self.h2_view.without_nodes(exclude) if exclude else self.h2_view
         out = oracle.ham_path(v, a, b, self.rt.budget)
-        return self._traced("ham_path", out, "half-2 covering path", 2).path
+        return self._traced("ham_path", out, "half-2 covering path", 2, **extra).path
 
     def two_paths_h2(
         self, a1: int, b1: int, a2: int, b2: int, exclude: Iterable[int] = ()
@@ -270,9 +304,10 @@ class _Ctx:
         self._traced("near_ham_cycle", out, "half-1 near-covering cycle", 1, missed=out.missed)
         return out.path, out.missed
 
-    def recurse(self, s: int, t: int) -> tuple[PathSeq, Optional[int]]:
-        child = _Level(self.k, self.h1_view, self.child1)
-        return _solve_level(self.rt, child, s, t)
+    def recurse(self, s: int, t: int, half: int = 1) -> tuple[PathSeq, Optional[int]]:
+        """Solve one half (1 by default) as a level of its own."""
+        view, decomp = (self.h1_view, self.child1) if half == 1 else (self.h2_view, self.child2)
+        return _solve_level(self.rt, _Level(self.k, view, decomp, self.id, half), s, t)
 
     # -- cross-edge selection
 
@@ -978,7 +1013,9 @@ def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
 
 
 def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
-    rec: dict = {"dim": level.dim}
+    level_id = rt.levels
+    rt.levels += 1
+    rec: dict = {"dim": level.dim, "id": level_id, "parent": level.parent, "half": level.half}
     rt.trace.append(rec)
     view = level.view
     if not neighbor_condition(view, s, t):
@@ -990,10 +1027,12 @@ def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
     if level.dim == 7:
         # at most 4 faults keep the dimension-7 base covered by paths
         out = oracle.ham_path(view, s, t, rt.budget)
-        path = rt.traced("ham_path", out, "base covering path", 7, half=0, dim=7).path
+        path = rt.traced(
+            "ham_path", out, "base covering path", 7, level=level_id, half=0, dim=7
+        ).path
         rec.update(case="base", missed=None)
     else:
-        ctx = _Ctx(rt, level, s, t)
+        ctx = _Ctx(rt, level, s, t, level_id)
         k = ctx.k
         f1 = ctx.f1_count
         delta = ctx.delta1

@@ -132,7 +132,10 @@ class DecompositionNode:
     child1: Optional["DecompositionNode"] = None
     child2: Optional["DecompositionNode"] = None
 
-    @cached_property
+    # Built on every access and not cached: a graph keeps its decomposition
+    # for its lifetime, so callers hold these for as long as they need them.
+
+    @property
     def partner_map(self) -> dict[int, int]:
         """Cross partner lookup covering both halves (an involution)."""
         m: dict[int, int] = {}
@@ -141,11 +144,11 @@ class DecompositionNode:
             m[v] = u
         return m
 
-    @cached_property
+    @property
     def half1_set(self) -> frozenset[int]:
         return frozenset(self.half1)
 
-    @cached_property
+    @property
     def half2_set(self) -> frozenset[int]:
         return frozenset(self.half2)
 

@@ -29,12 +29,14 @@ from thln import (
     validate_cycle,
     validate_path,
 )
-from thln.cli import RunConfig, _dump, run_stress
+from thln.cli import RunConfig, _dump, main, run_stress
 from thln.embedder import _canon_cycle
 from thln.faults import SurvivingView, sample_faults
 
 #: committed by ``scripts/stress_campaign.py`` from criterion 6's configuration
 STRESS_N8 = Path(__file__).resolve().parent.parent / "out" / "stress_n8.json"
+#: committed by ``scripts/service_checks.py``
+CHECK = Path(__file__).resolve().parent.parent / "out" / "check.json"
 
 
 def _artifact(obj) -> bytes:
@@ -303,6 +305,13 @@ def test_criterion6_embedding_campaign(acceptance):
         f"zero budget exhaustion, median {data['median'] * 1000:.0f}ms "
         f"({data['elapsed']:.1f}s)"
     )
+
+
+def test_committed_check_report_is_reproduced(tmp_path):
+    # the same arguments scripts/service_checks.py passes
+    out = tmp_path / "check.json"
+    assert main(["check", "--trials", "100", "--seed", "0", "-o", str(out)]) == 0
+    assert out.read_bytes() == CHECK.read_bytes()
 
 
 def test_criterion7_case_coverage(acceptance):

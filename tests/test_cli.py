@@ -207,6 +207,14 @@ def test_stress_rejects_configs_it_cannot_run(capsys):
         assert "error:" in err, argv
 
 
+def test_check_rejects_a_negative_trial_count(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    code, _, err = run_cli(capsys, "check", "--trials", "-5", "-o", str(out))
+    assert code == 2
+    assert "error:" in err
+    assert not out.exists()
+
+
 def test_stress_zero_trials(tmp_path, capsys):
     out = tmp_path / "r.json"
     code, _, _ = run_cli(capsys, "stress", "--n", "8", "--trials", "0", "-o", str(out))

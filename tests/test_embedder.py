@@ -19,6 +19,7 @@ from thln import (
     surviving_view,
     validate_path,
 )
+from thln import embedder
 from thln.embedder import _Ctx, _Level, _Runtime, _canon_cycle, _cut_cycle, _select_restorable_fault
 from thln.faults import SurvivingView, sample_faults
 from thln.oracle import ham_cycle, near_ham_cycle
@@ -202,7 +203,7 @@ def test_case2_blocked_exit_with_partner_endpoint(graph8):
 def _ctx(g, f, s, t):
     """The top-level working state ``embed`` builds for this instance."""
     rt = _Runtime(graph=g, faults=f, budget=SearchBudget())
-    return _Ctx(rt, _Level(g.dimension, surviving_view(g, f), g.decomposition), s, t)
+    return _Ctx(rt, _Level(g.dimension, surviving_view(g, f), g.decomposition), s, t, 0)
 
 
 def _case4_path(graph8):
@@ -350,6 +351,93 @@ def test_starved_endpoint_routed_through_cross_edge_at_n10():
     res = embed_and_check(g, f, s_node, t_node)
     assert res.trace.labels()[0] == "1.1.2"
     assert res.hamiltonian
+
+
+# ----------------------------------------------------------------------
+# half 2 by recursion
+
+
+def uniform_instance(g, seed):
+    """2n-10 uniform faults and endpoints drawn as ``thln stress`` draws them."""
+    rng = random.Random(seed)
+    f = sample_faults(g, 2 * g.dimension - 10, rng)
+    view = surviving_view(g, f)
+    s, t = None, None
+    while s is None or not neighbor_condition(view, s, t):
+        s, t = rng.sample(view.nodes, 2)
+    return f, s, t
+
+
+def levels_of(res):
+    return [r for r in res.trace.records if "case" in r]
+
+
+def test_case1_chain_at_n10_searches_only_dimension7_views():
+    g = make_preset(VariantSpec.random(0), 10)
+    res = embed_and_check(g, *uniform_instance(g, 0))
+    assert all(r["case"] == "base" or r["case"].startswith("1.") for r in levels_of(res))
+    searches = [r for r in res.trace.records if "service" in r]
+    # no search runs on a 256- or 512-node half: half 2 recursed as well
+    assert len(searches) == 8
+    assert all(r["service"] == "ham_path" and r["dim"] == 7 for r in searches)
+
+
+def test_level_tree_rebuilds_from_the_trace_at_n10():
+    g = make_preset(VariantSpec.random(0), 10)
+    res = embed_and_check(g, *uniform_instance(g, 0))
+    levels = levels_of(res)
+    assert [r["id"] for r in levels] == list(range(len(levels)))
+    by_id = {r["id"]: r for r in levels}
+    children = {r["id"]: {} for r in levels}
+    for r in levels[1:]:
+        parent = by_id[r["parent"]]
+        assert parent["id"] < r["id"] and r["dim"] == parent["dim"] - 1
+        assert r["half"] not in children[parent["id"]]
+        children[parent["id"]][r["half"]] = r["id"]
+    root = levels[0]
+    assert root["parent"] is None and root["half"] is None
+    assert res.trace.top_case() == res.trace.labels()[0] == root["case"]
+    # both halves recurse above dimension 8; at 8 half 2 is one search
+    expected = {10: {1, 2}, 9: {1, 2}, 8: {1}, 7: set()}
+    assert all(set(children[r["id"]]) == expected[r["dim"]] for r in levels)
+    assert [r["dim"] for r in levels].count(7) == 4
+    # one search per level at the bottom: a base level searches itself, a
+    # dimension-8 level its half 2
+    searches = [r for r in res.trace.records if "service" in r]
+    assert sorted(r["level"] for r in searches) == [r["id"] for r in levels if r["dim"] <= 8]
+    assert all((by_id[r["level"]]["dim"], r["half"]) in ((7, 0), (8, 2)) for r in searches)
+
+
+def test_half2_falls_back_to_search_when_the_recursion_is_one_short(monkeypatch):
+    real = embedder._solve_level
+
+    def one_short_on_half2(rt, level, s, t):
+        path, missed = real(rt, level, s, t)
+        return (path, path[1]) if level.half == 2 else (path, missed)
+
+    monkeypatch.setattr(embedder, "_solve_level", one_short_on_half2)
+    g = make_preset(VariantSpec.random(0), 9)
+    res = embed_and_check(g, *uniform_instance(g, 0))
+    fallbacks = [r for r in res.trace.records if r.get("fallback")]
+    assert len(fallbacks) == 1
+    (fb,) = fallbacks
+    assert fb["service"] == "ham_path" and fb["half"] == 2 and fb["dim"] == 8
+    half2 = [r for r in levels_of(res) if r["half"] == 2 and r["parent"] == fb["level"]]
+    assert len(half2) == 1
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize(
+    "spec",
+    [VariantSpec.crossed(), VariantSpec.mobius0(), VariantSpec.mobius1(),
+     VariantSpec.locally_twisted()],
+    ids=lambda spec: spec.kind,
+)
+def test_named_variants_validate_with_half2_recursion(spec, n):
+    g = make_preset(spec, n)
+    for seed in range(2):
+        res = embed_and_check(g, *uniform_instance(g, seed))
+        assert any(r["half"] == 2 for r in levels_of(res))
 
 
 # ----------------------------------------------------------------------
