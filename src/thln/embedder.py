@@ -240,8 +240,8 @@ class _Ctx:
         self.fc_count = len(part.fc_direct)
         self.partner = decomp.partner_map
         self.view = level.view
-        self.h1_view = SurvivingView(rt.graph, rt.faults, scope=self.h1, _validate=False)
-        self.h2_view = SurvivingView(rt.graph, rt.faults, scope=self.h2, _validate=False)
+        self.h1_view = SurvivingView(rt.graph, rt.faults, scope=self.h1)
+        self.h2_view = SurvivingView(rt.graph, rt.faults, scope=self.h2)
         self.delta1 = self.h1_view.min_degree_witness()[0]
 
     # -- predicates
@@ -293,7 +293,7 @@ class _Ctx:
             if kind == "node"
             else self.rt.faults.without_edge(payload)
         )
-        return SurvivingView(self.rt.graph, f, scope=self.h1, _validate=False)
+        return SurvivingView(self.rt.graph, f, scope=self.h1)
 
     def ham_cycle_h1(self, restore=None) -> PathSeq:
         out = oracle.ham_cycle(self._h1_restored_view(restore), self.rt.budget)
@@ -1098,7 +1098,7 @@ def embed(
     for out-of-contract probing; everything else still applies.
     """
     budget = budget or SearchBudget()
-    f.validate_against(g)
+    view = surviving_view(g, f)  # raises ForeignFault before any other check
     n = g.dimension
     if n < 7:
         raise PreconditionViolated(f"embedding needs dimension >= 7, got {n}")
@@ -1108,7 +1108,6 @@ def embed(
         )
     if s == t:
         raise PreconditionViolated("endpoints must be distinct")
-    view = surviving_view(g, f)
     for v in (s, t):
         if not view.has_node(v):
             raise PreconditionViolated(f"endpoint {v} is faulty")

@@ -58,9 +58,10 @@ class FaultSet:
         for v in self.nodes:
             if not (0 <= v < g.num_nodes):
                 raise ForeignFault(f"faulty node {v} is not in the graph")
-        for e in self.edges:
-            if e not in g.edge_set:
-                raise ForeignFault(f"faulty edge {e} is not in the graph")
+        for u, v in self.edges:
+            # the range guard matters: adjacency[-1] is the last node's row
+            if not (0 <= u < v < g.num_nodes and v in g.adjacency[u]):
+                raise ForeignFault(f"faulty edge {(u, v)} is not in the graph")
 
     def to_json_obj(self) -> dict:
         return {
@@ -102,9 +103,10 @@ class SurvivingView:
     """Read-only fault-free subgraph, optionally narrowed to a node scope.
 
     A node is present iff it is in scope and not faulty; an edge is present
-    iff both endpoints are present and the edge is not faulty. Queries run
-    against a precomputed adjacency, so views are cheap to share and safe to
-    use concurrently.
+    iff both endpoints are present and the edge is not faulty. Every view
+    validates its fault set (:class:`ForeignFault`). Queries run against a
+    precomputed adjacency, so views are cheap to share and safe to use
+    concurrently.
     """
 
     __slots__ = ("graph", "faults", "scope", "_adj", "_nodes", "_node_set")
@@ -114,10 +116,8 @@ class SurvivingView:
         graph: ThlnGraph,
         faults: FaultSet,
         scope: Optional[frozenset[int]] = None,
-        _validate: bool = True,
     ):
-        if _validate:
-            faults.validate_against(graph)
+        faults.validate_against(graph)
         self.graph = graph
         self.faults = faults
         self.scope = frozenset(scope) if scope is not None else None
@@ -183,7 +183,7 @@ class SurvivingView:
     def without_nodes(self, nodes: Iterable[int]) -> "SurvivingView":
         drop = frozenset(nodes)
         base = self.node_set - drop
-        return SurvivingView(self.graph, self.faults, scope=base, _validate=False)
+        return SurvivingView(self.graph, self.faults, scope=base)
 
 
 def sample_faults(g: ThlnGraph, count: int, rng: random.Random) -> FaultSet:

@@ -3,9 +3,10 @@
 A dimension-n network here is an n-regular graph on 2^n nodes built
 recursively: two dimension-(n-1) copies joined by a perfect matching of
 cross edges, bottoming out at a fixed 3-regular 8-node twisted base graph.
-Node identity is an integer index; at every decomposition level the top bit
-of the (level-local) index says which half a node belongs to, so halves are
-always contiguous aligned ranges and the cross partner of a node is O(1).
+Node identity is an integer index. Graphs built by :func:`join` have halves
+that are contiguous aligned ranges; a loaded graph need only pass
+:func:`check_shape`, which does not check alignment. :func:`cross_partner`
+builds the whole 2^n-entry partner map on every call.
 
 Preset generators are provided for the classic twisted families (crossed,
 Moebius, locally twisted) plus seeded random matchings. Presets are
@@ -17,7 +18,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -155,7 +155,11 @@ class DecompositionNode:
 
 @dataclass(frozen=True)
 class ThlnGraph:
-    """Immutable network: adjacency indexed by node plus the decomposition tree."""
+    """Immutable network: adjacency indexed by node plus the decomposition tree.
+
+    The adjacency is the only store of edges: ``edges`` (every ``(u, v)`` with
+    ``u < v``, ascending) is rebuilt from its rows on each access.
+    """
 
     dimension: int
     adjacency: tuple[tuple[int, ...], ...]
@@ -178,19 +182,13 @@ class ThlnGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(
-            (u, v) for u in self.nodes for v in self.adjacency[u] if u < v
-        )
-
-    @cached_property
+    @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edge_set))
+        return tuple(sorted((u, v) for u, row in enumerate(self.adjacency) for v in row if u < v))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_set)
+        return sum(map(len, self.adjacency)) // 2
 
 
 # ----------------------------------------------------------------------

@@ -29,12 +29,13 @@ from thln import (
     validate_cycle,
     validate_path,
 )
-from thln.cli import RunConfig, _dump, main, run_stress
+from thln.cli import RunConfig, _dump, _stress_csv, main, run_stress
 from thln.embedder import _canon_cycle
 from thln.faults import SurvivingView, sample_faults
 
 #: committed by ``scripts/stress_campaign.py`` from criterion 6's configuration
 STRESS_N8 = Path(__file__).resolve().parent.parent / "out" / "stress_n8.json"
+STRESS_N8_CSV = STRESS_N8.with_suffix(".csv")
 #: committed by ``scripts/service_checks.py``
 CHECK = Path(__file__).resolve().parent.parent / "out" / "check.json"
 
@@ -163,6 +164,7 @@ def _criterion6():
         "median": statistics.median(elapsed) if elapsed else 0.0,
         "elapsed": time.perf_counter() - started,
         "report_bytes": _dump(report).encode(),
+        "csv_bytes": _stress_csv(report, False, elapsed).encode(),
     }
     return _artifact(report), data
 
@@ -298,6 +300,7 @@ def test_criterion6_embedding_campaign(acceptance):
     assert data["successes"] == 200, data["failures"]
     assert data["failures"] == []
     assert data["report_bytes"] == STRESS_N8.read_bytes()
+    assert data["csv_bytes"] == STRESS_N8_CSV.read_bytes()
     assert data["median"] < 5.0
     assert data["elapsed"] < 1800.0
     _report(

@@ -32,6 +32,7 @@ def test_generate_is_byte_identical(tmp_path, capsys):
 def test_generate_rejects_tiny_dimension(capsys):
     code, _, err = run_cli(capsys, "generate", "--n", "2")
     assert code == 2
+    assert err == "error: dimension must be at least 3, got 2\n"
 
 
 def test_generate_dot_and_export_agree(tmp_path, capsys):
@@ -241,6 +242,20 @@ def test_stress_fault_bound_needs_unsafe(capsys):
     code, _, _ = run_cli(capsys, "stress", "--n", "8", "--faults", "7", "--trials", "1",
                          "--unsafe")
     assert code in (0, 1)  # out-of-contract trials may legitimately fail
+
+
+def test_stress_unsafe_with_every_element_faulty_reports_the_failure(tmp_path, capsys):
+    # 576 = 128 nodes + 448 edges at n = 7: no node survives to be an endpoint
+    out = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "stress", "--n", "7", "--faults", "576", "--trials", "1",
+                           "--unsafe", "-o", str(out))
+    assert code == 1
+    assert "Traceback" not in err
+    report = json.loads(out.read_text())
+    assert report["successes"] == 0
+    assert report["failures"] == [
+        {"trial": 0, "error": "no endpoint pair met the neighbor condition"}
+    ]
 
 
 def test_stress_csv(tmp_path, capsys):

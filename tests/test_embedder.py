@@ -235,6 +235,38 @@ def test_case4_splice_shapes(graph8, pick, label):
     assert res.trace.labels()[0] == label
 
 
+def _cut_cross_edge(g, v):
+    return FaultSet.of(nodes=[1, 33, 65, 97, 120], edges=[(v, cross_partner(g, v))])
+
+
+@pytest.mark.parametrize(
+    "build,label,shape",
+    [
+        # y1 lost its cross edge, so the short side is bypassed through z1:
+        # the path leaves s for x1 and crosses there
+        (lambda g, c, p: (_cut_cross_edge(g, c[13]), c[10], c[12],
+                          (c[10], c[11], cross_partner(g, c[11]))),
+         "2.1.2.1", "d2-direct"),
+        # u1 lost its cross edge, so the detour runs through the pair (x1, y1):
+        # the path walks forward to y1 and crosses there
+        (lambda g, c, p: (_cut_cross_edge(g, c[11]), c[10], c[20],
+                          tuple(c[10:20]) + (cross_partner(g, c[19]),)),
+         "2.1.3", "d3"),
+        # t is the partner of the node after s on the case-4 path
+        (lambda g, c, p: (CASE4_FAULTS, p[40], cross_partner(g, p[41]), ()),
+         "4.3.2", "wend"),
+    ],
+    ids=["d2-direct-z1", "d3-x1-y1", "wend"],
+)
+def test_second_choice_constructions(graph8, build, label, shape):
+    c1 = probe_half1_cycle(graph8, f1_nodes=[1, 33, 65, 97, 120])
+    f, s, t, head = build(graph8, c1, _case4_path(graph8))
+    res = embed_and_check(graph8, f, s, t)
+    assert res.trace.labels()[0] == label
+    assert res.trace.records[0]["shape"] == shape
+    assert res.path[: len(head)] == head
+
+
 def test_case4_restored_node_cut_ends_at_its_cycle_neighbors(graph8):
     p1 = _case4_path(graph8)
     # the first canonical fault is node 1 and it is restored then cut out

@@ -12,6 +12,7 @@ from thln import (
     SurvivingView,
     VariantSpec,
     cross_partner,
+    embed,
     make_base,
     make_preset,
     neighbor_condition,
@@ -62,6 +63,25 @@ def test_foreign_fault_rejected(graph4):
     )
     with pytest.raises(ForeignFault):
         surviving_view(graph4, FaultSet.of(edges=[non_edge]))
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [
+        lambda g: (3, g.num_nodes),
+        lambda g: (g.num_nodes, g.num_nodes + 1),
+        # adjacency[-1] is the last node's row, so only the range check stops this
+        lambda g: (-1, g.neighbors(g.num_nodes - 1)[0]),
+    ],
+    ids=["endpoint-past-the-end", "both-past-the-end", "negative-endpoint"],
+)
+def test_foreign_edge_outside_the_node_range_rejected(graph4, edge):
+    f = FaultSet.of(edges=[edge(graph4)])
+    with pytest.raises(ForeignFault):
+        surviving_view(graph4, f)
+    # the foreign fault is reported first, before the dimension and endpoint checks
+    with pytest.raises(ForeignFault):
+        embed(graph4, f, 0, 0)
 
 
 def test_partition_example_three_dead_cross_edges(graph4):

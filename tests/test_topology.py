@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,12 @@ from hypothesis import strategies as st
 from thln import (
     DEFAULT_BASE_EDGES,
     DimensionMismatch,
+    FaultSet,
     MalformedBase,
     MalformedGraph,
     NoDecomposition,
     NotABijection,
+    SurvivingView,
     UnsupportedDimension,
     VariantSpec,
     check_shape,
@@ -220,3 +224,23 @@ def test_random_presets_satisfy_count_invariants(seed, n):
         assert len(g.decomposition.matching) == 2 ** (n - 1)
         for v in g.nodes:
             assert cross_partner(g, cross_partner(g, v)) == v
+
+
+def test_edge_queries_leave_nothing_on_the_graph():
+    # the adjacency is the only store of the edge relation: reading the edges,
+    # validating a fault set and building a view must not grow the graph
+    g = make_preset(VariantSpec.random(3), 9)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        edges = g.edges
+        assert len(edges) == g.num_edges == 9 * 2 ** 8
+        f = FaultSet.of(edges=[edges[len(edges) // 2]])
+        f.validate_against(g)
+        SurvivingView(g, f)
+        del edges
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 32 * 1024
