@@ -23,6 +23,7 @@ from .errors import (
     PreconditionViolated,
     ThlnError,
     TooLarge,
+    UnknownNode,
     UnsupportedDimension,
 )
 from .faults import (

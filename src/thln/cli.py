@@ -33,6 +33,7 @@ from .errors import (
     OracleBudgetExhausted,
     PreconditionViolated,
     ThlnError,
+    UnknownNode,
 )
 from .faults import FaultSet, neighbor_condition, sample_faults, surviving_view
 from .oracle import (
@@ -191,6 +192,11 @@ def cmd_embed(args) -> int:
 
     try:
         result = embed(g, f, args.s, args.t, budget, enforce_bounds=not args.unsafe)
+    except (ForeignFault, MalformedGraph, UnknownNode) as exc:
+        emit({"status": "error", "path": [], "missed": None, "trace": [],
+              "reason": str(exc)})
+        _info(f"error: {exc}")
+        return 2
     except PreconditionViolated as exc:
         emit({"status": "error", "path": [], "missed": None, "trace": [],
               "reason": str(exc)})
@@ -202,11 +208,6 @@ def cmd_embed(args) -> int:
               "reason": str(exc)})
         _info(f"budget exhausted: {exc}")
         return 4
-    except (ForeignFault, MalformedGraph) as exc:
-        emit({"status": "error", "path": [], "missed": None, "trace": [],
-              "reason": str(exc)})
-        _info(f"error: {exc}")
-        return 2
     except ThlnError as exc:
         emit({"status": "error", "path": [], "missed": None, "trace": [],
               "reason": str(exc)})

@@ -59,6 +59,7 @@ from .errors import (
     NoCandidate,
     OracleBudgetExhausted,
     PreconditionViolated,
+    UnknownNode,
 )
 from .faults import (
     FaultSet,
@@ -186,7 +187,10 @@ class _Runtime:
         the construction guarantees for ``what`` at dimension ``at_dim``:
         budget exhaustion raises OracleBudgetExhausted, a proven absence
         InternalContradiction. Returns ``out``."""
-        rec = {"service": service, "status": out.status.value, "expansions": out.expansions}
+        rec = {
+            "service": service, "status": out.status.value, "expansions": out.expansions,
+            "restarts": out.restarts, "backtracks": out.backtracks,
+        }
         rec.update(extra)
         self.trace.append(rec)
         if out.status is SearchStatus.BUDGET_EXHAUSTED:
@@ -1094,8 +1098,9 @@ def embed(
 
     Requires dimension >= 7, at most ``2n - 10`` faults, both endpoints
     surviving and distinct, and each endpoint keeping a surviving neighbor
-    besides the other. ``enforce_bounds=False`` drops the fault-count check
-    for out-of-contract probing; everything else still applies.
+    besides the other (an endpoint id outside the graph raises UnknownNode).
+    ``enforce_bounds=False`` drops the fault-count check for out-of-contract
+    probing; everything else still applies.
     """
     budget = budget or SearchBudget()
     view = surviving_view(g, f)  # raises ForeignFault before any other check
@@ -1109,6 +1114,8 @@ def embed(
     if s == t:
         raise PreconditionViolated("endpoints must be distinct")
     for v in (s, t):
+        if not 0 <= v < g.num_nodes:
+            raise UnknownNode(f"endpoint {v} is not a node of the graph")
         if not view.has_node(v):
             raise PreconditionViolated(f"endpoint {v} is faulty")
     if not neighbor_condition(view, s, t):

@@ -47,6 +47,10 @@ class PreconditionViolated(ThlnError):
     """Caller-supplied inputs are outside the operation's contract."""
 
 
+class UnknownNode(PreconditionViolated):
+    """A caller-supplied node id names no node of the graph."""
+
+
 class TooLarge(ThlnError):
     """Instance exceeds the hard guard of the exhaustive enumerator."""
 

@@ -1,19 +1,27 @@
 """Budgeted exact search for covering paths and cycles on surviving views.
 
 Every service runs one search core, ``_dfs_cover``: a deterministic
-depth-first backtracking search for a path from a start node through every
-node that stops on a node of a given set of ends. A covering path has the
-single end t, entered only last; a covering cycle starts at an anchor and
-may stop on any of its neighbours. Each expansion prunes unless an end is
-left to stop on, at most one unvisited node has remaining degree one and
-that node is an end, and the unvisited region stays reachable from the head
-(no cut leaves a piece without an end). Successors are tried
-lowest-remaining-degree first, ties broken by node index, so identical
-inputs always explore the identical tree.
+depth-first backtracking search, on local node indices, for a path from a
+start node through every node that stops on a node of a given set of ends. A
+covering path has the single end t, entered only last; a covering cycle may
+stop on any neighbour of its anchor; two disjoint covering paths are one
+covering path through a helper node. Each attempt keeps, for every node, its
+number of unvisited neighbours (``rdeg``), updated in O(degree) per visit and
+backtrack. An expansion prunes unless an end is left, at most one unvisited
+node has degree one counting the head (such nodes have rdeg <= 1, a set kept
+apart) and that node is an end, and the cut test passes: one Hopcroft-Tarjan
+articulation pass prunes when the head and the unvisited nodes form a
+disconnected region, or a node of it (the head too) leaves two hanging
+pieces, or one without an end. The pieces depend on the region, not on the
+order a DFS meets them, so neither does the decision. Successors are tried
+lowest rdeg first, ties broken by a salted bijection of the node id, so
+identical inputs always explore the identical tree.
 
 An expansion budget separates "proven absent" (search space exhausted) from
 "gave up" (budget exhausted); growing the budget can only turn the latter
-into one of the former two, never change a found answer.
+into one of the former two, never change a found answer. Outcomes also
+count ``restarts`` (slices begun after the first) and ``backtracks`` (nodes
+popped off the path).
 
 ``enumerate_ham_path_exists`` is a tiny, prune-free enumerator kept
 deliberately independent of the main engine; tests use it as ground truth.
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .errors import PreconditionViolated, TooLarge
 
@@ -57,6 +65,8 @@ class SearchOutcome:
     paths: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     missed: Optional[int] = None
     expansions: int = 0
+    restarts: int = 0
+    backtracks: int = 0
 
     @property
     def found(self) -> bool:
@@ -64,92 +74,80 @@ class SearchOutcome:
 
 
 class _BudgetState:
-    """Mutable expansion counter shared by the phases of one operation."""
+    """Expansion budget and restart/backtrack counters shared by the phases
+    of one operation."""
 
-    __slots__ = ("remaining", "spent")
+    __slots__ = ("limit", "spent", "restarts", "backtracks")
 
-    def __init__(self, budget: SearchBudget):
-        self.remaining = budget.max_expansions
-        self.spent = 0
-
-    def spend(self) -> bool:
-        """Account one expansion; False once the budget is gone."""
-        if self.remaining <= 0:
-            return False
-        self.remaining -= 1
-        self.spent += 1
-        return True
+    def __init__(self, budget: Optional[SearchBudget]):
+        self.limit = (budget or SearchBudget()).max_expansions
+        self.spent = self.restarts = self.backtracks = 0
 
     @property
     def exhausted(self) -> bool:
-        return self.remaining <= 0
+        return self.spent >= self.limit
+
+    def outcome(self, status: SearchStatus, **found) -> SearchOutcome:
+        return SearchOutcome(status, expansions=self.spent, restarts=self.restarts,
+                             backtracks=self.backtracks, **found)
 
 
-def _snapshot(view) -> tuple[tuple[int, ...], dict[int, frozenset[int]]]:
-    nodes = tuple(view.nodes)
-    return nodes, {v: frozenset(view.neighbors(v)) for v in nodes}
+def _snapshot(view) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The view's nodes (``ids``, index order) and one row of neighbour
+    indices per node."""
+    ids = tuple(view.nodes)
+    index = {v: i for i, v in enumerate(ids)}
+    return ids, [tuple(index[w] for w in view.neighbors(v)) for v in ids]
 
 
-def _cut_prune(adj, current: int, remaining: set[int], targets) -> bool:
+def _cut_prune(rows, head: int, remaining: bytearray, count: int, is_end) -> bool:
     """Structural infeasibility test for continuing a covering path.
 
-    Works on the region H = {current} | remaining. Returns True (prune) when
-    H is disconnected, when the head or any articulation point leaves two or
-    more hanging pieces, or when the single allowed hanging piece contains no
-    node of ``targets`` (the continuation has to end inside that piece).
+    Works on the region H = {head} | remaining (``count`` nodes remaining).
+    Returns True (prune) when H is disconnected, or when a node of H leaves
+    two pieces hanging (components of H minus it that miss the head; for the
+    head, the components of remaining) or one holding no end: the
+    continuation enters at most one piece and has to end inside it.
     """
-    if not remaining:
+    if not count:
         return False
-    disc = {current: 0}
-    low = {current: 0}
-    has_t = {current: False}
-    parent = {}
-    counter = 1
-    root_children = 0
-    pieces: dict[int, int] = {}
-    stack = [(current, iter(adj[current]))]
+    size = len(rows)
+    disc = [0] * size  # 0: undiscovered; the head is 1
+    low = [0] * size  # includes the tree edge to the parent: low[v] <= disc[p]
+    has_t = bytearray(size)
+    hung = bytearray(size)  # a piece already hangs from this node
+    disc[head] = low[head] = 1
+    counter = 2
+    stack = [(head, iter(rows[head]))]
     while stack:
         v, it = stack[-1]
-        advanced = False
+        lv = low[v]
         for w in it:
-            if w != current and w not in remaining:
-                continue
-            if w == parent.get(v):
-                continue
-            if w in disc:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                parent[w] = v
+            d = disc[w]
+            if d:
+                if d < lv:
+                    lv = d
+            elif remaining[w]:
+                low[v] = lv
                 disc[w] = low[w] = counter
                 counter += 1
-                has_t[w] = w in targets
-                if v == current:
-                    root_children += 1
-                stack.append((w, iter(adj[w])))
-                advanced = True
+                has_t[w] = is_end[w]
+                stack.append((w, iter(rows[w])))
                 break
-        if advanced:
-            continue
-        stack.pop()
-        if stack:
+        else:
+            stack.pop()
+            if not stack:
+                break
             p = stack[-1][0]
-            if low[v] < low[p]:
-                low[p] = low[v]
-            if has_t[v]:
-                has_t[p] = True
-            if p != current and low[v] >= disc[p]:
-                # subtree under v only reaches the rest through p
-                if not has_t[v]:
+            if lv < low[p]:
+                low[p] = lv
+            has_t[p] |= has_t[v]
+            if lv >= disc[p]:
+                # v's subtree hangs from p: no edge leaves it above p
+                if not has_t[v] or hung[p]:
                     return True
-                pieces[p] = pieces.get(p, 0) + 1
-                if pieces[p] >= 2:
-                    return True
-    if counter != len(remaining) + 1:
-        return True  # disconnected
-    if root_children >= 2:
-        return True
-    return False
+                hung[p] = 1
+    return counter != count + 2  # disconnected
 
 
 #: Fixed restart schedule: expansion caps per retry with fresh successor
@@ -163,65 +161,87 @@ _RESTART_SLICES = (
 
 
 def _tie(salt: int, c: int) -> int:
+    """Tie-break key of id c: a bijection on ids mod 2**32 for every salt."""
     if salt == 0:
         return c
     return ((c + 0x9E3779B9 * salt) * 2654435761) & 0xFFFFFFFF
 
 
 def _dfs_cover(
-    adj: dict[int, frozenset[int]],
-    nodes: Iterable[int],
-    s: int,
-    ends: frozenset[int],
-    ends_last: bool,
-    state: _BudgetState,
-    cap: Optional[int],
-    salt: int,
-    gate: Optional[Callable[[int, int], bool]] = None,
+    rows: list[tuple[int, ...]], ids: tuple[int, ...], s: int, ends: tuple[int, ...],
+    ends_last: bool, state: _BudgetState, cap: Optional[int], salt: int,
+    gate: Optional[tuple[int, int]] = None,
 ) -> tuple[SearchStatus, Optional[tuple[int, ...]], bool]:
-    """One search attempt for a path from s through every node that stops on
-    a node of ``ends``; with ``ends_last`` the ends are entered only last.
+    """One search attempt for a path from index s through every node that
+    stops on a node of ``ends``; with ``ends_last`` the ends are entered only
+    last. ``gate = (h, src)`` lets the path enter h only from src.
 
-    Returns (status, path, cap_hit); ``cap_hit`` means this attempt was cut
-    off by its slice of the schedule, not by the overall budget.
+    Returns (status, path of ids, cap_hit); ``cap_hit`` means this attempt
+    was cut off by its slice of the schedule, not by the overall budget.
     """
-    remaining = set(nodes)
-    remaining.discard(s)
-    path = [s]
+    size = len(rows)
+    remaining = bytearray(b"\x01") * size
+    is_end = bytearray(size)
+    for e in ends:
+        is_end[e] = 1
+    count = size
+    rdeg = [len(r) for r in rows]  # unvisited neighbours, kept for every node
+    low = {u for u in range(size) if rdeg[u] <= 1}  # unvisited with rdeg <= 1
+    path: list[int] = []
     stack: list[list[int]] = []
     spent_here = 0
+
+    def visit(c: int) -> None:
+        nonlocal count
+        path.append(c)
+        remaining[c] = 0
+        count -= 1
+        low.discard(c)
+        for w in rows[c]:
+            rdeg[w] -= 1
+            if rdeg[w] == 1 and remaining[w]:
+                low.add(w)
+
+    def backtrack() -> None:
+        nonlocal count
+        c = path.pop()
+        state.backtracks += 1
+        remaining[c] = 1
+        count += 1
+        for w in rows[c]:
+            rdeg[w] += 1
+            if rdeg[w] == 2 and remaining[w]:
+                low.discard(w)
+        if rdeg[c] <= 1:
+            low.add(c)
 
     def expand(v: int) -> Optional[list[int]]:
         # one search-tree expansion: prune checks plus ordered successors
         nonlocal spent_here
-        if cap is not None and spent_here >= cap:
+        if cap is not None and spent_here >= cap or state.exhausted:
             return None
-        if not state.spend():
-            return None
+        state.spent += 1
         spent_here += 1
-        closers = ends & remaining
-        if not closers:
+        if not any(remaining[e] for e in ends):
             return []  # no end left to stop on
-        stuck = 0
-        for u in remaining:
-            d = len(adj[u] & remaining) + (1 if v in adj[u] else 0)
-            if d == 0:
+        stuck = False
+        for u in low:  # degree rdeg[u] + [u adjacent to v] <= 1 needs rdeg <= 1
+            d = rdeg[u] + (v in rows[u])
+            if d == 0 or d == 1 and (stuck or not is_end[u]):
                 return []
-            if d == 1:
-                if u not in ends:
-                    return []
-                stuck += 1
-                if stuck > 1:
-                    return []
-        if _cut_prune(adj, v, remaining, closers):
+            stuck = stuck or d == 1
+        if _cut_prune(rows, v, remaining, count, is_end):
             return []
-        cands = adj[v] & remaining
-        if ends_last and len(remaining) > 1:
-            cands = cands - ends
-        if gate is not None:
-            cands = {c for c in cands if gate(v, c)}
-        return sorted(cands, key=lambda c: (len(adj[c] & remaining), _tie(salt, c)))
+        cands = [c for c in rows[v] if remaining[c]]
+        if ends_last and count > 1:
+            cands = [c for c in cands if not is_end[c]]
+        if gate is not None and v != gate[1]:
+            cands = [c for c in cands if c != gate[0]]
+        # keys never tie, so the order is total; reversed, to pop from the end
+        cands.sort(key=lambda c: (rdeg[c], _tie(salt, ids[c])), reverse=True)
+        return cands
 
+    visit(s)
     succ = expand(s)
     if succ is None:
         return SearchStatus.BUDGET_EXHAUSTED, None, not state.exhausted
@@ -231,15 +251,14 @@ def _dfs_cover(
         if not top:
             stack.pop()
             if len(path) > 1:
-                remaining.add(path.pop())
+                backtrack()
             continue
-        c = top.pop(0)
-        path.append(c)
-        remaining.discard(c)
-        if not remaining:
-            if c in ends:
-                return SearchStatus.FOUND, tuple(path), False
-            remaining.add(path.pop())
+        c = top.pop()
+        visit(c)
+        if not count:
+            if is_end[c]:
+                return SearchStatus.FOUND, tuple(ids[i] for i in path), False
+            backtrack()
             continue
         succ = expand(c)
         if succ is None:
@@ -264,36 +283,33 @@ def _engine(attempt: Callable[[Optional[int], int], tuple], state: _BudgetState)
         if not cap_hit or state.exhausted:
             return SearchStatus.BUDGET_EXHAUSTED, None
         phase += 1
+        state.restarts += 1
 
 
-def _path_engine(
-    adj, nodes, s: int, t: int, state: _BudgetState, gate=None, gate_rev=None
-) -> _Answer:
-    """Covering-path search from s to t; slices alternate forward and
-    reversed endpoints (``gate_rev`` filters the reversed ones), with a
-    fresh tie-break salt every second slice."""
+def _path_engine(rows, ids, s: int, t: int, state: _BudgetState, gate=None, gate_rev=None) -> _Answer:
+    """Covering-path search from index s to index t; slices alternate
+    forward and reversed endpoints (``gate_rev`` gates the reversed ones),
+    with a fresh tie-break salt every second slice."""
 
     def attempt(cap, phase):
         rev = phase % 2 == 1
         a, b, g = (t, s, gate_rev) if rev else (s, t, gate)
-        status, path, cap_hit = _dfs_cover(
-            adj, nodes, a, frozenset((b,)), True, state, cap, phase // 2, g
-        )
+        status, path, cap_hit = _dfs_cover(rows, ids, a, (b,), True, state, cap, phase // 2, g)
         return status, path[::-1] if rev and path else path, cap_hit
 
     return _engine(attempt, state)
 
 
-def _cycle_engine(adj, nodes, state: _BudgetState) -> _Answer:
+def _cycle_engine(rows, ids, state: _BudgetState) -> _Answer:
     """Covering-cycle search: a covering path from the most constrained node
-    (lowest degree, then lowest index, so that both forced edges of a
-    degree-2 node bind early) that stops on one of its neighbours. Every
-    slice uses a fresh tie-break salt."""
-    if len(nodes) < 3:
+    (lowest degree, then lowest id, so that both forced edges of a degree-2
+    node bind early) that stops on one of its neighbours. Every slice uses a
+    fresh tie-break salt."""
+    if len(rows) < 3:
         return SearchStatus.PROVEN_ABSENT, None
-    v0 = min(nodes, key=lambda v: (len(adj[v]), v))
+    v0 = min(range(len(rows)), key=lambda v: (len(rows[v]), ids[v]))
     return _engine(
-        lambda cap, phase: _dfs_cover(adj, nodes, v0, adj[v0], False, state, cap, phase),
+        lambda cap, phase: _dfs_cover(rows, ids, v0, rows[v0], False, state, cap, phase),
         state,
     )
 
@@ -309,20 +325,18 @@ def ham_path(view, s: int, t: int, budget: Optional[SearchBudget] = None) -> Sea
     if s == t:
         raise PreconditionViolated("endpoints must be distinct")
     _require_alive(view, s, t)
-    budget = budget or SearchBudget()
-    nodes, adj = _snapshot(view)
+    ids, rows = _snapshot(view)
     state = _BudgetState(budget)
-    status, path = _path_engine(adj, nodes, s, t, state)
-    return SearchOutcome(status, path=path, expansions=state.spent)
+    status, path = _path_engine(rows, ids, ids.index(s), ids.index(t), state)
+    return state.outcome(status, path=path)
 
 
 def ham_cycle(view, budget: Optional[SearchBudget] = None) -> SearchOutcome:
     """Search for a cycle visiting every surviving node exactly once."""
-    budget = budget or SearchBudget()
-    nodes, adj = _snapshot(view)
+    ids, rows = _snapshot(view)
     state = _BudgetState(budget)
-    status, path = _cycle_engine(adj, nodes, state)
-    return SearchOutcome(status, path=path, expansions=state.spent)
+    status, path = _cycle_engine(rows, ids, state)
+    return state.outcome(status, path=path)
 
 
 def near_ham_cycle(view, budget: Optional[SearchBudget] = None) -> SearchOutcome:
@@ -331,36 +345,29 @@ def near_ham_cycle(view, budget: Optional[SearchBudget] = None) -> SearchOutcome
     With minimum degree at least two a full cycle is attempted first; when
     that is proven absent (or the minimum degree is below two from the start)
     the search tries cycles missing exactly one node, preferring to drop the
-    minimum-degree witness, then the remaining nodes by index.
+    minimum-degree witness, then the remaining nodes in view order.
     """
-    budget = budget or SearchBudget()
-    nodes, adj = _snapshot(view)
+    ids, rows = _snapshot(view)
     state = _BudgetState(budget)
-    if not nodes:
-        return SearchOutcome(SearchStatus.PROVEN_ABSENT, expansions=0)
+    if not ids:
+        return state.outcome(SearchStatus.PROVEN_ABSENT)
     delta, witness = view.min_degree_witness()
     if delta is not None and delta >= 2:
-        status, path = _cycle_engine(adj, nodes, state)
-        if status is SearchStatus.FOUND:
-            return SearchOutcome(status, path=path, expansions=state.spent)
-        if status is SearchStatus.BUDGET_EXHAUSTED:
-            return SearchOutcome(status, expansions=state.spent)
-    order = [witness] + [v for v in nodes if v != witness]
-    ran_out = False
-    for m in order:
+        status, path = _cycle_engine(rows, ids, state)
+        if status is not SearchStatus.PROVEN_ABSENT:
+            return state.outcome(status, path=path)
+    first = ids.index(witness)
+    for m in [first] + [i for i in range(len(ids)) if i != first]:
         if state.exhausted:
-            ran_out = True
-            break
-        sub_nodes = [v for v in nodes if v != m]
-        sub_adj = {v: adj[v] - {m} for v in sub_nodes}
-        status, path = _cycle_engine(sub_adj, sub_nodes, state)
+            return state.outcome(SearchStatus.BUDGET_EXHAUSTED)
+        # drop m: indices above it shift down by one
+        sub = [tuple(x - (x > m) for x in r if x != m) for i, r in enumerate(rows) if i != m]
+        status, path = _cycle_engine(sub, ids[:m] + ids[m + 1 :], state)
         if status is SearchStatus.FOUND:
-            return SearchOutcome(status, path=path, missed=m, expansions=state.spent)
+            return state.outcome(status, path=path, missed=ids[m])
         if status is SearchStatus.BUDGET_EXHAUSTED:
-            ran_out = True
-            break
-    final = SearchStatus.BUDGET_EXHAUSTED if ran_out else SearchStatus.PROVEN_ABSENT
-    return SearchOutcome(final, expansions=state.spent)
+            return state.outcome(status)
+    return state.outcome(SearchStatus.PROVEN_ABSENT)
 
 
 def two_disjoint_spanning_paths(
@@ -370,35 +377,27 @@ def two_disjoint_spanning_paths(
     surviving node.
 
     Implemented as a single covering-path search from x1 to y2 through a
-    helper node wedged between y1 and x2; the helper may only be entered from
-    y1, which pins the segment pairing.
+    helper node (index N, id ``_VIRTUAL``) wedged between y1 and x2; the
+    helper may only be entered from y1, which pins the segment pairing.
     """
     endpoints = (x1, y1, x2, y2)
     if len(set(endpoints)) != 4:
         raise PreconditionViolated("the four endpoints must be distinct")
     _require_alive(view, *endpoints)
-    budget = budget or SearchBudget()
-    nodes, adj = _snapshot(view)
-    aug = {v: nbrs for v, nbrs in adj.items()}
-    aug[y1] = aug[y1] | {_VIRTUAL}
-    aug[x2] = aug[x2] | {_VIRTUAL}
-    aug[_VIRTUAL] = frozenset((y1, x2))
+    ids, rows = _snapshot(view)
+    a, b, c, d = (ids.index(v) for v in endpoints)
+    helper = len(ids)
+    rows[b] += (helper,)
+    rows[c] += (helper,)
+    rows.append((b, c))
     state = _BudgetState(budget)
-
-    def gate_fwd(v, c):
-        return c != _VIRTUAL or v == y1
-
-    def gate_rev(v, c):
-        return c != _VIRTUAL or v == x2
-
     status, path = _path_engine(
-        aug, nodes + (_VIRTUAL,), x1, y2, state, gate=gate_fwd, gate_rev=gate_rev
+        rows, ids + (_VIRTUAL,), a, d, state, gate=(helper, b), gate_rev=(helper, c)
     )
     if status is not SearchStatus.FOUND:
-        return SearchOutcome(status, expansions=state.spent)
+        return state.outcome(status)
     cut = path.index(_VIRTUAL)
-    p1, p2 = path[:cut], path[cut + 1 :]
-    return SearchOutcome(status, paths=(p1, p2), expansions=state.spent)
+    return state.outcome(status, paths=(path[:cut], path[cut + 1 :]))
 
 
 def enumerate_ham_path_exists(view, s: int, t: int) -> bool:

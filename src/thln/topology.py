@@ -527,17 +527,42 @@ def graph_to_json(g: ThlnGraph) -> str:
     return json.dumps(graph_to_json_obj(g), indent=2, sort_keys=True) + "\n"
 
 
+def _json_int(x, what: str) -> int:
+    """A JSON integer; strings, floats and booleans are rejected, not coerced."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise MalformedGraph(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _json_fields(obj, what: str, *keys: str) -> list:
+    if not isinstance(obj, dict) or not all(k in obj for k in keys):
+        raise MalformedGraph(f"bad {what}: needs {', '.join(map(repr, keys))}")
+    return [obj[k] for k in keys]
+
+
+def _json_ints(xs, what: str) -> list[int]:
+    if not isinstance(xs, list):
+        raise MalformedGraph(f"{what} must be a list, got {xs!r}")
+    return [_json_int(x, what) for x in xs]
+
+
+def _json_pairs(xs, what: str) -> list[Edge]:
+    if not isinstance(xs, list) or not all(isinstance(e, list) and len(e) == 2 for e in xs):
+        raise MalformedGraph(f"{what} must be a list of integer pairs")
+    return [(_json_int(u, what), _json_int(v, what)) for u, v in xs]
+
+
 def _decomposition_from_obj(obj, nodes: tuple[int, ...], dim: int) -> Optional[DecompositionNode]:
     if obj is None:
         if dim == 3:
             return None
         raise MalformedGraph(f"decomposition missing at dimension {dim}")
-    try:
-        half1 = tuple(sorted(int(v) for v in obj["half1"]))
-        matching = tuple(sorted((int(u), int(v)) for u, v in obj["matching"]))
-        children = obj.get("children") or []
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedGraph(f"bad decomposition object: {exc}") from exc
+    half1, matching = _json_fields(obj, "decomposition object", "half1", "matching")
+    half1 = tuple(sorted(_json_ints(half1, "half1")))
+    matching = tuple(sorted(_json_pairs(matching, "matching")))
+    children = obj.get("children") or []
+    if not isinstance(children, list):
+        raise MalformedGraph("children must be absent or a pair")
     node_set = set(nodes)
     if not set(half1) <= node_set:
         raise MalformedGraph("half1 contains foreign nodes")
@@ -555,11 +580,11 @@ def _decomposition_from_obj(obj, nodes: tuple[int, ...], dim: int) -> Optional[D
 
 
 def graph_from_json_obj(obj: dict) -> ThlnGraph:
-    try:
-        dim = int(obj["dimension"])
-        raw_edges = [(int(u), int(v)) for u, v in obj["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedGraph(f"bad graph object: {exc}") from exc
+    """Raises MalformedGraph unless ids and the dimension are JSON integers
+    (no string, float or boolean is coerced) and the graph is well formed."""
+    dim, raw_edges = _json_fields(obj, "graph object", "dimension", "edges")
+    dim = _json_int(dim, "dimension")
+    raw_edges = _json_pairs(raw_edges, "edges")
     if dim < 3:
         raise MalformedGraph(f"dimension must be at least 3, got {dim}")
     n = 1 << dim

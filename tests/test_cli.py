@@ -98,6 +98,35 @@ def test_embed_faulty_endpoint_exits_3(instance, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("s,t", [("1000", "5"), ("5", "256"), ("-1", "5")],
+                         ids=["s-past-the-end", "t-one-past-the-end", "s-negative"])
+def test_embed_endpoint_outside_the_graph_exits_2(instance, capsys, s, t):
+    # an id that names no node is bad input, not a faulty endpoint (exit 3)
+    gpath, fpath = instance
+    code, out, err = run_cli(capsys, "embed", "--graph", str(gpath), "--faults",
+                             str(fpath), "-s", s, "-t", t)
+    assert code == 2
+    bad = s if s != "5" else t
+    assert err == f"error: endpoint {bad} is not a node of the graph\n"
+    assert json.loads(out)["status"] == "error"
+
+
+def test_embed_rejects_a_graph_with_non_integer_ids(tmp_path, capsys):
+    # "0" and 1.6 would load as 0 and 1 if ids were coerced with int()
+    gpath = tmp_path / "g.json"
+    run_cli(capsys, "generate", "--variant", "random", "--n", "8", "--seed", "7",
+            "-o", str(gpath))
+    doc = json.loads(gpath.read_text())
+    doc["edges"] = [[str(u), v + 0.6] for u, v in doc["edges"]]
+    gpath.write_text(json.dumps(doc))
+    fpath = tmp_path / "f.json"
+    fpath.write_text(FaultSet.empty().to_json())
+    code, _, err = run_cli(capsys, "embed", "--graph", str(gpath), "--faults", str(fpath),
+                           "-s", "5", "-t", "200")
+    assert code == 2
+    assert err == "error: edges must be an integer, got '0'\n"
+
+
 def test_embed_tiny_budget_exits_4(instance, capsys):
     gpath, fpath = instance
     code, out, _ = run_cli(capsys, "embed", "--graph", str(gpath), "--faults",

@@ -12,8 +12,10 @@ from thln import (
     PreconditionViolated,
     SearchBudget,
     SearchStatus,
+    SurvivingView,
     TooLarge,
     VariantSpec,
+    embed,
     enumerate_ham_path_exists,
     ham_cycle,
     ham_path,
@@ -24,6 +26,7 @@ from thln import (
     validate_cycle,
     validate_path,
 )
+from thln import oracle
 from thln.faults import sample_faults
 
 
@@ -307,7 +310,7 @@ def test_budget_exhaustion_is_reported(graph9):
 
 @functools.lru_cache(maxsize=None)
 def _pinned_graph(n):
-    return make_preset(VariantSpec.random({4: 2, 7: 1}[n]), n)
+    return make_preset(VariantSpec.random({4: 2, 7: 1, 10: 3}[n]), n)
 
 
 def _drawn(n, faults, seed, picks):
@@ -318,17 +321,51 @@ def _drawn(n, faults, seed, picks):
     return view, rng.sample(view.nodes, picks)
 
 
-def _pinned_call(service, n, faults, seed, budget=None):
+def _half1_drawn(faults, seed, picks, starved):
+    """Seeded 512-node instance drawn like the concentrated benchmark: half 1
+    of the dimension-10 graph with ``faults`` faults inside it, then ``picks``
+    distinct survivors. A starved node keeps one in-half edge; its k - 1 = 8
+    edge faults count towards ``faults``."""
+    graph = _pinned_graph(10)
+    h1 = graph.decomposition.half1_set
+    rng = random.Random(seed)
+    elements = [("node", v) for v in sorted(h1)]
+    elements += [("edge", e) for e in graph.edges if e[0] in h1 and e[1] in h1]
+    cut = []
+    if starved:
+        q = rng.choice(sorted(h1))
+        intra = [w for w in graph.neighbors(q) if w in h1]
+        cut = [(q, w) for w in intra[:-1]]
+        elements = [
+            x for x in elements
+            if x != ("node", q) and x != ("node", intra[-1])
+            and not (x[0] == "edge" and q in x[1])
+        ]
+    picked = rng.sample(elements, faults - len(cut))
+    f = FaultSet.of(
+        nodes=[p for k, p in picked if k == "node"],
+        edges=[p for k, p in picked if k == "edge"] + cut,
+    )
+    view = SurvivingView(graph, f, scope=h1)
+    return view, rng.sample(view.nodes, picks)
+
+
+def _pinned_call(service, n, faults, seed, budget=None, starved=False):
     picks = {ham_path: 2, two_disjoint_spanning_paths: 4}.get(service, 0)
-    view, ends = _drawn(n, faults, seed, picks)
+    if n == 10:
+        view, ends = _half1_drawn(faults, seed, picks, starved)
+    else:
+        view, ends = _drawn(n, faults, seed, picks)
     return service(view, *ends, budget and SearchBudget(budget))
 
 
-#: (service, n, faults, seed, budget) -> (status, expansions, missed, digest
-#: of the path or path pair). Every search is deterministic, so any change in
-#: pruning or successor order moves these numbers. The n = 7 cases run past
-#: the first 5,000-expansion slice: the path and the two-path pair finish in
-#: the reversed slice, the cycle in the first salted restart.
+#: (service, n, faults, seed, budget[, starved]) -> (status, expansions,
+#: missed, digest of the path or path pair). Every search is deterministic, so
+#: any change in pruning or successor order moves these numbers. The n = 7
+#: cases run past the first 5,000-expansion slice: the path and the two-path
+#: pair finish in the reversed slice, the cycle in the first salted restart.
+#: The n = 10 cases search 508-512-node views of half 1 with 2k - 9 = 9 faults
+#: in it, the scale of the embedder's cases 2-5.
 _PINNED_SEARCH_TREES = {
     "path-n4-found": ((ham_path, 4, 3, 0),
         ("found", 30, None, "d63c987d15c44b08")),
@@ -362,7 +399,18 @@ _PINNED_SEARCH_TREES = {
         ("proven-absent", 833, None, None)),
     "two-n7-reversed-slice": ((two_disjoint_spanning_paths, 7, 1, 24),
         ("found", 5139, None, "1b26c53340bdc97f")),
+    "cycle-n10-half1": ((ham_cycle, 10, 9, 0),
+        ("found", 573, None, "d1782a8ad05877e9")),
+    "near-n10-half1-starved": ((near_ham_cycle, 10, 9, 0, None, True),
+        ("found", 515, 394, "136b25ae42643b5c")),
+    "two-n10-half1": ((two_disjoint_spanning_paths, 10, 9, 2),
+        ("found", 807, None, "3f83c036b7aad316")),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_outcome(name):
+    return _pinned_call(*_PINNED_SEARCH_TREES[name][0])
 
 
 def _search_tree_fingerprint(out):
@@ -375,5 +423,170 @@ def _search_tree_fingerprint(out):
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SEARCH_TREES))
 def test_search_tree_is_pinned(name):
-    call, expected = _PINNED_SEARCH_TREES[name]
-    assert _search_tree_fingerprint(_pinned_call(*call)) == expected
+    expected = _PINNED_SEARCH_TREES[name][1]
+    assert _search_tree_fingerprint(_pinned_outcome(name)) == expected
+
+
+def test_search_counters():
+    # restarts: slices begun after the first; backtracks: path pops
+    for name in ("path-n7-reversed-slice", "cycle-n7-salted-restart",
+                 "two-n7-reversed-slice", "near-n7-full-restart"):
+        assert _pinned_outcome(name).restarts == 1, name
+    for name in ("path-n4-found", "cycle-n4-found", "near-n4-full",
+                 "near-n4-degree-below-two", "near-n4-full-absent-then-missed",
+                 "two-n4-found", "cycle-n10-half1"):
+        assert _pinned_outcome(name).restarts == 0, name
+    # a path search enters its end only last, so a single slice pops every
+    # node it visited but those left on the path: each expansion visits one
+    # more node, the root stays
+    for name in ("path-n4-absent", "two-n4-absent"):
+        out = _pinned_outcome(name)
+        assert out.backtracks == out.expansions - 1, name
+    # when found, the last visit is not expanded; the two-path search's
+    # path also holds its helper node
+    for name, helper in (("path-n4-found", 0), ("two-n10-half1", 1)):
+        out = _pinned_outcome(name)
+        length = (sum(map(len, out.paths)) if out.paths else len(out.path)) + helper
+        assert out.backtracks == out.expansions + 1 - length, name
+    assert _pinned_outcome("cycle-n4-absent").backtracks > 0
+
+
+def test_trace_records_carry_the_search_counters(graph8):
+    rng = random.Random(11)
+    f = sample_faults(graph8, 6, rng)
+    view = surviving_view(graph8, f)
+    s, t = view.nodes[3], view.nodes[-3]
+    searches = [r for r in embed(graph8, f, s, t).trace.records if "service" in r]
+    assert [r["service"] for r in searches] == ["ham_cycle", "two_disjoint_spanning_paths"]
+    for rec in searches:
+        assert list(rec)[:5] == ["service", "status", "expansions", "restarts", "backtracks"]
+        assert rec["restarts"] == 0 and 0 < rec["backtracks"] < rec["expansions"]
+
+
+def test_degree_check_misses_no_prune(monkeypatch):
+    # the kept degree counters decide the degree prune before the cut test
+    # runs, so every cut test must see a region that the degree rule,
+    # recounted from scratch, keeps: no node of degree 0, and at most one of
+    # degree 1 (counting the head), which is an end
+    real, seen = oracle._cut_prune, []
+
+    def recount_then_cut(rows, head, remaining, count, is_end):
+        region = [u for u in range(len(rows)) if remaining[u]]
+        degree = {u: sum(remaining[w] for w in rows[u]) + (head in rows[u]) for u in region}
+        ones = [u for u in region if degree[u] == 1]
+        assert 0 not in degree.values()
+        assert len(ones) <= 1 and all(is_end[u] for u in ones)
+        seen.append(head)
+        return real(rows, head, remaining, count, is_end)
+
+    monkeypatch.setattr(oracle, "_cut_prune", recount_then_cut)
+    for name in ("path-n4-absent", "cycle-n4-absent", "near-n4-absent",
+                 "near-n4-degree-below-two", "two-n4-absent"):
+        _pinned_call(*_PINNED_SEARCH_TREES[name][0])
+    assert len(seen) > 100
+
+
+# ----------------------------------------------------------------------
+# the cut test
+
+
+def _cut(edges, head, ends, visited=()):
+    """``_cut_prune`` on a hand-built graph: the region is every node but
+    the head and ``visited``; ``ends`` are the nodes a path may stop on."""
+    ids, rows = oracle._snapshot(FakeView(edges))
+    at = {v: i for i, v in enumerate(ids)}
+    remaining = bytearray(len(ids))
+    for v in ids:
+        remaining[at[v]] = v != head and v not in visited
+    is_end = bytearray(len(ids))
+    for v in ends:
+        is_end[at[v]] = 1
+    return oracle._cut_prune(rows, at[head], remaining, sum(remaining), is_end)
+
+
+def test_cut_test_keeps_a_region_without_cut_nodes():
+    ring6 = [(i, (i + 1) % 6) for i in range(6)]
+    assert not _cut(ring6, 0, ends=[5])
+    assert not _cut(ring6 + [(0, 3)], 0, ends=[3])
+    # after the path 0, 1, 2 the region is the line 3-4-5 hanging off the head
+    assert not _cut(ring6 + [(0, 3)], 2, ends=[5], visited=[0, 1])
+
+
+def test_cut_test_prunes_a_disconnected_region():
+    triangle_and_edge = [(0, 1), (1, 2), (2, 0), (3, 4)]
+    assert _cut(triangle_and_edge, 0, ends=[1, 3])
+    # visiting 1 cuts 2 off from the head
+    assert _cut([(0, 1), (1, 2), (0, 3)], 0, ends=[2, 3], visited=[1])
+
+
+def test_cut_test_prunes_when_the_head_is_a_cut_node():
+    bowtie = [(0, 1), (1, 3), (3, 0), (0, 2), (2, 4), (4, 0)]
+    assert _cut(bowtie, 0, ends=[3, 4])
+
+
+def test_cut_test_prunes_a_cut_node_with_two_hanging_pieces():
+    # 1 leaves the triangles {2, 3} and {4, 5}; a path through 1 can enter
+    # only one of them, even though each holds an end
+    edges = [(0, 1), (1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]
+    assert _cut(edges, 0, ends=[3, 5])
+
+
+def test_cut_test_prunes_a_hanging_piece_without_an_end():
+    # 1 leaves the triangle {2, 3} hanging; the path must end inside it
+    edges = [(0, 1), (0, 4), (1, 4), (1, 2), (1, 3), (2, 3)]
+    assert _cut(edges, 0, ends=[4])
+    assert not _cut(edges, 0, ends=[3])
+    # on the line 2-3-4-5 left after the path 0, 1, 2, node 4 leaves {5}
+    ring6 = [(i, (i + 1) % 6) for i in range(6)]
+    assert _cut(ring6 + [(0, 3)], 2, ends=[4], visited=[0, 1])
+
+
+def _cut_reference(adj, head, region, ends):
+    """The cut test from its definition, by deleting nodes one at a time."""
+
+    def pieces(nodes):
+        left, out = set(nodes), []
+        while left:
+            todo = [left.pop()]
+            piece = set(todo)
+            while todo:
+                for w in adj[todo.pop()]:
+                    if w in left:
+                        left.discard(w)
+                        piece.add(w)
+                        todo.append(w)
+            out.append(piece)
+        return out
+
+    whole = region | {head}
+    if not region:
+        return False
+    if len(pieces(whole)) > 1:
+        return True
+    for p in whole:
+        hanging = [c for c in pieces(whole - {p}) if head not in c]
+        if len(hanging) > 1 or (hanging and not hanging[0] & ends):
+            return True
+    return False
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_cut_test_matches_its_definition_in_any_dfs_order(seed):
+    rng = random.Random(seed)
+    size = rng.randrange(2, 10)
+    density = rng.choice((0.25, 0.4, 0.6))
+    edges = [(u, v) for u in range(size) for v in range(u + 1, size) if rng.random() < density]
+    adj = {v: set() for v in range(size)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    head = rng.randrange(size)
+    region = {v for v in range(size) if v != head and rng.random() < 0.8}
+    ends = {v for v in region if rng.random() < 0.3}
+    expected = _cut_reference(adj, head, region, ends)
+    remaining = bytearray(v in region for v in range(size))
+    is_end = bytearray(v in ends for v in range(size))
+    for _ in range(3):
+        rows = [tuple(rng.sample(sorted(adj[v]), len(adj[v]))) for v in range(size)]
+        assert oracle._cut_prune(rows, head, remaining, len(region), is_end) == expected

@@ -207,6 +207,32 @@ def test_json_rejects_malformed_documents():
         graph_from_json(json.dumps({"dimension": 4, "edges": [], "decomposition": None}))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(dimension="4"),
+        lambda doc: doc.update(dimension=4.0),
+        lambda doc: doc["edges"].__setitem__(0, ["0", 1]),
+        lambda doc: doc["edges"].__setitem__(0, [0, 1.6]),
+        lambda doc: doc["edges"].__setitem__(0, [False, True]),
+        lambda doc: doc["edges"].__setitem__(0, "01"),
+        lambda doc: doc["decomposition"]["half1"].__setitem__(0, "0"),
+        lambda doc: doc["decomposition"]["matching"][0].__setitem__(0, 0.0),
+    ],
+    ids=["dimension-string", "dimension-float", "edge-string", "edge-float",
+         "edge-bools", "edge-not-a-pair", "half1-string", "matching-float"],
+)
+def test_json_rejects_ids_that_are_not_integers(edit):
+    # like fault files, graph files must hold JSON integers: nothing is coerced
+    g = make_preset(VariantSpec.random(0), 4)
+    doc = json.loads(graph_to_json(g))
+    assert doc["edges"][0] == [0, 1] and doc["decomposition"]["half1"][0] == 0
+    assert doc["decomposition"]["matching"][0][0] == 0
+    edit(doc)
+    with pytest.raises(MalformedGraph):
+        graph_from_json(json.dumps(doc))
+
+
 def test_dot_export_labels_nodes_in_binary():
     g = make_preset(VariantSpec.random(0), 3)
     dot = graph_to_dot(g)
