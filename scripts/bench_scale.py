@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""Scale record of ``embed``: one labelled point per run in out/BENCH_scale.json.
+
+    python3 scripts/bench_scale.py --label NAME [--max-n 14] [--src DIR]
+
+Cells: the random variant at n = 8..14 and the crossed, mobius0, mobius1 and
+locally-twisted variants at n = 8..12 (both capped by ``--max-n``). Fault
+placements per cell:
+
+- ``uniform``: 2n - 10 faults drawn over all nodes and links;
+- ``concentrated-2`` / ``concentrated-4``: 2k - 9 / 2k - 8 faults (k = n - 1)
+  drawn inside top half 1, which select top cases 2 and 4.
+
+Each cell runs three fixed seeds; the seed fixes the random variant's graph,
+the faults and the endpoints. A cell keeps its deterministic part (top case,
+level count and a digest of every level label, search expansions and cut
+tests, per seed) apart from its wall times (p50 and max over the seeds).
+Every path is checked with ``validate_path``. The point replaces any earlier
+point of the same label, so points of other code sit side by side;
+``--src`` runs the ``thln`` package of another checkout's ``src/`` (its
+``cut_tests`` read null when that code does not count them).
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "out" / "BENCH_scale.json"
+
+SEEDS = (1, 2, 3)
+NAMED = ("crossed", "mobius0", "mobius1", "locally-twisted")
+RANDOM_MAX_N = 14
+NAMED_MAX_N = 12
+PLACEMENTS = ("uniform", "concentrated-2", "concentrated-4")
+
+
+def _fault_count(placement: str, n: int) -> int:
+    k = n - 1
+    return {"uniform": 2 * n - 10, "concentrated-2": 2 * k - 9, "concentrated-4": 2 * k - 8}[placement]
+
+
+def _instance(thln, variant: str, n: int, placement: str, seed: int, graphs: dict):
+    rng = random.Random(f"{variant}/{n}/{placement}/{seed}")
+    if variant == "random":
+        g = thln.make_preset(thln.VariantSpec.random(rng.randrange(1 << 30)), n)
+    else:
+        if (variant, n) not in graphs:
+            graphs[variant, n] = thln.make_preset(thln.VariantSpec(variant), n)
+        g = graphs[variant, n]
+    if placement == "uniform":
+        nodes, edges = g.nodes, g.edges
+    else:
+        h1 = g.decomposition.half1_set
+        nodes = g.decomposition.half1
+        edges = [e for e in g.edges if e[0] in h1 and e[1] in h1]
+    elements = [("node", v) for v in nodes] + [("edge", e) for e in edges]
+    picked = rng.sample(elements, _fault_count(placement, n))
+    f = thln.FaultSet.of(
+        nodes=[p for kind, p in picked if kind == "node"],
+        edges=[p for kind, p in picked if kind == "edge"],
+    )
+    view = thln.surviving_view(g, f)
+    while True:
+        s, t = rng.sample(view.nodes, 2)
+        if thln.neighbor_condition(view, s, t):
+            return g, f, s, t
+
+
+def _run(thln, g, f, s: int, t: int) -> tuple[dict, float]:
+    start = time.perf_counter()
+    try:
+        res = thln.embed(g, f, s, t)
+    except thln.ThlnError as exc:
+        return {"error": type(exc).__name__}, time.perf_counter() - start
+    wall = time.perf_counter() - start
+    labels = res.trace.labels()
+    searches = [r for r in res.trace.records if "service" in r]
+    cut = [r.get("cut_tests") for r in searches]
+    return {
+        "valid": thln.validate_path(g, f, s, t, res.path).is_valid,
+        "top_case": labels[0],
+        "levels": len(labels),
+        "labels_sha256": hashlib.sha256(repr(labels).encode()).hexdigest()[:16],
+        "searches": len(searches),
+        "expansions": sum(r["expansions"] for r in searches),
+        "cut_tests": None if None in cut else sum(cut),
+    }, wall
+
+
+def _cells(max_n: int):
+    for n in range(8, min(max_n, RANDOM_MAX_N) + 1):
+        for variant in ("random",) + (NAMED if n <= NAMED_MAX_N else ()):
+            for placement in PLACEMENTS:
+                yield variant, n, placement
+
+
+def record(thln, max_n: int) -> list[dict]:
+    cells, graphs = [], {}
+    for variant, n, placement in _cells(max_n):
+        runs, walls = [], []
+        for seed in SEEDS:
+            g, f, s, t = _instance(thln, variant, n, placement, seed, graphs)
+            det, wall = _run(thln, g, f, s, t)
+            runs.append({"seed": seed, **det})
+            walls.append(wall)
+        cells.append({
+            "variant": variant, "n": n, "placement": placement,
+            "faults": _fault_count(placement, n),
+            "wall": {"p50_s": round(statistics.median(walls), 4), "max_s": round(max(walls), 4)},
+            "deterministic": runs,
+        })
+        print(f"{variant:>15} n={n:2d} {placement:>14}: p50 {statistics.median(walls):7.3f} s, "
+              f"max {max(walls):7.3f} s, expansions {[r.get('expansions') for r in runs]}",
+              file=sys.stderr)
+    return cells
+
+
+def _dumps(doc: dict) -> str:
+    """The record as JSON with one line per cell, so that points diff cell by cell."""
+    points = []
+    for point in doc["points"]:
+        meta = ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(point.items()) if k != "cells")
+        cells = ",\n".join(f"    {json.dumps(c, sort_keys=True)}" for c in point["cells"])
+        points.append(f'  {{{meta}, "cells": [\n{cells}\n  ]}}')
+    return '{"points": [\n' + ",\n".join(points) + "\n]}\n"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True, help="name of the point (replaces one of that name)")
+    ap.add_argument("--max-n", type=int, default=RANDOM_MAX_N, help="largest dimension to run")
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the thln package")
+    ap.add_argument("-o", "--output", type=Path, default=OUT)
+    args = ap.parse_args(argv)
+    if not 8 <= args.max_n <= RANDOM_MAX_N:
+        ap.error(f"--max-n must be between 8 and {RANDOM_MAX_N}")
+    sys.path.insert(0, str(args.src.resolve()))
+    import thln
+
+    point = {
+        "label": args.label,
+        "max_n": args.max_n,
+        "python": platform.python_version(),
+        "cells": record(thln, args.max_n),
+    }
+    doc = json.loads(args.output.read_text()) if args.output.exists() else {"points": []}
+    doc["points"] = [p for p in doc["points"] if p["label"] != args.label] + [point]
+    args.output.parent.mkdir(parents=True, exist_ok=True)
+    args.output.write_text(_dumps(doc))
+    bad = [c for c in point["cells"] for r in c["deterministic"] if not r.get("valid")]
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -189,7 +189,7 @@ class _Runtime:
         InternalContradiction. Returns ``out``."""
         rec = {
             "service": service, "status": out.status.value, "expansions": out.expansions,
-            "restarts": out.restarts, "backtracks": out.backtracks,
+            "restarts": out.restarts, "backtracks": out.backtracks, "cut_tests": out.cut_tests,
         }
         rec.update(extra)
         self.trace.append(rec)

@@ -105,8 +105,14 @@ class SurvivingView:
     A node is present iff it is in scope and not faulty; an edge is present
     iff both endpoints are present and the edge is not faulty. Every view
     validates its fault set (:class:`ForeignFault`). Queries run against a
-    precomputed adjacency, so views are cheap to share and safe to use
+    precomputed adjacency whose rows, like the graph's, list neighbours in
+    ascending order, so views are cheap to share and safe to use
     concurrently.
+
+    Building one costs O(scope + faults x degree): a row that no fault
+    touches is the graph's own row (kept as is when unscoped, filtered to
+    the scope otherwise), and only the rows of a dead node's neighbours and
+    of a faulty edge's endpoints are filtered against the faults.
     """
 
     __slots__ = ("graph", "faults", "scope", "_adj", "_nodes", "_node_set")
@@ -121,27 +127,24 @@ class SurvivingView:
         self.graph = graph
         self.faults = faults
         self.scope = frozenset(scope) if scope is not None else None
+        rows = graph.adjacency
         if self.scope is None:
-            nodes, in_scope = graph.nodes, lambda v: True
+            adj = dict(enumerate(rows))  # the graph's own rows, shared
         else:
             # walk the scope, not the whole graph; nodes outside the graph drop out
             n = graph.num_nodes
-            nodes = [v for v in sorted(self.scope) if 0 <= v < n]
             in_scope = self.scope.__contains__
+            adj = {v: tuple(filter(in_scope, rows[v])) for v in sorted(self.scope) if 0 <= v < n}
         dead = faults.nodes
         bad_edge = faults.edges
-        adj: dict[int, tuple[int, ...]] = {}
-        for v in nodes:
-            if v in dead:
-                continue
-            row = tuple(
-                w
-                for w in graph.adjacency[v]
-                if w not in dead
-                and in_scope(w)
-                and _norm_edge(v, w) not in bad_edge
-            )
-            adj[v] = row
+        # only the rows of a dead node's neighbours and of a faulty edge's
+        # endpoints lose an entry to the faults
+        hit = {w for v in dead for w in rows[v]}
+        hit.update(v for e in bad_edge for v in e)
+        for v in dead:
+            adj.pop(v, None)
+        for v in hit.intersection(adj):
+            adj[v] = tuple(w for w in adj[v] if w not in dead and _norm_edge(v, w) not in bad_edge)
         self._adj = adj
         self._nodes = tuple(adj)  # ascending: built in node order
         self._node_set = frozenset(self._nodes)

@@ -7,21 +7,30 @@ covering path has the single end t, entered only last; a covering cycle may
 stop on any neighbour of its anchor; two disjoint covering paths are one
 covering path through a helper node. Each attempt keeps, for every node, its
 number of unvisited neighbours (``rdeg``), updated in O(degree) per visit and
-backtrack. An expansion prunes unless an end is left, at most one unvisited
-node has degree one counting the head (such nodes have rdeg <= 1, a set kept
-apart) and that node is an end, and the cut test passes: one Hopcroft-Tarjan
-articulation pass prunes when the head and the unvisited nodes form a
-disconnected region, or a node of it (the head too) leaves two hanging
-pieces, or one without an end. The pieces depend on the region, not on the
-order a DFS meets them, so neither does the decision. Successors are tried
-lowest rdeg first, ties broken by a salted bijection of the node id, so
-identical inputs always explore the identical tree.
+backtrack. Every expansion prunes unless an end is left and at most one
+unvisited node has degree one counting the head (such nodes have rdeg <= 1,
+a set kept apart) and that node is an end. This degree check costs
+O(|low set|) and is the per-expansion prune.
+
+The cut test, one O(V) Hopcroft-Tarjan articulation pass, runs only on an
+attempt's first expansion and on the first expansion after a backtrack. It
+prunes when the head and the unvisited nodes form a disconnected region, or
+a node of it (the head too) leaves two hanging pieces, or one without an
+end. The pieces depend on the region, not on the order a DFS meets them, so
+neither does the decision. Skipping it elsewhere keeps the paths found: it
+only removes subtrees that hold no covering path, and the successor order
+never depends on it, so the search meets the same covering paths in the same
+order, only later when an attempt's slice runs out first. An obstruction a
+forward run misses ends in a dead end, and the test catches it at the first
+expansion after that and at each sibling on the way back up. Successors are
+tried lowest rdeg first, ties broken by a salted bijection of the node id,
+so identical inputs always explore the identical tree.
 
 An expansion budget separates "proven absent" (search space exhausted) from
 "gave up" (budget exhausted); growing the budget can only turn the latter
 into one of the former two, never change a found answer. Outcomes also
-count ``restarts`` (slices begun after the first) and ``backtracks`` (nodes
-popped off the path).
+count ``restarts`` (slices begun after the first), ``backtracks`` (nodes
+popped off the path) and ``cut_tests`` (articulation passes run).
 
 ``enumerate_ham_path_exists`` is a tiny, prune-free enumerator kept
 deliberately independent of the main engine; tests use it as ground truth.
@@ -67,6 +76,7 @@ class SearchOutcome:
     expansions: int = 0
     restarts: int = 0
     backtracks: int = 0
+    cut_tests: int = 0
 
     @property
     def found(self) -> bool:
@@ -74,14 +84,14 @@ class SearchOutcome:
 
 
 class _BudgetState:
-    """Expansion budget and restart/backtrack counters shared by the phases
-    of one operation."""
+    """Expansion budget and restart/backtrack/cut-test counters shared by the
+    phases of one operation."""
 
-    __slots__ = ("limit", "spent", "restarts", "backtracks")
+    __slots__ = ("limit", "spent", "restarts", "backtracks", "cut_tests")
 
     def __init__(self, budget: Optional[SearchBudget]):
         self.limit = (budget or SearchBudget()).max_expansions
-        self.spent = self.restarts = self.backtracks = 0
+        self.spent = self.restarts = self.backtracks = self.cut_tests = 0
 
     @property
     def exhausted(self) -> bool:
@@ -89,7 +99,7 @@ class _BudgetState:
 
     def outcome(self, status: SearchStatus, **found) -> SearchOutcome:
         return SearchOutcome(status, expansions=self.spent, restarts=self.restarts,
-                             backtracks=self.backtracks, **found)
+                             backtracks=self.backtracks, cut_tests=self.cut_tests, **found)
 
 
 def _snapshot(view) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
@@ -190,6 +200,7 @@ def _dfs_cover(
     path: list[int] = []
     stack: list[list[int]] = []
     spent_here = 0
+    cut_due = True  # the cut test runs on the first expansion and after each backtrack
 
     def visit(c: int) -> None:
         nonlocal count
@@ -203,7 +214,7 @@ def _dfs_cover(
                 low.add(w)
 
     def backtrack() -> None:
-        nonlocal count
+        nonlocal count, cut_due
         c = path.pop()
         state.backtracks += 1
         remaining[c] = 1
@@ -214,10 +225,11 @@ def _dfs_cover(
                 low.discard(w)
         if rdeg[c] <= 1:
             low.add(c)
+        cut_due = True
 
     def expand(v: int) -> Optional[list[int]]:
         # one search-tree expansion: prune checks plus ordered successors
-        nonlocal spent_here
+        nonlocal spent_here, cut_due
         if cap is not None and spent_here >= cap or state.exhausted:
             return None
         state.spent += 1
@@ -230,8 +242,11 @@ def _dfs_cover(
             if d == 0 or d == 1 and (stuck or not is_end[u]):
                 return []
             stuck = stuck or d == 1
-        if _cut_prune(rows, v, remaining, count, is_end):
-            return []
+        if cut_due:
+            cut_due = False
+            state.cut_tests += 1
+            if _cut_prune(rows, v, remaining, count, is_end):
+                return []
         cands = [c for c in rows[v] if remaining[c]]
         if ends_last and count > 1:
             cands = [c for c in cands if not is_end[c]]

@@ -1,0 +1,36 @@
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_scale.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_scale", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_scale_record_is_deterministic_apart_from_wall_times(tmp_path):
+    out = tmp_path / "BENCH_scale.json"
+    out.write_text(json.dumps({"points": [{"label": "a", "cells": []}]}))
+    bench = _load()
+    for label in ("a", "b"):
+        assert bench.main(["--label", label, "--max-n", "8", "-o", str(out)]) == 0
+    points = json.loads(out.read_text())["points"]
+    assert [p["label"] for p in points] == ["a", "b"]  # a point replaces its namesake
+    assert points[0]["cells"]
+    first, again = ([c["deterministic"] for c in p["cells"]] for p in points)
+    assert first == again
+    cells = points[0]["cells"]
+    assert {(c["variant"], c["placement"]) for c in cells} == {
+        (v, p) for v in ("random",) + bench.NAMED for p in bench.PLACEMENTS
+    }
+    for cell in cells:
+        assert set(cell["wall"]) == {"p50_s", "max_s"}
+        tops = {r["top_case"].split(".")[0] for r in cell["deterministic"]}
+        if cell["placement"] != "uniform":
+            assert tops == {cell["placement"][-1]}
+        for run in cell["deterministic"]:
+            assert run["valid"] and run["cut_tests"] <= run["expansions"]

@@ -217,6 +217,38 @@ def test_view_scoping(graph4):
     assert fewer.node_set == half.node_set - {0, 1}
 
 
+def _view_by_definition(g, f, scope):
+    """Rows of the surviving view straight from its definition: a neighbour
+    is kept when it is alive, in scope and joined by an edge that is not
+    faulty; walking the nodes in order keeps every row ascending."""
+    alive = [v for v in g.nodes if v not in f.nodes and (scope is None or v in scope)]
+    return {
+        v: tuple(w for w in alive if g.has_edge(v, w) and (min(v, w), max(v, w)) not in f.edges)
+        for v in alive
+    }
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_view_rows_match_their_definition(seed):
+    rng = random.Random(seed)
+    g = make_preset(VariantSpec.random(rng.randrange(4)), rng.choice((4, 5, 6)))
+    f = sample_faults(g, rng.randrange(0, 2 * g.dimension + 1), rng)
+    d = g.decomposition
+    stray = {-1, -7, g.num_nodes, g.num_nodes + 5}  # ids outside the graph
+    picked = frozenset(rng.sample(g.nodes, rng.randrange(g.num_nodes + 1)))
+    for scope in (None, d.half1_set, d.half2_set, picked | stray):
+        view = SurvivingView(g, f, scope=scope)
+        want = _view_by_definition(g, f, scope)
+        assert view.nodes == tuple(want)
+        assert {v: view.neighbors(v) for v in view.nodes} == want
+        drop = rng.sample(view.nodes, min(len(view), 3)) + [g.num_nodes]
+        fewer = view.without_nodes(drop)
+        want = _view_by_definition(g, f, view.node_set - set(drop))
+        assert fewer.nodes == tuple(want)
+        assert {v: fewer.neighbors(v) for v in fewer.nodes} == want
+
+
 def test_fault_set_json_roundtrip():
     f = FaultSet.of(nodes=[3, 1], edges=[(5, 2), (0, 7)])
     again = FaultSet.from_json(f.to_json())

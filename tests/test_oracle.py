@@ -368,43 +368,43 @@ def _pinned_call(service, n, faults, seed, budget=None, starved=False):
 #: in it, the scale of the embedder's cases 2-5.
 _PINNED_SEARCH_TREES = {
     "path-n4-found": ((ham_path, 4, 3, 0),
-        ("found", 30, None, "d63c987d15c44b08")),
+        ("found", 31, None, "d63c987d15c44b08")),
     "path-n4-absent": ((ham_path, 4, 4, 8),
         ("proven-absent", 98, None, None)),
     "path-n7-reversed-slice": ((ham_path, 7, 5, 90),
-        ("found", 5135, None, "d9e933071d4c6c90")),
+        ("found", 5138, None, "d9e933071d4c6c90")),
     "path-n7-budget-in-slice-2": ((ham_path, 7, 5, 90, 5050),
         ("budget-exhausted", 5050, None, None)),
     "cycle-n4-found": ((ham_cycle, 4, 2, 0),
-        ("found", 24, None, "3bcffaa4b8b0968e")),
+        ("found", 25, None, "3bcffaa4b8b0968e")),
     "cycle-n4-absent": ((ham_cycle, 4, 3, 2136),
-        ("proven-absent", 130, None, None)),
+        ("proven-absent", 133, None, None)),
     "cycle-n7-budget-in-slice-2": ((ham_cycle, 7, 5, 170, 5200),
         ("budget-exhausted", 5200, None, None)),
     "cycle-n7-salted-restart": ((ham_cycle, 7, 5, 170),
-        ("found", 5315, None, "ee899f765afe6db5")),
+        ("found", 5359, None, "ee899f765afe6db5")),
     "near-n4-full": ((near_ham_cycle, 4, 2, 0),
-        ("found", 24, None, "3bcffaa4b8b0968e")),
+        ("found", 25, None, "3bcffaa4b8b0968e")),
     "near-n4-degree-below-two": ((near_ham_cycle, 4, 3, 26),
         ("found", 15, 14, "df6a42f59d8cb0c1")),
     "near-n4-full-absent-then-missed": ((near_ham_cycle, 4, 3, 2136),
-        ("found", 142, 7, "d8ff739d4c339489")),
+        ("found", 145, 7, "d8ff739d4c339489")),
     "near-n4-absent": ((near_ham_cycle, 4, 4, 342),
-        ("proven-absent", 182, None, None)),
+        ("proven-absent", 185, None, None)),
     "near-n7-full-restart": ((near_ham_cycle, 7, 5, 170),
-        ("found", 5315, None, "ee899f765afe6db5")),
+        ("found", 5359, None, "ee899f765afe6db5")),
     "two-n4-found": ((two_disjoint_spanning_paths, 4, 2, 0),
         ("found", 53, None, "8bbcea9a66be0718")),
     "two-n4-absent": ((two_disjoint_spanning_paths, 4, 1, 171),
-        ("proven-absent", 833, None, None)),
+        ("proven-absent", 852, None, None)),
     "two-n7-reversed-slice": ((two_disjoint_spanning_paths, 7, 1, 24),
-        ("found", 5139, None, "1b26c53340bdc97f")),
+        ("found", 5144, None, "1b26c53340bdc97f")),
     "cycle-n10-half1": ((ham_cycle, 10, 9, 0),
-        ("found", 573, None, "d1782a8ad05877e9")),
+        ("found", 582, None, "d1782a8ad05877e9")),
     "near-n10-half1-starved": ((near_ham_cycle, 10, 9, 0, None, True),
-        ("found", 515, 394, "136b25ae42643b5c")),
+        ("found", 521, 394, "136b25ae42643b5c")),
     "two-n10-half1": ((two_disjoint_spanning_paths, 10, 9, 2),
-        ("found", 807, None, "3f83c036b7aad316")),
+        ("found", 840, None, "3f83c036b7aad316")),
 }
 
 
@@ -451,6 +451,23 @@ def test_search_counters():
     assert _pinned_outcome("cycle-n4-absent").backtracks > 0
 
 
+@pytest.mark.parametrize("name", sorted(_PINNED_SEARCH_TREES))
+def test_cut_test_runs_only_where_the_search_turns_back(name):
+    # the cut test runs on an attempt's first expansion and on the first
+    # expansion after each backtrack, so one engine run tests at most
+    # 1 + restarts + backtracks times (near_ham_cycle's later engine runs
+    # may add one each; on these cases the backtracks before them cover it)
+    out = _pinned_outcome(name)
+    assert 0 < out.cut_tests <= 1 + out.restarts + out.backtracks
+
+
+def test_cut_tests_are_few_on_a_forward_run():
+    # a 512-node covering cycle found with few backtracks: almost every
+    # expansion runs only the end and degree checks
+    out = _pinned_outcome("cycle-n10-half1")
+    assert out.cut_tests * 10 < out.expansions
+
+
 def test_trace_records_carry_the_search_counters(graph8):
     rng = random.Random(11)
     f = sample_faults(graph8, 6, rng)
@@ -459,8 +476,10 @@ def test_trace_records_carry_the_search_counters(graph8):
     searches = [r for r in embed(graph8, f, s, t).trace.records if "service" in r]
     assert [r["service"] for r in searches] == ["ham_cycle", "two_disjoint_spanning_paths"]
     for rec in searches:
-        assert list(rec)[:5] == ["service", "status", "expansions", "restarts", "backtracks"]
+        assert list(rec)[:6] == ["service", "status", "expansions", "restarts", "backtracks",
+                                 "cut_tests"]
         assert rec["restarts"] == 0 and 0 < rec["backtracks"] < rec["expansions"]
+        assert 0 < rec["cut_tests"] <= 1 + rec["backtracks"]
 
 
 def test_degree_check_misses_no_prune(monkeypatch):
