@@ -36,9 +36,15 @@ A chain of case-1 levels therefore bottoms out in dimension-7 searches.
 
 Each level works on the surviving view of its own scope: the root on the
 view ``embed`` validated, every lower level on the view of the half of the
-level above that it covers. Every search-service call goes through one
-traced call on the runtime, which records it and raises when a guaranteed
-answer is missing.
+level above that it covers. A level's faults are the ones its view holds;
+each half's view is built from that half's share of them, so a half is the
+theorem's instance one dimension down. A repaired fault (cases 4 and 5)
+leaves that share, and nodes kept out of a half-2 search narrow its scope.
+A split pair (one endpoint in each half) is solved once, from its half-1
+endpoint; when that is t, the level reverses the path and records
+``flipped: True``. Every search-service call goes through one traced call
+on the runtime, which records it and raises when a guaranteed answer is
+missing.
 
 The trace holds one record per level, in solve order: ``id`` (that order),
 ``parent`` (the calling level's ``id``, None at the root) and ``half`` (the
@@ -177,7 +183,6 @@ class EmbedResult:
 @dataclass
 class _Runtime:
     graph: ThlnGraph
-    faults: FaultSet
     budget: SearchBudget
     trace: list = field(default_factory=list)
     levels: int = 0  # levels started so far; the next level's id
@@ -215,8 +220,9 @@ class _Level:
 
 
 class _Ctx:
-    """Per-level working state: halves ordered by fault count, views, and
-    traced access to the search services."""
+    """Per-level working state: halves ordered by fault count, each with its
+    own faults and view, the endpoints oriented so that a split pair starts
+    in half 1, and traced access to the search services."""
 
     def __init__(self, rt: _Runtime, level: _Level, s: int, t: int, level_id: int):
         decomp = level.decomp
@@ -226,27 +232,25 @@ class _Ctx:
         self.id = level_id
         self.dim = level.dim
         self.k = level.dim - 1
-        self.s = s
-        self.t = t
-        part = partition_decomposition(decomp, rt.faults)
-        self.swapped = len(part.f2) > len(part.f1)
+        part = partition_decomposition(decomp, level.view.faults)
         # the halves' node sets and the partner map live as long as this level
+        halves = [(decomp.half1_set, decomp.child1, part.f1),
+                  (decomp.half2_set, decomp.child2, part.f2)]
+        self.swapped = len(part.f2) > len(part.f1)
         if self.swapped:
-            self.h1, self.h2 = decomp.half2_set, decomp.half1_set
-            self.child1, self.child2 = decomp.child2, decomp.child1
-            self.f1_count, self.f2_count = len(part.f2), len(part.f1)
-            self.f1 = part.f2
-        else:
-            self.h1, self.h2 = decomp.half1_set, decomp.half2_set
-            self.child1, self.child2 = decomp.child1, decomp.child2
-            self.f1_count, self.f2_count = len(part.f1), len(part.f2)
-            self.f1 = part.f1
+            halves.reverse()
+        (self.h1, self.child1, self.f1), (self.h2, self.child2, self.f2) = halves
         self.fc_count = len(part.fc_direct)
         self.partner = decomp.partner_map
         self.view = level.view
-        self.h1_view = SurvivingView(rt.graph, rt.faults, scope=self.h1)
-        self.h2_view = SurvivingView(rt.graph, rt.faults, scope=self.h2)
+        self.h1_view = SurvivingView(rt.graph, self.f1, scope=self.h1)
+        self.h2_view = SurvivingView(rt.graph, self.f2, scope=self.h2)
         self.delta1 = self.h1_view.min_degree_witness()[0]
+        # a split pair is solved from its half-1 endpoint; _solve_level
+        # reverses the path when that endpoint is t
+        self.split = (s in self.h1) != (t in self.h1)
+        self.flipped = self.split and t in self.h1
+        self.s, self.t = (t, s) if self.flipped else (s, t)
 
     # -- predicates
 
@@ -263,26 +267,31 @@ class _Ctx:
             service, out, what, self.dim, level=self.id, half=half, dim=self.k, **extra
         )
 
+    def _h2_view_without(self, exclude: Iterable[int]) -> SurvivingView:
+        """Half 2's view with the nodes of ``exclude`` out of scope."""
+        if not exclude:
+            return self.h2_view
+        return SurvivingView(self.rt.graph, self.f2, scope=self.h2.difference(exclude))
+
     def ham_path_h2(self, a: int, b: int, exclude: Iterable[int] = ()) -> PathSeq:
         extra = {}
         if (
             not exclude
             and self.k >= 8
-            and self.f2_count <= 2 * self.k - 10
+            and len(self.f2) <= 2 * self.k - 10
             and neighbor_condition(self.h2_view, a, b)
         ):
             path, missed = self.recurse(a, b, half=2)
             if missed is None:
                 return path
             extra["fallback"] = True
-        v = self.h2_view.without_nodes(exclude) if exclude else self.h2_view
-        out = oracle.ham_path(v, a, b, self.rt.budget)
+        out = oracle.ham_path(self._h2_view_without(exclude), a, b, self.rt.budget)
         return self._traced("ham_path", out, "half-2 covering path", 2, **extra).path
 
     def two_paths_h2(
         self, a1: int, b1: int, a2: int, b2: int, exclude: Iterable[int] = ()
     ) -> tuple[PathSeq, PathSeq]:
-        v = self.h2_view.without_nodes(exclude) if exclude else self.h2_view
+        v = self._h2_view_without(exclude)
         out = oracle.two_disjoint_spanning_paths(v, a1, b1, a2, b2, self.rt.budget)
         return self._traced(
             "two_disjoint_spanning_paths", out, "half-2 disjoint path cover", 2
@@ -292,11 +301,7 @@ class _Ctx:
         if restore is None:
             return self.h1_view
         kind, payload = restore
-        f = (
-            self.rt.faults.without_node(payload)
-            if kind == "node"
-            else self.rt.faults.without_edge(payload)
-        )
+        f = self.f1.without_node(payload) if kind == "node" else self.f1.without_edge(payload)
         return SurvivingView(self.rt.graph, f, scope=self.h1)
 
     def ham_cycle_h1(self, restore=None) -> PathSeq:
@@ -353,15 +358,11 @@ def _cyc_walk(c: Sequence[int], i: int, j: int, step: int) -> list[int]:
 
 
 def solve_case1(ctx: _Ctx):
-    s, t = ctx.s, ctx.t
-    if ctx.in_h1(s) and ctx.in_h1(t):
+    if ctx.split:
+        return _case1_split(ctx)
+    if ctx.in_h1(ctx.s):
         return _case1_both_h1(ctx)
-    if not ctx.in_h1(s) and not ctx.in_h1(t):
-        return _case1_both_h2(ctx)
-    if ctx.in_h1(s):
-        return _case1_split(ctx, s, t, flipped=False)
-    path, label, detail = _case1_split(ctx, t, s, flipped=True)
-    return tuple(reversed(path)), label, detail
+    return _case1_both_h2(ctx)
 
 
 def _case1_both_h1(ctx: _Ctx):
@@ -392,8 +393,6 @@ def _case1_both_h1(ctx: _Ctx):
     u1 = None
     for u in sorted(ctx.h1):
         if u in (s, t) or not ctx.partner_ok(u):
-            continue
-        if not hv.has_node(u):
             continue
         if (s_nbrs - {u}) and any(w != s for w in hv.neighbors(u)):
             u1 = u
@@ -439,8 +438,8 @@ def _case1_both_h2(ctx: _Ctx):
     return path, "1.2", {"cross": [[u1, p2[i]], [v1, p2[i + 1]]]}
 
 
-def _case1_split(ctx: _Ctx, s: int, t: int, flipped: bool):
-    # s inside half 1, t inside half 2
+def _case1_split(ctx: _Ctx):
+    s, t = ctx.s, ctx.t  # s inside half 1, t inside half 2
     cands: list[int] = []
     for u in sorted(ctx.h1):
         if u == s or not ctx.partner_ok(u) or ctx.partner[u] == t:
@@ -451,7 +450,7 @@ def _case1_split(ctx: _Ctx, s: int, t: int, flipped: bool):
     good = [u for u in cands if ctx.h1_view.degree(u) >= 2][:2]
     if not good:
         raise InternalContradiction("all candidate cross ends sit at degree < 2")
-    s_nbrs = set(ctx.h1_view.neighbors(s)) if ctx.h1_view.has_node(s) else set()
+    s_nbrs = set(ctx.h1_view.neighbors(s))
     u1 = next((u for u in good if s_nbrs - {u}), None)
     if u1 is None:
         raise InternalContradiction(
@@ -460,7 +459,7 @@ def _case1_split(ctx: _Ctx, s: int, t: int, flipped: bool):
     p1, _missed = ctx.recurse(s, u1)
     p2 = ctx.ham_path_h2(ctx.partner[u1], t)
     path = splice(ctx.view, [p1, p2])
-    return path, "1.3", {"cross": [[u1, ctx.partner[u1]]], "flipped": flipped}
+    return path, "1.3", {"cross": [[u1, ctx.partner[u1]]]}
 
 
 # ----------------------------------------------------------------------
@@ -502,30 +501,25 @@ def _dispatch_on_cycle(ctx: _Ctx, cyc: PathSeq, q1: Optional[int], major: str):
         path = _cycle_h2_both(ctx, cyc, s, t)
         return path, f"{major}.2", detail
 
-    flipped = not s1
-    a, b = (t, s) if flipped else (s, t)
-    if q1 is not None and a == q1:
+    # split pair: s is the half-1 endpoint
+    if q1 is not None and s == q1:
         # the half-1 endpoint is the node off the cycle
-        if ctx.partner_ok(a):
-            core = _cycle_h2_both(ctx, cyc, ctx.partner[a], b)
-            path = splice(ctx.view, [[a], core])
-            detail["agent"] = ctx.partner[a]
+        if ctx.partner_ok(s):
+            core = _cycle_h2_both(ctx, cyc, ctx.partner[s], t)
+            path = splice(ctx.view, [[s], core])
+            detail["agent"] = ctx.partner[s]
         else:
-            agent = next((w for w in sorted(ctx.h1_view.neighbors(a))), None)
+            agent = next((w for w in sorted(ctx.h1_view.neighbors(s))), None)
             if agent is None:
                 raise InternalContradiction("off-cycle endpoint is isolated in half 1")
-            core, _shape = _cycle_split(ctx, cyc, agent, b)
-            path = splice(ctx.view, [[a], core])
+            core, _shape = _cycle_split(ctx, cyc, agent, t)
+            path = splice(ctx.view, [[s], core])
             detail["agent"] = agent
         label = f"{major}.3.2"
     else:
-        core, shape = _cycle_split(ctx, cyc, a, b)
-        path = core
+        path, shape = _cycle_split(ctx, cyc, s, t)
         label = f"{major}.3.1" if major == "3" else {"exit": "2.3.1", "blocked": "2.3.2"}[shape]
         detail["shape"] = shape
-    if flipped:
-        path = tuple(reversed(path))
-    detail["flipped"] = flipped
     return path, label, detail
 
 
@@ -706,9 +700,7 @@ def _select_restorable_fault(ctx: _Ctx):
         deg = sum(
             1
             for w in ctx.rt.graph.adjacency[v]
-            if w in ctx.h1
-            and w not in ctx.rt.faults.nodes
-            and (min(v, w), max(v, w)) not in ctx.rt.faults.edges
+            if ctx.h1_view.has_node(w) and (min(v, w), max(v, w)) not in ctx.f1.edges
         )
         if deg >= 2:
             return kind, payload
@@ -740,7 +732,7 @@ def _cut_cycle(ctx: _Ctx, cyc: PathSeq, fe) -> PathSeq:
 
 
 def solve_case4(ctx: _Ctx):
-    if ctx.f2_count or ctx.fc_count:
+    if ctx.f2 or ctx.fc_count:
         raise InternalContradiction("case-4 fault arithmetic leaves no outside faults")
     fe = _select_restorable_fault(ctx)
     cyc = ctx.ham_cycle_h1(restore=fe)
@@ -751,7 +743,7 @@ def solve_case4(ctx: _Ctx):
 
 
 def solve_case5(ctx: _Ctx):
-    if ctx.f2_count or ctx.fc_count:
+    if ctx.f2 or ctx.fc_count:
         raise InternalContradiction("case-5 fault arithmetic leaves no outside faults")
     fe = next(_canonical_faults(ctx.f1))
     cyc, _missed = ctx.near_cycle_h1(restore=fe)
@@ -799,17 +791,16 @@ def _dispatch_on_path(ctx: _Ctx, p1: PathSeq, q1: Optional[int], major: str):
         detail["shape"] = shape
         return path, label, detail
 
-    flipped = not s1
-    a, b = (t, s) if flipped else (s, t)
-    if q1 is not None and a == q1:
-        if not ctx.partner_ok(a):
+    # split pair: s is the half-1 endpoint
+    if q1 is not None and s == q1:
+        if not ctx.partner_ok(s):
             raise InternalContradiction("off-path endpoint lost its cross edge")
-        core, shape = _path_h2_both(ctx, p1, ctx.partner[a], b)
-        path = splice(ctx.view, [[a], core])
+        core, shape = _path_h2_both(ctx, p1, ctx.partner[s], t)
+        path = splice(ctx.view, [[s], core])
         label = f"{major}.3.2"
-        detail.update(agent=ctx.partner[a], shape=shape)
+        detail.update(agent=ctx.partner[s], shape=shape)
     else:
-        path, shape = _path_split(ctx, p1, a, b)
+        path, shape = _path_split(ctx, p1, s, t)
         if major == "4":
             label = {
                 "free": "4.3.1",
@@ -829,9 +820,6 @@ def _dispatch_on_path(ctx: _Ctx, p1: PathSeq, q1: Optional[int], major: str):
                 "uend-2": "5.3.1.2",
             }.get(shape, "5.3.1")
         detail["shape"] = shape
-    if flipped:
-        path = tuple(reversed(path))
-    detail["flipped"] = flipped
     return path, label, detail
 
 
@@ -1038,7 +1026,7 @@ def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
     else:
         ctx = _Ctx(rt, level, s, t, level_id)
         k = ctx.k
-        f1 = ctx.f1_count
+        f1 = len(ctx.f1)
         delta = ctx.delta1
         if delta is None:
             raise InternalContradiction("half 1 has no surviving node")
@@ -1057,10 +1045,14 @@ def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
                 f"fault load {f1} in one half exceeds the dispatch table at "
                 f"dimension {level.dim}"
             )
+        if ctx.flipped:
+            path = tuple(reversed(path))
+        if ctx.split:
+            detail["flipped"] = ctx.flipped
         rec.update(
             case=label,
             f1=f1,
-            f2=ctx.f2_count,
+            f2=len(ctx.f2),
             fc=ctx.fc_count,
             delta1=delta,
             swapped=ctx.swapped,
@@ -1122,7 +1114,7 @@ def embed(
         raise PreconditionViolated(
             "neighbor condition: an endpoint has no surviving neighbor besides the other"
         )
-    rt = _Runtime(graph=g, faults=f, budget=budget)
+    rt = _Runtime(graph=g, budget=budget)
     root = _Level(n, view, g.decomposition)
     path, missed = _solve_level(rt, root, s, t)
     return EmbedResult(path=tuple(path), missed=missed, trace=CaseTrace(tuple(rt.trace)))

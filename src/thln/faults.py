@@ -109,13 +109,18 @@ class SurvivingView:
     ascending order, so views are cheap to share and safe to use
     concurrently.
 
+    The view keeps its fault set (``faults``), not its graph or scope. To
+    leave nodes out of a view, build one over a narrower scope: the view of
+    ``scope - X`` is the view of ``scope`` with exactly the nodes of X and
+    their edges removed.
+
     Building one costs O(scope + faults x degree): a row that no fault
     touches is the graph's own row (kept as is when unscoped, filtered to
     the scope otherwise), and only the rows of a dead node's neighbours and
     of a faulty edge's endpoints are filtered against the faults.
     """
 
-    __slots__ = ("graph", "faults", "scope", "_adj", "_nodes", "_node_set")
+    __slots__ = ("faults", "_adj", "_nodes", "_node_set")
 
     def __init__(
         self,
@@ -124,17 +129,16 @@ class SurvivingView:
         scope: Optional[frozenset[int]] = None,
     ):
         faults.validate_against(graph)
-        self.graph = graph
         self.faults = faults
-        self.scope = frozenset(scope) if scope is not None else None
         rows = graph.adjacency
-        if self.scope is None:
+        if scope is None:
             adj = dict(enumerate(rows))  # the graph's own rows, shared
         else:
             # walk the scope, not the whole graph; nodes outside the graph drop out
+            scope = frozenset(scope)
             n = graph.num_nodes
-            in_scope = self.scope.__contains__
-            adj = {v: tuple(filter(in_scope, rows[v])) for v in sorted(self.scope) if 0 <= v < n}
+            in_scope = scope.__contains__
+            adj = {v: tuple(filter(in_scope, rows[v])) for v in sorted(scope) if 0 <= v < n}
         dead = faults.nodes
         bad_edge = faults.edges
         # only the rows of a dead node's neighbours and of a faulty edge's
@@ -182,11 +186,6 @@ class SurvivingView:
             if best_deg is None or d < best_deg:
                 best_deg, best_node = d, v
         return best_deg, best_node
-
-    def without_nodes(self, nodes: Iterable[int]) -> "SurvivingView":
-        drop = frozenset(nodes)
-        base = self.node_set - drop
-        return SurvivingView(self.graph, self.faults, scope=base)
 
 
 def sample_faults(g: ThlnGraph, count: int, rng: random.Random) -> FaultSet:

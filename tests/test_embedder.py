@@ -1,3 +1,6 @@
+import functools
+import hashlib
+import json
 import random
 
 import pytest
@@ -202,7 +205,7 @@ def test_case2_blocked_exit_with_partner_endpoint(graph8):
 
 def _ctx(g, f, s, t):
     """The top-level working state ``embed`` builds for this instance."""
-    rt = _Runtime(graph=g, faults=f, budget=SearchBudget())
+    rt = _Runtime(graph=g, budget=SearchBudget())
     return _Ctx(rt, _Level(g.dimension, surviving_view(g, f), g.decomposition), s, t, 0)
 
 
@@ -531,3 +534,234 @@ def test_degree_floor_arithmetic():
     assert k - ((2 * k - 8) - (k - 1)) == 7
     # candidate count on a covering path at k = 7
     assert 2 ** 7 - 2 * 7 + 8 == 122
+
+
+
+# ----------------------------------------------------------------------
+# pinned results
+
+
+def _split_instance(case, seed):
+    """Seeded n = 10 instance for top case ``case`` (1-5) with s in half 2
+    and t in half 1, the half with more faults, so the top level solves the
+    pair from t. Case 1 draws 2n - 10 uniform faults; cases 2-5 put 2k - 9
+    (cases 2, 3) or 2k - 8 (cases 4, 5) faults inside the top half 1, and in
+    cases 3 and 5 k - 1 of them starve one node down to one in-half edge."""
+    g = make_preset(VariantSpec.random(seed), 10)
+    d = g.decomposition
+    rng = random.Random(100 * case + seed)
+    if case == 1:
+        f = sample_faults(g, 10, rng)
+    else:
+        h1 = d.half1_set
+        elements = [("node", v) for v in d.half1]
+        elements += [("edge", e) for e in g.edges if e[0] in h1 and e[1] in h1]
+        cut = []
+        if case in (3, 5):
+            q = rng.choice(d.half1)
+            intra = [w for w in g.neighbors(q) if w in h1]
+            cut = [(q, w) for w in intra[:-1]]
+            elements = [
+                x for x in elements
+                if x not in (("node", q), ("node", intra[-1]))
+                and not (x[0] == "edge" and q in x[1])
+            ]
+        picked = rng.sample(elements, {2: 9, 3: 9, 4: 10, 5: 10}[case] - len(cut))
+        f = FaultSet.of(
+            nodes=[p for kind, p in picked if kind == "node"],
+            edges=[p for kind, p in picked if kind == "edge"] + cut,
+        )
+    heavy = d.half1_set
+    if len(f.restricted(d.half2_set)) > len(f.restricted(d.half1_set)):
+        heavy = d.half2_set
+    view = surviving_view(g, f)
+    while True:
+        s, t = rng.sample(view.nodes, 2)
+        if s not in heavy and t in heavy and neighbor_condition(view, s, t):
+            return g, f, s, t
+
+
+@pytest.fixture(scope="module")
+def pinned_instances(graph8, graph9):
+    """name -> the (graph, faults, s, t) instances of every hand-built
+    fixture above, and seeded n = 10 split pairs solved from t."""
+    g8, g9 = graph8, graph9
+    cp8 = functools.partial(cross_partner, g8)
+    base = [1, 33, 65, 97, 120]
+    c1 = probe_half1_cycle(g8, f1_nodes=base)
+    p4 = _case4_path(g8)
+    outer = FaultSet.of(nodes=base + [200])
+    q = 40
+    f3 = FaultSet.of(edges=[(q, w) for w in sorted(w for w in g9.neighbors(q) if w < 256)[:7]])
+    f3_cut = FaultSet.of(edges=sorted(f3.edges) + [(q, cross_partner(g9, q))])
+    f5 = FaultSet.of(nodes=[1], edges=f3.edges)
+    c3 = _canon_cycle(near_ham_cycle(SurvivingView(g9, f3, scope=frozenset(range(256)))).path)
+    f3_mid = FaultSet.of(edges=sorted(f3.edges) + [(c3[11], cross_partner(g9, c3[11]))])
+    h2_end = next(v for v in range(128, 256) if v not in (cp8(p4[0]), cp8(p4[-1])))
+    f6 = sample_faults(g8, 6, random.Random(5))
+    view6 = surviving_view(g8, f6)
+    rng = random.Random(6)
+    while True:
+        s6, t6 = rng.sample(view6.nodes, 2)
+        if neighbor_condition(view6, s6, t6):
+            break
+    one = {
+        "base-n7": (make_preset(VariantSpec.random(1), 7), FaultSet.empty(), 3, 99),
+        "deterministic-n8": (g8, f6, s6, t6),
+        "2.1": (g8, CASE2_FAULTS, 5, 77),
+        "2.2": (g8, CASE2_FAULTS, 140, 200),
+        "2.3": (g8, CASE2_FAULTS, 5, 200),
+        "4.1": (g8, CASE4_FAULTS, 5, 77),
+        "4.2": (g8, CASE4_FAULTS, 140, 200),
+        "4.3": (g8, CASE4_FAULTS, 5, 200),
+        "1-spread": (g8, FaultSet.of(nodes=[1, 2, 130, 131], edges=[(5, g8.neighbors(5)[0])]), 9, 99),
+        "2.1.1": (g8, outer, c1[10], c1[11]),
+        "2.1.2.1": (g8, outer, c1[10], c1[12]),
+        "2.1.3": (g8, outer, c1[10], c1[20]),
+        "2.1.2.2": (g8, _cut_cross_edge(g8, c1[11]), c1[10], c1[12]),
+        "2.3.2": (g8, _cut_cross_edge(g8, c1[19]), c1[20], cp8(c1[21])),
+        "4.1.1": (g8, CASE4_FAULTS, p4[40], p4[41]),
+        "4.1.2": (g8, CASE4_FAULTS, p4[40], p4[42]),
+        "4.2.2": (g8, CASE4_FAULTS, cp8(p4[0]), h2_end),
+        "4.2.3": (g8, CASE4_FAULTS, cp8(p4[0]), cp8(p4[-1])),
+        "4.3.2-vend": (g8, CASE4_FAULTS, p4[40], cp8(p4[-1])),
+        "4.3.2-wend": (g8, CASE4_FAULTS, p4[40], cp8(p4[41])),
+        "4.3.3": (g8, CASE4_FAULTS, p4[0], cp8(p4[0])),
+        "4.3.3.1": (g8, CASE4_FAULTS, p4[1], cp8(p4[0])),
+        "4.3.3.2": (g8, CASE4_FAULTS, p4[5], cp8(p4[0])),
+        "2.1.2.1-z1": (g8, _cut_cross_edge(g8, c1[13]), c1[10], c1[12]),
+        "2.1.3-x1-y1": (g8, _cut_cross_edge(g8, c1[11]), c1[10], c1[20]),
+        "3.1.1": (g9, f3, 7, 99),
+        "3.1.2": (g9, f3, 7, q),
+        "3.2": (g9, f3, 300, 400),
+        "3.3.1": (g9, f3, 7, 400),
+        "3.3.2": (g9, f3, q, 400),
+        "3.1.2-agent": (g9, f3_cut, 7, q),
+        "3.3.2-agent": (g9, f3_cut, q, 400),
+        "3.1.1.2": (g9, f3_mid, c3[10], c3[12]),
+        "5.1.1": (g9, f5, 7, 99),
+        "5.1.2": (g9, f5, 7, q),
+        "5.2": (g9, f5, 300, 400),
+        "5.3.1": (g9, f5, 7, 400),
+        "5.3.2": (g9, f5, q, 400),
+        "5.1-n8": (g8, FaultSet.of(edges=[(20, w) for w in g8.neighbors(20) if w < 128][:6]), 5, 77),
+    }
+    g = make_preset(VariantSpec.random(5), 10)
+    nbrs = [w for w in g.neighbors(70) if w < 512]
+    one["1.1.2-n10"] = (g, FaultSet.of(nodes=nbrs[1:]), nbrs[0], 70)
+    g = make_preset(VariantSpec.random(0), 10)
+    one["chain-n10"] = (g, *uniform_instance(g, 0))
+    for spec in (VariantSpec.crossed(), VariantSpec.mobius0(), VariantSpec.mobius1(),
+                 VariantSpec.locally_twisted()):
+        for n in (9, 10):
+            g = make_preset(spec, n)
+            for seed in range(2):
+                one[f"{spec.kind}-n{n}-{seed}"] = (g, *uniform_instance(g, seed))
+    for case in range(1, 6):
+        for seed in (1, 2):
+            one[f"split-n10-case{case}-{seed}"] = _split_instance(case, seed)
+    out = {name: [inst] for name, inst in one.items()}
+    rng = random.Random(11)
+    trials = []
+    for _ in range(25):
+        f = sample_faults(g8, rng.randrange(0, 7), rng)
+        view = surviving_view(g8, f)
+        s, t = None, None
+        while s is None or not neighbor_condition(view, s, t):
+            s, t = rng.sample(view.nodes, 2)
+        trials.append((g8, f, s, t))
+    out["random-trials-n8"] = trials
+    return out
+
+
+#: name -> sha256 prefix of the canonical ``EmbedResult.to_json_obj()`` of
+#: each instance, in order. The construction is deterministic, so any change
+#: in a path, a case label or a trace record moves these digests.
+_PINNED_RESULTS = {
+    "1-spread": "b7cc1d6c71237dfd",
+    "1.1.2-n10": "ede0424651eb4edc",
+    "2.1": "d921358e68979240",
+    "2.1.1": "80ffc56aa0d7af66",
+    "2.1.2.1": "c7deee0e0d230b70",
+    "2.1.2.1-z1": "c7b3c2eda75e5b06",
+    "2.1.2.2": "4576d93be12eefb0",
+    "2.1.3": "a465ad7159fa3506",
+    "2.1.3-x1-y1": "5fec611bc3395ffd",
+    "2.2": "2d7e328368851919",
+    "2.3": "6da6d2de6c48f16e",
+    "2.3.2": "7b5723fdae67d0da",
+    "3.1.1": "5838b217276bd742",
+    "3.1.1.2": "9da622b130eb8682",
+    "3.1.2": "2d5988b2c34a6761",
+    "3.1.2-agent": "7d89e6b19cfb7f23",
+    "3.2": "561a8cd51e1013da",
+    "3.3.1": "d3d4cb37a9414469",
+    "3.3.2": "c59a07abede6541b",
+    "3.3.2-agent": "a2626ad391454ddd",
+    "4.1": "93439522a2fe295b",
+    "4.1.1": "586bdf9e81ad64d7",
+    "4.1.2": "3769ce683ba0cab3",
+    "4.2": "968693efc2e3efd4",
+    "4.2.2": "8bc5e269ac79f0d6",
+    "4.2.3": "6c7d24d16ef9c4a1",
+    "4.3": "2bed55daf606cfb0",
+    "4.3.2-vend": "9f1485618ce9928e",
+    "4.3.2-wend": "f3204517bf00695e",
+    "4.3.3": "ecf305eabe286b1c",
+    "4.3.3.1": "ccb70b0dbe3028e2",
+    "4.3.3.2": "623b9ab4d6a5b3e3",
+    "5.1-n8": "6ac8f47303c4574d",
+    "5.1.1": "fd4d51827730b0f0",
+    "5.1.2": "e9d30059d1673977",
+    "5.2": "3ac9dbc703e64761",
+    "5.3.1": "4260e9f1259c7b46",
+    "5.3.2": "53519c5e438e491c",
+    "base-n7": "6a83d1127ff23671",
+    "chain-n10": "5f816a4c0f51d9fe",
+    "crossed-n10-0": "682ac2b48560493d",
+    "crossed-n10-1": "90af83ee75708b57",
+    "crossed-n9-0": "291be2649b7f9da2",
+    "crossed-n9-1": "03951b13b8f0ad91",
+    "deterministic-n8": "6fba1e6554147b9d",
+    "locally-twisted-n10-0": "4730f2d5eeeeb9b9",
+    "locally-twisted-n10-1": "224e841e312b5bf2",
+    "locally-twisted-n9-0": "a7369325437e3d9d",
+    "locally-twisted-n9-1": "ef0b4d0bd3376ef4",
+    "mobius0-n10-0": "8026c019ce18478e",
+    "mobius0-n10-1": "04144e8955201efa",
+    "mobius0-n9-0": "ba41fc428c4b3d77",
+    "mobius0-n9-1": "f656743e2ed6ccba",
+    "mobius1-n10-0": "67b86a6fb5d714e4",
+    "mobius1-n10-1": "7ee61584074030d1",
+    "mobius1-n9-0": "f2c96ec5835a4429",
+    "mobius1-n9-1": "9d733c7d5480561f",
+    "random-trials-n8": "4afc3cf8657e4879",
+    "split-n10-case1-1": "7a8bfd7de2e17200",
+    "split-n10-case1-2": "6b3b5adf8a2e54dc",
+    "split-n10-case2-1": "e345ec945e451b90",
+    "split-n10-case2-2": "6a19567b7514ba63",
+    "split-n10-case3-1": "efe9ea2b1bbdee12",
+    "split-n10-case3-2": "51b9e0ae744ac03c",
+    "split-n10-case4-1": "a1cec6687c7aa15a",
+    "split-n10-case4-2": "3c4fba4a106cf023",
+    "split-n10-case5-1": "c344f3301c0be889",
+    "split-n10-case5-2": "009e012c2ba25062",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RESULTS))
+def test_embed_results_are_pinned(pinned_instances, name):
+    results = [embed_and_check(*inst) for inst in pinned_instances[name]]
+    label = name.split("-")[0]
+    if label[0].isdigit():  # a hand-built fixture, named by the case it reaches
+        assert all(r.trace.top_case().startswith(label) for r in results)
+    body = json.dumps([r.to_json_obj() for r in results], sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest()[:16] == _PINNED_RESULTS[name]
+
+
+def test_pinned_split_pairs_are_solved_from_half_1(pinned_instances):
+    for case in range(1, 6):
+        for seed in (1, 2):
+            (inst,) = pinned_instances[f"split-n10-case{case}-{seed}"]
+            top = embed(*inst).trace.records[0]
+            assert top["case"].startswith(str(case)) and top["flipped"] is True

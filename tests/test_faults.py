@@ -19,7 +19,7 @@ from thln import (
     partition,
     surviving_view,
 )
-from thln.faults import sample_faults
+from thln.faults import partition_decomposition, sample_faults
 
 
 def test_empty_faults_view_equals_graph(graph4):
@@ -213,7 +213,7 @@ def test_view_scoping(graph4):
     assert half.node_set == frozenset(range(8)) - {3}
     for v in half.nodes:
         assert all(w < 8 for w in half.neighbors(v))
-    fewer = half.without_nodes([0, 1])
+    fewer = SurvivingView(graph4, FaultSet.of(nodes=[3]), scope=frozenset(range(8)) - {0, 1})
     assert fewer.node_set == half.node_set - {0, 1}
 
 
@@ -242,11 +242,41 @@ def test_view_rows_match_their_definition(seed):
         want = _view_by_definition(g, f, scope)
         assert view.nodes == tuple(want)
         assert {v: view.neighbors(v) for v in view.nodes} == want
-        drop = rng.sample(view.nodes, min(len(view), 3)) + [g.num_nodes]
-        fewer = view.without_nodes(drop)
-        want = _view_by_definition(g, f, view.node_set - set(drop))
+        drop = set(rng.sample(view.nodes, min(len(view), 3))) | {g.num_nodes}
+        narrow = (frozenset(g.nodes) if scope is None else scope) - drop
+        fewer = SurvivingView(g, f, scope=narrow)
+        want = _view_by_definition(g, f, narrow)
         assert fewer.nodes == tuple(want)
         assert {v: fewer.neighbors(v) for v in fewer.nodes} == want
+
+
+def _rows(view):
+    return {v: view.neighbors(v) for v in view.nodes}
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_half_view_from_its_own_faults_matches_the_whole_set(seed):
+    # each level hands a half only its own share of the faults: a view over
+    # a half built from partition_decomposition's f1 / f2 has the rows of
+    # one built from the whole set, at the top level and one level down;
+    # narrowing the scope by X drops exactly X
+    rng = random.Random(seed)
+    g = make_preset(VariantSpec.random(rng.randrange(4)), rng.choice((5, 6)))
+    f = sample_faults(g, rng.randrange(0, 2 * g.dimension + 1), rng)
+    top = g.decomposition
+    part = partition_decomposition(top, f)
+    for d, share in ((top, f), (top.child1, part.f1), (top.child2, part.f2)):
+        split = partition_decomposition(d, share)
+        for half, own in ((d.half1_set, split.f1), (d.half2_set, split.f2)):
+            view = SurvivingView(g, own, scope=half)
+            assert _rows(view) == _rows(SurvivingView(g, f, scope=half))
+            x = frozenset(rng.sample(sorted(half), rng.randrange(4)))
+            narrow = SurvivingView(g, own, scope=half - x)
+            assert narrow.node_set == view.node_set - x
+            assert _rows(narrow) == {
+                v: tuple(w for w in view.neighbors(v) if w not in x) for v in narrow.nodes
+            }
 
 
 def test_fault_set_json_roundtrip():
