@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Scale record of ``embed``: one labelled point per run in out/BENCH_scale.json.
 
-    python3 scripts/bench_scale.py --label NAME [--max-n 14] [--src DIR]
+    python3 scripts/bench_scale.py --label NAME [--max-n 16] [--src DIR]
 
-Cells: the random variant at n = 8..14 and the crossed, mobius0, mobius1 and
+Cells: the random variant at n = 8..16 and the crossed, mobius0, mobius1 and
 locally-twisted variants at n = 8..12 (both capped by ``--max-n``). Fault
 placements per cell:
 
@@ -14,7 +14,10 @@ placements per cell:
 Each cell runs three fixed seeds; the seed fixes the random variant's graph,
 the faults and the endpoints. A cell keeps its deterministic part (top case,
 level count and a digest of every level label, search expansions and cut
-tests, per seed) apart from its wall times (p50 and max over the seeds).
+tests, per seed) apart from its wall times (p50 and max over the seeds) and
+its graph costs: the p50 seconds to build the seeds' graphs, and the MB the
+last seed's graph retains, from a second build of it under ``tracemalloc``
+(which slows the build it watches, so no timed build is traced).
 Every path is checked with ``validate_path``. The point replaces any earlier
 point of the same label, so points of other code sit side by side;
 ``--src`` runs the ``thln`` package of another checkout's ``src/`` (its
@@ -23,6 +26,7 @@ point of the same label, so points of other code sit side by side;
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import platform
@@ -30,6 +34,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,7 +42,7 @@ OUT = ROOT / "out" / "BENCH_scale.json"
 
 SEEDS = (1, 2, 3)
 NAMED = ("crossed", "mobius0", "mobius1", "locally-twisted")
-RANDOM_MAX_N = 14
+RANDOM_MAX_N = 16
 NAMED_MAX_N = 12
 PLACEMENTS = ("uniform", "concentrated-2", "concentrated-4")
 
@@ -47,14 +52,38 @@ def _fault_count(placement: str, n: int) -> int:
     return {"uniform": 2 * n - 10, "concentrated-2": 2 * k - 9, "concentrated-4": 2 * k - 8}[placement]
 
 
+def _build(thln, spec, n: int):
+    """The graph and the seconds it took to build."""
+    start = time.perf_counter()
+    g = thln.make_preset(spec, n)
+    return g, time.perf_counter() - start
+
+
+def _retained_mb(thln, spec, n: int) -> float:
+    """MB that a fresh build of the graph still holds once it returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = thln.make_preset(spec, n)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del g
+    return round(held / 1e6, 2)
+
+
 def _instance(thln, variant: str, n: int, placement: str, seed: int, graphs: dict):
+    """(graph spec, graph, its build seconds, faults, s, t)."""
     rng = random.Random(f"{variant}/{n}/{placement}/{seed}")
     if variant == "random":
-        g = thln.make_preset(thln.VariantSpec.random(rng.randrange(1 << 30)), n)
+        spec = thln.VariantSpec.random(rng.randrange(1 << 30))
+        g, build_s = _build(thln, spec, n)
     else:
+        spec = thln.VariantSpec(variant)
         if (variant, n) not in graphs:
-            graphs[variant, n] = thln.make_preset(thln.VariantSpec(variant), n)
-        g = graphs[variant, n]
+            graphs[variant, n] = _build(thln, spec, n)
+        g, build_s = graphs[variant, n]
     if placement == "uniform":
         nodes, edges = g.nodes, g.edges
     else:
@@ -71,7 +100,7 @@ def _instance(thln, variant: str, n: int, placement: str, seed: int, graphs: dic
     while True:
         s, t = rng.sample(view.nodes, 2)
         if thln.neighbor_condition(view, s, t):
-            return g, f, s, t
+            return spec, g, build_s, f, s, t
 
 
 def _run(thln, g, f, s: int, t: int) -> tuple[dict, float]:
@@ -105,21 +134,26 @@ def _cells(max_n: int):
 def record(thln, max_n: int) -> list[dict]:
     cells, graphs = [], {}
     for variant, n, placement in _cells(max_n):
-        runs, walls = [], []
+        runs, walls, builds = [], [], []
         for seed in SEEDS:
-            g, f, s, t = _instance(thln, variant, n, placement, seed, graphs)
+            spec, g, build_s, f, s, t = _instance(thln, variant, n, placement, seed, graphs)
             det, wall = _run(thln, g, f, s, t)
             runs.append({"seed": seed, **det})
             walls.append(wall)
+            builds.append(build_s)
+            del g  # freed before the next build
+        graph = {"build_p50_s": round(statistics.median(builds), 4),
+                 "retained_mb": _retained_mb(thln, spec, n)}
         cells.append({
             "variant": variant, "n": n, "placement": placement,
             "faults": _fault_count(placement, n),
             "wall": {"p50_s": round(statistics.median(walls), 4), "max_s": round(max(walls), 4)},
+            "graph": graph,
             "deterministic": runs,
         })
         print(f"{variant:>15} n={n:2d} {placement:>14}: p50 {statistics.median(walls):7.3f} s, "
-              f"max {max(walls):7.3f} s, expansions {[r.get('expansions') for r in runs]}",
-              file=sys.stderr)
+              f"max {max(walls):7.3f} s, expansions {[r.get('expansions') for r in runs]}, "
+              f"build {graph['build_p50_s']:.3f} s, {graph['retained_mb']} MB", file=sys.stderr)
     return cells
 
 

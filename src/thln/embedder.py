@@ -115,7 +115,7 @@ def _cross_pair_indexes(path, view, partner):
     cross edge in ``view``."""
 
     def usable(x):
-        return view.has_edge(x, partner[x])
+        return view.has_edge(x, partner(x))
 
     for i in range(len(path) - 1):
         if usable(path[i]) and usable(path[i + 1]):
@@ -233,15 +233,14 @@ class _Ctx:
         self.dim = level.dim
         self.k = level.dim - 1
         part = partition_decomposition(decomp, level.view.faults)
-        # the halves' node sets and the partner map live as long as this level
-        halves = [(decomp.half1_set, decomp.child1, part.f1),
-                  (decomp.half2_set, decomp.child2, part.f2)]
+        h1, h2 = decomp.halves
+        halves = [(h1, decomp.child1, part.f1), (h2, decomp.child2, part.f2)]
         self.swapped = len(part.f2) > len(part.f1)
         if self.swapped:
             halves.reverse()
         (self.h1, self.child1, self.f1), (self.h2, self.child2, self.f2) = halves
         self.fc_count = len(part.fc_direct)
-        self.partner = decomp.partner_map
+        self.partner = decomp.partner
         self.view = level.view
         self.h1_view = SurvivingView(rt.graph, self.f1, scope=self.h1)
         self.h2_view = SurvivingView(rt.graph, self.f2, scope=self.h2)
@@ -255,7 +254,7 @@ class _Ctx:
     # -- predicates
 
     def partner_ok(self, x: int) -> bool:
-        return self.view.has_edge(x, self.partner[x])
+        return self.view.has_edge(x, self.partner(x))
 
     def in_h1(self, v: int) -> bool:
         return v in self.h1
@@ -271,7 +270,7 @@ class _Ctx:
         """Half 2's view with the nodes of ``exclude`` out of scope."""
         if not exclude:
             return self.h2_view
-        return SurvivingView(self.rt.graph, self.f2, scope=self.h2.difference(exclude))
+        return SurvivingView(self.rt.graph, self.f2, scope=set(self.h2).difference(exclude))
 
     def ham_path_h2(self, a: int, b: int, exclude: Iterable[int] = ()) -> PathSeq:
         extra = {}
@@ -374,9 +373,9 @@ def _case1_both_h1(ctx: _Ctx):
         p1, _missed = ctx.recurse(s, t)
         i = ctx.first_cross_pair(p1)
         a, b = p1[i], p1[i + 1]
-        p2 = ctx.ham_path_h2(ctx.partner[a], ctx.partner[b])
+        p2 = ctx.ham_path_h2(ctx.partner(a), ctx.partner(b))
         path = splice(ctx.view, [p1[: i + 1], p2, p1[i + 1 :]])
-        return path, "1.1.1", {"cross": [[a, ctx.partner[a]], [b, ctx.partner[b]]]}
+        return path, "1.1.1", {"cross": [[a, ctx.partner(a)], [b, ctx.partner(b)]]}
     if not s_open and not t_open:
         raise InternalContradiction(
             "both endpoints starved inside half 1 despite the case-1 fault bound"
@@ -388,7 +387,7 @@ def _case1_both_h1(ctx: _Ctx):
         s, t = t, s
     if not ctx.partner_ok(t):
         raise InternalContradiction("starved endpoint lost its cross edge as well")
-    t2 = ctx.partner[t]
+    t2 = ctx.partner(t)
     s_nbrs = set(hv.neighbors(s))
     u1 = None
     for u in sorted(ctx.h1):
@@ -404,11 +403,11 @@ def _case1_both_h1(ctx: _Ctx):
         raise InternalContradiction(
             "recursive path was bound to leave exactly the starved endpoint out"
         )
-    p2 = ctx.ham_path_h2(ctx.partner[u1], t2)
+    p2 = ctx.ham_path_h2(ctx.partner(u1), t2)
     path = splice(ctx.view, [p1, p2, [t]])
     if flipped:
         path = tuple(reversed(path))
-    return path, "1.1.2", {"cross": [[u1, ctx.partner[u1]], [t, t2]], "starved": t}
+    return path, "1.1.2", {"cross": [[u1, ctx.partner(u1)], [t, t2]], "starved": t}
 
 
 def _case1_both_h2(ctx: _Ctx):
@@ -423,7 +422,7 @@ def _case1_both_h2(ctx: _Ctx):
     for i in (i1, i2):
         if i is None:
             continue
-        a, b = ctx.partner[p2[i]], ctx.partner[p2[i + 1]]
+        a, b = ctx.partner(p2[i]), ctx.partner(p2[i + 1])
         if ctx.h1_view.degree(a) >= 2 and ctx.h1_view.degree(b) >= 2:
             chosen = i
             break
@@ -432,7 +431,7 @@ def _case1_both_h2(ctx: _Ctx):
             "both disjoint cross pairs hit the single low-degree node of half 1"
         )
     i = chosen
-    u1, v1 = ctx.partner[p2[i]], ctx.partner[p2[i + 1]]
+    u1, v1 = ctx.partner(p2[i]), ctx.partner(p2[i + 1])
     p1, _missed = ctx.recurse(u1, v1)
     path = splice(ctx.view, [p2[: i + 1], p1, p2[i + 1 :]])
     return path, "1.2", {"cross": [[u1, p2[i]], [v1, p2[i + 1]]]}
@@ -442,7 +441,7 @@ def _case1_split(ctx: _Ctx):
     s, t = ctx.s, ctx.t  # s inside half 1, t inside half 2
     cands: list[int] = []
     for u in sorted(ctx.h1):
-        if u == s or not ctx.partner_ok(u) or ctx.partner[u] == t:
+        if u == s or not ctx.partner_ok(u) or ctx.partner(u) == t:
             continue
         cands.append(u)
         if len(cands) == 3:
@@ -457,9 +456,9 @@ def _case1_split(ctx: _Ctx):
             "split endpoint has no surviving neighbor inside its own half"
         )
     p1, _missed = ctx.recurse(s, u1)
-    p2 = ctx.ham_path_h2(ctx.partner[u1], t)
+    p2 = ctx.ham_path_h2(ctx.partner(u1), t)
     path = splice(ctx.view, [p1, p2])
-    return path, "1.3", {"cross": [[u1, ctx.partner[u1]]]}
+    return path, "1.3", {"cross": [[u1, ctx.partner(u1)]]}
 
 
 # ----------------------------------------------------------------------
@@ -505,9 +504,9 @@ def _dispatch_on_cycle(ctx: _Ctx, cyc: PathSeq, q1: Optional[int], major: str):
     if q1 is not None and s == q1:
         # the half-1 endpoint is the node off the cycle
         if ctx.partner_ok(s):
-            core = _cycle_h2_both(ctx, cyc, ctx.partner[s], t)
+            core = _cycle_h2_both(ctx, cyc, ctx.partner(s), t)
             path = splice(ctx.view, [[s], core])
-            detail["agent"] = ctx.partner[s]
+            detail["agent"] = ctx.partner(s)
         else:
             agent = next((w for w in sorted(ctx.h1_view.neighbors(s))), None)
             if agent is None:
@@ -529,9 +528,9 @@ def _cycle_agent_both_h1(ctx: _Ctx, cyc, q1, major, detail):
     flipped = s == q1
     a, b = (t, s) if flipped else (s, t)  # b is off the cycle
     if ctx.partner_ok(b):
-        core, _shape = _cycle_split(ctx, cyc, a, ctx.partner[b])
+        core, _shape = _cycle_split(ctx, cyc, a, ctx.partner(b))
         path = splice(ctx.view, [core, [b]])
-        detail["agent"] = ctx.partner[b]
+        detail["agent"] = ctx.partner(b)
     else:
         agent = next((w for w in sorted(ctx.h1_view.neighbors(b)) if w != a), None)
         if agent is None:
@@ -561,7 +560,7 @@ def _cycle_h1_both(ctx: _Ctx, cyc, s, t, allow_bypass: bool):
         pst = _cyc_walk(c, ps, pt, step)
         i = ctx.first_cross_pair(pst)
         a, b = pst[i], pst[i + 1]
-        p2 = ctx.ham_path_h2(ctx.partner[a], ctx.partner[b])
+        p2 = ctx.ham_path_h2(ctx.partner(a), ctx.partner(b))
         return splice(ctx.view, [pst[: i + 1], p2, pst[i + 1 :]]), "d1"
 
     if d == 2:
@@ -571,16 +570,16 @@ def _cycle_h1_both(ctx: _Ctx, cyc, s, t, allow_bypass: bool):
         if ctx.partner_ok(x1):
             y1, z1 = plong[-2], plong[1]
             if ctx.partner_ok(y1):
-                p2 = ctx.ham_path_h2(ctx.partner[y1], ctx.partner[x1])
+                p2 = ctx.ham_path_h2(ctx.partner(y1), ctx.partner(x1))
                 return splice(ctx.view, [plong[:-1], p2, [x1, t]]), "d2-direct"
             if ctx.partner_ok(z1):
-                p2 = ctx.ham_path_h2(ctx.partner[x1], ctx.partner[z1])
+                p2 = ctx.ham_path_h2(ctx.partner(x1), ctx.partner(z1))
                 return splice(ctx.view, [[s, x1], p2, plong[1:]]), "d2-direct"
             raise InternalContradiction("both bypass anchors lost their cross edges")
         if allow_bypass:
             i = ctx.first_cross_pair(plong)
             a, b = plong[i], plong[i + 1]
-            p2 = ctx.ham_path_h2(ctx.partner[a], ctx.partner[b])
+            p2 = ctx.ham_path_h2(ctx.partner(a), ctx.partner(b))
             # x1 stays out: the result misses exactly one node
             return splice(ctx.view, [plong[: i + 1], p2, plong[i + 1 :]]), "d2-bypass"
         # reattach the skipped middle node through one of its cycle neighbors
@@ -596,7 +595,7 @@ def _cycle_h1_both(ctx: _Ctx, cyc, s, t, allow_bypass: bool):
         v1, y1, u1 = interior[0], interior[jy], interior[jy + 1]
         if not (ctx.partner_ok(v1) and ctx.partner_ok(u1)):
             raise InternalContradiction("reattachment anchors lost their cross edges")
-        p2 = ctx.ham_path_h2(ctx.partner[v1], ctx.partner[u1])
+        p2 = ctx.ham_path_h2(ctx.partner(v1), ctx.partner(u1))
         seg_back = list(reversed(interior[: jy + 1]))  # y1 .. v1
         seg_fwd = interior[jy + 1 :] + [t]  # u1 .. t
         return splice(ctx.view, [[s, x1], seg_back, p2, seg_fwd]), "d2-reattach"
@@ -606,10 +605,10 @@ def _cycle_h1_both(ctx: _Ctx, cyc, s, t, allow_bypass: bool):
     u1, y1 = arc_f[1], arc_f[-2]
     x1, v1 = arc_b[1], arc_b[-2]
     if ctx.partner_ok(u1) and ctx.partner_ok(v1):
-        p2 = ctx.ham_path_h2(ctx.partner[v1], ctx.partner[u1])
+        p2 = ctx.ham_path_h2(ctx.partner(v1), ctx.partner(u1))
         return splice(ctx.view, [arc_b[:-1], p2, arc_f[1:]]), "d3"
     if ctx.partner_ok(x1) and ctx.partner_ok(y1):
-        p2 = ctx.ham_path_h2(ctx.partner[y1], ctx.partner[x1])
+        p2 = ctx.ham_path_h2(ctx.partner(y1), ctx.partner(x1))
         return splice(ctx.view, [arc_f[:-1], p2, arc_b[1:]]), "d3"
     raise InternalContradiction("both neighbor pairs around the endpoints are blocked")
 
@@ -625,8 +624,8 @@ def _cycle_h2_both(ctx: _Ctx, cyc, s, t) -> PathSeq:
         if (
             ctx.partner_ok(a)
             and ctx.partner_ok(b)
-            and ctx.partner[a] not in (s, t)
-            and ctx.partner[b] not in (s, t)
+            and ctx.partner(a) not in (s, t)
+            and ctx.partner(b) not in (s, t)
         ):
             cut = i
             break
@@ -634,7 +633,7 @@ def _cycle_h2_both(ctx: _Ctx, cyc, s, t) -> PathSeq:
         raise InternalContradiction("no cycle edge had two usable cross partners")
     a, b = c[cut], c[(cut + 1) % m]
     long_path = _cyc_walk(c, cut, (cut + 1) % m, -1)  # a .. b avoiding edge (a,b)
-    p21, p22 = ctx.two_paths_h2(s, ctx.partner[a], ctx.partner[b], t)
+    p21, p22 = ctx.two_paths_h2(s, ctx.partner(a), ctx.partner(b), t)
     return splice(ctx.view, [p21, long_path, p22])
 
 
@@ -650,18 +649,18 @@ def _cycle_split(ctx: _Ctx, cyc, s, t):
     nbrs = sorted((nxt, prv))
 
     exit_node = next(
-        (w for w in nbrs if ctx.partner_ok(w) and ctx.partner[w] != t), None
+        (w for w in nbrs if ctx.partner_ok(w) and ctx.partner(w) != t), None
     )
     if exit_node is not None:
         start = nxt if exit_node != nxt else prv
         step = 1 if start == nxt else -1
         walk = _cyc_walk(c, ps, pos[exit_node], step)
-        p2 = ctx.ham_path_h2(ctx.partner[exit_node], t)
+        p2 = ctx.ham_path_h2(ctx.partner(exit_node), t)
         return splice(ctx.view, [walk, p2]), "exit"
 
     # one side is blocked by the single outer fault and the other side's
     # partner is t itself: finish over that cross edge
-    tside = next((w for w in nbrs if ctx.partner[w] == t and ctx.partner_ok(w)), None)
+    tside = next((w for w in nbrs if ctx.partner(w) == t and ctx.partner_ok(w)), None)
     if tside is None:
         raise InternalContradiction("both cycle neighbors of the endpoint are unusable")
     start = nxt if tside != nxt else prv
@@ -675,7 +674,7 @@ def _cycle_split(ctx: _Ctx, cyc, s, t):
     if pair is None:
         raise InternalContradiction("no interior cycle edge kept both cross partners")
     y1, x1 = arc[pair], arc[pair + 1]
-    p2 = ctx.ham_path_h2(ctx.partner[y1], ctx.partner[x1], exclude={t})
+    p2 = ctx.ham_path_h2(ctx.partner(y1), ctx.partner(x1), exclude={t})
     path = splice(ctx.view, [[s], arc[: pair + 1], p2, arc[pair + 1 :], [t]])
     return path, "blocked"
 
@@ -770,11 +769,11 @@ def _dispatch_on_path(ctx: _Ctx, p1: PathSeq, q1: Optional[int], major: str):
             a, b = (t, s) if flipped else (s, t)
             if not ctx.partner_ok(b):
                 raise InternalContradiction("off-path endpoint lost its cross edge")
-            core, _shape = _path_split(ctx, p1, a, ctx.partner[b])
+            core, _shape = _path_split(ctx, p1, a, ctx.partner(b))
             path = splice(ctx.view, [core, [b]])
             if flipped:
                 path = tuple(reversed(path))
-            detail.update(agent=ctx.partner[b], flipped=flipped)
+            detail.update(agent=ctx.partner(b), flipped=flipped)
             return path, f"{major}.1.2", detail
         path, shape = _path_h1_both(ctx, p1, s, t)
         label = {"d1": ".1.1", "d2": ".1.2", "d3": ".1.3"}[shape] if major == "4" else ".1.1"
@@ -795,10 +794,10 @@ def _dispatch_on_path(ctx: _Ctx, p1: PathSeq, q1: Optional[int], major: str):
     if q1 is not None and s == q1:
         if not ctx.partner_ok(s):
             raise InternalContradiction("off-path endpoint lost its cross edge")
-        core, shape = _path_h2_both(ctx, p1, ctx.partner[s], t)
+        core, shape = _path_h2_both(ctx, p1, ctx.partner(s), t)
         path = splice(ctx.view, [[s], core])
         label = f"{major}.3.2"
-        detail.update(agent=ctx.partner[s], shape=shape)
+        detail.update(agent=ctx.partner(s), shape=shape)
     else:
         path, shape = _path_split(ctx, p1, s, t)
         if major == "4":
@@ -841,7 +840,7 @@ def _path_h1_both(ctx: _Ctx, p1: PathSeq, s, t):
     seq, pos, L, a, b = chosen
     pa, pb = pos[a], pos[b]
     d = pb - pa
-    u2, v2 = ctx.partner[seq[0]], ctx.partner[seq[L]]
+    u2, v2 = ctx.partner(seq[0]), ctx.partner(seq[L])
 
     if d == 1:
         p2 = ctx.ham_path_h2(u2, v2)
@@ -851,7 +850,7 @@ def _path_h1_both(ctx: _Ctx, p1: PathSeq, s, t):
         shape = "d1"
     elif d == 2:
         x1, y1 = seq[pa + 1], seq[pb + 1]
-        p21, p22 = ctx.two_paths_h2(u2, v2, ctx.partner[x1], ctx.partner[y1])
+        p21, p22 = ctx.two_paths_h2(u2, v2, ctx.partner(x1), ctx.partner(y1))
         path = splice(
             ctx.view,
             [
@@ -865,7 +864,7 @@ def _path_h1_both(ctx: _Ctx, p1: PathSeq, s, t):
         shape = "d2"
     else:
         x1, y1 = seq[pa + 1], seq[pb - 1]
-        p21, p22 = ctx.two_paths_h2(u2, ctx.partner[x1], v2, ctx.partner[y1])
+        p21, p22 = ctx.two_paths_h2(u2, ctx.partner(x1), v2, ctx.partner(y1))
         path = splice(
             ctx.view,
             [
@@ -886,7 +885,7 @@ def _path_h2_both(ctx: _Ctx, p1: PathSeq, s, t):
     """Both endpoints in half 2; the half-1 path is entered over its ends'
     cross edges."""
     u1, v1 = p1[0], p1[-1]
-    u2, v2 = ctx.partner[u1], ctx.partner[v1]
+    u2, v2 = ctx.partner(u1), ctx.partner(v1)
     hit = {u2, v2} & {s, t}
 
     if not hit:
@@ -895,8 +894,8 @@ def _path_h2_both(ctx: _Ctx, p1: PathSeq, s, t):
 
     if len(hit) == 1:
         seq = tuple(p1) if u2 in (s, t) else tuple(reversed(p1))
-        head = ctx.partner[seq[0]]
-        tail_partner = ctx.partner[seq[-1]]
+        head = ctx.partner(seq[0])
+        tail_partner = ctx.partner(seq[-1])
         other = t if head == s else s
         p2 = ctx.ham_path_h2(tail_partner, other, exclude={head})
         path = splice(ctx.view, [[head], seq, p2])
@@ -917,7 +916,7 @@ def _path_h2_both(ctx: _Ctx, p1: PathSeq, s, t):
     if i is None:
         raise InternalContradiction("no interior pair on the half-1 path was usable")
     x1, y1 = seq[i], seq[i + 1]
-    p2 = ctx.ham_path_h2(ctx.partner[x1], ctx.partner[y1], exclude={s, t})
+    p2 = ctx.ham_path_h2(ctx.partner(x1), ctx.partner(y1), exclude={s, t})
     path = splice(ctx.view, [[s], seq[: i + 1], p2, seq[i + 1 :], [t]])
     return path, "both-ends"
 
@@ -934,7 +933,7 @@ def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
         pos = {v: i for i, v in enumerate(seq)}
     ps = pos[s]
     u1, w1, v1 = seq[0], seq[ps + 1], seq[L]
-    u2, w2, v2 = ctx.partner[u1], ctx.partner[w1], ctx.partner[v1]
+    u2, w2, v2 = ctx.partner(u1), ctx.partner(w1), ctx.partner(v1)
 
     if t not in (u2, w2, v2):
         p21, p22 = ctx.two_paths_h2(u2, w2, v2, t)
@@ -970,7 +969,7 @@ def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
         px = next((p for p in on_path if p >= 4), None)
         if px is not None:
             x1, y1 = seq[px], seq[px - 1]
-            p21, p22 = ctx.two_paths_h2(w2, t, v2, ctx.partner[y1])
+            p21, p22 = ctx.two_paths_h2(w2, t, v2, ctx.partner(y1))
             path = splice(
                 ctx.view,
                 [[s, u1], seq[px:], p22, list(reversed(seq[2:px])), p21],
@@ -978,7 +977,7 @@ def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
             return path, "uend-1"
         if 3 in on_path:
             z1 = seq[4]
-            p21, p22 = ctx.two_paths_h2(w2, ctx.partner[z1], v2, t)
+            p21, p22 = ctx.two_paths_h2(w2, ctx.partner(z1), v2, t)
             path = splice(
                 ctx.view, [[s, u1], [seq[3], seq[2]], p21, seq[4:], p22]
             )
@@ -991,8 +990,8 @@ def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
         )
 
     x1 = seq[ps - 1]
-    s2 = ctx.partner[s]
-    p21, p22 = ctx.two_paths_h2(s2, w2, v2, ctx.partner[x1], exclude={t})
+    s2 = ctx.partner(s)
+    p21, p22 = ctx.two_paths_h2(s2, w2, v2, ctx.partner(x1), exclude={t})
     path = splice(
         ctx.view,
         [[s], p21, seq[ps + 1 :], p22, list(reversed(seq[:ps])), [t]],

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 from .errors import FaultyEndpoint, ForeignFault, NoDecomposition, PreconditionViolated
 from .topology import DecompositionNode, Edge, ThlnGraph, _norm_edge
@@ -41,7 +42,7 @@ class FaultSet:
     def __len__(self) -> int:
         return len(self.nodes) + len(self.edges)
 
-    def restricted(self, node_set: frozenset[int]) -> "FaultSet":
+    def restricted(self, node_set: Container[int]) -> "FaultSet":
         """Faults lying entirely inside ``node_set`` (edges need both ends)."""
         return FaultSet(
             nodes=frozenset(v for v in self.nodes if v in node_set),
@@ -115,9 +116,10 @@ class SurvivingView:
     their edges removed.
 
     Building one costs O(scope + faults x degree): a row that no fault
-    touches is the graph's own row (kept as is when unscoped, filtered to
-    the scope otherwise), and only the rows of a dead node's neighbours and
-    of a faulty edge's endpoints are filtered against the faults.
+    touches is the graph's own row (kept as is when unscoped, sliced to the
+    scope when that is a range of ids, filtered to it otherwise), and only
+    the rows of a dead node's neighbours and of a faulty edge's endpoints
+    are filtered against the faults.
     """
 
     __slots__ = ("faults", "_adj", "_nodes", "_node_set")
@@ -126,7 +128,7 @@ class SurvivingView:
         self,
         graph: ThlnGraph,
         faults: FaultSet,
-        scope: Optional[frozenset[int]] = None,
+        scope: Optional[Iterable[int]] = None,
     ):
         faults.validate_against(graph)
         self.faults = faults
@@ -135,10 +137,16 @@ class SurvivingView:
             adj = dict(enumerate(rows))  # the graph's own rows, shared
         else:
             # walk the scope, not the whole graph; nodes outside the graph drop out
-            scope = frozenset(scope)
             n = graph.num_nodes
-            in_scope = scope.__contains__
-            adj = {v: tuple(filter(in_scope, rows[v])) for v in sorted(scope) if 0 <= v < n}
+            if isinstance(scope, range):  # a half of a built graph
+                # rows ascend, so a row's share of an id range is one slice
+                lo, hi = scope.start, scope.stop
+                adj = {v: rows[v][bisect_left(rows[v], lo):bisect_left(rows[v], hi)]
+                       for v in scope if 0 <= v < n}
+            else:
+                scope = frozenset(scope)
+                in_scope = scope.__contains__
+                adj = {v: tuple(filter(in_scope, rows[v])) for v in sorted(scope) if 0 <= v < n}
         dead = faults.nodes
         bad_edge = faults.edges
         # only the rows of a dead node's neighbours and of a faulty edge's
@@ -222,12 +230,11 @@ class FaultPartition:
 
 
 def partition_decomposition(decomp: DecompositionNode, f: FaultSet) -> FaultPartition:
-    matching_set = frozenset(decomp.matching)
-    return FaultPartition(
-        f1=f.restricted(decomp.half1_set),
-        f2=f.restricted(decomp.half2_set),
-        fc_direct=frozenset(e for e in f.edges if e in matching_set),
-    )
+    """Split ``f`` at one level: an edge with an end in each half is a cross
+    fault."""
+    h1, h2 = decomp.halves
+    cross = frozenset((u, v) for u, v in f.edges if (u in h1 and v in h2) or (u in h2 and v in h1))
+    return FaultPartition(f.restricted(h1), f.restricted(h2), cross)
 
 
 def partition(g: ThlnGraph, f: FaultSet) -> FaultPartition:

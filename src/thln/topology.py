@@ -3,10 +3,17 @@
 A dimension-n network here is an n-regular graph on 2^n nodes built
 recursively: two dimension-(n-1) copies joined by a perfect matching of
 cross edges, bottoming out at a fixed 3-regular 8-node twisted base graph.
-Node identity is an integer index. Graphs built by :func:`join` have halves
-that are contiguous aligned ranges; a loaded graph need only pass
-:func:`check_shape`, which does not check alignment. :func:`cross_partner`
-builds the whole 2^n-entry partner map on every call.
+Node identity is an integer index.
+
+The decomposition is not stored; it is read off node positions. Each node
+has a position in 0..2^n-1, and the level of dimension d that holds a node
+is its aligned block of 2^d positions: half 1 is the lower half of the
+block, and a node's cross partner at that level is its one neighbour whose
+position first differs from its own in bit d - 1. Graphs built by
+:func:`join` number their nodes so that positions are ids. A graph loaded
+from a file gets its positions from the file's decomposition tree, which
+the loader checks against the edges; :func:`check_shape` then checks every
+derived level.
 
 Preset generators are provided for the classic twisted families (crossed,
 Moebius, locally twisted) plus seeded random matchings. Presets are
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -26,6 +33,7 @@ from .errors import (
     MalformedGraph,
     NoDecomposition,
     NotABijection,
+    UnknownNode,
     UnsupportedDimension,
 )
 
@@ -117,32 +125,36 @@ class VariantSpec:
         return cls("random", seed=seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionNode:
-    """One level of the recursive two-half structure.
+    """One level of the recursive two-half structure, derived from positions.
 
-    ``matching`` lists the cross edges as ``(u1, u2)`` with ``u1`` in the
-    first half. Children describe the halves' own decompositions and are
-    absent exactly when the halves are dimension-3 base graphs.
+    The level of dimension ``dim`` holds the nodes at positions ``base`` to
+    ``base + 2**dim - 1`` of ``graph``; half 1 holds the lower half of those
+    positions. Everything below is computed on each access: ``half1`` and
+    ``half2`` are ranges when the graph's ids are its positions and sorted
+    tuples otherwise, ``matching`` lists the cross edges as ``(u1, u2)``
+    with ``u1`` in half 1, and the children are None exactly when the halves
+    are dimension-3 base graphs.
     """
 
-    half1: tuple[int, ...]
-    half2: tuple[int, ...]
-    matching: tuple[Edge, ...]
-    child1: Optional["DecompositionNode"] = None
-    child2: Optional["DecompositionNode"] = None
+    graph: "ThlnGraph" = field(repr=False)
+    dim: int
+    base: int = 0
 
-    # Built on every access and not cached: a graph keeps its decomposition
-    # for its lifetime, so callers hold these for as long as they need them.
+    def _half(self, i: int) -> Sequence[int]:
+        size = 1 << (self.dim - 1)
+        start = self.base + i * size
+        nodes = self.graph.order[start:start + size]
+        return nodes if isinstance(nodes, range) else tuple(sorted(nodes))
 
     @property
-    def partner_map(self) -> dict[int, int]:
-        """Cross partner lookup covering both halves (an involution)."""
-        m: dict[int, int] = {}
-        for u, v in self.matching:
-            m[u] = v
-            m[v] = u
-        return m
+    def half1(self) -> Sequence[int]:
+        return self._half(0)
+
+    @property
+    def half2(self) -> Sequence[int]:
+        return self._half(1)
 
     @property
     def half1_set(self) -> frozenset[int]:
@@ -152,18 +164,72 @@ class DecompositionNode:
     def half2_set(self) -> frozenset[int]:
         return frozenset(self.half2)
 
+    @property
+    def halves(self) -> tuple:
+        """Both halves as containers with fast membership: the ranges
+        themselves when ids are positions, frozensets otherwise."""
+        if isinstance(self.graph.order, range):
+            return self.half1, self.half2
+        return self.half1_set, self.half2_set
+
+    @property
+    def matching(self) -> tuple[Edge, ...]:
+        return tuple((u, self.partner(u)) for u in self.half1)
+
+    def _child(self, i: int) -> Optional["DecompositionNode"]:
+        if self.dim == 4:
+            return None
+        return DecompositionNode(self.graph, self.dim - 1, self.base + i * (1 << (self.dim - 1)))
+
+    @property
+    def child1(self) -> Optional["DecompositionNode"]:
+        return self._child(0)
+
+    @property
+    def child2(self) -> Optional["DecompositionNode"]:
+        return self._child(1)
+
+    def partner(self, v: int) -> int:
+        """The node matched with ``v`` across this level's cut: v's one
+        neighbour whose position first differs from v's in bit ``dim - 1``."""
+        g, label = self.graph, self.graph.label
+        # the range guard matters: label[-1] is the last node's position
+        if not 0 <= v < g.num_nodes or label[v] >> self.dim != self.base >> self.dim:
+            raise UnknownNode(f"node {v} is not a node of this dimension-{self.dim} level")
+        pos = label[v]
+        for w in g.adjacency[v]:
+            if (pos ^ label[w]).bit_length() == self.dim:
+                return w
+        raise MalformedGraph(f"node {v} has no cross partner at dimension {self.dim}")
+
 
 @dataclass(frozen=True)
 class ThlnGraph:
-    """Immutable network: adjacency indexed by node plus the decomposition tree.
+    """Immutable network: adjacency indexed by node, plus node positions.
 
     The adjacency is the only store of edges: ``edges`` (every ``(u, v)`` with
-    ``u < v``, ascending) is rebuilt from its rows on each access.
+    ``u < v``, ascending) is rebuilt from its rows on each access. ``order``
+    lists the node at each position and ``label`` (its inverse) the position
+    of each node; ``order=None`` means that ids are positions, and then both
+    are ``range(num_nodes)``. ``decomposition`` derives the top level from
+    them on each access (None for a dimension-3 base graph).
     """
 
     dimension: int
     adjacency: tuple[tuple[int, ...], ...]
-    decomposition: Optional[DecompositionNode]
+    order: Optional[Sequence[int]] = None
+    label: Sequence[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.order is None:
+            object.__setattr__(self, "order", range(len(self.adjacency)))
+        order = self.order  # a permutation's inverse is its argsort
+        object.__setattr__(self, "label", order if isinstance(order, range)
+                           else tuple(sorted(range(len(order)), key=order.__getitem__)))
+
+    @property
+    def decomposition(self) -> Optional[DecompositionNode]:
+        return DecompositionNode(self, self.dimension) if self.dimension > 3 else None
 
     @property
     def num_nodes(self) -> int:
@@ -203,19 +269,18 @@ def _adjacency_from_edges(n_nodes: int, edges: Iterable[Edge]) -> tuple[tuple[in
     return tuple(tuple(sorted(r)) for r in rows)
 
 
-def _is_connected(adjacency: Sequence[Sequence[int]]) -> bool:
-    n = len(adjacency)
-    if n == 0:
-        return False
-    seen = {0}
-    frontier = [0]
+def _is_connected(adjacency: Sequence[Sequence[int]], nodes: Sequence[int]) -> bool:
+    """Whether ``nodes`` (at least one) induce a connected subgraph."""
+    node_set = set(nodes)
+    seen = {nodes[0]}
+    frontier = [nodes[0]]
     while frontier:
         v = frontier.pop()
         for w in adjacency[v]:
-            if w not in seen:
+            if w in node_set and w not in seen:
                 seen.add(w)
                 frontier.append(w)
-    return len(seen) == n
+    return len(seen) == len(node_set)
 
 
 def make_base(spec: VariantSpec) -> ThlnGraph:
@@ -245,21 +310,9 @@ def make_base(spec: VariantSpec) -> ThlnGraph:
     bad = [v for v in range(8) if len(adjacency[v]) != 3]
     if bad:
         raise MalformedBase(f"nodes {bad} do not have degree 3")
-    if not _is_connected(adjacency):
+    if not _is_connected(adjacency, range(8)):
         raise MalformedBase("base graph is not connected")
-    return ThlnGraph(dimension=3, adjacency=adjacency, decomposition=None)
-
-
-def _offset_decomposition(node: Optional[DecompositionNode], off: int) -> Optional[DecompositionNode]:
-    if node is None:
-        return None
-    return DecompositionNode(
-        half1=tuple(v + off for v in node.half1),
-        half2=tuple(v + off for v in node.half2),
-        matching=tuple((u + off, v + off) for u, v in node.matching),
-        child1=_offset_decomposition(node.child1, off),
-        child2=_offset_decomposition(node.child2, off),
-    )
+    return ThlnGraph(dimension=3, adjacency=adjacency)
 
 
 def join(
@@ -271,7 +324,8 @@ def join(
 
     ``matching`` maps each node of ``g1`` to a node of ``g2`` in the halves'
     own 0-based coordinates; the second half's identifiers are offset by
-    ``2**g1.dimension`` in the result.
+    ``2**g1.dimension`` in the result. Only the adjacency is built: positions
+    are ids, or the halves' positions in order when an input's are not.
     """
     if g1.dimension != g2.dimension:
         raise DimensionMismatch(
@@ -291,16 +345,10 @@ def join(
         rows[w + n].append(u)
     adjacency = tuple(tuple(sorted(r)) for r in rows)
 
-    decomposition = DecompositionNode(
-        half1=tuple(range(n)),
-        half2=tuple(range(n, 2 * n)),
-        matching=tuple(sorted((u, phi[u] + n) for u in range(n))),
-        child1=g1.decomposition,
-        child2=_offset_decomposition(g2.decomposition, n),
-    )
-    return ThlnGraph(
-        dimension=g1.dimension + 1, adjacency=adjacency, decomposition=decomposition
-    )
+    order = None  # positions are ids unless an input's are not
+    if not (isinstance(g1.order, range) and isinstance(g2.order, range)):
+        order = tuple(g1.order) + tuple(v + n for v in g2.order)
+    return ThlnGraph(g1.dimension + 1, adjacency, order)
 
 
 def _crossed_matching(m_bits: int) -> dict[int, int]:
@@ -394,7 +442,7 @@ def cross_partner(g: ThlnGraph, v: int) -> int:
     """The unique node matched with ``v`` across the top-level cut."""
     if g.decomposition is None:
         raise NoDecomposition("dimension-3 base graphs have no cross matching")
-    return g.decomposition.partner_map[v]
+    return g.decomposition.partner(v)
 
 
 # ----------------------------------------------------------------------
@@ -428,69 +476,36 @@ class ShapeReport:
 
 
 def check_shape(g: ThlnGraph) -> ShapeReport:
-    """Verify every structural invariant, recursively, and report each check.
+    """Verify every structural invariant on every derived level, and report
+    each check.
 
-    Never raises; failures are carried in the report.
+    Degree d inside each level and d - 1 inside each of its halves make the
+    edges between the halves a perfect matching, so no matching is checked
+    here (the loader checks a file's own). Never raises; failures are
+    carried in the report.
     """
     checks: list[ShapeCheck] = []
 
     def add(name, passed, detail=""):
         checks.append(ShapeCheck(name, bool(passed), detail))
 
-    def level(label: str, dim: int, nodes: tuple[int, ...], decomp):
+    def level(label: str, dim: int, nodes: Sequence[int]):
         node_set = set(nodes)
         add(f"{label}: node-count", len(nodes) == 1 << dim,
             f"expected {1 << dim}, got {len(nodes)}")
-        deg_ok = True
-        edge_count = 0
-        for v in nodes:
-            within = [w for w in g.adjacency[v] if w in node_set]
-            edge_count += len(within)
-            if len(within) != dim:
-                deg_ok = False
-        add(f"{label}: regularity", deg_ok, f"every node needs degree {dim} within the level")
-        add(f"{label}: edge-count", edge_count == dim * (1 << dim),
-            f"expected {dim * (1 << (dim - 1))} edges, got {edge_count // 2}")
-        # connectivity within the level
+        degrees = [sum(w in node_set for w in g.adjacency[v]) for v in nodes]
+        add(f"{label}: regularity", all(d == dim for d in degrees),
+            f"every node needs degree {dim} within the level")
+        add(f"{label}: edge-count", sum(degrees) == dim * (1 << dim),
+            f"expected {dim * (1 << (dim - 1))} edges, got {sum(degrees) // 2}")
         if nodes:
-            seen = {nodes[0]}
-            frontier = [nodes[0]]
-            while frontier:
-                v = frontier.pop()
-                for w in g.adjacency[v]:
-                    if w in node_set and w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            add(f"{label}: connected", len(seen) == len(nodes))
+            add(f"{label}: connected", _is_connected(g.adjacency, nodes))
+        if dim > 3:
+            half = 1 << (dim - 1)
+            level(f"{label}.1", dim - 1, nodes[:half])
+            level(f"{label}.2", dim - 1, nodes[half:])
 
-        if dim == 3:
-            add(f"{label}: leaf-has-no-decomposition", decomp is None)
-            return
-        if decomp is None:
-            add(f"{label}: decomposition-present", False, "missing above dimension 3")
-            return
-        h1, h2 = set(decomp.half1), set(decomp.half2)
-        add(f"{label}: halves-partition",
-            h1.isdisjoint(h2) and (h1 | h2) == node_set
-            and len(h1) == len(h2) == 1 << (dim - 1))
-        firsts = [u for u, _ in decomp.matching]
-        seconds = [v for _, v in decomp.matching]
-        add(f"{label}: matching-size", len(decomp.matching) == 1 << (dim - 1),
-            f"expected {1 << (dim - 1)}, got {len(decomp.matching)}")
-        add(f"{label}: matching-bijection",
-            set(firsts) <= h1 and set(seconds) <= h2
-            and len(set(firsts)) == len(firsts) and len(set(seconds)) == len(seconds))
-        add(f"{label}: matching-edges-present",
-            all(v in g.adjacency[u] for u, v in decomp.matching))
-        cross = {(min(u, v), max(u, v))
-                 for u in decomp.half1 for v in g.adjacency[u] if v in h2}
-        add(f"{label}: cross-edges-equal-matching",
-            cross == {(min(u, v), max(u, v)) for u, v in decomp.matching},
-            "edges between the halves must be exactly the matching")
-        level(f"{label}.1", dim - 1, decomp.half1, decomp.child1)
-        level(f"{label}.2", dim - 1, decomp.half2, decomp.child2)
-
-    level("root", g.dimension, tuple(g.nodes), g.decomposition)
+    level("root", g.dimension, g.order)
     return ShapeReport(tuple(checks))
 
 
@@ -501,15 +516,10 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
 def _decomposition_to_obj(node: Optional[DecompositionNode]):
     if node is None:
         return None
-    children = []
-    if node.child1 is not None or node.child2 is not None:
-        children = [
-            _decomposition_to_obj(node.child1),
-            _decomposition_to_obj(node.child2),
-        ]
+    children = [_decomposition_to_obj(c) for c in (node.child1, node.child2) if c is not None]
     return {
-        "half1": sorted(node.half1),
-        "matching": sorted([list(p) for p in node.matching]),
+        "half1": list(node.half1),
+        "matching": [list(p) for p in node.matching],
         "children": children,
     }
 
@@ -552,41 +562,61 @@ def _json_pairs(xs, what: str) -> list[Edge]:
     return [(_json_int(u, what), _json_int(v, what)) for u, v in xs]
 
 
-def _decomposition_from_obj(obj, nodes: tuple[int, ...], dim: int) -> Optional[DecompositionNode]:
+def _read_level(obj, nodes: list[int], dim: int, name: str,
+                adjacency: Sequence[Sequence[int]], order: list[int]) -> None:
+    """Append one level's nodes to ``order`` in position order, checking the
+    file's decomposition of it against the edges. The leaves keep their ids
+    ascending."""
+    if dim == 3:
+        if obj is not None:
+            raise MalformedGraph("a dimension-3 level has no decomposition")
+        order.extend(sorted(nodes))
+        return
     if obj is None:
-        if dim == 3:
-            return None
         raise MalformedGraph(f"decomposition missing at dimension {dim}")
     half1, matching = _json_fields(obj, "decomposition object", "half1", "matching")
-    half1 = tuple(sorted(_json_ints(half1, "half1")))
-    matching = tuple(sorted(_json_pairs(matching, "matching")))
-    children = obj.get("children") or []
-    if not isinstance(children, list):
+    half1 = _json_ints(half1, "half1")
+    matching = _json_pairs(matching, "matching")
+    children = obj.get("children") or [None, None]
+    if not isinstance(children, list) or len(children) != 2:
         raise MalformedGraph("children must be absent or a pair")
-    node_set = set(nodes)
-    if not set(half1) <= node_set:
+    h1, node_set = set(half1), set(nodes)
+    if not h1 <= node_set:
         raise MalformedGraph("half1 contains foreign nodes")
-    half2 = tuple(sorted(node_set - set(half1)))
-    if children:
-        if len(children) != 2:
-            raise MalformedGraph("children must be absent or a pair")
-        child1 = _decomposition_from_obj(children[0], half1, dim - 1)
-        child2 = _decomposition_from_obj(children[1], half2, dim - 1)
-    else:
-        if dim - 1 != 3:
-            raise MalformedGraph(f"children missing for dimension-{dim - 1} halves")
-        child1 = child2 = None
-    return DecompositionNode(half1, half2, matching, child1, child2)
+    h2 = node_set - h1
+    size = 1 << (dim - 1)
+    firsts, seconds = {u for u, _ in matching}, {v for _, v in matching}
+    for check, passed, detail in (
+        ("halves-partition", len(half1) == len(h1) == len(h2) == size,
+         f"each half needs {size} distinct nodes"),
+        ("matching-size", len(matching) == size, f"expected {size}, got {len(matching)}"),
+        ("matching-bijection",
+         firsts <= h1 and seconds <= h2 and len(firsts) == len(seconds) == size, ""),
+        ("matching-edges-present", all(u in h1 and v in adjacency[u] for u, v in matching), ""),
+    ):
+        if not passed:
+            detail = f" ({detail})" if detail else ""
+            raise MalformedGraph(f"decomposition fails check {name}: {check}{detail}")
+    _read_level(children[0], sorted(h1), dim - 1, f"{name}.1", adjacency, order)
+    _read_level(children[1], sorted(h2), dim - 1, f"{name}.2", adjacency, order)
 
 
 def graph_from_json_obj(obj: dict) -> ThlnGraph:
     """Raises MalformedGraph unless ids and the dimension are JSON integers
-    (no string, float or boolean is coerced) and the graph is well formed."""
+    (no string, float or boolean is coerced), the graph is well formed and
+    its decomposition tree agrees with its edges. Node positions come from
+    that tree."""
     dim, raw_edges = _json_fields(obj, "graph object", "dimension", "edges")
     dim = _json_int(dim, "dimension")
     raw_edges = _json_pairs(raw_edges, "edges")
     if dim < 3:
         raise MalformedGraph(f"dimension must be at least 3, got {dim}")
+    # checked before 2^dim rows exist: fewer edges than half the nodes leave
+    # a node with no edge
+    if (2 * len(raw_edges)) >> dim == 0:
+        raise MalformedGraph(
+            f"{len(raw_edges)} edges cannot make a regular graph on 2^{dim} nodes"
+        )
     n = 1 << dim
     edges = set()
     for u, v in raw_edges:
@@ -594,8 +624,9 @@ def graph_from_json_obj(obj: dict) -> ThlnGraph:
             raise MalformedGraph(f"edge ({u},{v}) out of range for dimension {dim}")
         edges.add(_norm_edge(u, v))
     adjacency = _adjacency_from_edges(n, edges)
-    decomposition = _decomposition_from_obj(obj.get("decomposition"), tuple(range(n)), dim)
-    return ThlnGraph(dimension=dim, adjacency=adjacency, decomposition=decomposition)
+    order: list[int] = []
+    _read_level(obj.get("decomposition"), list(range(n)), dim, "root", adjacency, order)
+    return ThlnGraph(dim, adjacency, None if order == list(range(n)) else tuple(order))
 
 
 def graph_from_json(text: str) -> ThlnGraph:

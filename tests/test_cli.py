@@ -212,6 +212,25 @@ def test_embed_shape_checks_the_graph(tmp_path, capsys, edit, failing_check):
     assert failing_check in err
 
 
+@pytest.mark.parametrize("edit,failing_check",
+                         [(_cut_matching, "root: matching-size"),
+                          (_rotate_matching, "root: matching-edges-present")],
+                         ids=["matching-cut-in-half", "matching-rotated"])
+def test_check_graph_whose_matching_disagrees_with_its_edges_exits_2(
+        tmp_path, capsys, edit, failing_check):
+    # the file's matching restates its cross edges; the loader checks it, so
+    # a file where the two disagree is unreadable input
+    gpath = tmp_path / "g.json"
+    run_cli(capsys, "generate", "--variant", "random", "--n", "8", "--seed", "3",
+            "-o", str(gpath))
+    doc = json.loads(gpath.read_text())
+    edit(doc)
+    gpath.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "check", "--graph", str(gpath))
+    assert code == 2
+    assert failing_check in err
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"nodes": [[1, 2]]}'],
                          ids=["not-an-object", "non-integer-node"])
 def test_embed_malformed_fault_file_exits_2(instance, capsys, tmp_path, text):

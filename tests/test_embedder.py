@@ -14,8 +14,11 @@ from thln import (
     PreconditionViolated,
     SearchBudget,
     VariantSpec,
+    check_shape,
     cross_partner,
     embed,
+    graph_from_json,
+    graph_to_json,
     make_preset,
     neighbor_condition,
     splice,
@@ -24,7 +27,7 @@ from thln import (
 )
 from thln import embedder
 from thln.embedder import _Ctx, _Level, _Runtime, _canon_cycle, _cut_cycle, _select_restorable_fault
-from thln.faults import SurvivingView, sample_faults
+from thln.faults import SurvivingView, partition, sample_faults
 from thln.oracle import ham_cycle, near_ham_cycle
 
 
@@ -503,7 +506,7 @@ def test_select_cross_edge_first_pair(graph8):
     ctx = _ctx(graph8, FaultSet.empty(), 5, 77)
     path = tuple(range(10))  # nodes 0..9 need not be a real path for selection
     assert ctx.first_cross_pair(path) == 0
-    blocked = _ctx(graph8, FaultSet.of(nodes=[ctx.partner[1]]), 5, 77)
+    blocked = _ctx(graph8, FaultSet.of(nodes=[ctx.partner(1)]), 5, 77)
     assert blocked.first_cross_pair(path) == 2
 
 
@@ -512,15 +515,15 @@ def test_select_cross_edge_candidate_floor(graph8):
     # 2^7 - (2*7 - 8) = 122 live cross edges at dimension 8
     f = sample_faults(graph8, 6, random.Random(2))
     view = surviving_view(graph8, f)
-    partner = graph8.decomposition.partner_map
-    live = sum(1 for u in range(128) if view.has_edge(u, partner[u]))
+    partner = graph8.decomposition.partner
+    live = sum(1 for u in range(128) if view.has_edge(u, partner(u)))
     assert live >= 2 ** 7 - (2 * 7 - 8)
 
 
 def test_select_cross_edge_no_candidate(graph8):
-    partner = graph8.decomposition.partner_map
+    partner = graph8.decomposition.partner
     u = 0
-    f = FaultSet.of(edges=[(u, partner[u]), (1, partner[1])])
+    f = FaultSet.of(edges=[(u, partner(u)), (1, partner(1))])
     with pytest.raises(NoCandidate):
         _ctx(graph8, f, 5, 77).first_cross_pair((0, 1))
 
@@ -757,6 +760,69 @@ def test_embed_results_are_pinned(pinned_instances, name):
         assert all(r.trace.top_case().startswith(label) for r in results)
     body = json.dumps([r.to_json_obj() for r in results], sort_keys=True)
     assert hashlib.sha256(body.encode()).hexdigest()[:16] == _PINNED_RESULTS[name]
+
+
+def _relabelled(g, seed):
+    """``g``'s file with every id moved by a seeded permutation: the edges
+    and every level's ``half1`` and ``matching``, so no half is an id range."""
+    perm = list(range(g.num_nodes))
+    random.Random(seed).shuffle(perm)
+    doc = json.loads(graph_to_json(g))
+
+    def tree(t):
+        if t is None:
+            return None
+        return {"half1": sorted(perm[v] for v in t["half1"]),
+                "matching": sorted([perm[u], perm[v]] for u, v in t["matching"]),
+                "children": [tree(c) for c in t["children"]]}
+
+    doc = {"dimension": doc["dimension"],
+           "edges": sorted(sorted([perm[u], perm[v]]) for u, v in doc["edges"]),
+           "decomposition": tree(doc["decomposition"])}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+#: sha256 prefixes of ``EmbedResult.to_json_obj()`` on the relabelled graph.
+#: The uniform one counts its faulty cross edge whose half-1 end has the
+#: larger id (``fc`` 1); apart from that count it is the result a lookup of
+#: the file's matching pairs gave.
+_RELABELLED_RESULTS = {
+    "uniform": "b723d5bae64fee45",
+    "concentrated-2": "169ac979b3525ecf",
+    "concentrated-4": "ef1977869e89c206",
+}
+
+
+def test_relabelled_graph_is_solved_through_its_file_decomposition():
+    text = _relabelled(make_preset(VariantSpec.random(0), 8), 5)
+    g = graph_from_json(text)
+    assert not isinstance(g.order, range)
+    assert check_shape(g).ok
+    assert graph_to_json(g) == text
+    d = g.decomposition
+    root = json.loads(text)["decomposition"]
+    assert list(d.half1) == root["half1"]
+    assert [cross_partner(g, u) for u in d.half1] == [v for _, v in root["matching"]]
+    for placement, count in (("uniform", 6), ("concentrated-2", 5), ("concentrated-4", 6)):
+        rng = random.Random(f"relabelled/{placement}")
+        if placement == "uniform":
+            f = sample_faults(g, count, rng)
+        else:
+            h1 = d.half1_set
+            elements = [("node", v) for v in d.half1]
+            elements += [("edge", e) for e in g.edges if e[0] in h1 and e[1] in h1]
+            picked = rng.sample(elements, count)
+            f = FaultSet.of(nodes=[p for k, p in picked if k == "node"],
+                            edges=[p for k, p in picked if k == "edge"])
+        assert sum(partition(g, f).counts) == len(f)
+        view = surviving_view(g, f)
+        while True:
+            s, t = rng.sample(view.nodes, 2)
+            if neighbor_condition(view, s, t):
+                break
+        res = embed_and_check(g, f, s, t)
+        body = json.dumps(res.to_json_obj(), sort_keys=True)
+        assert hashlib.sha256(body.encode()).hexdigest()[:16] == _RELABELLED_RESULTS[placement]
 
 
 def test_pinned_split_pairs_are_solved_from_half_1(pinned_instances):

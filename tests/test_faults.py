@@ -250,6 +250,22 @@ def test_view_rows_match_their_definition(seed):
         assert {v: fewer.neighbors(v) for v in fewer.nodes} == want
 
 
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_view_over_an_id_range_matches_the_view_over_its_set(seed):
+    # a built graph's halves are id ranges, and a view slices its rows to one
+    rng = random.Random(seed)
+    g = make_preset(VariantSpec.random(rng.randrange(4)), rng.choice((5, 6)))
+    f = sample_faults(g, rng.randrange(0, 2 * g.dimension + 1), rng)
+    d = g.decomposition
+    n = g.num_nodes
+    for scope in (d.half1, d.half2, d.child2.half1, range(n - 5, n + 5)):
+        view = SurvivingView(g, f, scope=scope)
+        want = _view_by_definition(g, f, frozenset(scope))
+        assert view.nodes == tuple(want)
+        assert {v: view.neighbors(v) for v in view.nodes} == want
+
+
 def _rows(view):
     return {v: view.neighbors(v) for v in view.nodes}
 

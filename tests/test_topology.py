@@ -16,6 +16,7 @@ from thln import (
     NoDecomposition,
     NotABijection,
     SurvivingView,
+    UnknownNode,
     UnsupportedDimension,
     VariantSpec,
     check_shape,
@@ -149,6 +150,15 @@ def test_cross_partner_involution_and_errors():
         cross_partner(base, 0)
 
 
+@pytest.mark.parametrize("v", [-1, 32, 10 ** 6])
+def test_cross_partner_rejects_ids_outside_the_graph(v):
+    g = make_preset(VariantSpec.random(4), 5)
+    with pytest.raises(UnknownNode):
+        cross_partner(g, v)
+    with pytest.raises(UnknownNode):
+        g.decomposition.partner(v)
+
+
 def test_check_shape_flags_missing_edge():
     g = make_preset(VariantSpec.random(9), 5)
     u, v = g.edges[0]
@@ -162,13 +172,27 @@ def test_check_shape_flags_missing_edge():
 
 
 def test_check_shape_flags_short_matching():
+    # two cross edges traded for one edge inside each half: the halves are
+    # joined by 2 fewer edges than a perfect matching, every node keeps
+    # degree 5, and each half breaks its regularity
     g = make_preset(VariantSpec.random(9), 5)
     d = g.decomposition
-    clipped = dataclasses.replace(d, matching=d.matching[:-1])
-    broken = dataclasses.replace(g, decomposition=clipped)
+    a, b = next((a, b) for a in d.half1 for b in d.half1 if a < b and not g.has_edge(a, b)
+                and not g.has_edge(d.partner(a), d.partner(b)))
+    a2, b2 = d.partner(a), d.partner(b)
+    rows = [set(r) for r in g.adjacency]
+    for u, v in ((a, a2), (b, b2)):
+        rows[u].remove(v)
+        rows[v].remove(u)
+    for u, v in ((a, b), (a2, b2)):
+        rows[u].add(v)
+        rows[v].add(u)
+    broken = dataclasses.replace(g, adjacency=tuple(tuple(sorted(r)) for r in rows))
     rep = check_shape(broken)
     assert not rep.ok
-    assert any("matching-size" in c.name for c in rep.failures)
+    failed = {c.name for c in rep.failures}
+    assert not any(name.startswith("root:") for name in failed)
+    assert {"root.1: regularity", "root.2: regularity"} <= failed
 
 
 def test_json_roundtrip_is_byte_identical():
@@ -177,22 +201,22 @@ def test_json_roundtrip_is_byte_identical():
     assert graph_to_json(graph_from_json(text)) == text
 
 
-def _half_as_graph(g, half, child, offset):
-    from thln.topology import ThlnGraph, _offset_decomposition
+def _half_as_graph(g, half, offset):
+    from thln.topology import ThlnGraph
 
     half_set = set(half)
     rows = tuple(
         tuple(w - offset for w in g.adjacency[v] if w in half_set) for v in half
     )
-    return ThlnGraph(g.dimension - 1, rows, _offset_decomposition(child, -offset))
+    return ThlnGraph(g.dimension - 1, rows)
 
 
 def test_decompose_then_join_rebuilds_identical_graph():
     g = make_preset(VariantSpec.random(13), 6)
     d = g.decomposition
     half = 1 << (g.dimension - 1)
-    g1 = _half_as_graph(g, d.half1, d.child1, 0)
-    g2 = _half_as_graph(g, d.half2, d.child2, half)
+    g1 = _half_as_graph(g, d.half1, 0)
+    g2 = _half_as_graph(g, d.half2, half)
     matching = {u: v - half for u, v in d.matching}
     rebuilt = join(g1, g2, matching)
     assert graph_to_json(rebuilt) == graph_to_json(g)
@@ -205,6 +229,21 @@ def test_json_rejects_malformed_documents():
         graph_from_json(json.dumps({"dimension": 4, "edges": [[0, 99]]}))
     with pytest.raises(MalformedGraph):
         graph_from_json(json.dumps({"dimension": 4, "edges": [], "decomposition": None}))
+
+
+@pytest.mark.parametrize("dim,edges", [(20, []), (30, [[0, 1]] * 1000), (10 ** 9, [])])
+def test_json_rejects_a_dimension_its_edges_cannot_fill_before_allocating(dim, edges):
+    # fewer edges than half the nodes leave a node with no edge; the file is
+    # rejected before any of its 2^dim rows is built
+    text = json.dumps({"dimension": dim, "edges": edges})
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedGraph, match="cannot make a regular graph"):
+            graph_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
