@@ -194,19 +194,27 @@ def _dfs_cover(
     is_end = bytearray(size)
     for e in ends:
         is_end[e] = 1
+    ends_left = sum(is_end)
     count = size
     rdeg = [len(r) for r in rows]  # unvisited neighbours, kept for every node
     low = {u for u in range(size) if rdeg[u] <= 1}  # unvisited with rdeg <= 1
+    # a successor's key is rdeg * size + rank, rank its tie-break position
+    by_rank = sorted(range(size), key=lambda c: _tie(salt, ids[c]))
+    rank = [0] * size
+    for k, c in enumerate(by_rank):
+        rank[c] = k
+    banned, src = gate if gate is not None else (-1, -1)
+    stop = state.limit if cap is None else min(state.limit, state.spent + cap)
     path: list[int] = []
     stack: list[list[int]] = []
-    spent_here = 0
     cut_due = True  # the cut test runs on the first expansion and after each backtrack
 
     def visit(c: int) -> None:
-        nonlocal count
+        nonlocal count, ends_left
         path.append(c)
         remaining[c] = 0
         count -= 1
+        ends_left -= is_end[c]
         low.discard(c)
         for w in rows[c]:
             rdeg[w] -= 1
@@ -214,11 +222,12 @@ def _dfs_cover(
                 low.add(w)
 
     def backtrack() -> None:
-        nonlocal count, cut_due
+        nonlocal count, ends_left, cut_due
         c = path.pop()
         state.backtracks += 1
         remaining[c] = 1
         count += 1
+        ends_left += is_end[c]
         for w in rows[c]:
             rdeg[w] += 1
             if rdeg[w] == 2 and remaining[w]:
@@ -228,13 +237,12 @@ def _dfs_cover(
         cut_due = True
 
     def expand(v: int) -> Optional[list[int]]:
-        # one search-tree expansion: prune checks plus ordered successors
-        nonlocal spent_here, cut_due
-        if cap is not None and spent_here >= cap or state.exhausted:
+        # one search-tree expansion: prune checks plus successor keys
+        nonlocal cut_due
+        if state.spent >= stop:
             return None
         state.spent += 1
-        spent_here += 1
-        if not any(remaining[e] for e in ends):
+        if not ends_left:
             return []  # no end left to stop on
         stuck = False
         for u in low:  # degree rdeg[u] + [u adjacent to v] <= 1 needs rdeg <= 1
@@ -247,14 +255,15 @@ def _dfs_cover(
             state.cut_tests += 1
             if _cut_prune(rows, v, remaining, count, is_end):
                 return []
-        cands = [c for c in rows[v] if remaining[c]]
+        skip = banned if v != src else -1
         if ends_last and count > 1:
-            cands = [c for c in cands if not is_end[c]]
-        if gate is not None and v != gate[1]:
-            cands = [c for c in cands if c != gate[0]]
+            keys = [rdeg[c] * size + rank[c] for c in rows[v]
+                    if remaining[c] and not is_end[c] and c != skip]
+        else:
+            keys = [rdeg[c] * size + rank[c] for c in rows[v] if remaining[c] and c != skip]
         # keys never tie, so the order is total; reversed, to pop from the end
-        cands.sort(key=lambda c: (rdeg[c], _tie(salt, ids[c])), reverse=True)
-        return cands
+        keys.sort(reverse=True)
+        return keys
 
     visit(s)
     succ = expand(s)
@@ -268,7 +277,7 @@ def _dfs_cover(
             if len(path) > 1:
                 backtrack()
             continue
-        c = top.pop()
+        c = by_rank[top.pop() % size]
         visit(c)
         if not count:
             if is_end[c]:
