@@ -23,14 +23,25 @@ never depends on it, so the search meets the same covering paths in the same
 order, only later when an attempt's slice runs out first. An obstruction a
 forward run misses ends in a dead end, and the test catches it at the first
 expansion after that and at each sibling on the way back up. Successors are
-tried lowest rdeg first, ties broken by a salted bijection of the node id,
-so identical inputs always explore the identical tree.
+tried lowest rdeg first, ties broken by a salted bijection of the node id
+(one integer key, rdeg * |V| + the node's rank under that bijection), so
+identical inputs always explore the identical tree.
+
+Attempts run in restart slices sized to the view (Luby, Sinclair and
+Zuckerman 1993; Gomes, Selman and Kautz 1998): slice i of a search over |V|
+nodes stops its attempt after ``max(64, 2|V|) * 2**(i // 2)`` expansions and
+starts the next one with a fresh tie-break salt (paths also alternate their
+direction); from slice 20 on an attempt is unbounded. A run with no
+backtracking fits in the first slice, and a stalled one gives up after a
+few passes over the view rather than after a fixed count.
 
 An expansion budget separates "proven absent" (search space exhausted) from
-"gave up" (budget exhausted); growing the budget can only turn the latter
-into one of the former two, never change a found answer. Outcomes also
-count ``restarts`` (slices begun after the first), ``backtracks`` (nodes
-popped off the path) and ``cut_tests`` (articulation passes run).
+"gave up" (budget exhausted). The slice caps depend on |V| only, never on
+the budget, so a larger budget runs the same attempts to the same points and
+then further: growing it can only turn "gave up" into one of the other two,
+never change a found answer. Outcomes also count ``restarts`` (slices begun
+after the first), ``backtracks`` (nodes popped off the path) and
+``cut_tests`` (articulation passes run).
 
 ``enumerate_ham_path_exists`` is a tiny, prune-free enumerator kept
 deliberately independent of the main engine; tests use it as ground truth.
@@ -160,14 +171,23 @@ def _cut_prune(rows, head: int, remaining: bytearray, count: int, is_end) -> boo
     return counter != count + 2  # disconnected
 
 
-#: Fixed restart schedule: expansion caps per retry with fresh successor
-#: tie-breaking (and, for paths, alternating search direction). A fixed
-#: schedule keeps larger budgets exploring a superset of smaller ones, so a
-#: found answer never changes when the budget grows.
-_RESTART_SLICES = (
-    5_000, 5_000, 10_000, 10_000, 20_000, 20_000,
-    40_000, 40_000, 80_000, 80_000, 160_000, 160_000,
-)
+#: Restart schedule: slice i of a search over |V| nodes (``len(rows)``,
+#: helper node included) caps its attempt at ``max(64, 2|V|) * 2**(i // 2)``
+#: expansions; from slice 20 on an attempt runs on whatever budget remains.
+#: A forward run takes |V| - 1 expansions, so it fits in the first slice; the
+#: floor keeps most searches on 16- and 32-node views in one slice too.
+_SLICE_FLOOR = 64
+_BOUNDED_SLICES = 20
+
+
+def _slice_cap(size: int, phase: int) -> Optional[int]:
+    """Expansion cap of slice ``phase`` for a view of ``size`` nodes (None:
+    unbounded). The caps depend on the view size only, never on the budget,
+    so a larger budget runs the same attempts and then more: a found answer
+    never changes when the budget grows."""
+    if phase >= _BOUNDED_SLICES:
+        return None
+    return max(_SLICE_FLOOR, 2 * size) << (phase // 2)
 
 
 def _tie(salt: int, c: int) -> int:
@@ -294,14 +314,13 @@ def _dfs_cover(
 _Answer = tuple[SearchStatus, Optional[tuple[int, ...]]]
 
 
-def _engine(attempt: Callable[[Optional[int], int], tuple], state: _BudgetState) -> _Answer:
-    """Run ``attempt(cap, phase)`` over the restart schedule; the final
-    attempt runs on whatever budget remains. A single completed attempt
-    settles absence, whichever slice it ran in."""
+def _engine(attempt: Callable[[Optional[int], int], tuple], size: int, state: _BudgetState) -> _Answer:
+    """Run ``attempt(cap, phase)`` over the restart schedule of a view of
+    ``size`` nodes; the final attempt runs on whatever budget remains. A
+    single completed attempt settles absence, whichever slice it ran in."""
     phase = 0
     while True:
-        cap = _RESTART_SLICES[phase] if phase < len(_RESTART_SLICES) else None
-        status, path, cap_hit = attempt(cap, phase)
+        status, path, cap_hit = attempt(_slice_cap(size, phase), phase)
         if status is SearchStatus.FOUND or status is SearchStatus.PROVEN_ABSENT:
             return status, path
         if not cap_hit or state.exhausted:
@@ -321,7 +340,7 @@ def _path_engine(rows, ids, s: int, t: int, state: _BudgetState, gate=None, gate
         status, path, cap_hit = _dfs_cover(rows, ids, a, (b,), True, state, cap, phase // 2, g)
         return status, path[::-1] if rev and path else path, cap_hit
 
-    return _engine(attempt, state)
+    return _engine(attempt, len(rows), state)
 
 
 def _cycle_engine(rows, ids, state: _BudgetState) -> _Answer:
@@ -334,7 +353,7 @@ def _cycle_engine(rows, ids, state: _BudgetState) -> _Answer:
     v0 = min(range(len(rows)), key=lambda v: (len(rows[v]), ids[v]))
     return _engine(
         lambda cap, phase: _dfs_cover(rows, ids, v0, rows[v0], False, state, cap, phase),
-        state,
+        len(rows), state,
     )
 
 

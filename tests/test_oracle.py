@@ -350,55 +350,64 @@ def _half1_drawn(faults, seed, picks, starved):
     return view, rng.sample(view.nodes, picks)
 
 
+def _first_slice_plus(extra):
+    """Budget of ``extra`` expansions past the first slice of a search over
+    ``size`` nodes (a two-path search counts its helper node)."""
+    return lambda size: oracle._slice_cap(size, 0) + extra
+
+
 def _pinned_call(service, n, faults, seed, budget=None, starved=False):
     picks = {ham_path: 2, two_disjoint_spanning_paths: 4}.get(service, 0)
     if n == 10:
         view, ends = _half1_drawn(faults, seed, picks, starved)
     else:
         view, ends = _drawn(n, faults, seed, picks)
+    if callable(budget):
+        budget = budget(len(view) + (service is two_disjoint_spanning_paths))
     return service(view, *ends, budget and SearchBudget(budget))
 
 
 #: (service, n, faults, seed, budget[, starved]) -> (status, expansions,
 #: missed, digest of the path or path pair). Every search is deterministic, so
 #: any change in pruning or successor order moves these numbers. The n = 7
-#: cases run past the first 5,000-expansion slice: the path and the two-path
-#: pair finish in the reversed slice, the cycle in the first salted restart.
+#: cases run past their first slice of max(64, 2|V|) expansions: the path and
+#: the two-path pair finish in the reversed slice, the cycle in the first
+#: salted restart.
 #: The n = 10 cases search 508-512-node views of half 1 with 2k - 9 = 9 faults
 #: in it, the scale of the embedder's cases 2-5.
 _PINNED_SEARCH_TREES = {
     "path-n4-found": ((ham_path, 4, 3, 0),
         ("found", 31, None, "d63c987d15c44b08")),
     "path-n4-absent": ((ham_path, 4, 4, 8),
-        ("proven-absent", 98, None, None)),
+        ("proven-absent", 226, None, None)),
     "path-n7-reversed-slice": ((ham_path, 7, 5, 90),
-        ("found", 5138, None, "d9e933071d4c6c90")),
-    "path-n7-budget-in-slice-2": ((ham_path, 7, 5, 90, 5050),
-        ("budget-exhausted", 5050, None, None)),
+        ("found", 392, None, "d9e933071d4c6c90")),
+    "path-n7-budget-in-slice-2": ((ham_path, 7, 5, 90, _first_slice_plus(50)),
+        ("budget-exhausted", 304, None, None)),
     "cycle-n4-found": ((ham_cycle, 4, 2, 0),
         ("found", 25, None, "3bcffaa4b8b0968e")),
     "cycle-n4-absent": ((ham_cycle, 4, 3, 2136),
-        ("proven-absent", 133, None, None)),
-    "cycle-n7-budget-in-slice-2": ((ham_cycle, 7, 5, 170, 5200),
-        ("budget-exhausted", 5200, None, None)),
-    "cycle-n7-salted-restart": ((ham_cycle, 7, 5, 170),
-        ("found", 5359, None, "ee899f765afe6db5")),
+        ("proven-absent", 517, None, None)),
+    "cycle-n7-budget-in-slice-2": ((ham_cycle, 7, 5, 135, _first_slice_plus(200)),
+        ("budget-exhausted", 454, None, None)),
+    "cycle-n7-salted-restart": ((ham_cycle, 7, 5, 135),
+        ("found", 491, None, "c97799e04c2dfdd6")),
     "near-n4-full": ((near_ham_cycle, 4, 2, 0),
         ("found", 25, None, "3bcffaa4b8b0968e")),
     "near-n4-degree-below-two": ((near_ham_cycle, 4, 3, 26),
         ("found", 15, 14, "df6a42f59d8cb0c1")),
     "near-n4-full-absent-then-missed": ((near_ham_cycle, 4, 3, 2136),
-        ("found", 145, 7, "d8ff739d4c339489")),
+        ("found", 529, 7, "d8ff739d4c339489")),
     "near-n4-absent": ((near_ham_cycle, 4, 4, 342),
         ("proven-absent", 185, None, None)),
-    "near-n7-full-restart": ((near_ham_cycle, 7, 5, 170),
-        ("found", 5359, None, "ee899f765afe6db5")),
+    "near-n7-full-restart": ((near_ham_cycle, 7, 5, 135),
+        ("found", 491, None, "c97799e04c2dfdd6")),
     "two-n4-found": ((two_disjoint_spanning_paths, 4, 2, 0),
         ("found", 53, None, "8bbcea9a66be0718")),
     "two-n4-absent": ((two_disjoint_spanning_paths, 4, 1, 171),
-        ("proven-absent", 852, None, None)),
+        ("proven-absent", 2765, None, None)),
     "two-n7-reversed-slice": ((two_disjoint_spanning_paths, 7, 1, 24),
-        ("found", 5144, None, "1b26c53340bdc97f")),
+        ("found", 402, None, "1b26c53340bdc97f")),
     "cycle-n10-half1": ((ham_cycle, 10, 9, 0),
         ("found", 582, None, "d1782a8ad05877e9")),
     "near-n10-half1-starved": ((near_ham_cycle, 10, 9, 0, None, True),
@@ -427,21 +436,18 @@ def test_search_tree_is_pinned(name):
     assert _search_tree_fingerprint(_pinned_outcome(name)) == expected
 
 
-def test_search_counters():
+def test_search_counters(monkeypatch):
     # restarts: slices begun after the first; backtracks: path pops
     for name in ("path-n7-reversed-slice", "cycle-n7-salted-restart",
                  "two-n7-reversed-slice", "near-n7-full-restart"):
         assert _pinned_outcome(name).restarts == 1, name
     for name in ("path-n4-found", "cycle-n4-found", "near-n4-full",
-                 "near-n4-degree-below-two", "near-n4-full-absent-then-missed",
-                 "two-n4-found", "cycle-n10-half1"):
+                 "near-n4-degree-below-two", "two-n4-found", "cycle-n10-half1"):
         assert _pinned_outcome(name).restarts == 0, name
-    # a path search enters its end only last, so a single slice pops every
-    # node it visited but those left on the path: each expansion visits one
-    # more node, the root stays
-    for name in ("path-n4-absent", "two-n4-absent"):
-        out = _pinned_outcome(name)
-        assert out.backtracks == out.expansions - 1, name
+    # proofs of absence on 16 nodes outgrow the 64-expansion first slice
+    for name, restarts in (("path-n4-absent", 2), ("cycle-n4-absent", 4),
+                           ("near-n4-full-absent-then-missed", 4), ("two-n4-absent", 8)):
+        assert _pinned_outcome(name).restarts == restarts, name
     # when found, the last visit is not expanded; the two-path search's
     # path also holds its helper node
     for name, helper in (("path-n4-found", 0), ("two-n10-half1", 1)):
@@ -449,6 +455,16 @@ def test_search_counters():
         length = (sum(map(len, out.paths)) if out.paths else len(out.path)) + helper
         assert out.backtracks == out.expansions + 1 - length, name
     assert _pinned_outcome("cycle-n4-absent").backtracks > 0
+    # a path search enters its end only last, so a single slice pops every
+    # node it visited but those left on the path: each expansion visits one
+    # more node, the root stays. On one unbounded slice the two proofs of
+    # absence explore the trees they explored before the schedule was sized
+    # to the view (uncached calls: the patch must not reach the pins)
+    monkeypatch.setattr(oracle, "_slice_cap", lambda size, phase: None)
+    for name, expansions in (("path-n4-absent", 98), ("two-n4-absent", 852)):
+        out = _pinned_call(*_PINNED_SEARCH_TREES[name][0])
+        assert out.restarts == 0 and out.expansions == expansions, name
+        assert out.backtracks == out.expansions - 1, name
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SEARCH_TREES))
