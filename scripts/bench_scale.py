@@ -13,15 +13,18 @@ placements per cell:
 
 Each cell runs three fixed seeds; the seed fixes the random variant's graph,
 the faults and the endpoints. A cell keeps its deterministic part (top case,
-level count and a digest of every level label, search expansions and cut
-tests, per seed) apart from its wall times (p50 and max over the seeds) and
-its graph costs: the p50 seconds to build the seeds' graphs, and the MB the
+level count and a digest of every level label, search expansions, restarts
+and cut tests, per seed) apart from its wall times and its graph costs. Each
+seed's embed is timed ``EMBED_REPEATS`` times and its wall is the median of
+those; the cell's wall is the p50 and max of the seeds' walls. The graph
+costs are the p50 seconds to build the seeds' graphs, and the MB the
 last seed's graph retains, from a second build of it under ``tracemalloc``
 (which slows the build it watches, so no timed build is traced).
 Every path is checked with ``validate_path``. The point replaces any earlier
 point of the same label, so points of other code sit side by side;
 ``--src`` runs the ``thln`` package of another checkout's ``src/`` (its
-``cut_tests`` read null when that code does not count them).
+``cut_tests`` and ``restarts`` read null when that code does not count
+them).
 """
 from __future__ import annotations
 
@@ -45,6 +48,8 @@ NAMED = ("crossed", "mobius0", "mobius1", "locally-twisted")
 RANDOM_MAX_N = 16
 NAMED_MAX_N = 12
 PLACEMENTS = ("uniform", "concentrated-2", "concentrated-4")
+#: Timed embeds per seed; a seed's wall is their median.
+EMBED_REPEATS = 3
 
 
 def _fault_count(placement: str, n: int) -> int:
@@ -104,15 +109,19 @@ def _instance(thln, variant: str, n: int, placement: str, seed: int, graphs: dic
 
 
 def _run(thln, g, f, s: int, t: int) -> tuple[dict, float]:
-    start = time.perf_counter()
-    try:
-        res = thln.embed(g, f, s, t)
-    except thln.ThlnError as exc:
-        return {"error": type(exc).__name__}, time.perf_counter() - start
-    wall = time.perf_counter() - start
+    """The deterministic part of one embed and the median of its timed runs."""
+    walls = []
+    for _ in range(EMBED_REPEATS):
+        start = time.perf_counter()
+        try:
+            res = thln.embed(g, f, s, t)
+        except thln.ThlnError as exc:
+            return {"error": type(exc).__name__}, time.perf_counter() - start
+        walls.append(time.perf_counter() - start)
     labels = res.trace.labels()
     searches = [r for r in res.trace.records if "service" in r]
     cut = [r.get("cut_tests") for r in searches]
+    restarts = [r.get("restarts") for r in searches]
     return {
         "valid": thln.validate_path(g, f, s, t, res.path).is_valid,
         "top_case": labels[0],
@@ -120,8 +129,9 @@ def _run(thln, g, f, s: int, t: int) -> tuple[dict, float]:
         "labels_sha256": hashlib.sha256(repr(labels).encode()).hexdigest()[:16],
         "searches": len(searches),
         "expansions": sum(r["expansions"] for r in searches),
+        "restarts": None if None in restarts else sum(restarts),
         "cut_tests": None if None in cut else sum(cut),
-    }, wall
+    }, statistics.median(walls)
 
 
 def _cells(max_n: int):
@@ -182,6 +192,7 @@ def main(argv=None) -> int:
     point = {
         "label": args.label,
         "max_n": args.max_n,
+        "embed_repeats": EMBED_REPEATS,
         "python": platform.python_version(),
         "cells": record(thln, args.max_n),
     }

@@ -34,3 +34,4 @@ def test_scale_record_is_deterministic_apart_from_wall_times(tmp_path):
             assert tops == {cell["placement"][-1]}
         for run in cell["deterministic"]:
             assert run["valid"] and run["cut_tests"] <= run["expansions"]
+            assert 0 <= run["restarts"] < run["expansions"]

@@ -304,6 +304,94 @@ def test_budget_exhaustion_is_reported(graph9):
     assert out.expansions == 10
 
 
+_SERVICES = (ham_path, ham_cycle, near_ham_cycle, two_disjoint_spanning_paths)
+
+
+@given(seed=st.integers(0, 10 ** 6), n=st.sampled_from((4, 5)), service=st.sampled_from(_SERVICES),
+       cut=st.floats(0, 1), extra=st.integers(0, 5000))
+@settings(max_examples=60, deadline=None)
+def test_budget_monotonicity(seed, n, service, cut, extra):
+    # a budget-limited run is a prefix of the unlimited one: below the
+    # unlimited run's expansions E it gives up after exactly its budget, and
+    # from E on it returns the unlimited answer unchanged
+    rng = random.Random(seed)
+    g = make_preset(VariantSpec.random(seed), n)
+    view = surviving_view(g, sample_faults(g, rng.randrange(0, n - 1), rng))
+    picks = {ham_path: 2, two_disjoint_spanning_paths: 4}.get(service, 0)
+    if len(view) < max(picks, 3):
+        return
+    ends = rng.sample(view.nodes, picks)
+    full = service(view, *ends)
+    assert full.status is not SearchStatus.BUDGET_EXHAUSTED
+    small = max(1, int(cut * full.expansions))
+    for budget in (small, small + extra, full.expansions + extra):
+        out = service(view, *ends, SearchBudget(budget))
+        if budget >= full.expansions:
+            assert out == full, budget
+        else:
+            assert out.status is SearchStatus.BUDGET_EXHAUSTED and out.expansions == budget
+
+
+def test_restart_schedule_depends_on_the_view_size_only(monkeypatch):
+    for size in range(1, 5000):
+        caps = [oracle._slice_cap(size, i) for i in range(30)]
+        # a forward run (size - 1 expansions, no backtracking) fits in slice 1
+        assert caps[0] >= size
+        assert caps[:20] == [max(64, 2 * size) << (i // 2) for i in range(20)]
+        assert caps[20:] == [None] * 10  # unbounded from slice 20 on
+    # every service passes its attempts the caps of its own row count (the
+    # two-path search counts its helper node), whatever the view holds
+    seen = []
+
+    def give_up(rows, ids, s, ends, ends_last, state, cap, salt, gate=None):
+        seen.append((len(rows), cap))
+        state.spent = state.limit if cap is None else min(state.limit, state.spent + cap)
+        return SearchStatus.BUDGET_EXHAUSTED, None, not state.exhausted
+
+    monkeypatch.setattr(oracle, "_dfs_cover", give_up)
+    rng = random.Random(12)
+    for service in (ham_path, ham_cycle, two_disjoint_spanning_paths):
+        for faults in (0, 3):
+            g = make_preset(VariantSpec.random(faults), 5)
+            view = surviving_view(g, sample_faults(g, faults, rng))
+            seen.clear()
+            picks = {ham_path: 2, two_disjoint_spanning_paths: 4}.get(service, 0)
+            out = service(view, *rng.sample(view.nodes, picks))
+            size = len(view) + (service is two_disjoint_spanning_paths)
+            assert seen == [(size, oracle._slice_cap(size, i)) for i in range(21)]
+            assert out.restarts == 20 and out.expansions == oracle.DEFAULT_MAX_EXPANSIONS
+
+
+def test_a_forward_run_stays_in_the_first_slice():
+    for n in (20, 33, 300):
+        out = ham_path(ring(n), 0, 1)
+        assert out.found and out.restarts == 0 and out.backtracks == 0
+        assert out.expansions == n - 1
+
+
+def test_rank_keys_order_successors_by_degree_then_tie_break():
+    # the search sorts successors as rdeg * size + rank and maps each key back
+    # through the rank order; on half 2 the ids are not 0..N-1, and the
+    # two-path helper's id is negative
+    g = _pinned_graph(7)
+    rng = random.Random(13)
+    view = SurvivingView(g, sample_faults(g, 3, rng), scope=g.decomposition.half2_set)
+    ids, rows = oracle._snapshot(view)
+    assert min(ids) == 64
+    for ids in (ids, ids + (oracle._VIRTUAL,)):
+        size = len(ids)
+        for salt in range(4):
+            rank, by_rank = oracle._ranks(ids, salt)
+            assert sorted(rank) == list(range(size))
+            for _ in range(200):
+                cands = rng.sample(range(size), rng.randrange(1, 8))
+                rdeg = {c: rng.randrange(8) for c in cands}
+                keys = sorted((rdeg[c] * size + rank[c] for c in cands), reverse=True)
+                expected = sorted(cands, key=lambda c: (rdeg[c], oracle._tie(salt, ids[c])),
+                                  reverse=True)
+                assert [by_rank[k % size] for k in keys] == expected
+
+
 # ----------------------------------------------------------------------
 # pinned search tree
 
