@@ -15,11 +15,18 @@ Each cell runs three fixed seeds; the seed fixes the random variant's graph,
 the faults and the endpoints. A cell keeps its deterministic part (top case,
 level count and a digest of every level label, search expansions, restarts
 and cut tests, per seed) apart from its wall times and its graph costs. Each
-seed's embed is timed ``EMBED_REPEATS`` times and its wall is the median of
-those; the cell's wall is the p50 and max of the seeds' walls. The graph
-costs are the p50 seconds to build the seeds' graphs, and the MB the
-last seed's graph retains, from a second build of it under ``tracemalloc``
-(which slows the build it watches, so no timed build is traced).
+seed's graph is built ``BUILD_REPEATS`` times and its embed timed
+``EMBED_REPEATS`` times, and each is the median of those; the cell's wall is
+the p50 and max of the seeds' embed walls. The graph costs are the p50 of
+the seeds' build seconds, and the MB the last seed's graph retains, from
+one more build of it under ``tracemalloc`` (which slows the build it
+watches, so no timed build is traced).
+
+Every build and embed time is corrected for host speed by ``HostClock``
+from ``perfbench/run.py``: it is scaled by the reference kernel's nominal
+time over the kernel's time measured around it, so points recorded at
+different host speeds compare. The point records the kernel's raw times
+under ``host_reference``.
 Every path is checked with ``validate_path``. The point replaces any earlier
 point of the same label, so points of other code sit side by side;
 ``--src`` runs the ``thln`` package of another checkout's ``src/`` (its
@@ -31,6 +38,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import importlib.util
 import json
 import platform
 import random
@@ -50,6 +58,17 @@ NAMED_MAX_N = 12
 PLACEMENTS = ("uniform", "concentrated-2", "concentrated-4")
 #: Timed embeds per seed; a seed's wall is their median.
 EMBED_REPEATS = 3
+#: Timed builds per graph; its build seconds are their median.
+BUILD_REPEATS = 3
+
+
+def _host_clock():
+    """A fresh ``HostClock`` from perfbench/run.py, which runs the reference
+    kernel the benchmark's times are corrected by."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.HostClock()
 
 
 def _fault_count(placement: str, n: int) -> int:
@@ -57,11 +76,17 @@ def _fault_count(placement: str, n: int) -> int:
     return {"uniform": 2 * n - 10, "concentrated-2": 2 * k - 9, "concentrated-4": 2 * k - 8}[placement]
 
 
-def _build(thln, spec, n: int):
-    """The graph and the seconds it took to build."""
-    start = time.perf_counter()
-    g = thln.make_preset(spec, n)
-    return g, time.perf_counter() - start
+def _build(thln, spec, n: int, clock):
+    """The graph and its build times, corrected when the clock next runs."""
+    times = []
+    for _ in range(BUILD_REPEATS):
+        g = None  # freed before the next build
+        gc.collect()
+        start = time.perf_counter()
+        g = thln.make_preset(spec, n)
+        clock.record(times, time.perf_counter() - start)
+        clock.tick()
+    return g, times
 
 
 def _retained_mb(thln, spec, n: int) -> float:
@@ -78,17 +103,17 @@ def _retained_mb(thln, spec, n: int) -> float:
     return round(held / 1e6, 2)
 
 
-def _instance(thln, variant: str, n: int, placement: str, seed: int, graphs: dict):
-    """(graph spec, graph, its build seconds, faults, s, t)."""
+def _instance(thln, variant: str, n: int, placement: str, seed: int, graphs: dict, clock):
+    """(graph spec, graph, its build times, faults, s, t)."""
     rng = random.Random(f"{variant}/{n}/{placement}/{seed}")
     if variant == "random":
         spec = thln.VariantSpec.random(rng.randrange(1 << 30))
-        g, build_s = _build(thln, spec, n)
+        g, builds = _build(thln, spec, n, clock)
     else:
         spec = thln.VariantSpec(variant)
         if (variant, n) not in graphs:
-            graphs[variant, n] = _build(thln, spec, n)
-        g, build_s = graphs[variant, n]
+            graphs[variant, n] = _build(thln, spec, n, clock)
+        g, builds = graphs[variant, n]
     if placement == "uniform":
         nodes, edges = g.nodes, g.edges
     else:
@@ -105,19 +130,22 @@ def _instance(thln, variant: str, n: int, placement: str, seed: int, graphs: dic
     while True:
         s, t = rng.sample(view.nodes, 2)
         if thln.neighbor_condition(view, s, t):
-            return spec, g, build_s, f, s, t
+            return spec, g, builds, f, s, t
 
 
-def _run(thln, g, f, s: int, t: int) -> tuple[dict, float]:
-    """The deterministic part of one embed and the median of its timed runs."""
-    walls = []
+def _run(thln, g, f, s: int, t: int, clock) -> tuple[dict, list[float]]:
+    """The deterministic part of one embed and its run times, corrected when
+    the clock next runs."""
+    walls: list[float] = []
     for _ in range(EMBED_REPEATS):
         start = time.perf_counter()
         try:
             res = thln.embed(g, f, s, t)
         except thln.ThlnError as exc:
-            return {"error": type(exc).__name__}, time.perf_counter() - start
-        walls.append(time.perf_counter() - start)
+            clock.record(walls, time.perf_counter() - start)
+            return {"error": type(exc).__name__}, walls
+        clock.record(walls, time.perf_counter() - start)
+        clock.tick()
     labels = res.trace.labels()
     searches = [r for r in res.trace.records if "service" in r]
     cut = [r.get("cut_tests") for r in searches]
@@ -131,7 +159,7 @@ def _run(thln, g, f, s: int, t: int) -> tuple[dict, float]:
         "expansions": sum(r["expansions"] for r in searches),
         "restarts": None if None in restarts else sum(restarts),
         "cut_tests": None if None in cut else sum(cut),
-    }, statistics.median(walls)
+    }, walls
 
 
 def _cells(max_n: int):
@@ -141,17 +169,20 @@ def _cells(max_n: int):
                 yield variant, n, placement
 
 
-def record(thln, max_n: int) -> list[dict]:
+def record(thln, max_n: int, clock) -> list[dict]:
     cells, graphs = [], {}
     for variant, n, placement in _cells(max_n):
-        runs, walls, builds = [], [], []
+        runs, seed_walls, seed_builds = [], [], []
         for seed in SEEDS:
-            spec, g, build_s, f, s, t = _instance(thln, variant, n, placement, seed, graphs)
-            det, wall = _run(thln, g, f, s, t)
+            spec, g, builds, f, s, t = _instance(thln, variant, n, placement, seed, graphs, clock)
+            det, walls = _run(thln, g, f, s, t, clock)
             runs.append({"seed": seed, **det})
-            walls.append(wall)
-            builds.append(build_s)
+            seed_walls.append(walls)
+            seed_builds.append(builds)
             del g  # freed before the next build
+            clock.measure()  # each seed's times are corrected by the kernel runs around them
+        walls = [statistics.median(w) for w in seed_walls]
+        builds = [statistics.median(b) for b in seed_builds]
         graph = {"build_p50_s": round(statistics.median(builds), 4),
                  "retained_mb": _retained_mb(thln, spec, n)}
         cells.append({
@@ -189,12 +220,21 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     import thln
 
+    clock = _host_clock()
+    cells = record(thln, args.max_n, clock)
     point = {
         "label": args.label,
         "max_n": args.max_n,
         "embed_repeats": EMBED_REPEATS,
+        "build_repeats": BUILD_REPEATS,
+        "host_reference": {
+            "runs": len(clock.refs),
+            "median_s": round(statistics.median(clock.refs), 5),
+            "min_s": round(min(clock.refs), 5),
+            "max_s": round(max(clock.refs), 5),
+        },
         "python": platform.python_version(),
-        "cells": record(thln, args.max_n),
+        "cells": cells,
     }
     doc = json.loads(args.output.read_text()) if args.output.exists() else {"points": []}
     doc["points"] = [p for p in doc["points"] if p["label"] != args.label] + [point]

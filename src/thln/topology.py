@@ -10,15 +10,19 @@ has a position in 0..2^n-1, and the level of dimension d that holds a node
 is its aligned block of 2^d positions: half 1 is the lower half of the
 block, and a node's cross partner at that level is its one neighbour whose
 position first differs from its own in bit d - 1. Graphs built by
-:func:`join` number their nodes so that positions are ids. A graph loaded
-from a file gets its positions from the file's decomposition tree, which
-the loader checks against the edges; :func:`check_shape` then checks every
-derived level.
+:func:`join` or :func:`make_preset` number their nodes so that positions
+are ids. A graph loaded from a file gets its positions from the file's
+decomposition tree, which the loader checks against the edges;
+:func:`check_shape` then checks every derived level.
 
 Preset generators are provided for the classic twisted families (crossed,
-Moebius, locally twisted) plus seeded random matchings. Presets are
-convenience constructors validated structurally by :func:`check_shape`;
-every algorithm in this package works on any graph passing those checks.
+Moebius, locally twisted) plus seeded random matchings. A preset is written
+in one pass into one row table: each 8-node base block, then each level's
+matching, in the recursive definition's order (lower sub-level, upper
+sub-level, then the level), so the random kind draws its matchings in that
+order. Presets are convenience constructors validated structurally by
+:func:`check_shape`; every algorithm in this package works on any graph
+passing those checks. :func:`join` stays the way to join two given graphs.
 """
 from __future__ import annotations
 
@@ -207,11 +211,12 @@ class DecompositionNode:
 class ThlnGraph:
     """Immutable network: adjacency indexed by node, plus node positions.
 
-    The adjacency is the only store of edges: ``edges`` (every ``(u, v)`` with
-    ``u < v``, ascending) is rebuilt from its rows on each access. ``order``
-    lists the node at each position and ``label`` (its inverse) the position
-    of each node; ``order=None`` means that ids are positions, and then both
-    are ``range(num_nodes)``. ``decomposition`` derives the top level from
+    The adjacency is the only store of edges; each row is sorted here, in
+    whatever order it was given. ``edges`` (every ``(u, v)`` with ``u < v``,
+    ascending) is rebuilt from the rows on each access. ``order`` lists the
+    node at each position and ``label`` (its inverse) the position of each
+    node; ``order=None`` means that ids are positions, and then both are
+    ``range(num_nodes)``. ``decomposition`` derives the top level from
     them on each access (None for a dimension-3 base graph).
     """
 
@@ -221,6 +226,8 @@ class ThlnGraph:
     label: Sequence[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the one place rows are sorted: views over a half bisect them
+        object.__setattr__(self, "adjacency", tuple(map(tuple, map(sorted, self.adjacency))))
         if self.order is None:
             object.__setattr__(self, "order", range(len(self.adjacency)))
         order = self.order  # a permutation's inverse is its argsort
@@ -250,7 +257,7 @@ class ThlnGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted((u, v) for u, row in enumerate(self.adjacency) for v in row if u < v))
+        return tuple((u, v) for u, row in enumerate(self.adjacency) for v in row if u < v)
 
     @property
     def num_edges(self) -> int:
@@ -261,12 +268,12 @@ class ThlnGraph:
 # construction
 
 
-def _adjacency_from_edges(n_nodes: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
+def _adjacency_from_edges(n_nodes: int, edges: Iterable[Edge]) -> list[set[int]]:
     rows: list[set[int]] = [set() for _ in range(n_nodes)]
     for u, v in edges:
         rows[u].add(v)
         rows[v].add(u)
-    return tuple(tuple(sorted(r)) for r in rows)
+    return rows
 
 
 def _is_connected(adjacency: Sequence[Sequence[int]], nodes: Sequence[int]) -> bool:
@@ -343,81 +350,84 @@ def join(
     for u, w in phi.items():
         rows[u].append(w + n)
         rows[w + n].append(u)
-    adjacency = tuple(tuple(sorted(r)) for r in rows)
 
     order = None  # positions are ids unless an input's are not
     if not (isinstance(g1.order, range) and isinstance(g2.order, range)):
         order = tuple(g1.order) + tuple(v + n for v in g2.order)
-    return ThlnGraph(g1.dimension + 1, adjacency, order)
+    return ThlnGraph(g1.dimension + 1, rows, order)
 
 
-def _crossed_matching(m_bits: int) -> dict[int, int]:
+def _bijection(phi: list[int]) -> list[int]:
+    """``phi`` itself, once it is checked to map 0..len-1 onto 0..len-1."""
+    if sorted(phi) != list(range(len(phi))):
+        raise NotABijection(
+            "matching must map the first half's nodes onto the second half's nodes"
+        )
+    return phi
+
+
+def _crossed_matching(m_bits: int) -> list[int]:
     # Pairs of bits from the bottom; within each pair a set low bit flips the
     # high bit. An odd leftover top bit is kept as is.
-    out = {}
+    out = []
     for u in range(1 << m_bits):
         v = u
         for i in range(m_bits // 2):
             if (u >> (2 * i)) & 1:
                 v ^= 1 << (2 * i + 1)
-        out[u] = v
+        out.append(v)
     return out
 
 
-def _locally_twisted_matching(m_bits: int) -> dict[int, int]:
+def _locally_twisted_matching(m_bits: int) -> list[int]:
     # Odd nodes flip the top bit of the half-local index.
-    return {u: u ^ ((u & 1) << (m_bits - 1)) for u in range(1 << m_bits)}
+    return [u ^ ((u & 1) << (m_bits - 1)) for u in range(1 << m_bits)]
 
 
-def _identity_matching(m_bits: int) -> dict[int, int]:
-    return {u: u for u in range(1 << m_bits)}
+def _moebius_matching(m_bits: int, kind: int) -> list[int]:
+    # 0-Moebius: the identity; 1-Moebius: the complement.
+    full = (1 << m_bits) - 1 if kind else 0
+    return [full ^ u for u in range(1 << m_bits)]
 
 
-def _complement_matching(m_bits: int) -> dict[int, int]:
-    full = (1 << m_bits) - 1
-    return {u: full - u for u in range(1 << m_bits)}
+def _base_rows(edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
+    return make_base(VariantSpec.base3_custom(edges)).adjacency
 
 
-def _build_crossed(n: int) -> ThlnGraph:
-    if n == 3:
-        return make_base(VariantSpec.base3_default())
-    g = _build_crossed(n - 1)
-    return join(g, g, _crossed_matching(n - 1))
+def _build_one_pass(n: int, base_at, matching_at) -> ThlnGraph:
+    """Write a dimension-n graph into one row table, positions as ids.
 
-
-def _build_locally_twisted(n: int) -> ThlnGraph:
-    if n == 3:
-        return make_base(VariantSpec.base3_default())
-    g = _build_locally_twisted(n - 1)
-    return join(g, g, _locally_twisted_matching(n - 1))
-
-
-def _build_moebius(n: int, kind: int) -> ThlnGraph:
-    if n == 3:
-        edges = MOEBIUS0_BASE_EDGES if kind == 0 else MOEBIUS1_BASE_EDGES
-        return make_base(VariantSpec.base3_custom(edges))
-    g1 = _build_moebius(n - 1, 0)
-    g2 = _build_moebius(n - 1, 1)
-    matching = _identity_matching(n - 1) if kind == 0 else _complement_matching(n - 1)
-    return join(g1, g2, matching)
-
-
-def _build_random(n: int, rng: random.Random) -> ThlnGraph:
-    if n == 3:
-        return make_base(VariantSpec.base3_default())
-    g1 = _build_random(n - 1, rng)
-    g2 = _build_random(n - 1, rng)
-    perm = list(range(1 << (n - 1)))
-    rng.shuffle(perm)
-    return join(g1, g2, {u: perm[u] for u in range(len(perm))})
+    Levels are visited in the recursive definition's order: the lower
+    sub-level, the upper sub-level, then the level's own matching. Each
+    8-node block is written from ``base_at(offset)`` (validated rows); the
+    level of dimension d at ``offset`` is joined by ``matching_at(d,
+    offset)``, which maps each half-1 index to a half-2 index."""
+    rows: list[list[int]] = []
+    for off in range(0, 1 << n, 8):
+        rows += [[off + w for w in row] for row in base_at(off)]
+        d, lo = 3, off
+        while d < n and lo & (1 << d):  # an upper half ends here: its parent is whole
+            d, lo = d + 1, lo - (1 << d)
+            mid = lo + (1 << (d - 1))
+            phi = matching_at(d, lo)
+            for row, w in zip(rows[lo:mid], phi):
+                row.append(mid + w)
+            for u, w in enumerate(phi, lo):
+                rows[mid + w].append(u)
+    return ThlnGraph(n, rows)
 
 
 def make_preset(spec: VariantSpec, n: int) -> ThlnGraph:
     """Build a dimension-n member of the requested variant family.
 
-    The random kind draws one matching per decomposition level from a single
-    generator seeded with ``spec.seed`` (left half first, depth first), so
-    equal seeds give identical graphs.
+    The graph is written in one pass into one row table (positions are ids):
+    each 8-node base block, then each level's matching, in the recursive
+    definition's order, lower sub-level, upper sub-level, then the level.
+    Each base edge list is validated once by :func:`make_base` and each
+    matching is checked to be a bijection. The random kind draws each
+    level's matching, one ``shuffle`` of the half's indices, from a single
+    generator seeded with ``spec.seed`` in that order (left half first,
+    depth first), so equal seeds give identical graphs.
     """
     if n < 3:
         raise UnsupportedDimension(f"dimension must be at least 3, got {n}")
@@ -425,17 +435,28 @@ def make_preset(spec: VariantSpec, n: int) -> ThlnGraph:
         if n != 3:
             raise UnsupportedDimension(f"{spec.kind} is only defined at dimension 3")
         return make_base(spec)
-    if spec.kind == "crossed":
-        return _build_crossed(n)
-    if spec.kind == "locally-twisted":
-        return _build_locally_twisted(n)
-    if spec.kind == "mobius0":
-        return _build_moebius(n, 0)
-    if spec.kind == "mobius1":
-        return _build_moebius(n, 1)
+    if spec.kind in ("mobius0", "mobius1"):
+        # a level of dimension d is 1-Moebius when it is its parent's upper
+        # half (bit d of its offset is set); the top level's kind is the spec's
+        top = int(spec.kind == "mobius1") << n
+        bases = [_base_rows(MOEBIUS0_BASE_EDGES), _base_rows(MOEBIUS1_BASE_EDGES)]
+        matchings = {(d, kind): _bijection(_moebius_matching(d - 1, kind))
+                     for d in range(4, n + 1) for kind in (0, 1)}
+        return _build_one_pass(n, lambda off: bases[(top | off) >> 3 & 1],
+                               lambda d, off: matchings[d, (top | off) >> d & 1])
+    base = _base_rows(DEFAULT_BASE_EDGES)
     if spec.kind == "random":
-        return _build_random(n, random.Random(spec.seed))
-    raise UnsupportedDimension(f"no preset for kind {spec.kind!r}")
+        rng = random.Random(spec.seed)
+
+        def shuffled(d: int, _off: int) -> list[int]:
+            perm = list(range(1 << (d - 1)))
+            rng.shuffle(perm)
+            return _bijection(perm)
+
+        return _build_one_pass(n, lambda _off: base, shuffled)
+    matching = {"crossed": _crossed_matching, "locally-twisted": _locally_twisted_matching}[spec.kind]
+    matchings = {d: _bijection(matching(d - 1)) for d in range(4, n + 1)}
+    return _build_one_pass(n, lambda _off: base, lambda d, _off: matchings[d])
 
 
 def cross_partner(g: ThlnGraph, v: int) -> int:

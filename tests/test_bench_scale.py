@@ -20,6 +20,8 @@ def test_scale_record_is_deterministic_apart_from_wall_times(tmp_path):
         assert bench.main(["--label", label, "--max-n", "8", "-o", str(out)]) == 0
     points = json.loads(out.read_text())["points"]
     assert [p["label"] for p in points] == ["a", "b"]  # a point replaces its namesake
+    assert points[0]["build_repeats"] == bench.BUILD_REPEATS
+    assert points[0]["host_reference"]["runs"] >= 2  # times are corrected between runs
     assert points[0]["cells"]
     first, again = ([c["deterministic"] for c in p["cells"]] for p in points)
     assert first == again

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import tracemalloc
 
@@ -21,12 +22,14 @@ from thln import (
     VariantSpec,
     check_shape,
     cross_partner,
+    embed,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
     join,
     make_base,
     make_preset,
+    validate_path,
 )
 
 Q3_EDGES = [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
@@ -103,6 +106,47 @@ def test_join_rejects_non_bijection():
     phi = {u: 0 for u in range(8)}
     with pytest.raises(NotABijection):
         join(b, b, phi)
+
+
+#: variant -> sha256 prefixes of ``graph_to_json`` at n = 3..10.
+_PRESET_DIGESTS = {
+    "crossed": (
+        "23a7d25636dbc77e", "a8d0033aefd3f2ca", "7aaa9a602717b7d0", "c8903d07be688914",
+        "e7436ee963b25784", "d60363fd3b343b58", "16619dd7be7330a2", "0fb5d429a4f0f8b8",
+    ),
+    "locally-twisted": (
+        "23a7d25636dbc77e", "2092e638def26fb8", "3f2226cd5029f563", "7e825ff9657aa616",
+        "88cee855dd5bdf60", "c69ebb2905e6dc9f", "52082dcedce81156", "e6dac3d19582c303",
+    ),
+    "mobius0": (
+        "06ead98a843c6df8", "bee957cb8da09d53", "6d3a66d1bc5a068f", "de45e5f10725cc3a",
+        "fb0d6ed89d4e7079", "a9a476f2dc7371b0", "ef34c30cb9cad894", "f7f0bee5d4f4e27c",
+    ),
+    "mobius1": (
+        "67c2936b289d95ca", "2de3ef4880266bbd", "3e6f5b8764dd2a63", "07bfd95021565a5f",
+        "92342c6810638190", "38f4312c9f1f673e", "469b50170657933a", "ad3ac1dd05d9c2e8",
+    ),
+    "random-1": (
+        "23a7d25636dbc77e", "ab7eb7acd9bd9af5", "1fbfc0e1e5176775", "b68787ba7710f605",
+        "9e76e15db1d6808b", "040b98cb8d262147", "70cbbd47556bdd3a", "9793ab6cbfe7054b",
+    ),
+    "random-2": (
+        "23a7d25636dbc77e", "63a6800bfa476a2f", "3e49f30594b25052", "f03d246ebd228768",
+        "8a369d894a3e9706", "2b03dcfe5d578df0", "743be55d54e38e5b", "ff26ffda1d009b87",
+    ),
+    "random-3": (
+        "23a7d25636dbc77e", "c0266f972902a1c0", "c2c1e42dbf43d687", "3270db2f06577b04",
+        "09fb53b4684aab29", "ac4ec802960b38b4", "6d0e9ceea5576f5a", "d2915a5685296cbc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_DIGESTS))
+def test_preset_graphs_are_pinned(name):
+    spec = VariantSpec.random(int(name[-1])) if name.startswith("random") else VariantSpec(name)
+    digests = tuple(hashlib.sha256(graph_to_json(make_preset(spec, n)).encode()).hexdigest()[:16]
+                    for n in range(3, 11))
+    assert digests == _PRESET_DIGESTS[name]
 
 
 def test_random_preset_counts_and_determinism():
@@ -212,14 +256,20 @@ def _half_as_graph(g, half, offset):
 
 
 def test_decompose_then_join_rebuilds_identical_graph():
-    g = make_preset(VariantSpec.random(13), 6)
-    d = g.decomposition
-    half = 1 << (g.dimension - 1)
-    g1 = _half_as_graph(g, d.half1, 0)
-    g2 = _half_as_graph(g, d.half2, half)
-    matching = {u: v - half for u, v in d.matching}
-    rebuilt = join(g1, g2, matching)
-    assert graph_to_json(rebuilt) == graph_to_json(g)
+    # join and the one-pass preset builder are checked against each other,
+    # on every variant; one test id, so the original random case keeps its name
+    specs = [VariantSpec.crossed(), VariantSpec.locally_twisted(), VariantSpec.mobius0(),
+             VariantSpec.mobius1(), VariantSpec.random(13)]
+    for spec in specs:
+        for n in range(4, 9):
+            g = make_preset(spec, n)
+            d = g.decomposition
+            half = 1 << (g.dimension - 1)
+            g1 = _half_as_graph(g, d.half1, 0)
+            g2 = _half_as_graph(g, d.half2, half)
+            matching = {u: v - half for u, v in d.matching}
+            rebuilt = join(g1, g2, matching)
+            assert graph_to_json(rebuilt) == graph_to_json(g), (spec.kind, n)
 
 
 def test_json_rejects_malformed_documents():
@@ -309,3 +359,15 @@ def test_edge_queries_leave_nothing_on_the_graph():
     finally:
         tracemalloc.stop()
     assert retained < 32 * 1024
+
+
+def test_a_graph_built_with_unsorted_rows_equals_its_sorted_twin():
+    # the graph sorts its rows itself: views over a half bisect them
+    from thln.topology import ThlnGraph
+
+    g = make_preset(VariantSpec.random(1), 8)
+    h = ThlnGraph(8, tuple(tuple(reversed(row)) for row in g.adjacency))
+    assert h == g and h.edges == g.edges
+    assert check_shape(h).ok
+    res = embed(h, FaultSet.empty(), 0, 200)
+    assert validate_path(h, FaultSet.empty(), 0, 200, res.path).is_valid
