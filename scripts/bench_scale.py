@@ -15,7 +15,8 @@ Each cell runs three fixed seeds; the seed fixes the random variant's graph,
 the faults and the endpoints. A cell keeps its deterministic part (top case,
 level count and a digest of every level label, search expansions, restarts
 and cut tests, per seed) apart from its wall times and its graph costs. Each
-seed's graph is built ``BUILD_REPEATS`` times and its embed timed
+seed's graph is built at least ``BUILD_REPEATS`` times and until
+``MIN_BUILD_SPAN_S`` seconds of building have been timed, its embed is timed
 ``EMBED_REPEATS`` times, and each is the median of those; the cell's wall is
 the p50 and max of the seeds' embed walls. The graph costs are the p50 of
 the seeds' build seconds, and the MB the last seed's graph retains, from
@@ -58,8 +59,11 @@ NAMED_MAX_N = 12
 PLACEMENTS = ("uniform", "concentrated-2", "concentrated-4")
 #: Timed embeds per seed; a seed's wall is their median.
 EMBED_REPEATS = 3
-#: Timed builds per graph; its build seconds are their median.
+#: Timed builds per graph, at least; its build seconds are their median.
 BUILD_REPEATS = 3
+#: Seconds of timed building per graph, at least: a build of a few ms
+#: repeats until its times add up to this, so one slow build moves no median.
+MIN_BUILD_SPAN_S = 0.2
 
 
 def _host_clock():
@@ -77,14 +81,19 @@ def _fault_count(placement: str, n: int) -> int:
 
 
 def _build(thln, spec, n: int, clock):
-    """The graph and its build times, corrected when the clock next runs."""
+    """The graph and its build times, corrected when the clock next runs: at
+    least ``BUILD_REPEATS`` builds, and more until ``MIN_BUILD_SPAN_S`` of
+    them has been timed."""
     times = []
-    for _ in range(BUILD_REPEATS):
+    spent = 0.0
+    gc.collect()
+    while len(times) < BUILD_REPEATS or spent < MIN_BUILD_SPAN_S:
         g = None  # freed before the next build
-        gc.collect()
         start = time.perf_counter()
         g = thln.make_preset(spec, n)
-        clock.record(times, time.perf_counter() - start)
+        took = time.perf_counter() - start
+        spent += took
+        clock.record(times, took)
         clock.tick()
     return g, times
 
@@ -227,6 +236,7 @@ def main(argv=None) -> int:
         "max_n": args.max_n,
         "embed_repeats": EMBED_REPEATS,
         "build_repeats": BUILD_REPEATS,
+        "min_build_span_s": MIN_BUILD_SPAN_S,
         "host_reference": {
             "runs": len(clock.refs),
             "median_s": round(statistics.median(clock.refs), 5),

@@ -54,6 +54,14 @@ from .topology import (
 from .validate import validate_path
 
 _VARIANT_CHOICES = ("random", "crossed", "mobius0", "mobius1", "locally-twisted", "default")
+#: The largest dimension ``generate`` and ``stress`` accept: a graph holds
+#: 2**n rows, so a larger n would exhaust memory before anything is written.
+MAX_DIMENSION = 20
+
+
+def _check_dimension_limit(n: int) -> None:
+    if n > MAX_DIMENSION:
+        raise PreconditionViolated(f"dimension must be at most {MAX_DIMENSION}, got {n}")
 
 
 @dataclass
@@ -72,6 +80,7 @@ class RunConfig:
         n = self.dimension
         if n < 7:
             raise PreconditionViolated(f"dimension must be at least 7, got {n}")
+        _check_dimension_limit(n)
         elements = (1 << n) + n * (1 << (n - 1))  # nodes plus edges
         if not 0 <= self.fault_count <= elements:
             raise PreconditionViolated(
@@ -142,6 +151,7 @@ def _dump(obj) -> str:
 
 def cmd_generate(args) -> int:
     try:
+        _check_dimension_limit(args.n)  # before make_preset allocates 2**n rows
         g = make_preset(_variant_spec(args.variant, args.seed), args.n)
     except ThlnError as exc:
         _info(f"error: {exc}")
@@ -521,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="build a network and write canonical JSON")
     g.add_argument("--variant", choices=_VARIANT_CHOICES, default="random")
-    g.add_argument("--n", type=int, required=True, help="dimension (>= 3)")
+    g.add_argument("--n", type=int, required=True, help=f"dimension (3 to {MAX_DIMENSION})")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--out", default=None, help="output JSON (default stdout)")
     g.add_argument("--dot", default=None, help="also write a DOT rendering here")
@@ -539,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_embed)
 
     s = sub.add_parser("stress", help="seeded random campaign with validation")
-    s.add_argument("--n", type=int, default=8)
+    s.add_argument("--n", type=int, default=8, help=f"dimension (7 to {MAX_DIMENSION})")
     s.add_argument("--faults", type=int, default=6)
     s.add_argument("--trials", type=int, default=200)
     s.add_argument("--seed", type=int, default=0)

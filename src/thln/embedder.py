@@ -37,20 +37,28 @@ A chain of case-1 levels therefore bottoms out in dimension-7 searches.
 Each level works on the surviving view of its own scope: the root on the
 view ``embed`` validated, every lower level on the view of the half of the
 level above that it covers. A level's faults are the ones its view holds;
-each half's view is built from that half's share of them, so a half is the
-theorem's instance one dimension down. A repaired fault (cases 4 and 5)
-leaves that share, and nodes kept out of a half-2 search narrow its scope.
-A split pair (one endpoint in each half) is solved once, from its half-1
-endpoint; when that is t, the level reverses the path and records
-``flipped: True``. Every search-service call goes through one traced call
-on the runtime, which records it and raises when a guaranteed answer is
-missing.
+each half's view holds that half's share of them, so a half is the
+theorem's instance one dimension down. When the halves are ranges of ids
+(every built graph) both half views are derived from the level's own view
+by cutting each row's cross partner off; a loaded graph's set halves are
+built from the graph. A repaired fault (cases 4 and 5) leaves that share,
+and nodes kept out of a half-2 search narrow its scope; those views are
+built from the graph. A split pair (one endpoint in each half) is solved
+once, from its half-1 endpoint; when that is t, the level reverses the path
+and records ``flipped: True``. Every search-service call goes through one
+traced call on the runtime, which records it and raises when a guaranteed
+answer is missing.
 
 The trace holds one record per level, in solve order: ``id`` (that order),
 ``parent`` (the calling level's ``id``, None at the root) and ``half`` (the
 half of the parent it covers, None at the root). Search records carry the
 ``level`` that issued them; a half-2 search run because the recursion came
 back one short carries ``fallback: True``.
+
+``splice`` checks that its segments share no node and that each junction is
+an edge; the steps inside a segment come from a search or from a lower
+level. ``embed`` checks every edge of the finished path against the root
+view once, so a bad step made at any level still raises AdjacencyViolated.
 """
 from __future__ import annotations
 
@@ -85,29 +93,39 @@ PathSeq = tuple[int, ...]
 
 
 def splice(view, segments: Iterable[Sequence[int]]) -> PathSeq:
-    """Concatenate non-empty node sequences into one path, verifying it.
+    """Concatenate non-empty node sequences into one path, checking its joins.
 
     Consecutive segments join over the edge from the last node of one to the
-    first node of the next. Every junction and every step inside a segment
-    must be an edge of ``view``; an empty segment or a repeated node fails.
-    The result is the validated node tuple.
+    first node of the next. Every junction must be an edge of ``view``; an
+    empty segment or a repeated node fails. Steps inside a segment are not
+    checked here: ``embed`` checks every edge of the finished path once.
     """
     out: list[int] = []
+    joins: list[int] = []  # i such that out[i], out[i + 1] is a junction
     for seg in segments:
         if not seg:
             raise AdjacencyViolated("empty segment")
+        if out:
+            joins.append(len(out) - 1)
         out.extend(seg)
-    seen: set[int] = set()
-    for i, v in enumerate(out):
-        if v in seen:
-            raise DisjointnessViolated(f"node {v} repeated at position {i}")
-        seen.add(v)
-    for i in range(len(out) - 1):
-        if not view.has_edge(out[i], out[i + 1]):
-            raise AdjacencyViolated(
-                f"({out[i]},{out[i + 1]}) is not a surviving edge at position {i}"
-            )
+    if len(set(out)) != len(out):
+        seen: set[int] = set()
+        for i, v in enumerate(out):
+            if v in seen:
+                raise DisjointnessViolated(f"node {v} repeated at position {i}")
+            seen.add(v)
+    _require_edges(view, out, joins)
     return tuple(out)
+
+
+def _require_edges(view, path: Sequence[int], at: Iterable[int]) -> None:
+    """Raise AdjacencyViolated unless path[i], path[i + 1] is an edge of
+    ``view`` for every i in ``at``."""
+    for i in at:
+        if not view.has_edge(path[i], path[i + 1]):
+            raise AdjacencyViolated(
+                f"({path[i]},{path[i + 1]}) is not a surviving edge at position {i}"
+            )
 
 
 def _cross_pair_indexes(path, view, partner):
@@ -234,16 +252,22 @@ class _Ctx:
         self.k = level.dim - 1
         part = partition_decomposition(decomp, level.view.faults)
         h1, h2 = decomp.halves
-        halves = [(h1, decomp.child1, part.f1), (h2, decomp.child2, part.f2)]
+        if isinstance(h1, range):
+            v1, v2 = level.view.halves(rt.graph, h2.start, part.f1, part.f2)
+        else:  # a loaded graph's halves are sets of ids
+            v1 = SurvivingView(rt.graph, part.f1, scope=h1)
+            v2 = SurvivingView(rt.graph, part.f2, scope=h2)
+        halves = [(h1, decomp.child1, part.f1, v1), (h2, decomp.child2, part.f2, v2)]
         self.swapped = len(part.f2) > len(part.f1)
         if self.swapped:
             halves.reverse()
-        (self.h1, self.child1, self.f1), (self.h2, self.child2, self.f2) = halves
+        (
+            (self.h1, self.child1, self.f1, self.h1_view),
+            (self.h2, self.child2, self.f2, self.h2_view),
+        ) = halves
         self.fc_count = len(part.fc_direct)
         self.partner = decomp.partner
         self.view = level.view
-        self.h1_view = SurvivingView(rt.graph, self.f1, scope=self.h1)
-        self.h2_view = SurvivingView(rt.graph, self.f2, scope=self.h2)
         self.delta1 = self.h1_view.min_degree_witness()[0]
         # a split pair is solved from its half-1 endpoint; _solve_level
         # reverses the path when that endpoint is t
@@ -1116,4 +1140,6 @@ def embed(
     rt = _Runtime(graph=g, budget=budget)
     root = _Level(n, view, g.decomposition)
     path, missed = _solve_level(rt, root, s, t)
+    # splices check only their junctions: this is the one check of every step
+    _require_edges(view, path, range(len(path) - 1))
     return EmbedResult(path=tuple(path), missed=missed, trace=CaseTrace(tuple(rt.trace)))

@@ -12,7 +12,8 @@ class MalformedBase(ThlnError):
 
 
 class MalformedGraph(ThlnError):
-    """A serialized graph document cannot be parsed into a well-formed graph."""
+    """A graph is not well formed, or a serialized graph document cannot be
+    parsed into a well-formed graph."""
 
 
 class DimensionMismatch(ThlnError):
@@ -80,4 +81,5 @@ class DisjointnessViolated(ThlnError):
 
 
 class AdjacencyViolated(ThlnError):
-    """Spliced segments meet at a pair of nodes that are not adjacent."""
+    """A path steps between two nodes that are not adjacent in the surviving
+    graph (at a splice junction or anywhere on a finished path)."""

@@ -15,7 +15,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Container, Iterable, Optional
 
-from .errors import FaultyEndpoint, ForeignFault, NoDecomposition, PreconditionViolated
+from .errors import (
+    FaultyEndpoint,
+    ForeignFault,
+    MalformedGraph,
+    NoDecomposition,
+    PreconditionViolated,
+)
 from .topology import DecompositionNode, Edge, ThlnGraph, _norm_edge
 
 
@@ -119,7 +125,9 @@ class SurvivingView:
     touches is the graph's own row (kept as is when unscoped, sliced to the
     scope when that is a range of ids, filtered to it otherwise), and only
     the rows of a dead node's neighbours and of a faulty edge's endpoints
-    are filtered against the faults.
+    are filtered against the faults. The views of a level's two halves are
+    derived from the level's own view by :meth:`halves`, at one row slice
+    and one comparison per node, when the halves are ranges of ids.
     """
 
     __slots__ = ("faults", "_adj", "_nodes", "_node_set")
@@ -157,9 +165,53 @@ class SurvivingView:
             adj.pop(v, None)
         for v in hit.intersection(adj):
             adj[v] = tuple(w for w in adj[v] if w not in dead and _norm_edge(v, w) not in bad_edge)
+        self._set_rows(adj)
+
+    def _set_rows(self, adj: dict[int, tuple[int, ...]]) -> None:
         self._adj = adj
         self._nodes = tuple(adj)  # ascending: built in node order
         self._node_set = frozenset(self._nodes)
+
+    def halves(
+        self, graph: ThlnGraph, mid: int, f_low: FaultSet, f_high: FaultSet
+    ) -> tuple["SurvivingView", "SurvivingView"]:
+        """The views of this level's two halves, the ids below ``mid`` under
+        ``f_low`` and the rest under ``f_high`` (each half's share of this
+        view's faults, which each derived view validates).
+
+        This view must hold exactly one level of ``graph`` whose halves are
+        ranges of ids split at ``mid``, with its faults removed. A node's one
+        neighbour in the other half is then its cross partner, which an
+        ascending row lists last in the lower half and first in the upper
+        half, so each derived row is the level's row with at most that one
+        entry cut off. A row with two entries in the other half raises
+        MalformedGraph.
+        """
+        f_low.validate_against(graph)
+        f_high.validate_against(graph)
+        nodes, adj = self._nodes, self._adj
+        cut = bisect_left(nodes, mid)
+        low, high = {}, {}
+        for v in nodes[:cut]:
+            row = adj[v]
+            if row and row[-1] >= mid:
+                row = row[:-1]
+                if row and row[-1] >= mid:
+                    raise MalformedGraph(f"node {v} has two neighbours across the cut at {mid}")
+            low[v] = row
+        for v in nodes[cut:]:
+            row = adj[v]
+            if row and row[0] < mid:
+                row = row[1:]
+                if row and row[0] < mid:
+                    raise MalformedGraph(f"node {v} has two neighbours across the cut at {mid}")
+            high[v] = row
+        cls = type(self)
+        views = cls.__new__(cls), cls.__new__(cls)
+        for view, faults, rows in zip(views, (f_low, f_high), (low, high)):
+            view.faults = faults
+            view._set_rows(rows)
+        return views
 
     @property
     def nodes(self) -> tuple[int, ...]:

@@ -118,7 +118,7 @@ def _snapshot(view) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     indices per node."""
     ids = tuple(view.nodes)
     index = {v: i for i, v in enumerate(ids)}
-    return ids, [tuple(index[w] for w in view.neighbors(v)) for v in ids]
+    return ids, [tuple(map(index.__getitem__, view.neighbors(v))) for v in ids]
 
 
 def _cut_prune(rows, head: int, remaining: bytearray, count: int, is_end) -> bool:

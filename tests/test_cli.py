@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from thln import FaultSet, graph_from_json, validate_path
+from thln import FaultSet, cli, graph_from_json, validate_path
 from thln.cli import main
 
 
@@ -33,6 +33,25 @@ def test_generate_rejects_tiny_dimension(capsys):
     code, _, err = run_cli(capsys, "generate", "--n", "2")
     assert code == 2
     assert err == "error: dimension must be at least 3, got 2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "21"],
+    ["generate", "--n", "40", "--variant", "crossed"],
+    ["stress", "--n", "21", "--faults", "0", "--trials", "1"],
+    ["stress", "--n", "40", "--trials", "1"],
+])
+def test_dimensions_above_the_limit_exit_2_before_building(capsys, monkeypatch, argv):
+    # a graph of dimension 40 would hold 2**40 rows: reaching the builder at
+    # all fails the test at once instead of exhausting memory
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_preset was reached")
+
+    monkeypatch.setattr(cli, "make_preset", refuse)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    n = argv[argv.index("--n") + 1]
+    assert err == f"error: dimension must be at most {cli.MAX_DIMENSION}, got {n}\n"
 
 
 def test_generate_dot_and_export_agree(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -500,6 +501,31 @@ def test_splice_rejects_overlap_and_gaps(graph4):
     far = next(v for v in graph4.nodes if v not in graph4.neighbors(b) and v != b)
     with pytest.raises(AdjacencyViolated):
         splice(view, [(a, b), (far,)])
+
+
+def test_a_bad_step_made_below_the_root_is_caught(graph9, monkeypatch):
+    # the first search of this instance is the dimension-7 base search two
+    # levels down (case 1.1.1 at dimensions 9 and 8); it returns its path with
+    # two interior nodes swapped, so the node set and the endpoints still
+    # pass that level's checks but one step is not an edge
+    s, t = 0, 5  # both inside half 1 of half 1
+    calls = []
+    search = embedder.oracle.ham_path
+
+    def corrupted(view, a, b, budget=None):
+        out = search(view, a, b, budget)
+        calls.append(len(view))
+        if len(calls) > 1:
+            return out
+        p = list(out.path)
+        j = next(j for j in range(3, len(p) - 1) if not view.has_edge(p[0], p[j]))
+        p[1], p[j] = p[j], p[1]
+        return dataclasses.replace(out, path=tuple(p))
+
+    monkeypatch.setattr(embedder.oracle, "ham_path", corrupted)
+    with pytest.raises(AdjacencyViolated):
+        embed(graph9, FaultSet.empty(), s, t)
+    assert calls[0] == 128
 
 
 def test_select_cross_edge_first_pair(graph8):

@@ -8,8 +8,10 @@ from thln import (
     FaultSet,
     FaultyEndpoint,
     ForeignFault,
+    MalformedGraph,
     NoDecomposition,
     SurvivingView,
+    ThlnGraph,
     VariantSpec,
     cross_partner,
     embed,
@@ -270,29 +272,72 @@ def _rows(view):
     return {v: view.neighbors(v) for v in view.nodes}
 
 
+def _levels(d):
+    while d is not None:  # depth first, every level of the decomposition
+        yield d
+        yield from _levels(d.child2)
+        d = d.child1
+
+
 @given(seed=st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_half_view_from_its_own_faults_matches_the_whole_set(seed):
     # each level hands a half only its own share of the faults: a view over
     # a half built from partition_decomposition's f1 / f2 has the rows of
-    # one built from the whole set, at the top level and one level down;
-    # narrowing the scope by X drops exactly X
+    # one built from the whole set, and so has the half's view derived from
+    # its level's view by SurvivingView.halves, at every level; narrowing
+    # the scope by X drops exactly X
     rng = random.Random(seed)
-    g = make_preset(VariantSpec.random(rng.randrange(4)), rng.choice((5, 6)))
+    variant = rng.choice(("random", "crossed", "mobius0", "mobius1", "locally-twisted"))
+    spec = VariantSpec.random(rng.randrange(4)) if variant == "random" else VariantSpec(variant)
+    g = make_preset(spec, rng.choice((5, 6)))
     f = sample_faults(g, rng.randrange(0, 2 * g.dimension + 1), rng)
-    top = g.decomposition
-    part = partition_decomposition(top, f)
-    for d, share in ((top, f), (top.child1, part.f1), (top.child2, part.f2)):
-        split = partition_decomposition(d, share)
-        for half, own in ((d.half1_set, split.f1), (d.half2_set, split.f2)):
-            view = SurvivingView(g, own, scope=half)
-            assert _rows(view) == _rows(SurvivingView(g, f, scope=half))
+    # a cross partner and a cross edge of random levels fail too, so that
+    # derived rows lose the entry they would otherwise cut off
+    levels = list(_levels(g.decomposition))
+    d = rng.choice(levels)
+    dead = d.partner(rng.choice((*d.half1, *d.half2)))
+    d = rng.choice(levels)
+    u = rng.choice(d.half1)
+    f = FaultSet.of(nodes=f.nodes | {dead}, edges=f.edges | {(u, d.partner(u))})
+    stack = [(g.decomposition, surviving_view(g, f))]
+    while stack:
+        d, level = stack.pop()
+        split = partition_decomposition(d, level.faults)
+        derived = level.halves(g, d.half2.start, split.f1, split.f2)
+        for half, own, child, view in zip(
+            (d.half1_set, d.half2_set), (split.f1, split.f2), (d.child1, d.child2), derived
+        ):
+            built = SurvivingView(g, own, scope=half)
+            assert view.faults == own
+            assert view.nodes == built.nodes
+            assert _rows(view) == _rows(built) == _rows(SurvivingView(g, f, scope=half))
             x = frozenset(rng.sample(sorted(half), rng.randrange(4)))
             narrow = SurvivingView(g, own, scope=half - x)
             assert narrow.node_set == view.node_set - x
             assert _rows(narrow) == {
                 v: tuple(w for w in view.neighbors(v) if w not in x) for v in narrow.nodes
             }
+            if child is not None:
+                stack.append((child, view))
+
+
+def test_halves_reject_a_row_with_two_neighbours_across_the_cut():
+    # a directly built graph may skip the shape check; a half-1 node with a
+    # second neighbour in half 2 has no single cross partner to cut off
+    for n in (4, 8):
+        rows = [set(r) for r in make_preset(VariantSpec.random(1), n).adjacency]
+        mid = 1 << (n - 1)
+        u = 3
+        w = next(w for w in range(mid, 2 * mid) if w not in rows[u])
+        rows[u].add(w)
+        rows[w].add(u)
+        bad = ThlnGraph(n, tuple(map(tuple, rows)))
+        f1, f2 = (FaultSet.empty(),) * 2
+        with pytest.raises(MalformedGraph, match="two neighbours across the cut"):
+            surviving_view(bad, FaultSet.empty()).halves(bad, mid, f1, f2)
+    with pytest.raises(MalformedGraph, match="two neighbours across the cut"):
+        embed(bad, FaultSet.empty(), 0, 5)  # the n = 8 graph, at its top level
 
 
 def test_fault_set_json_roundtrip():
