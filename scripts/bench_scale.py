@@ -7,7 +7,8 @@ Cells: the random variant at n = 8..16 and the crossed, mobius0, mobius1 and
 locally-twisted variants at n = 8..12 (both capped by ``--max-n``). Fault
 placements per cell:
 
-- ``uniform``: 2n - 10 faults drawn over all nodes and links;
+- ``uniform``: 2n - 10 faults drawn over all nodes and links by
+  ``thln.faults.sample_faults``, the sampler ``thln stress`` uses;
 - ``concentrated-2`` / ``concentrated-4``: 2k - 9 / 2k - 8 faults (k = n - 1)
   drawn inside top half 1, which select top cases 2 and 4.
 
@@ -123,18 +124,18 @@ def _instance(thln, variant: str, n: int, placement: str, seed: int, graphs: dic
         if (variant, n) not in graphs:
             graphs[variant, n] = _build(thln, spec, n, clock)
         g, builds = graphs[variant, n]
+    count = _fault_count(placement, n)
     if placement == "uniform":
-        nodes, edges = g.nodes, g.edges
+        f = thln.faults.sample_faults(g, count, rng)
     else:
         h1 = g.decomposition.half1_set
-        nodes = g.decomposition.half1
-        edges = [e for e in g.edges if e[0] in h1 and e[1] in h1]
-    elements = [("node", v) for v in nodes] + [("edge", e) for e in edges]
-    picked = rng.sample(elements, _fault_count(placement, n))
-    f = thln.FaultSet.of(
-        nodes=[p for kind, p in picked if kind == "node"],
-        edges=[p for kind, p in picked if kind == "edge"],
-    )
+        elements = [("node", v) for v in g.decomposition.half1]
+        elements += [("edge", e) for e in g.edges if e[0] in h1 and e[1] in h1]
+        picked = rng.sample(elements, count)
+        f = thln.FaultSet.of(
+            nodes=[p for kind, p in picked if kind == "node"],
+            edges=[p for kind, p in picked if kind == "edge"],
+        )
     view = thln.surviving_view(g, f)
     while True:
         s, t = rng.sample(view.nodes, 2)

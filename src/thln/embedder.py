@@ -43,11 +43,13 @@ theorem's instance one dimension down. When the halves are ranges of ids
 by cutting each row's cross partner off; a loaded graph's set halves are
 built from the graph. A repaired fault (cases 4 and 5) leaves that share,
 and nodes kept out of a half-2 search narrow its scope; those views are
-built from the graph. A split pair (one endpoint in each half) is solved
-once, from its half-1 endpoint; when that is t, the level reverses the path
-and records ``flipped: True``. Every search-service call goes through one
-traced call on the runtime, which records it and raises when a guaranteed
-answer is missing.
+built from the graph. A level's construction may begin at either endpoint:
+a split pair (one endpoint in each half) is built from its half-1 endpoint,
+and a starved or off-cycle endpoint (1.1.2 and the ``.1.2`` agent shapes) is
+reached last. The level reverses its finished path once, when it begins at
+t; a split pair records that as ``flipped: True``. Every search-service call
+goes through one traced call on the runtime, which records it and raises
+when a guaranteed answer is missing.
 
 The trace holds one record per level, in solve order: ``id`` (that order),
 ``parent`` (the calling level's ``id``, None at the root) and ``half`` (the
@@ -269,19 +271,14 @@ class _Ctx:
         self.partner = decomp.partner
         self.view = level.view
         self.delta1 = self.h1_view.min_degree_witness()[0]
-        # a split pair is solved from its half-1 endpoint; _solve_level
-        # reverses the path when that endpoint is t
+        # a split pair is built from its half-1 endpoint, so its path begins
+        # at t when that endpoint is t
         self.split = (s in self.h1) != (t in self.h1)
         self.flipped = self.split and t in self.h1
         self.s, self.t = (t, s) if self.flipped else (s, t)
 
-    # -- predicates
-
     def partner_ok(self, x: int) -> bool:
         return self.view.has_edge(x, self.partner(x))
-
-    def in_h1(self, v: int) -> bool:
-        return v in self.h1
 
     # -- traced search services
 
@@ -321,10 +318,11 @@ class _Ctx:
         ).paths
 
     def _h1_restored_view(self, restore) -> SurvivingView:
+        """Half 1's view with ``restore``, one of its faults (a node id or an
+        edge pair), repaired."""
         if restore is None:
             return self.h1_view
-        kind, payload = restore
-        f = self.f1.without_node(payload) if kind == "node" else self.f1.without_edge(payload)
+        f = FaultSet(self.f1.nodes - {restore}, self.f1.edges - {restore})
         return SurvivingView(self.rt.graph, f, scope=self.h1)
 
     def ham_cycle_h1(self, restore=None) -> PathSeq:
@@ -352,6 +350,13 @@ class _Ctx:
                 f"no usable cross pair on a path of {len(path)} nodes at dimension {self.dim}"
             )
         return idx
+
+    def detour(self, seq) -> tuple[PathSeq, int]:
+        """``seq`` with a covering path of half 2 spliced in at its first
+        cross-usable pair, and that pair's index."""
+        i = self.first_cross_pair(seq)
+        p2 = self.ham_path_h2(self.partner(seq[i]), self.partner(seq[i + 1]))
+        return splice(self.view, [seq[: i + 1], p2, seq[i + 1 :]]), i
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +388,7 @@ def _cyc_walk(c: Sequence[int], i: int, j: int, step: int) -> list[int]:
 def solve_case1(ctx: _Ctx):
     if ctx.split:
         return _case1_split(ctx)
-    if ctx.in_h1(ctx.s):
+    if ctx.s in ctx.h1:
         return _case1_both_h1(ctx)
     return _case1_both_h2(ctx)
 
@@ -395,19 +400,17 @@ def _case1_both_h1(ctx: _Ctx):
     t_open = any(w != s for w in hv.neighbors(t))
     if s_open and t_open:
         p1, _missed = ctx.recurse(s, t)
-        i = ctx.first_cross_pair(p1)
+        path, i = ctx.detour(p1)
         a, b = p1[i], p1[i + 1]
-        p2 = ctx.ham_path_h2(ctx.partner(a), ctx.partner(b))
-        path = splice(ctx.view, [p1[: i + 1], p2, p1[i + 1 :]])
         return path, "1.1.1", {"cross": [[a, ctx.partner(a)], [b, ctx.partner(b)]]}
     if not s_open and not t_open:
         raise InternalContradiction(
             "both endpoints starved inside half 1 despite the case-1 fault bound"
         )
     # exactly one endpoint has no surviving intra-half neighbor besides the
-    # other; route it through its cross edge and leave it off the recursive path
-    flipped = not s_open
-    if flipped:
+    # other; route it through its cross edge and leave it off the recursive
+    # path, so the path ends at it
+    if not s_open:
         s, t = t, s
     if not ctx.partner_ok(t):
         raise InternalContradiction("starved endpoint lost its cross edge as well")
@@ -429,8 +432,6 @@ def _case1_both_h1(ctx: _Ctx):
         )
     p2 = ctx.ham_path_h2(ctx.partner(u1), t2)
     path = splice(ctx.view, [p1, p2, [t]])
-    if flipped:
-        path = tuple(reversed(path))
     return path, "1.1.2", {"cross": [[u1, ctx.partner(u1)], [t, t2]], "starved": t}
 
 
@@ -490,8 +491,7 @@ def _case1_split(ctx: _Ctx):
 
 
 def solve_case2(ctx: _Ctx):
-    cyc = ctx.ham_cycle_h1()
-    return _dispatch_on_cycle(ctx, cyc, q1=None, major="2")
+    return _dispatch_on_cycle(ctx, _canon_cycle(ctx.ham_cycle_h1()), q1=None, major="2")
 
 
 def solve_case3(ctx: _Ctx):
@@ -500,12 +500,13 @@ def solve_case3(ctx: _Ctx):
         raise InternalContradiction(
             "half 1 at minimum degree <= 1 cannot have a full covering cycle"
         )
-    return _dispatch_on_cycle(ctx, cyc, q1=missed, major="3")
+    return _dispatch_on_cycle(ctx, _canon_cycle(cyc), q1=missed, major="3")
 
 
 def _dispatch_on_cycle(ctx: _Ctx, cyc: PathSeq, q1: Optional[int], major: str):
+    """``cyc`` is the half-1 cycle in ``_canon_cycle`` form."""
     s, t = ctx.s, ctx.t
-    s1, t1 = ctx.in_h1(s), ctx.in_h1(t)
+    s1, t1 = s in ctx.h1, t in ctx.h1
     detail: dict = {"q1": q1} if q1 is not None else {}
 
     if s1 and t1:
@@ -547,7 +548,8 @@ def _dispatch_on_cycle(ctx: _Ctx, cyc: PathSeq, q1: Optional[int], major: str):
 
 
 def _cycle_agent_both_h1(ctx: _Ctx, cyc, q1, major, detail):
-    # both endpoints in half 1 and one of them is the off-cycle node
+    # both endpoints in half 1 and one of them is the off-cycle node, which
+    # the path reaches last
     s, t = ctx.s, ctx.t
     flipped = s == q1
     a, b = (t, s) if flipped else (s, t)  # b is off the cycle
@@ -562,15 +564,12 @@ def _cycle_agent_both_h1(ctx: _Ctx, cyc, q1, major, detail):
         core, _shape = _cycle_h1_both(ctx, cyc, a, agent, allow_bypass=False)
         path = splice(ctx.view, [core, [b]])
         detail["agent"] = agent
-    if flipped:
-        path = tuple(reversed(path))
     detail["flipped"] = flipped
     return path, f"{major}.1.2", detail
 
 
-def _cycle_h1_both(ctx: _Ctx, cyc, s, t, allow_bypass: bool):
+def _cycle_h1_both(ctx: _Ctx, c, s, t, allow_bypass: bool):
     """Both endpoints on the half-1 cycle; returns (path, shape tag)."""
-    c = _canon_cycle(cyc)
     m = len(c)
     pos = {v: i for i, v in enumerate(c)}
     if s not in pos or t not in pos:
@@ -580,12 +579,7 @@ def _cycle_h1_both(ctx: _Ctx, cyc, s, t, allow_bypass: bool):
     d = min(fwd, m - fwd)
 
     if d == 1:
-        step = -1 if fwd == 1 else 1
-        pst = _cyc_walk(c, ps, pt, step)
-        i = ctx.first_cross_pair(pst)
-        a, b = pst[i], pst[i + 1]
-        p2 = ctx.ham_path_h2(ctx.partner(a), ctx.partner(b))
-        return splice(ctx.view, [pst[: i + 1], p2, pst[i + 1 :]]), "d1"
+        return ctx.detour(_cyc_walk(c, ps, pt, -1 if fwd == 1 else 1))[0], "d1"
 
     if d == 2:
         step_short = 1 if fwd == 2 else -1
@@ -601,11 +595,8 @@ def _cycle_h1_both(ctx: _Ctx, cyc, s, t, allow_bypass: bool):
                 return splice(ctx.view, [[s, x1], p2, plong[1:]]), "d2-direct"
             raise InternalContradiction("both bypass anchors lost their cross edges")
         if allow_bypass:
-            i = ctx.first_cross_pair(plong)
-            a, b = plong[i], plong[i + 1]
-            p2 = ctx.ham_path_h2(ctx.partner(a), ctx.partner(b))
             # x1 stays out: the result misses exactly one node
-            return splice(ctx.view, [plong[: i + 1], p2, plong[i + 1 :]]), "d2-bypass"
+            return ctx.detour(plong)[0], "d2-bypass"
         # reattach the skipped middle node through one of its cycle neighbors
         interior = plong[1:-1]
         x1_nbrs = set(ctx.h1_view.neighbors(x1))
@@ -637,33 +628,28 @@ def _cycle_h1_both(ctx: _Ctx, cyc, s, t, allow_bypass: bool):
     raise InternalContradiction("both neighbor pairs around the endpoints are blocked")
 
 
-def _cycle_h2_both(ctx: _Ctx, cyc, s, t) -> PathSeq:
+def _cycle_h2_both(ctx: _Ctx, c, s, t) -> PathSeq:
     """Both endpoints in half 2: cut the cycle at a cross-usable edge and
     cover half 2 with two disjoint paths."""
-    c = _canon_cycle(cyc)
-    m = len(c)
-    cut = None
-    for i in range(m):
-        a, b = c[i], c[(i + 1) % m]
-        if (
-            ctx.partner_ok(a)
-            and ctx.partner_ok(b)
-            and ctx.partner(a) not in (s, t)
-            and ctx.partner(b) not in (s, t)
-        ):
-            cut = i
-            break
+    ring = c + c[:1]  # cycle edge i is ring[i], ring[i + 1]
+    cut = next(
+        (
+            i
+            for i in _cross_pair_indexes(ring, ctx.view, ctx.partner)
+            if ctx.partner(ring[i]) not in (s, t) and ctx.partner(ring[i + 1]) not in (s, t)
+        ),
+        None,
+    )
     if cut is None:
         raise InternalContradiction("no cycle edge had two usable cross partners")
-    a, b = c[cut], c[(cut + 1) % m]
-    long_path = _cyc_walk(c, cut, (cut + 1) % m, -1)  # a .. b avoiding edge (a,b)
+    a, b = ring[cut], ring[cut + 1]
+    long_path = _cyc_walk(c, cut, (cut + 1) % len(c), -1)  # a .. b avoiding edge (a,b)
     p21, p22 = ctx.two_paths_h2(s, ctx.partner(a), ctx.partner(b), t)
     return splice(ctx.view, [p21, long_path, p22])
 
 
-def _cycle_split(ctx: _Ctx, cyc, s, t):
+def _cycle_split(ctx: _Ctx, c, s, t):
     """s on the half-1 cycle, t in half 2; returns (path, 'exit'|'blocked')."""
-    c = _canon_cycle(cyc)
     m = len(c)
     pos = {v: i for i, v in enumerate(c)}
     if s not in pos:
@@ -676,9 +662,8 @@ def _cycle_split(ctx: _Ctx, cyc, s, t):
         (w for w in nbrs if ctx.partner_ok(w) and ctx.partner(w) != t), None
     )
     if exit_node is not None:
-        start = nxt if exit_node != nxt else prv
-        step = 1 if start == nxt else -1
-        walk = _cyc_walk(c, ps, pos[exit_node], step)
+        # the long way round from s to exit_node
+        walk = _cyc_walk(c, ps, pos[exit_node], -1 if exit_node == nxt else 1)
         p2 = ctx.ham_path_h2(ctx.partner(exit_node), t)
         return splice(ctx.view, [walk, p2]), "exit"
 
@@ -687,14 +672,10 @@ def _cycle_split(ctx: _Ctx, cyc, s, t):
     tside = next((w for w in nbrs if ctx.partner(w) == t and ctx.partner_ok(w)), None)
     if tside is None:
         raise InternalContradiction("both cycle neighbors of the endpoint are unusable")
-    start = nxt if tside != nxt else prv
-    step = 1 if start == nxt else -1
-    arc = _cyc_walk(c, ps, pos[tside], step)[1:]  # u1 .. v1 (= partner of t)
-    pair = None
-    for j in range(1, len(arc) - 2):
-        if ctx.partner_ok(arc[j]) and ctx.partner_ok(arc[j + 1]):
-            pair = j
-            break
+    # the long way round, u1 .. v1 (= partner of t)
+    arc = _cyc_walk(c, ps, pos[tside], -1 if tside == nxt else 1)[1:]
+    # an interior pair: neither arc[0] nor v1 = arc[-1]
+    pair = next((j for j in _cross_pair_indexes(arc[:-1], ctx.view, ctx.partner) if j), None)
     if pair is None:
         raise InternalContradiction("no interior cycle edge kept both cross partners")
     y1, x1 = arc[pair], arc[pair + 1]
@@ -708,40 +689,37 @@ def _cycle_split(ctx: _Ctx, cyc, s, t):
 
 
 def _canonical_faults(f1: FaultSet):
-    for v in sorted(f1.nodes):
-        yield ("node", v)
-    for e in sorted(f1.edges):
-        yield ("edge", e)
+    """Half-1 faults in canonical order: node ids ascending, then edge pairs."""
+    yield from sorted(f1.nodes)
+    yield from sorted(f1.edges)
 
 
 def _select_restorable_fault(ctx: _Ctx):
     """First half-1 fault whose repair keeps every node at degree >= 2."""
-    for kind, payload in _canonical_faults(ctx.f1):
-        if kind == "edge":
-            return kind, payload
-        v = payload
+    for fe in _canonical_faults(ctx.f1):
+        if isinstance(fe, tuple):  # an edge pair: its repair lowers no degree
+            return fe
         deg = sum(
             1
-            for w in ctx.rt.graph.adjacency[v]
-            if ctx.h1_view.has_node(w) and (min(v, w), max(v, w)) not in ctx.f1.edges
+            for w in ctx.rt.graph.adjacency[fe]
+            if ctx.h1_view.has_node(w) and (min(fe, w), max(fe, w)) not in ctx.f1.edges
         )
         if deg >= 2:
-            return kind, payload
+            return fe
     raise InternalContradiction("no half-1 fault can be repaired without a degree gap")
 
 
 def _cut_cycle(ctx: _Ctx, cyc: PathSeq, fe) -> PathSeq:
     """Remove the repaired element from the cycle, leaving a covering path of
     the unrepaired half. Falls back to the smallest cycle edge when the
-    repaired element is not on the cycle."""
-    kind, payload = fe
+    repaired element (a node id or an edge pair) is not on the cycle."""
     m = len(cyc)
-    if kind == "node":
-        if payload not in cyc:
+    if not isinstance(fe, tuple):
+        if fe not in cyc:
             raise InternalContradiction("repaired node missing from its covering cycle")
-        i = cyc.index(payload)
+        i = cyc.index(fe)
         return tuple(cyc[i + 1 :]) + tuple(cyc[:i])
-    u, v = payload
+    u, v = fe
     for i in range(m):
         a, b = cyc[i], cyc[(i + 1) % m]
         if (a, b) == (u, v) or (a, b) == (v, u):
@@ -754,49 +732,44 @@ def _cut_cycle(ctx: _Ctx, cyc: PathSeq, fe) -> PathSeq:
     return tuple(cyc[best + 1 :]) + tuple(cyc[: best + 1])
 
 
-def solve_case4(ctx: _Ctx):
+def _solve_repaired(ctx: _Ctx, major: str):
+    """Case 4 repairs the first fault that leaves half 1 at minimum degree 2
+    and cuts its covering cycle; case 5 repairs the first fault and cuts its
+    near-covering cycle, whose off-cycle node stays off the path."""
     if ctx.f2 or ctx.fc_count:
-        raise InternalContradiction("case-4 fault arithmetic leaves no outside faults")
-    fe = _select_restorable_fault(ctx)
-    cyc = ctx.ham_cycle_h1(restore=fe)
-    p1 = _cut_cycle(ctx, cyc, fe)
-    path, label, detail = _dispatch_on_path(ctx, p1, q1=None, major="4")
-    detail["fe"] = list(fe[1]) if fe[0] == "edge" else fe[1]
-    return path, label, detail
-
-
-def solve_case5(ctx: _Ctx):
-    if ctx.f2 or ctx.fc_count:
-        raise InternalContradiction("case-5 fault arithmetic leaves no outside faults")
-    fe = next(_canonical_faults(ctx.f1))
-    cyc, _missed = ctx.near_cycle_h1(restore=fe)
+        raise InternalContradiction(f"case-{major} fault arithmetic leaves no outside faults")
+    if major == "4":
+        fe = _select_restorable_fault(ctx)
+        cyc = ctx.ham_cycle_h1(restore=fe)
+    else:
+        fe = next(_canonical_faults(ctx.f1))
+        cyc, _missed = ctx.near_cycle_h1(restore=fe)
     p1 = _cut_cycle(ctx, cyc, fe)
     off = ctx.h1_view.node_set - set(p1)
     if len(off) > 1:
         raise InternalContradiction("near-covering cycle left more than one node out")
     q1 = next(iter(off)) if off else None
-    path, label, detail = _dispatch_on_path(ctx, p1, q1=q1, major="5")
-    detail["fe"] = list(fe[1]) if fe[0] == "edge" else fe[1]
+    path, label, detail = _dispatch_on_path(ctx, p1, q1=q1, major=major)
+    detail["fe"] = list(fe) if isinstance(fe, tuple) else fe
     return path, label, detail
 
 
 def _dispatch_on_path(ctx: _Ctx, p1: PathSeq, q1: Optional[int], major: str):
     s, t = ctx.s, ctx.t
-    s1, t1 = ctx.in_h1(s), ctx.in_h1(t)
+    s1, t1 = s in ctx.h1, t in ctx.h1
     detail: dict = {"q1": q1} if q1 is not None else {}
     detail["ends"] = [p1[0], p1[-1]]
 
     if s1 and t1:
         if q1 is not None and q1 in (s, t):
-            # stand a cross partner in for the off-path endpoint
+            # stand a cross partner in for the off-path endpoint, which the
+            # path reaches last
             flipped = s == q1
             a, b = (t, s) if flipped else (s, t)
             if not ctx.partner_ok(b):
                 raise InternalContradiction("off-path endpoint lost its cross edge")
             core, _shape = _path_split(ctx, p1, a, ctx.partner(b))
             path = splice(ctx.view, [core, [b]])
-            if flipped:
-                path = tuple(reversed(path))
             detail.update(agent=ctx.partner(b), flipped=flipped)
             return path, f"{major}.1.2", detail
         path, shape = _path_h1_both(ctx, p1, s, t)
@@ -847,7 +820,8 @@ def _dispatch_on_path(ctx: _Ctx, p1: PathSeq, q1: Optional[int], major: str):
 
 
 def _path_h1_both(ctx: _Ctx, p1: PathSeq, s, t):
-    """Both endpoints on the half-1 path."""
+    """Both endpoints on the half-1 path; the path begins at whichever of
+    them comes first on the oriented half-1 path."""
     if s not in p1 or t not in p1:
         raise InternalContradiction("an endpoint is missing from the half-1 path")
     chosen = None
@@ -900,8 +874,6 @@ def _path_h1_both(ctx: _Ctx, p1: PathSeq, s, t):
             ],
         )
         shape = "d3"
-    if a != s:
-        path = tuple(reversed(path))
     return path, shape
 
 
@@ -928,15 +900,8 @@ def _path_h2_both(ctx: _Ctx, p1: PathSeq, s, t):
         return path, "one-end"
 
     seq = tuple(p1) if u2 == s else tuple(reversed(p1))
-    L = len(seq) - 1
-    i = next(
-        (
-            j
-            for j in range(1, L - 1)
-            if ctx.partner_ok(seq[j]) and ctx.partner_ok(seq[j + 1])
-        ),
-        None,
-    )
+    # an interior pair: neither end of the path
+    i = next((j for j in _cross_pair_indexes(seq[:-1], ctx.view, ctx.partner) if j), None)
     if i is None:
         raise InternalContradiction("no interior pair on the half-1 path was usable")
     x1, y1 = seq[i], seq[i + 1]
@@ -1059,17 +1024,15 @@ def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
             path, label, detail = solve_case2(ctx)
         elif f1 == 2 * k - 9:
             path, label, detail = solve_case3(ctx)
-        elif f1 == 2 * k - 8 and delta >= 2:
-            path, label, detail = solve_case4(ctx)
         elif f1 == 2 * k - 8:
-            path, label, detail = solve_case5(ctx)
+            path, label, detail = _solve_repaired(ctx, "4" if delta >= 2 else "5")
         else:
             raise PreconditionViolated(
                 f"fault load {f1} in one half exceeds the dispatch table at "
                 f"dimension {level.dim}"
             )
-        if ctx.flipped:
-            path = tuple(reversed(path))
+        if path[0] == t:  # the construction began at t
+            path = path[::-1]
         if ctx.split:
             detail["flipped"] = ctx.flipped
         rec.update(
@@ -1088,12 +1051,12 @@ def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
     covered = set(path)
     if len(covered) != len(path) or not covered <= alive:
         raise InternalContradiction("assembled path left the surviving level")
-    missing = alive - covered
-    if len(missing) > 1:
+    short = len(alive) - len(covered)  # covered <= alive: the nodes left out
+    if short > 1:
         raise InternalContradiction(
-            f"assembled path misses {len(missing)} nodes at dimension {level.dim}"
+            f"assembled path misses {short} nodes at dimension {level.dim}"
         )
-    missed = next(iter(missing)) if missing else None
+    missed = next(iter(alive - covered)) if short else None
     if missed is not None and missed in (s, t):
         raise InternalContradiction("assembled path misses one of its endpoints")
     rec["missed"] = missed

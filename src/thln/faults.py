@@ -13,7 +13,7 @@ import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Container, Iterable, Optional
+from typing import Container, Iterable, KeysView, Optional
 
 from .errors import (
     FaultyEndpoint,
@@ -54,12 +54,6 @@ class FaultSet:
             nodes=frozenset(v for v in self.nodes if v in node_set),
             edges=frozenset(e for e in self.edges if e[0] in node_set and e[1] in node_set),
         )
-
-    def without_node(self, v: int) -> "FaultSet":
-        return FaultSet(self.nodes - {v}, self.edges)
-
-    def without_edge(self, e: Edge) -> "FaultSet":
-        return FaultSet(self.nodes, self.edges - {_norm_edge(*e)})
 
     def validate_against(self, g: ThlnGraph) -> None:
         for v in self.nodes:
@@ -111,9 +105,10 @@ class SurvivingView:
 
     A node is present iff it is in scope and not faulty; an edge is present
     iff both endpoints are present and the edge is not faulty. Every view
-    validates its fault set (:class:`ForeignFault`). Queries run against a
-    precomputed adjacency whose rows, like the graph's, list neighbours in
-    ascending order, so views are cheap to share and safe to use
+    validates its fault set (:class:`ForeignFault`). A view stores one row
+    dict, whose rows, like the graph's, list neighbours in ascending order,
+    and the tuple of its nodes in ascending order (``nodes``); ``node_set``
+    is the dict's key view. Views are cheap to share and safe to use
     concurrently.
 
     The view keeps its fault set (``faults``), not its graph or scope. To
@@ -130,7 +125,7 @@ class SurvivingView:
     and one comparison per node, when the halves are ranges of ids.
     """
 
-    __slots__ = ("faults", "_adj", "_nodes", "_node_set")
+    __slots__ = ("faults", "_adj", "_nodes")
 
     def __init__(
         self,
@@ -165,12 +160,8 @@ class SurvivingView:
             adj.pop(v, None)
         for v in hit.intersection(adj):
             adj[v] = tuple(w for w in adj[v] if w not in dead and _norm_edge(v, w) not in bad_edge)
-        self._set_rows(adj)
-
-    def _set_rows(self, adj: dict[int, tuple[int, ...]]) -> None:
         self._adj = adj
         self._nodes = tuple(adj)  # ascending: built in node order
-        self._node_set = frozenset(self._nodes)
 
     def halves(
         self, graph: ThlnGraph, mid: int, f_low: FaultSet, f_high: FaultSet
@@ -210,7 +201,8 @@ class SurvivingView:
         views = cls.__new__(cls), cls.__new__(cls)
         for view, faults, rows in zip(views, (f_low, f_high), (low, high)):
             view.faults = faults
-            view._set_rows(rows)
+            view._adj = rows
+            view._nodes = tuple(rows)
         return views
 
     @property
@@ -218,8 +210,8 @@ class SurvivingView:
         return self._nodes
 
     @property
-    def node_set(self) -> frozenset[int]:
-        return self._node_set
+    def node_set(self) -> KeysView[int]:
+        return self._adj.keys()
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -274,6 +274,26 @@ def test_second_choice_constructions(graph8, build, label, shape):
     assert res.path[: len(head)] == head
 
 
+#: node 0 keeps only its half-1 edges to 1 and 2, and (0, 4), the lowest
+#: fault, is the one repaired: the case-4 path starts 0, 1, 3, 2
+CASE4_DEGREE2_END = FaultSet.of(edges=[(0, 4), (0, 14), (0, 28), (0, 45), (0, 90), (126, 127)])
+
+
+def test_case4_split_pair_at_a_degree_two_path_end(graph8):
+    # s sits next to the path's near end 0 and t is that end's partner; 0's
+    # other on-path neighbour is at position 3, so the path leaves s for 0,
+    # 2 and 3 before it crosses
+    t = cross_partner(graph8, 0)
+    ctx = _ctx(graph8, CASE4_DEGREE2_END, 1, t)
+    fe = _select_restorable_fault(ctx)
+    p1 = _cut_cycle(ctx, ctx.ham_cycle_h1(restore=fe), fe)
+    assert ctx.h1_view.neighbors(0) == (1, 2) and p1[:4] == (0, 1, 3, 2)
+    res = embed_and_check(graph8, CASE4_DEGREE2_END, 1, t)
+    assert res.trace.top_case() == "4.3.3.1"
+    assert res.trace.records[0]["shape"] == "uend-1z"
+    assert res.path[:4] == (1, 0, 2, 3)
+
+
 def test_case4_restored_node_cut_ends_at_its_cycle_neighbors(graph8):
     p1 = _case4_path(graph8)
     # the first canonical fault is node 1 and it is restored then cut out
@@ -390,6 +410,56 @@ def test_starved_endpoint_routed_through_cross_edge_at_n10():
     res = embed_and_check(g, f, s_node, t_node)
     assert res.trace.labels()[0] == "1.1.2"
     assert res.hamiltonian
+
+
+@pytest.fixture(scope="module")
+def swap_instances(graph9, case3_setup, case5_setup):
+    """name -> (graph, faults, s, t) for the shapes whose construction starts
+    from one fixed endpoint, whichever of s and t that is."""
+    q, f3 = case3_setup
+    f5 = case5_setup[1]
+    f3_cut = FaultSet.of(edges=sorted(f3.edges) + [(q, cross_partner(graph9, q))])
+    g10 = make_preset(VariantSpec.random(5), 10)
+    nbrs = [w for w in g10.neighbors(70) if w < 512]
+    out = {
+        "1.1.2": (g10, FaultSet.of(nodes=nbrs[1:]), nbrs[0], 70),
+        "3.1.2": (graph9, f3, 7, q),
+        "3.3.1": (graph9, f3, 7, 400),
+        "3.3.2": (graph9, f3, q, 400),
+        "3.1.2-agent": (graph9, f3_cut, 7, q),
+        "3.3.2-agent": (graph9, f3_cut, q, 400),
+        "5.1.1": (graph9, f5, 7, 99),
+        "5.1.2": (graph9, f5, 7, q),
+        "5.3.1": (graph9, f5, 7, 400),
+        "5.3.2": (graph9, f5, q, 400),
+    }
+    # t is the partner of one end of the case-5 path, so half 2 is covered
+    # from the other end's partner
+    for i, end in enumerate(embed(graph9, f5, 300, 400).trace.records[0]["ends"]):
+        out[f"5.2-one-end-{i}"] = (graph9, f5, 300, cross_partner(graph9, end))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["1.1.2", "3.1.2", "3.3.1", "3.3.2", "3.1.2-agent", "3.3.2-agent",
+     "5.1.1", "5.1.2", "5.3.1", "5.3.2", "5.2-one-end-0", "5.2-one-end-1"],
+)
+def test_swapped_endpoints_give_the_reversed_path(swap_instances, name):
+    g, f, s, t = swap_instances[name]
+    fwd, back = embed_and_check(g, f, s, t), embed_and_check(g, f, t, s)
+    assert fwd.trace.top_case() == name.split("-")[0]
+    if name.startswith("5.2"):
+        assert fwd.trace.records[0]["shape"] == "one-end"
+    assert back.path == fwd.path[::-1]
+    assert back.trace.labels() == fwd.trace.labels()
+    # the top level's `flipped`, where it records one, is the only field
+    # of the trace that moves
+    top_fwd, top_back = dict(fwd.trace.records[0]), dict(back.trace.records[0])
+    if "flipped" in top_fwd:
+        assert top_back.pop("flipped") is not top_fwd.pop("flipped")
+    assert top_back == top_fwd
+    assert back.trace.records[1:] == fwd.trace.records[1:]
 
 
 # ----------------------------------------------------------------------
@@ -651,6 +721,8 @@ def pinned_instances(graph8, graph9):
         "2.3.2": (g8, _cut_cross_edge(g8, c1[19]), c1[20], cp8(c1[21])),
         "4.1.1": (g8, CASE4_FAULTS, p4[40], p4[41]),
         "4.1.2": (g8, CASE4_FAULTS, p4[40], p4[42]),
+        # two apart at the far end of the path, so it is read from the other end
+        "4.1.2-far-end": (g8, CASE4_FAULTS, p4[-3], p4[-1]),
         "4.2.2": (g8, CASE4_FAULTS, cp8(p4[0]), h2_end),
         "4.2.3": (g8, CASE4_FAULTS, cp8(p4[0]), cp8(p4[-1])),
         "4.3.2-vend": (g8, CASE4_FAULTS, p4[40], cp8(p4[-1])),
@@ -658,6 +730,7 @@ def pinned_instances(graph8, graph9):
         "4.3.3": (g8, CASE4_FAULTS, p4[0], cp8(p4[0])),
         "4.3.3.1": (g8, CASE4_FAULTS, p4[1], cp8(p4[0])),
         "4.3.3.2": (g8, CASE4_FAULTS, p4[5], cp8(p4[0])),
+        "4.3.3.1-z": (g8, CASE4_DEGREE2_END, 1, cp8(0)),
         "2.1.2.1-z1": (g8, _cut_cross_edge(g8, c1[13]), c1[10], c1[12]),
         "2.1.3-x1-y1": (g8, _cut_cross_edge(g8, c1[11]), c1[10], c1[20]),
         "3.1.1": (g9, f3, 7, 99),
@@ -730,6 +803,7 @@ _PINNED_RESULTS = {
     "4.1": "e656d21b2852b275",
     "4.1.1": "001a3583d4a18bbe",
     "4.1.2": "acd6b66999004dd1",
+    "4.1.2-far-end": "fd94569812f522f2",
     "4.2": "009288138383e351",
     "4.2.2": "fd6e978943f5e31b",
     "4.2.3": "adf871aba7aa2b9f",
@@ -738,6 +812,7 @@ _PINNED_RESULTS = {
     "4.3.2-wend": "f881612932b1289c",
     "4.3.3": "f9ae5c3aa1bd1e21",
     "4.3.3.1": "b27ea853bce0347c",
+    "4.3.3.1-z": "386df5f045910fa5",
     "4.3.3.2": "8722b66ba741f884",
     "5.1-n8": "6ac8f47303c4574d",
     "5.1.1": "fd4d51827730b0f0",
