@@ -180,6 +180,16 @@ def cmd_export(args) -> int:
 # embed
 
 
+#: ``embed`` errors -> (exit code, stderr prefix); the first class that
+#: matches wins, so UnknownNode comes before its base PreconditionViolated
+_EMBED_EXITS = (
+    ((ForeignFault, MalformedGraph, UnknownNode), 2, "error"),
+    (PreconditionViolated, 3, "precondition violated"),
+    (OracleBudgetExhausted, 4, "budget exhausted"),
+    (ThlnError, 1, "error"),
+)
+
+
 def cmd_embed(args) -> int:
     try:
         budget = _default_budget(args)
@@ -202,27 +212,13 @@ def cmd_embed(args) -> int:
 
     try:
         result = embed(g, f, args.s, args.t, budget, enforce_bounds=not args.unsafe)
-    except (ForeignFault, MalformedGraph, UnknownNode) as exc:
-        emit({"status": "error", "path": [], "missed": None, "trace": [],
-              "reason": str(exc)})
-        _info(f"error: {exc}")
-        return 2
-    except PreconditionViolated as exc:
-        emit({"status": "error", "path": [], "missed": None, "trace": [],
-              "reason": str(exc)})
-        _info(f"precondition violated: {exc}")
-        return 3
-    except OracleBudgetExhausted as exc:
-        trace = exc.trace.to_json_obj() if exc.trace else []
-        emit({"status": "error", "path": [], "missed": None, "trace": trace,
-              "reason": str(exc)})
-        _info(f"budget exhausted: {exc}")
-        return 4
     except ThlnError as exc:
-        emit({"status": "error", "path": [], "missed": None, "trace": [],
-              "reason": str(exc)})
-        _info(f"error: {exc}")
-        return 1
+        code, prefix = next((c, p) for cls, c, p in _EMBED_EXITS if isinstance(exc, cls))
+        trace = getattr(exc, "trace", None)  # budget exhaustion carries its trace
+        emit({"status": "error", "path": [], "missed": None,
+              "trace": trace.to_json_obj() if trace else [], "reason": str(exc)})
+        _info(f"{prefix}: {exc}")
+        return code
 
     verdict = validate_path(g, f, args.s, args.t, result.path)
     if not verdict.is_valid or verdict.missed != result.missed:

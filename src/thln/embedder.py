@@ -19,13 +19,17 @@ with k the halves' dimension), it dispatches:
                                         through it is cut into a covering path
   case 5  f1  = 2k-8, min degree <= 1   as case 4 from a near-covering cycle
 
-Sub-labels (for example "2.1.2.1") name the endpoint placement and splice
-shape; they appear in traces and are stable. Every "choose any" step picks the
-first candidate in canonical order (path order, then node index), so runs are
-reproducible. Choices the construction guarantees but cannot find raise
-InternalContradiction instead of being patched around. At dimension 7 the
-level is solved directly by exact search, which the fault bound (at most 4)
-keeps feasible.
+Sub-labels name the endpoint placement and splice shape; ``_LABELS`` lists
+every one. Cases 2 to 5 share one dispatch over the placements, given the
+constructions on a half-1 cycle (cases 2, 3) or path (cases 4, 5); an
+endpoint off that cycle or path is reached through a stand-in, its cross
+partner or a half-1 neighbor. Labels appear in traces and are stable.
+
+Every "choose any" step picks the first candidate in canonical order (path
+order, then node index), so runs are reproducible. Choices the construction
+guarantees but cannot find raise InternalContradiction instead of being
+patched around. At dimension 7 the level is solved directly by exact search,
+which the fault bound (at most 4) keeps feasible.
 
 A covering path of half 2 (no node excluded) is the theorem's own instance
 one dimension down whenever f2 <= 2k-10 and its endpoints meet the neighbor
@@ -45,11 +49,12 @@ built from the graph. A repaired fault (cases 4 and 5) leaves that share,
 and nodes kept out of a half-2 search narrow its scope; those views are
 built from the graph. A level's construction may begin at either endpoint:
 a split pair (one endpoint in each half) is built from its half-1 endpoint,
-and a starved or off-cycle endpoint (1.1.2 and the ``.1.2`` agent shapes) is
-reached last. The level reverses its finished path once, when it begins at
-t; a split pair records that as ``flipped: True``. Every search-service call
-goes through one traced call on the runtime, which records it and raises
-when a guaranteed answer is missing.
+and a starved endpoint in case 1, or an endpoint off the half-1 cycle or
+path when both lie in half 1, is reached last. The level reverses its
+finished path once, when it begins at t; a split pair records that as
+``flipped: True``. Every search-service call goes through one traced call
+on the runtime, which records it and raises when a guaranteed answer is
+missing.
 
 The trace holds one record per level, in solve order: ``id`` (that order),
 ``parent`` (the calling level's ``id``, None at the root) and ``half`` (the
@@ -341,21 +346,26 @@ class _Ctx:
 
     # -- cross-edge selection
 
-    def first_cross_pair(self, path) -> int:
+    def first_cross_pair(self, path, interior: bool = False) -> int:
         """Index of the first consecutive pair on ``path`` whose cross edges
-        both survive."""
-        idx = next(_cross_pair_indexes(path, self.view, self.partner), None)
+        both survive; with ``interior``, the first that holds neither end of
+        ``path``."""
+        pairs = _cross_pair_indexes(path[:-1] if interior else path, self.view, self.partner)
+        idx = next((i for i in pairs if i or not interior), None)
         if idx is None:
             raise NoCandidate(
                 f"no usable cross pair on a path of {len(path)} nodes at dimension {self.dim}"
             )
         return idx
 
-    def detour(self, seq) -> tuple[PathSeq, int]:
-        """``seq`` with a covering path of half 2 spliced in at its first
-        cross-usable pair, and that pair's index."""
-        i = self.first_cross_pair(seq)
-        p2 = self.ham_path_h2(self.partner(seq[i]), self.partner(seq[i + 1]))
+    def detour(
+        self, seq, exclude: Iterable[int] = (), interior: bool = False
+    ) -> tuple[PathSeq, int]:
+        """``seq`` with a covering path of half 2 less ``exclude`` spliced in
+        at its first cross-usable pair (``first_cross_pair``), and that
+        pair's index."""
+        i = self.first_cross_pair(seq, interior)
+        p2 = self.ham_path_h2(self.partner(seq[i]), self.partner(seq[i + 1]), exclude)
         return splice(self.view, [seq[: i + 1], p2, seq[i + 1 :]]), i
 
 
@@ -382,6 +392,71 @@ def _cyc_walk(c: Sequence[int], i: int, j: int, step: int) -> list[int]:
 
 
 # ----------------------------------------------------------------------
+# sub-labels
+
+#: Every sub-label a level records, keyed by (major case, endpoint
+#: placement, shape). The placement is "h1" (both endpoints in half 1),
+#: "h2" (both in half 2) or "split". The shape is the construction's tag,
+#: recorded as the level's ``shape`` unless it is None; "stand-in" marks an
+#: endpoint off the half-1 cycle or path reached through a neighbour, and
+#: case 1 tags only its starved-endpoint route. Cases 2 and 4 reach no
+#: stand-in: their half-1 cycle or path misses no node. A construction this
+#: table does not list raises KeyError.
+_LABELS = {
+    ("1", "h1", None): "1.1.1",
+    ("1", "h1", "starved"): "1.1.2",
+    ("1", "h2", None): "1.2",
+    ("1", "split", None): "1.3",
+    ("2", "h1", "d1"): "2.1.1",
+    ("2", "h1", "d2-direct"): "2.1.2.1",
+    ("2", "h1", "d2-bypass"): "2.1.2.2",
+    ("2", "h1", "d3"): "2.1.3",
+    ("2", "h2", None): "2.2",
+    ("2", "split", "exit"): "2.3.1",
+    ("2", "split", "blocked"): "2.3.2",
+    ("3", "h1", "d1"): "3.1.1.1",
+    ("3", "h1", "d3"): "3.1.1.1",
+    ("3", "h1", "d2-direct"): "3.1.1.2",
+    ("3", "h1", "d2-reattach"): "3.1.1.2",
+    ("3", "h1", "stand-in"): "3.1.2",
+    ("3", "h2", None): "3.2",
+    ("3", "split", "exit"): "3.3.1",
+    ("3", "split", "blocked"): "3.3.1",
+    ("3", "split", "stand-in"): "3.3.2",
+    ("4", "h1", "d1"): "4.1.1",
+    ("4", "h1", "d2"): "4.1.2",
+    ("4", "h1", "d3"): "4.1.3",
+    ("4", "h2", "free"): "4.2.1",
+    ("4", "h2", "one-end"): "4.2.2",
+    ("4", "h2", "both-ends"): "4.2.3",
+    ("4", "split", "free"): "4.3.1",
+    ("4", "split", "vend"): "4.3.2",
+    ("4", "split", "wend"): "4.3.2",
+    ("4", "split", "uend-0"): "4.3.3",
+    ("4", "split", "uend-1"): "4.3.3.1",
+    ("4", "split", "uend-1z"): "4.3.3.1",
+    ("4", "split", "uend-1chord"): "4.3.3.1",
+    ("4", "split", "uend-2"): "4.3.3.2",
+    ("5", "h1", "d1"): "5.1.1",
+    ("5", "h1", "d2"): "5.1.1",
+    ("5", "h1", "d3"): "5.1.1",
+    ("5", "h1", "stand-in"): "5.1.2",
+    ("5", "h2", "free"): "5.2",
+    ("5", "h2", "one-end"): "5.2",
+    ("5", "h2", "both-ends"): "5.2",
+    ("5", "split", "free"): "5.3.1",
+    ("5", "split", "vend"): "5.3.1",
+    ("5", "split", "wend"): "5.3.1",
+    ("5", "split", "uend-0"): "5.3.1",
+    ("5", "split", "uend-1"): "5.3.1.1",
+    ("5", "split", "uend-1z"): "5.3.1.1",
+    ("5", "split", "uend-1chord"): "5.3.1.1",
+    ("5", "split", "uend-2"): "5.3.1.2",
+    ("5", "split", "stand-in"): "5.3.2",
+}
+
+
+# ----------------------------------------------------------------------
 # case 1: half 1 within the recursive bound
 
 
@@ -402,7 +477,8 @@ def _case1_both_h1(ctx: _Ctx):
         p1, _missed = ctx.recurse(s, t)
         path, i = ctx.detour(p1)
         a, b = p1[i], p1[i + 1]
-        return path, "1.1.1", {"cross": [[a, ctx.partner(a)], [b, ctx.partner(b)]]}
+        cross = [[a, ctx.partner(a)], [b, ctx.partner(b)]]
+        return path, _LABELS["1", "h1", None], {"cross": cross}
     if not s_open and not t_open:
         raise InternalContradiction(
             "both endpoints starved inside half 1 despite the case-1 fault bound"
@@ -432,7 +508,8 @@ def _case1_both_h1(ctx: _Ctx):
         )
     p2 = ctx.ham_path_h2(ctx.partner(u1), t2)
     path = splice(ctx.view, [p1, p2, [t]])
-    return path, "1.1.2", {"cross": [[u1, ctx.partner(u1)], [t, t2]], "starved": t}
+    detail = {"cross": [[u1, ctx.partner(u1)], [t, t2]], "starved": t}
+    return path, _LABELS["1", "h1", "starved"], detail
 
 
 def _case1_both_h2(ctx: _Ctx):
@@ -459,7 +536,7 @@ def _case1_both_h2(ctx: _Ctx):
     u1, v1 = ctx.partner(p2[i]), ctx.partner(p2[i + 1])
     p1, _missed = ctx.recurse(u1, v1)
     path = splice(ctx.view, [p2[: i + 1], p1, p2[i + 1 :]])
-    return path, "1.2", {"cross": [[u1, p2[i]], [v1, p2[i + 1]]]}
+    return path, _LABELS["1", "h2", None], {"cross": [[u1, p2[i]], [v1, p2[i + 1]]]}
 
 
 def _case1_split(ctx: _Ctx):
@@ -483,92 +560,29 @@ def _case1_split(ctx: _Ctx):
     p1, _missed = ctx.recurse(s, u1)
     p2 = ctx.ham_path_h2(ctx.partner(u1), t)
     path = splice(ctx.view, [p1, p2])
-    return path, "1.3", {"cross": [[u1, ctx.partner(u1)]]}
+    return path, _LABELS["1", "split", None], {"cross": [[u1, ctx.partner(u1)]]}
 
 
 # ----------------------------------------------------------------------
 # cases 2 and 3: covering cycle in half 1
 
 
-def solve_case2(ctx: _Ctx):
-    return _dispatch_on_cycle(ctx, _canon_cycle(ctx.ham_cycle_h1()), q1=None, major="2")
-
-
-def solve_case3(ctx: _Ctx):
-    cyc, missed = ctx.near_cycle_h1()
-    if missed is None:
-        raise InternalContradiction(
-            "half 1 at minimum degree <= 1 cannot have a full covering cycle"
-        )
-    return _dispatch_on_cycle(ctx, _canon_cycle(cyc), q1=missed, major="3")
-
-
-def _dispatch_on_cycle(ctx: _Ctx, cyc: PathSeq, q1: Optional[int], major: str):
-    """``cyc`` is the half-1 cycle in ``_canon_cycle`` form."""
-    s, t = ctx.s, ctx.t
-    s1, t1 = s in ctx.h1, t in ctx.h1
-    detail: dict = {"q1": q1} if q1 is not None else {}
-
-    if s1 and t1:
-        if q1 is not None and q1 in (s, t):
-            return _cycle_agent_both_h1(ctx, cyc, q1, major, detail)
-        path, shape = _cycle_h1_both(ctx, cyc, s, t, allow_bypass=q1 is None)
-        if major == "2":
-            label = {"d1": "2.1.1", "d2-direct": "2.1.2.1",
-                     "d2-bypass": "2.1.2.2", "d3": "2.1.3"}[shape]
-        else:
-            label = "3.1.1.2" if shape.startswith("d2") else "3.1.1.1"
-        detail["shape"] = shape
-        return path, label, detail
-
-    if not s1 and not t1:
-        path = _cycle_h2_both(ctx, cyc, s, t)
-        return path, f"{major}.2", detail
-
-    # split pair: s is the half-1 endpoint
-    if q1 is not None and s == q1:
-        # the half-1 endpoint is the node off the cycle
-        if ctx.partner_ok(s):
-            core = _cycle_h2_both(ctx, cyc, ctx.partner(s), t)
-            path = splice(ctx.view, [[s], core])
-            detail["agent"] = ctx.partner(s)
-        else:
-            agent = next((w for w in sorted(ctx.h1_view.neighbors(s))), None)
-            if agent is None:
-                raise InternalContradiction("off-cycle endpoint is isolated in half 1")
-            core, _shape = _cycle_split(ctx, cyc, agent, t)
-            path = splice(ctx.view, [[s], core])
-            detail["agent"] = agent
-        label = f"{major}.3.2"
+def _solve_cycle(ctx: _Ctx, major: str):
+    """Case 2 covers half 1 with a cycle; case 3 with a near-covering cycle
+    that misses the starved node, which ``_dispatch`` reaches through a
+    stand-in when it is an endpoint."""
+    if major == "2":
+        cyc, q1 = ctx.ham_cycle_h1(), None
     else:
-        path, shape = _cycle_split(ctx, cyc, s, t)
-        label = f"{major}.3.1" if major == "3" else {"exit": "2.3.1", "blocked": "2.3.2"}[shape]
-        detail["shape"] = shape
-    return path, label, detail
+        cyc, q1 = ctx.near_cycle_h1()
+        if q1 is None:
+            raise InternalContradiction(
+                "half 1 at minimum degree <= 1 cannot have a full covering cycle"
+            )
+    return _dispatch(ctx, _CYCLE_SHAPES, _canon_cycle(cyc), q1, major, ctx.s, ctx.t)
 
 
-def _cycle_agent_both_h1(ctx: _Ctx, cyc, q1, major, detail):
-    # both endpoints in half 1 and one of them is the off-cycle node, which
-    # the path reaches last
-    s, t = ctx.s, ctx.t
-    flipped = s == q1
-    a, b = (t, s) if flipped else (s, t)  # b is off the cycle
-    if ctx.partner_ok(b):
-        core, _shape = _cycle_split(ctx, cyc, a, ctx.partner(b))
-        path = splice(ctx.view, [core, [b]])
-        detail["agent"] = ctx.partner(b)
-    else:
-        agent = next((w for w in sorted(ctx.h1_view.neighbors(b)) if w != a), None)
-        if agent is None:
-            raise InternalContradiction("off-cycle endpoint kept no usable neighbor")
-        core, _shape = _cycle_h1_both(ctx, cyc, a, agent, allow_bypass=False)
-        path = splice(ctx.view, [core, [b]])
-        detail["agent"] = agent
-    detail["flipped"] = flipped
-    return path, f"{major}.1.2", detail
-
-
-def _cycle_h1_both(ctx: _Ctx, c, s, t, allow_bypass: bool):
+def _cycle_h1_both(ctx: _Ctx, c, s, t):
     """Both endpoints on the half-1 cycle; returns (path, shape tag)."""
     m = len(c)
     pos = {v: i for i, v in enumerate(c)}
@@ -594,8 +608,9 @@ def _cycle_h1_both(ctx: _Ctx, c, s, t, allow_bypass: bool):
                 p2 = ctx.ham_path_h2(ctx.partner(x1), ctx.partner(z1))
                 return splice(ctx.view, [[s, x1], p2, plong[1:]]), "d2-direct"
             raise InternalContradiction("both bypass anchors lost their cross edges")
-        if allow_bypass:
-            # x1 stays out: the result misses exactly one node
+        if len(c) == len(ctx.h1_view):
+            # x1 stays out: the result misses exactly one node, so only a
+            # cycle through every half-1 node may bypass it
             return ctx.detour(plong)[0], "d2-bypass"
         # reattach the skipped middle node through one of its cycle neighbors
         interior = plong[1:-1]
@@ -628,9 +643,9 @@ def _cycle_h1_both(ctx: _Ctx, c, s, t, allow_bypass: bool):
     raise InternalContradiction("both neighbor pairs around the endpoints are blocked")
 
 
-def _cycle_h2_both(ctx: _Ctx, c, s, t) -> PathSeq:
+def _cycle_h2_both(ctx: _Ctx, c, s, t):
     """Both endpoints in half 2: cut the cycle at a cross-usable edge and
-    cover half 2 with two disjoint paths."""
+    cover half 2 with two disjoint paths; returns (path, None)."""
     ring = c + c[:1]  # cycle edge i is ring[i], ring[i + 1]
     cut = next(
         (
@@ -645,7 +660,7 @@ def _cycle_h2_both(ctx: _Ctx, c, s, t) -> PathSeq:
     a, b = ring[cut], ring[cut + 1]
     long_path = _cyc_walk(c, cut, (cut + 1) % len(c), -1)  # a .. b avoiding edge (a,b)
     p21, p22 = ctx.two_paths_h2(s, ctx.partner(a), ctx.partner(b), t)
-    return splice(ctx.view, [p21, long_path, p22])
+    return splice(ctx.view, [p21, long_path, p22]), None
 
 
 def _cycle_split(ctx: _Ctx, c, s, t):
@@ -672,16 +687,11 @@ def _cycle_split(ctx: _Ctx, c, s, t):
     tside = next((w for w in nbrs if ctx.partner(w) == t and ctx.partner_ok(w)), None)
     if tside is None:
         raise InternalContradiction("both cycle neighbors of the endpoint are unusable")
-    # the long way round, u1 .. v1 (= partner of t)
+    # the long way round, u1 .. v1 (= partner of t), with half 2 less t
+    # spliced in at a pair that is neither end of it
     arc = _cyc_walk(c, ps, pos[tside], -1 if tside == nxt else 1)[1:]
-    # an interior pair: neither arc[0] nor v1 = arc[-1]
-    pair = next((j for j in _cross_pair_indexes(arc[:-1], ctx.view, ctx.partner) if j), None)
-    if pair is None:
-        raise InternalContradiction("no interior cycle edge kept both cross partners")
-    y1, x1 = arc[pair], arc[pair + 1]
-    p2 = ctx.ham_path_h2(ctx.partner(y1), ctx.partner(x1), exclude={t})
-    path = splice(ctx.view, [[s], arc[: pair + 1], p2, arc[pair + 1 :], [t]])
-    return path, "blocked"
+    core = ctx.detour(arc, exclude={t}, interior=True)[0]
+    return splice(ctx.view, [[s], core, [t]]), "blocked"
 
 
 # ----------------------------------------------------------------------
@@ -735,9 +745,8 @@ def _cut_cycle(ctx: _Ctx, cyc: PathSeq, fe) -> PathSeq:
 def _solve_repaired(ctx: _Ctx, major: str):
     """Case 4 repairs the first fault that leaves half 1 at minimum degree 2
     and cuts its covering cycle; case 5 repairs the first fault and cuts its
-    near-covering cycle, whose off-cycle node stays off the path."""
-    if ctx.f2 or ctx.fc_count:
-        raise InternalContradiction(f"case-{major} fault arithmetic leaves no outside faults")
+    near-covering cycle, whose off-cycle node stays off the path. The level
+    holds no fault outside half 1 (``_solve_level`` checks f2 = fc = 0)."""
     if major == "4":
         fe = _select_restorable_fault(ctx)
         cyc = ctx.ham_cycle_h1(restore=fe)
@@ -749,73 +758,8 @@ def _solve_repaired(ctx: _Ctx, major: str):
     if len(off) > 1:
         raise InternalContradiction("near-covering cycle left more than one node out")
     q1 = next(iter(off)) if off else None
-    path, label, detail = _dispatch_on_path(ctx, p1, q1=q1, major=major)
-    detail["fe"] = list(fe) if isinstance(fe, tuple) else fe
-    return path, label, detail
-
-
-def _dispatch_on_path(ctx: _Ctx, p1: PathSeq, q1: Optional[int], major: str):
-    s, t = ctx.s, ctx.t
-    s1, t1 = s in ctx.h1, t in ctx.h1
-    detail: dict = {"q1": q1} if q1 is not None else {}
-    detail["ends"] = [p1[0], p1[-1]]
-
-    if s1 and t1:
-        if q1 is not None and q1 in (s, t):
-            # stand a cross partner in for the off-path endpoint, which the
-            # path reaches last
-            flipped = s == q1
-            a, b = (t, s) if flipped else (s, t)
-            if not ctx.partner_ok(b):
-                raise InternalContradiction("off-path endpoint lost its cross edge")
-            core, _shape = _path_split(ctx, p1, a, ctx.partner(b))
-            path = splice(ctx.view, [core, [b]])
-            detail.update(agent=ctx.partner(b), flipped=flipped)
-            return path, f"{major}.1.2", detail
-        path, shape = _path_h1_both(ctx, p1, s, t)
-        label = {"d1": ".1.1", "d2": ".1.2", "d3": ".1.3"}[shape] if major == "4" else ".1.1"
-        detail["shape"] = shape
-        return path, major + label, detail
-
-    if not s1 and not t1:
-        path, shape = _path_h2_both(ctx, p1, s, t)
-        label = (
-            {"free": "4.2.1", "one-end": "4.2.2", "both-ends": "4.2.3"}[shape]
-            if major == "4"
-            else "5.2"
-        )
-        detail["shape"] = shape
-        return path, label, detail
-
-    # split pair: s is the half-1 endpoint
-    if q1 is not None and s == q1:
-        if not ctx.partner_ok(s):
-            raise InternalContradiction("off-path endpoint lost its cross edge")
-        core, shape = _path_h2_both(ctx, p1, ctx.partner(s), t)
-        path = splice(ctx.view, [[s], core])
-        label = f"{major}.3.2"
-        detail.update(agent=ctx.partner(s), shape=shape)
-    else:
-        path, shape = _path_split(ctx, p1, s, t)
-        if major == "4":
-            label = {
-                "free": "4.3.1",
-                "vend": "4.3.2",
-                "wend": "4.3.2",
-                "uend-0": "4.3.3",
-                "uend-1": "4.3.3.1",
-                "uend-1z": "4.3.3.1",
-                "uend-1chord": "4.3.3.1",
-                "uend-2": "4.3.3.2",
-            }[shape]
-        else:
-            label = {
-                "uend-1": "5.3.1.1",
-                "uend-1z": "5.3.1.1",
-                "uend-1chord": "5.3.1.1",
-                "uend-2": "5.3.1.2",
-            }.get(shape, "5.3.1")
-        detail["shape"] = shape
+    path, label, detail = _dispatch(ctx, _PATH_SHAPES, p1, q1, major, ctx.s, ctx.t)
+    detail.update(ends=[p1[0], p1[-1]], fe=list(fe) if isinstance(fe, tuple) else fe)
     return path, label, detail
 
 
@@ -824,57 +768,27 @@ def _path_h1_both(ctx: _Ctx, p1: PathSeq, s, t):
     them comes first on the oriented half-1 path."""
     if s not in p1 or t not in p1:
         raise InternalContradiction("an endpoint is missing from the half-1 path")
-    chosen = None
     for seq in (tuple(p1), tuple(reversed(p1))):
         pos = {v: i for i, v in enumerate(seq)}
-        L = len(seq) - 1
-        a, b = (s, t) if pos[s] < pos[t] else (t, s)
-        if pos[b] - pos[a] == 2 and pos[b] > L - 2:
-            continue  # the skipped-pair shape needs room past the far endpoint
-        chosen = (seq, pos, L, a, b)
-        break
-    if chosen is None:
+        pa, pb = sorted((pos[s], pos[t]))
+        # the skipped-pair shape needs room past the far endpoint
+        if pb - pa != 2 or pb < len(seq) - 2:
+            break
+    else:
         raise InternalContradiction("covering path too short to orient")
-    seq, pos, L, a, b = chosen
-    pa, pb = pos[a], pos[b]
-    d = pb - pa
-    u2, v2 = ctx.partner(seq[0]), ctx.partner(seq[L])
+    u2, v2 = ctx.partner(seq[0]), ctx.partner(seq[-1])
+    head = seq[pa::-1]  # the nearer endpoint back to the path's first node
 
-    if d == 1:
+    if pb - pa == 1:
         p2 = ctx.ham_path_h2(u2, v2)
-        path = splice(
-            ctx.view, [list(reversed(seq[: pa + 1])), p2, list(reversed(seq[pb:]))]
-        )
-        shape = "d1"
-    elif d == 2:
+        return splice(ctx.view, [head, p2, seq[pb:][::-1]]), "d1"
+    if pb - pa == 2:
         x1, y1 = seq[pa + 1], seq[pb + 1]
         p21, p22 = ctx.two_paths_h2(u2, v2, ctx.partner(x1), ctx.partner(y1))
-        path = splice(
-            ctx.view,
-            [
-                list(reversed(seq[: pa + 1])),
-                p21,
-                list(reversed(seq[pb + 1 :])),
-                list(reversed(p22)),
-                [x1, b],
-            ],
-        )
-        shape = "d2"
-    else:
-        x1, y1 = seq[pa + 1], seq[pb - 1]
-        p21, p22 = ctx.two_paths_h2(u2, ctx.partner(x1), v2, ctx.partner(y1))
-        path = splice(
-            ctx.view,
-            [
-                list(reversed(seq[: pa + 1])),
-                p21,
-                seq[pa + 1 : pb],
-                list(reversed(p22)),
-                list(reversed(seq[pb:])),
-            ],
-        )
-        shape = "d3"
-    return path, shape
+        return splice(ctx.view, [head, p21, seq[pb + 1 :][::-1], p22[::-1], [x1, seq[pb]]]), "d2"
+    x1, y1 = seq[pa + 1], seq[pb - 1]
+    p21, p22 = ctx.two_paths_h2(u2, ctx.partner(x1), v2, ctx.partner(y1))
+    return splice(ctx.view, [head, p21, seq[pa + 1 : pb], p22[::-1], seq[pb:][::-1]]), "d3"
 
 
 def _path_h2_both(ctx: _Ctx, p1: PathSeq, s, t):
@@ -899,15 +813,11 @@ def _path_h2_both(ctx: _Ctx, p1: PathSeq, s, t):
             path = tuple(reversed(path))
         return path, "one-end"
 
+    # s and t are the ends' partners: half 2 less them is spliced in at a
+    # pair that is neither end of the path
     seq = tuple(p1) if u2 == s else tuple(reversed(p1))
-    # an interior pair: neither end of the path
-    i = next((j for j in _cross_pair_indexes(seq[:-1], ctx.view, ctx.partner) if j), None)
-    if i is None:
-        raise InternalContradiction("no interior pair on the half-1 path was usable")
-    x1, y1 = seq[i], seq[i + 1]
-    p2 = ctx.ham_path_h2(ctx.partner(x1), ctx.partner(y1), exclude={s, t})
-    path = splice(ctx.view, [[s], seq[: i + 1], p2, seq[i + 1 :], [t]])
-    return path, "both-ends"
+    core = ctx.detour(seq, exclude={s, t}, interior=True)[0]
+    return splice(ctx.view, [[s], core, [t]]), "both-ends"
 
 
 def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
@@ -924,27 +834,19 @@ def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
     u1, w1, v1 = seq[0], seq[ps + 1], seq[L]
     u2, w2, v2 = ctx.partner(u1), ctx.partner(w1), ctx.partner(v1)
 
+    head = seq[ps::-1]  # s back to u1
+
     if t not in (u2, w2, v2):
         p21, p22 = ctx.two_paths_h2(u2, w2, v2, t)
-        path = splice(
-            ctx.view, [list(reversed(seq[: ps + 1])), p21, seq[ps + 1 :], p22]
-        )
-        return path, "free"
+        return splice(ctx.view, [head, p21, seq[ps + 1 :], p22]), "free"
 
     if t == v2:
         p2 = ctx.ham_path_h2(u2, w2, exclude={t})
-        path = splice(
-            ctx.view, [list(reversed(seq[: ps + 1])), p2, seq[ps + 1 :], [t]]
-        )
-        return path, "vend"
+        return splice(ctx.view, [head, p2, seq[ps + 1 :], [t]]), "vend"
 
     if t == w2:
         p2 = ctx.ham_path_h2(u2, v2, exclude={t})
-        path = splice(
-            ctx.view,
-            [list(reversed(seq[: ps + 1])), p2, list(reversed(seq[ps + 1 :])), [t]],
-        )
-        return path, "wend"
+        return splice(ctx.view, [head, p2, seq[ps + 1 :][::-1], [t]]), "wend"
 
     # t is the partner of the near end
     if ps == 0:
@@ -957,20 +859,13 @@ def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
         )
         px = next((p for p in on_path if p >= 4), None)
         if px is not None:
-            x1, y1 = seq[px], seq[px - 1]
+            y1 = seq[px - 1]
             p21, p22 = ctx.two_paths_h2(w2, t, v2, ctx.partner(y1))
-            path = splice(
-                ctx.view,
-                [[s, u1], seq[px:], p22, list(reversed(seq[2:px])), p21],
-            )
-            return path, "uend-1"
+            return splice(ctx.view, [[s, u1], seq[px:], p22, seq[2:px][::-1], p21]), "uend-1"
         if 3 in on_path:
             z1 = seq[4]
             p21, p22 = ctx.two_paths_h2(w2, ctx.partner(z1), v2, t)
-            path = splice(
-                ctx.view, [[s, u1], [seq[3], seq[2]], p21, seq[4:], p22]
-            )
-            return path, "uend-1z"
+            return splice(ctx.view, [[s, u1], [seq[3], seq[2]], p21, seq[4:], p22]), "uend-1z"
         if 2 in on_path:
             p2 = ctx.ham_path_h2(v2, t)
             return splice(ctx.view, [[s, u1], seq[2:], p2]), "uend-1chord"
@@ -979,13 +874,59 @@ def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
         )
 
     x1 = seq[ps - 1]
-    s2 = ctx.partner(s)
-    p21, p22 = ctx.two_paths_h2(s2, w2, v2, ctx.partner(x1), exclude={t})
-    path = splice(
-        ctx.view,
-        [[s], p21, seq[ps + 1 :], p22, list(reversed(seq[:ps])), [t]],
-    )
-    return path, "uend-2"
+    p21, p22 = ctx.two_paths_h2(ctx.partner(s), w2, v2, ctx.partner(x1), exclude={t})
+    return splice(ctx.view, [[s], p21, seq[ps + 1 :], p22, seq[:ps][::-1], [t]]), "uend-2"
+
+
+# ----------------------------------------------------------------------
+# cases 2 to 5: one dispatch over the endpoint placements
+
+#: the constructions on a half-1 cycle or path, by endpoint placement: both
+#: in half 1, both in half 2, split (s in half 1); each returns (path, shape)
+_CYCLE_SHAPES = (_cycle_h1_both, _cycle_h2_both, _cycle_split)
+_PATH_SHAPES = (_path_h1_both, _path_h2_both, _path_split)
+
+
+def _dispatch(ctx: _Ctx, shapes, seq: PathSeq, q1: Optional[int], major: str, s: int, t: int):
+    """Cover the level from s to t around ``seq``, a half-1 cycle (cases 2
+    and 3, in ``_canon_cycle`` form) or path (cases 4 and 5) through every
+    surviving half-1 node but ``q1`` (None when it misses none), with the
+    constructions ``shapes`` on it. A split pair comes with s in half 1.
+    Returns (path, label, detail)."""
+    detail: dict = {} if q1 is None else {"q1": q1}
+    if q1 in (s, t):
+        # The endpoint off ``seq`` is reached from a stand-in: its cross
+        # partner when that edge survives, else its lowest half-1 neighbour
+        # besides the other endpoint. In cases 4 and 5 f2 = fc = 0, so every
+        # cross edge between surviving nodes survives and the stand-in is
+        # always the partner.
+        off, other = (s, t) if s == q1 else (t, s)
+        if ctx.partner_ok(off):
+            agent = ctx.partner(off)
+        else:
+            agent = next((w for w in sorted(ctx.h1_view.neighbors(off)) if w != other), None)
+            if agent is None:
+                raise InternalContradiction("off-cycle endpoint kept no usable neighbor")
+        detail["agent"] = agent
+        if other in ctx.h1:  # both in half 1: the path ends at the off endpoint
+            core, _label, _inner = _dispatch(ctx, shapes, seq, q1, major, other, agent)
+            detail["flipped"] = off == s
+            return splice(ctx.view, [core, [off]]), _LABELS[major, "h1", "stand-in"], detail
+        core, _label, inner = _dispatch(ctx, shapes, seq, q1, major, agent, t)
+        # traces stay as they were: only a stand-in in half 2 records its shape
+        if agent not in ctx.h1 and "shape" in inner:
+            detail["shape"] = inner["shape"]
+        return splice(ctx.view, [[off], core]), _LABELS[major, "split", "stand-in"], detail
+    h1_both, h2_both, split = shapes
+    if s in ctx.h1 and t in ctx.h1:
+        placement, (path, shape) = "h1", h1_both(ctx, seq, s, t)
+    elif s in ctx.h1:
+        placement, (path, shape) = "split", split(ctx, seq, s, t)
+    else:
+        placement, (path, shape) = "h2", h2_both(ctx, seq, s, t)
+    if shape is not None:
+        detail["shape"] = shape
+    return path, _LABELS[major, placement, shape], detail
 
 
 # ----------------------------------------------------------------------
@@ -1020,16 +961,14 @@ def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
             raise InternalContradiction("half 1 has no surviving node")
         if f1 <= 2 * k - 10:
             path, label, detail = solve_case1(ctx)
-        elif f1 == 2 * k - 9 and delta >= 2:
-            path, label, detail = solve_case2(ctx)
         elif f1 == 2 * k - 9:
-            path, label, detail = solve_case3(ctx)
-        elif f1 == 2 * k - 8:
+            path, label, detail = _solve_cycle(ctx, "2" if delta >= 2 else "3")
+        elif f1 == 2 * k - 8 and not ctx.f2 and not ctx.fc_count:
             path, label, detail = _solve_repaired(ctx, "4" if delta >= 2 else "5")
         else:
             raise PreconditionViolated(
-                f"fault load {f1} in one half exceeds the dispatch table at "
-                f"dimension {level.dim}"
+                f"fault load f1={f1}, f2={len(ctx.f2)}, fc={ctx.fc_count} exceeds "
+                f"the dispatch table at dimension {level.dim}"
             )
         if path[0] == t:  # the construction began at t
             path = path[::-1]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -101,13 +102,68 @@ def test_embed_too_many_faults_exits_3(instance, tmp_path, capsys):
 
 
 def test_embed_unsafe_reports_out_of_contract(instance, tmp_path, capsys):
+    # seven faults at n = 8 are one past the bound 2n - 10, and this load
+    # still embeds: four in one half, three in the other
+    gpath, _ = instance
+    fpath = tmp_path / "f7.json"
+    fpath.write_text(FaultSet.of(nodes=[1, 2, 3, 130, 131, 132, 133]).to_json())
+    argv = ["embed", "--graph", str(gpath), "--faults", str(fpath), "-s", "10", "-t", "200"]
+    code, out, _ = run_cli(capsys, *argv, "--unsafe")
+    assert code == 0
+    result = json.loads(out)
+    assert result["status"] == "out-of-contract"
+    assert result["classification"] == "hamiltonian"
+    assert len(result["path"]) == 249
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.startswith("precondition violated: fault count 7 exceeds the bound 6")
+
+
+def test_embed_unsafe_past_the_dispatch_table_exits_3(instance, tmp_path, capsys):
+    # six faults in one half is case 4's load, which needs the other half
+    # fault-free; the seventh fault there leaves no case to dispatch to
     gpath, _ = instance
     fpath = tmp_path / "f7.json"
     fpath.write_text(FaultSet.of(nodes=[1, 2, 3, 4, 5, 6, 130]).to_json())
-    code, out, _ = run_cli(capsys, "embed", "--graph", str(gpath), "--faults",
-                           str(fpath), "-s", "10", "-t", "200", "--unsafe")
-    if code == 0:
-        assert json.loads(out)["status"] == "out-of-contract"
+    code, out, err = run_cli(capsys, "embed", "--graph", str(gpath), "--faults",
+                             str(fpath), "-s", "10", "-t", "200", "--unsafe")
+    assert code == 3
+    assert err.startswith("precondition violated: ") and "dispatch table" in err
+    assert json.loads(out)["status"] == "error"
+
+
+def test_embed_graph_failing_the_shape_check_exits_2(instance, tmp_path, capsys):
+    # an edge inside a base block is no edge of any level's matching, so the
+    # loader accepts the file without it; the shape check does not
+    gpath, fpath = instance
+    doc = json.loads(gpath.read_text())
+    doc["edges"].remove(next(e for e in doc["edges"] if e[1] < 8))
+    mutant = tmp_path / "m.json"
+    mutant.write_text(json.dumps(doc))
+    graph_from_json(mutant.read_text())
+    code, out, err = run_cli(capsys, "embed", "--graph", str(mutant), "--faults",
+                             str(fpath), "-s", "5", "-t", "200")
+    assert code == 2
+    assert err.startswith("error: graph fails shape check root: regularity")
+    assert out == ""
+
+
+def test_embed_path_failing_validation_exits_1(instance, tmp_path, capsys, monkeypatch):
+    gpath, fpath = instance
+    real = cli.embed
+
+    def drop_last_step(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, path=res.path[:-2] + res.path[-1:])
+
+    monkeypatch.setattr(cli, "embed", drop_last_step)
+    code, out, err = run_cli(capsys, "embed", "--graph", str(gpath), "--faults",
+                             str(fpath), "-s", "5", "-t", "200")
+    assert code == 1
+    assert err == "error: produced path failed independent validation\n"
+    result = json.loads(out)
+    assert result["status"] == "error"
+    assert result["reason"].startswith("self-check failed")
 
 
 def test_embed_faulty_endpoint_exits_3(instance, capsys):

@@ -294,6 +294,13 @@ def test_case4_split_pair_at_a_degree_two_path_end(graph8):
     assert res.path[:4] == (1, 0, 2, 3)
 
 
+def _case5_path(graph9, f5):
+    """The cut path of ``case5_setup``: node 1, its first fault, repaired and
+    cut out of the near-covering cycle."""
+    ctx = _ctx(graph9, f5, 7, 99)
+    return _cut_cycle(ctx, ctx.near_cycle_h1(restore=1)[0], 1)
+
+
 def test_case4_restored_node_cut_ends_at_its_cycle_neighbors(graph8):
     p1 = _case4_path(graph8)
     # the first canonical fault is node 1 and it is restored then cut out
@@ -694,8 +701,11 @@ def pinned_instances(graph8, graph9):
     f3 = FaultSet.of(edges=[(q, w) for w in sorted(w for w in g9.neighbors(q) if w < 256)[:7]])
     f3_cut = FaultSet.of(edges=sorted(f3.edges) + [(q, cross_partner(g9, q))])
     f5 = FaultSet.of(nodes=[1], edges=f3.edges)
+    cp9 = functools.partial(cross_partner, g9)
     c3 = _canon_cycle(near_ham_cycle(SurvivingView(g9, f3, scope=frozenset(range(256)))).path)
-    f3_mid = FaultSet.of(edges=sorted(f3.edges) + [(c3[11], cross_partner(g9, c3[11]))])
+    f3_mid = FaultSet.of(edges=sorted(f3.edges) + [(c3[11], cp9(c3[11]))])
+    f3_exit = FaultSet.of(edges=sorted(f3.edges) + [(c3[19], cp9(c3[19]))])
+    p5 = _case5_path(g9, f5)
     h2_end = next(v for v in range(128, 256) if v not in (cp8(p4[0]), cp8(p4[-1])))
     f6 = sample_faults(g8, 6, random.Random(5))
     view6 = surviving_view(g8, f6)
@@ -741,11 +751,22 @@ def pinned_instances(graph8, graph9):
         "3.1.2-agent": (g9, f3_cut, 7, q),
         "3.3.2-agent": (g9, f3_cut, q, 400),
         "3.1.1.2": (g9, f3_mid, c3[10], c3[12]),
+        "3.1.1.1-d1": (g9, f3, c3[10], c3[11]),
+        "3.1.1.2-d2-direct": (g9, f3, c3[10], c3[12]),
+        "3.3.1-blocked": (g9, f3_exit, c3[20], cp9(c3[21])),
         "5.1.1": (g9, f5, 7, 99),
         "5.1.2": (g9, f5, 7, q),
         "5.2": (g9, f5, 300, 400),
         "5.3.1": (g9, f5, 7, 400),
         "5.3.2": (g9, f5, q, 400),
+        "5.1.1-d1": (g9, f5, p5[40], p5[41]),
+        "5.1.1-d2": (g9, f5, p5[40], p5[42]),
+        "5.2-both-ends": (g9, f5, cp9(p5[0]), cp9(p5[-1])),
+        "5.3.1-vend": (g9, f5, p5[40], cp9(p5[-1])),
+        "5.3.1-wend": (g9, f5, p5[40], cp9(p5[41])),
+        "5.3.1-uend-0": (g9, f5, p5[0], cp9(p5[0])),
+        "5.3.1.1-uend-1": (g9, f5, p5[1], cp9(p5[0])),
+        "5.3.1.2-uend-2": (g9, f5, p5[5], cp9(p5[0])),
         "5.1-n8": (g8, FaultSet.of(edges=[(20, w) for w in g8.neighbors(20) if w < 128][:6]), 5, 77),
     }
     g = make_preset(VariantSpec.random(5), 10)
@@ -793,11 +814,14 @@ _PINNED_RESULTS = {
     "2.3": "6da6d2de6c48f16e",
     "2.3.2": "7b5723fdae67d0da",
     "3.1.1": "434e25a0d8127482",
+    "3.1.1.1-d1": "ba4b2fe5fa8ad86e",
     "3.1.1.2": "9da622b130eb8682",
+    "3.1.1.2-d2-direct": "78771bf1a204e242",
     "3.1.2": "2d5988b2c34a6761",
     "3.1.2-agent": "7d89e6b19cfb7f23",
     "3.2": "561a8cd51e1013da",
     "3.3.1": "d3d4cb37a9414469",
+    "3.3.1-blocked": "95a23c27520ab2af",
     "3.3.2": "830de93b4853eb67",
     "3.3.2-agent": "a2626ad391454ddd",
     "4.1": "e656d21b2852b275",
@@ -816,9 +840,17 @@ _PINNED_RESULTS = {
     "4.3.3.2": "8722b66ba741f884",
     "5.1-n8": "6ac8f47303c4574d",
     "5.1.1": "fd4d51827730b0f0",
+    "5.1.1-d1": "e16ca5cb116df325",
+    "5.1.1-d2": "580cc74fa5c9ed5f",
     "5.1.2": "e9d30059d1673977",
     "5.2": "3ac9dbc703e64761",
+    "5.2-both-ends": "c1e5da789e8384fa",
     "5.3.1": "4260e9f1259c7b46",
+    "5.3.1-uend-0": "ab6b08bde5d5d969",
+    "5.3.1-vend": "18e4582a61689c45",
+    "5.3.1-wend": "ecc42a69a449537b",
+    "5.3.1.1-uend-1": "b1474d729c48b49c",
+    "5.3.1.2-uend-2": "3cb892ad5cae6c7e",
     "5.3.2": "53519c5e438e491c",
     "base-n7": "6a83d1127ff23671",
     "chain-n10": "5f816a4c0f51d9fe",
@@ -861,6 +893,22 @@ def test_embed_results_are_pinned(pinned_instances, name):
         assert all(r.trace.top_case().startswith(label) for r in results)
     body = json.dumps([r.to_json_obj() for r in results], sort_keys=True)
     assert hashlib.sha256(body.encode()).hexdigest()[:16] == _PINNED_RESULTS[name]
+
+
+#: pinned instances named "<label>-<shape>": each reaches that sub-label
+#: through that construction shape
+_PINNED_SHAPES = [
+    "3.1.1.1-d1", "3.1.1.2-d2-direct", "3.3.1-blocked", "5.1.1-d1", "5.1.1-d2",
+    "5.2-both-ends", "5.3.1-vend", "5.3.1-wend", "5.3.1-uend-0", "5.3.1.1-uend-1",
+    "5.3.1.2-uend-2",
+]
+
+
+@pytest.mark.parametrize("name", _PINNED_SHAPES)
+def test_pinned_instances_reach_their_shape(pinned_instances, name):
+    (inst,) = pinned_instances[name]
+    top = embed(*inst).trace.records[0]
+    assert [top["case"], top["shape"]] == name.split("-", 1)
 
 
 def _relabelled(g, seed):
