@@ -913,7 +913,7 @@ def _dispatch(ctx: _Ctx, shapes, seq: PathSeq, q1: Optional[int], major: str, s:
             detail["flipped"] = off == s
             return splice(ctx.view, [core, [off]]), _LABELS[major, "h1", "stand-in"], detail
         core, _label, inner = _dispatch(ctx, shapes, seq, q1, major, agent, t)
-        # traces stay as they were: only a stand-in in half 2 records its shape
+        # pinned trace format: only a stand-in in half 2 records its inner shape
         if agent not in ctx.h1 and "shape" in inner:
             detail["shape"] = inner["shape"]
         return splice(ctx.view, [[off], core]), _LABELS[major, "split", "stand-in"], detail
