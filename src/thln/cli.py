@@ -23,6 +23,7 @@ import random
 import statistics
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -292,32 +293,12 @@ def run_stress(cfg: RunConfig) -> tuple[dict, list[float]]:
     """Run the campaign and build the deterministic report object. Trial
     wall-clock times are returned separately; they enter the report only
     when ``cfg.timing`` is set."""
-    trials = []
-    elapsed = []
-    for i in range(cfg.trial_count):
-        rec = run_stress_trial(
-            cfg.dimension, cfg.fault_count, _trial_seed(cfg.seed, i),
-            cfg.budget, enforce_bounds=not cfg.unsafe,
-        )
-        elapsed.append(rec.pop("elapsed_s", 0.0))
-        rec["trial"] = i
-        trials.append(rec)
-
-    histogram: dict[str, int] = {}
-    missed_freq: dict[str, int] = {}
-    statuses: dict[str, int] = {}
-    failures = []
-    for rec in trials:
-        for label in rec.get("cases", ()):
-            histogram[label] = histogram.get(label, 0) + 1
-        if rec.get("missed") is not None:
-            key = str(rec["missed"])
-            missed_freq[key] = missed_freq.get(key, 0) + 1
-        if rec.get("status"):
-            statuses[rec["status"]] = statuses.get(rec["status"], 0) + 1
-        if not rec["ok"]:
-            failures.append({"trial": rec["trial"], "error": rec.get("error")})
-
+    trials = [
+        dict(run_stress_trial(cfg.dimension, cfg.fault_count, _trial_seed(cfg.seed, i),
+                              cfg.budget, enforce_bounds=not cfg.unsafe), trial=i)
+        for i in range(cfg.trial_count)
+    ]
+    elapsed = [rec.pop("elapsed_s", 0.0) for rec in trials]
     report = {
         "config": {
             "dimension": cfg.dimension,
@@ -328,13 +309,13 @@ def run_stress(cfg: RunConfig) -> tuple[dict, list[float]]:
             "unsafe": cfg.unsafe,
         },
         "successes": sum(1 for r in trials if r["ok"]),
-        "statuses": statuses,
-        "case_histogram": histogram,
-        "missed_frequency": missed_freq,
-        "failures": failures,
-        "trials": [
-            {k: v for k, v in sorted(rec.items())} for rec in trials
-        ],
+        "statuses": Counter(r["status"] for r in trials if r.get("status")),
+        "case_histogram": Counter(label for r in trials for label in r.get("cases", ())),
+        "missed_frequency": Counter(str(r["missed"]) for r in trials
+                                    if r.get("missed") is not None),
+        "failures": [{"trial": r["trial"], "error": r.get("error")}
+                     for r in trials if not r["ok"]],
+        "trials": [dict(sorted(rec.items())) for rec in trials],
     }
     if cfg.timing and elapsed:
         report["timing_s"] = {
@@ -402,68 +383,31 @@ def cmd_stress(args) -> int:
 
 def _check_topology(seed: int) -> dict:
     bad = []
-    combos = [("crossed", None), ("mobius0", None), ("mobius1", None),
-              ("locally-twisted", None)]
     for n in range(3, 7):
-        for name, _ in combos:
-            g = make_preset(VariantSpec(name), n)
-            rep = check_shape(g)
+        for spec in [*map(VariantSpec, ("crossed", "mobius0", "mobius1", "locally-twisted")),
+                     VariantSpec.random(seed + n)]:
+            rep = check_shape(make_preset(spec, n))
             if not rep.ok:
-                bad.append({"variant": name, "n": n,
+                bad.append({"variant": spec.kind, "n": n,
                             "failures": [c.name for c in rep.failures]})
-        g = make_preset(VariantSpec.random(seed + n), n)
-        rep = check_shape(g)
-        if not rep.ok:
-            bad.append({"variant": "random", "n": n,
-                        "failures": [c.name for c in rep.failures]})
     return {"name": "topology-shape-sweep", "ok": not bad, "detail": {"failures": bad}}
 
 
-def _check_ham_path_service(seed: int, trials: int, budget: SearchBudget) -> dict:
-    # covering paths must exist between any surviving pair with n-3 faults
-    n, failures = 4, []
+def _service_suite(name: str, n: int, faults: int, seed: int, trials: int, run) -> dict:
+    """``trials`` seeded draws of a random dimension-``n`` view under
+    ``faults`` uniform faults, each handed to ``run(view, rng)`` for a
+    service outcome; an outcome of None redraws without counting a trial."""
     rng = random.Random(seed)
-    for i in range(trials):
-        g, f, view = _random_instance(n, n - 3, rng)
-        s, t = rng.sample(view.nodes, 2)
-        out = ham_path(view, s, t, budget)
-        if not out.found:
-            failures.append({"trial": i, "status": out.status.value})
-    return {"name": "service-covering-path", "ok": not failures,
-            "detail": {"n": n, "faults": n - 3, "trials": trials, "failures": failures}}
-
-
-def _check_ham_cycle_service(seed: int, trials: int, budget: SearchBudget) -> dict:
-    # covering cycles must exist with n-2 faults
-    n, failures = 4, []
-    rng = random.Random(seed)
-    for i in range(trials):
-        g, f, view = _random_instance(n, n - 2, rng)
-        out = ham_cycle(view, budget)
-        if not out.found:
-            failures.append({"trial": i, "status": out.status.value})
-    return {"name": "service-covering-cycle", "ok": not failures,
-            "detail": {"n": n, "faults": n - 2, "trials": trials, "failures": failures}}
-
-
-def _check_large_fault_cycle(seed: int, trials: int, budget: SearchBudget) -> dict:
-    # dimension 7 with 2n-9 faults and minimum degree >= 2 must keep a
-    # covering cycle
-    n, failures = 7, []
-    rng = random.Random(seed)
-    done = 0
+    failures, done = [], 0
     while done < trials:
-        g, f, view = _random_instance(n, 2 * n - 9, rng)
-        delta, _ = view.min_degree_witness()
-        if delta is None or delta < 2:
+        out = run(_random_instance(n, faults, rng)[2], rng)
+        if out is None:
             continue
-        out = ham_cycle(view, budget)
         if not out.found:
             failures.append({"trial": done, "status": out.status.value})
         done += 1
-    return {"name": "service-large-fault-cycle", "ok": not failures,
-            "detail": {"n": n, "faults": 2 * n - 9, "trials": trials,
-                       "failures": failures}}
+    return {"name": name, "ok": not failures,
+            "detail": {"n": n, "faults": faults, "trials": trials, "failures": failures}}
 
 
 def _check_disjoint_paths_service(seed: int, draws: int, budget: SearchBudget) -> dict:
@@ -489,7 +433,6 @@ def cmd_check(args) -> int:
     if args.trials < 0:
         _info(f"error: trial count must be non-negative, got {args.trials}")
         return 2
-    suites = []
     if args.graph:
         try:
             g = _load_graph(args.graph)
@@ -497,18 +440,28 @@ def cmd_check(args) -> int:
             _info(f"error: {exc}")
             return 2
         rep = check_shape(g)
-        suites.append({
+        suites = [{
             "name": "graph-file-shape",
             "ok": rep.ok,
             "detail": {"failures": [{"check": c.name, "detail": c.detail}
                                     for c in rep.failures]},
-        })
+        }]
     else:
-        suites.append(_check_topology(args.seed))
-        suites.append(_check_ham_path_service(args.seed, args.trials, budget))
-        suites.append(_check_ham_cycle_service(args.seed + 1, args.trials, budget))
-        suites.append(_check_large_fault_cycle(args.seed + 2, max(args.trials // 10, 3), budget))
-        suites.append(_check_disjoint_paths_service(args.seed + 3, 100, budget))
+        seed, trials = args.seed, args.trials
+        suites = [
+            _check_topology(seed),
+            # covering paths must exist between any surviving pair with n-3 faults
+            _service_suite("service-covering-path", 4, 1, seed, trials,
+                           lambda v, rng: ham_path(v, *rng.sample(v.nodes, 2), budget)),
+            # covering cycles must exist with n-2 faults
+            _service_suite("service-covering-cycle", 4, 2, seed + 1, trials,
+                           lambda v, rng: ham_cycle(v, budget)),
+            # with 2n-9 faults, a view of minimum degree >= 2 keeps a covering cycle
+            _service_suite("service-large-fault-cycle", 7, 5, seed + 2, max(trials // 10, 3),
+                           lambda v, rng: ham_cycle(v, budget)
+                           if (v.min_degree_witness()[0] or 0) >= 2 else None),
+            _check_disjoint_paths_service(seed + 3, 100, budget),
+        ]
     ok = all(s["ok"] for s in suites)
     _write(args.out, _dump({"ok": ok, "suites": suites}))
     for s in suites:

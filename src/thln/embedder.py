@@ -346,6 +346,11 @@ class _Ctx:
 
     # -- cross-edge selection
 
+    def cross_end(self, ok) -> Optional[int]:
+        """The lowest node of half 1 whose cross edge survives and that
+        ``ok`` accepts, or None."""
+        return next((u for u in self.h1_view.nodes if self.partner_ok(u) and ok(u)), None)
+
     def first_cross_pair(self, path, interior: bool = False) -> int:
         """Index of the first consecutive pair on ``path`` whose cross edges
         both survive; with ``interior``, the first that holds neither end of
@@ -492,13 +497,8 @@ def _case1_both_h1(ctx: _Ctx):
         raise InternalContradiction("starved endpoint lost its cross edge as well")
     t2 = ctx.partner(t)
     s_nbrs = set(hv.neighbors(s))
-    u1 = None
-    for u in sorted(ctx.h1):
-        if u in (s, t) or not ctx.partner_ok(u):
-            continue
-        if (s_nbrs - {u}) and any(w != s for w in hv.neighbors(u)):
-            u1 = u
-            break
+    u1 = ctx.cross_end(lambda u: u not in (s, t) and s_nbrs - {u}
+                       and any(w != s for w in hv.neighbors(u)))
     if u1 is None:
         raise InternalContradiction("no cross edge avoiding both endpoints was usable")
     p1, missed = ctx.recurse(s, u1)
@@ -520,19 +520,12 @@ def _case1_both_h2(ctx: _Ctx):
     if i1 is None:
         raise NoCandidate("no usable cross pair on the half-2 path")
     i2 = next((j for j in gen if j >= i1 + 2), None)
-    chosen = None
-    for i in (i1, i2):
-        if i is None:
-            continue
-        a, b = ctx.partner(p2[i]), ctx.partner(p2[i + 1])
-        if ctx.h1_view.degree(a) >= 2 and ctx.h1_view.degree(b) >= 2:
-            chosen = i
-            break
-    if chosen is None:
+    i = next((i for i in (i1, i2) if i is not None
+              and all(ctx.h1_view.degree(ctx.partner(x)) >= 2 for x in p2[i : i + 2])), None)
+    if i is None:
         raise InternalContradiction(
             "both disjoint cross pairs hit the single low-degree node of half 1"
         )
-    i = chosen
     u1, v1 = ctx.partner(p2[i]), ctx.partner(p2[i + 1])
     p1, _missed = ctx.recurse(u1, v1)
     path = splice(ctx.view, [p2[: i + 1], p1, p2[i + 1 :]])
@@ -541,22 +534,12 @@ def _case1_both_h2(ctx: _Ctx):
 
 def _case1_split(ctx: _Ctx):
     s, t = ctx.s, ctx.t  # s inside half 1, t inside half 2
-    cands: list[int] = []
-    for u in sorted(ctx.h1):
-        if u == s or not ctx.partner_ok(u) or ctx.partner(u) == t:
-            continue
-        cands.append(u)
-        if len(cands) == 3:
-            break
-    good = [u for u in cands if ctx.h1_view.degree(u) >= 2][:2]
-    if not good:
-        raise InternalContradiction("all candidate cross ends sit at degree < 2")
-    s_nbrs = set(ctx.h1_view.neighbors(s))
-    u1 = next((u for u in good if s_nbrs - {u}), None)
+    hv = ctx.h1_view
+    s_nbrs = set(hv.neighbors(s))
+    u1 = ctx.cross_end(lambda u: u != s and ctx.partner(u) != t and hv.degree(u) >= 2
+                       and s_nbrs - {u})
     if u1 is None:
-        raise InternalContradiction(
-            "split endpoint has no surviving neighbor inside its own half"
-        )
+        raise InternalContradiction("no usable cross end in half 1 for the split pair")
     p1, _missed = ctx.recurse(s, u1)
     p2 = ctx.ham_path_h2(ctx.partner(u1), t)
     path = splice(ctx.view, [p1, p2])

@@ -1,10 +1,18 @@
 import dataclasses
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from thln import FaultSet, cli, graph_from_json, validate_path
+from thln import FaultSet, VariantSpec, cli, graph_from_json, make_preset, validate_path
 from thln.cli import main
+from thln.topology import ShapeCheck, ShapeReport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +61,31 @@ def test_dimensions_above_the_limit_exit_2_before_building(capsys, monkeypatch, 
     assert code == 2
     n = argv[argv.index("--n") + 1]
     assert err == f"error: dimension must be at most {cli.MAX_DIMENSION}, got {n}\n"
+
+
+@pytest.mark.parametrize("n,code", [(3, 0), (4, 2)])
+def test_module_entry_point_generates_the_default_base(n, code):
+    # the default variant is a dimension-3 base only; `python -m thln` runs
+    # the same parser as the installed script
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "thln", "generate", "--variant", "default", "--n", str(n)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert graph_from_json(proc.stdout).dimension == 3
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr == "error: base3-default is only defined at dimension 3\n"
+
+
+def test_export_missing_file_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "export", "--graph", str(tmp_path / "nope.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_generate_dot_and_export_agree(tmp_path, capsys):
@@ -381,6 +414,75 @@ def test_stress_unsafe_with_every_element_faulty_reports_the_failure(tmp_path, c
     ]
 
 
+def test_stress_past_the_bound_fails_cleanly(tmp_path, capsys):
+    # two faults past 2n - 10: trials 0 and 3 draw a fault load that no case
+    # takes, and each fails as a PreconditionViolated, never a contradiction
+    out = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "stress", "--n", "8", "--faults", "8", "--trials", "4",
+                           "--seed", "2", "--unsafe", "-o", str(out))
+    assert code == 1
+    assert err.startswith("stress: 2/4 ok;")
+    error = ("PreconditionViolated: fault load f1=6, f2=2, fc=0 exceeds the dispatch table "
+             "at dimension 8")
+    assert json.loads(out.read_text())["failures"] == [
+        {"trial": 0, "error": error}, {"trial": 3, "error": error}
+    ]
+
+
+#: stand-ins for ``run_stress_trial``'s records, by trial index; no uniform
+#: campaign has produced a near-hamiltonian trial, so none fills
+#: ``missed_frequency``
+_CANNED_TRIALS = [
+    {"ok": True, "s": 3, "t": 9, "status": "near-hamiltonian", "missed": 17, "path_len": 126,
+     "cases": ["2.1.2.2", "1.1"], "elapsed_s": 0.5, "error": None},
+    {"ok": False, "s": 4, "t": 8, "status": "hamiltonian", "missed": None, "path_len": 127,
+     "cases": ["1.1", "1.3"], "elapsed_s": 0.25, "error": "validation: not a path"},
+    {"ok": False, "error": "no endpoint pair met the neighbor condition"},
+]
+
+
+@pytest.mark.parametrize("timing", [False, True], ids=["untimed", "timed"])
+def test_stress_report_tallies_every_trial(monkeypatch, timing):
+    calls = []
+
+    def canned(n, fault_count, seed, budget, enforce_bounds=True):
+        i = seed - cli._trial_seed(4, 0)
+        calls.append((n, fault_count, i, enforce_bounds))
+        return dict(_CANNED_TRIALS[i])
+
+    monkeypatch.setattr(cli, "run_stress_trial", canned)
+    cfg = cli.RunConfig(seed=4, dimension=7, fault_count=5, trial_count=3, unsafe=True,
+                        timing=timing)
+    report, elapsed = cli.run_stress(cfg)
+    csv = cli._stress_csv(report, timing, elapsed).splitlines()
+    assert calls == [(7, 5, i, False) for i in range(3)]
+    assert elapsed == [0.5, 0.25, 0.0]
+    assert report.pop("config") == {"dimension": 7, "faults": 5, "trials": 3, "seed": 4,
+                                    "budget": cfg.budget.max_expansions, "unsafe": True}
+    assert report.pop("successes") == 1
+    assert report.pop("statuses") == {"near-hamiltonian": 1, "hamiltonian": 1}
+    # every level's label counts, not only each trial's top case
+    assert report.pop("case_histogram") == {"2.1.2.2": 1, "1.1": 2, "1.3": 1}
+    assert report.pop("missed_frequency") == {"17": 1}
+    assert report.pop("failures") == [
+        {"trial": 1, "error": "validation: not a path"},
+        {"trial": 2, "error": "no endpoint pair met the neighbor condition"},
+    ]
+    assert report.pop("trials") == [
+        {**{k: v for k, v in rec.items() if k != "elapsed_s"}, "trial": i}
+        for i, rec in enumerate(_CANNED_TRIALS)
+    ]
+    if timing:
+        assert report.pop("timing_s") == {"median": 0.25, "max": 0.5, "total": 0.75}
+    assert report == {}
+    rows = ["0,1,near-hamiltonian,17,126,2.1.2.2", "1,0,hamiltonian,,127,1.1", "2,0,,,,"]
+    header = "trial,ok,status,missed,path_len,top_case"
+    if timing:
+        header += ",elapsed_s"
+        rows = [row + f",{t:.6f}" for row, t in zip(rows, elapsed)]
+    assert csv == [header, *rows]
+
+
 def test_stress_csv(tmp_path, capsys):
     csv = tmp_path / "t.csv"
     code, _, _ = run_cli(capsys, "stress", "--n", "8", "--faults", "4", "--trials", "2",
@@ -400,6 +502,88 @@ def test_check_default_suites(tmp_path, capsys):
     names = {s["name"] for s in report["suites"]}
     assert "topology-shape-sweep" in names
     assert "service-disjoint-path-cover" in names
+
+
+def test_check_budget_one_fails_every_service_suite(tmp_path, capsys):
+    # one expansion settles no search, so every service trial and draw fails
+    # and is recorded; the report is pinned byte for byte
+    out = tmp_path / "c.json"
+    code, _, _ = run_cli(capsys, "check", "--budget", "1", "--trials", "6", "--seed", "0",
+                         "-o", str(out))
+    assert code == 1
+    suites = json.loads(out.read_text())["suites"]
+    services = [s for s in suites if s["name"] != "topology-shape-sweep"]
+    assert len(services) == 4
+    for suite in services:
+        detail = suite["detail"]
+        count = "draws" if "draws" in detail else "trials"
+        assert not suite["ok"]
+        assert detail["failures"] == [
+            {count[:-1]: i, "status": "budget-exhausted"} for i in range(detail[count])
+        ]
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "b4e0daf43a9b2339"
+
+
+def test_check_redraws_low_degree_views_without_counting_them(tmp_path, capsys, monkeypatch):
+    # 2n - 9 = 5 faults cannot take a dimension-7 node below degree 2, so
+    # the large-fault suite redraws only through a stand-in: every other
+    # dimension-7 draw reports minimum degree 1, and it must be neither
+    # searched nor counted as a trial
+    real_instance, real_cycle = cli._random_instance, cli.ham_cycle
+    draws, searched = [], []
+
+    class LowDegree:
+        def min_degree_witness(self):
+            return 1, 0
+
+    def instance(n, fault_count, rng):
+        g, f, view = real_instance(n, fault_count, rng)
+        if n == 7:
+            view = LowDegree() if len(draws) % 2 == 0 else view
+            draws.append(view)
+        return g, f, view
+
+    def cycle(view, budget):
+        searched.append(view)
+        return real_cycle(view, budget)
+
+    monkeypatch.setattr(cli, "_random_instance", instance)
+    monkeypatch.setattr(cli, "ham_cycle", cycle)
+    out = tmp_path / "c.json"
+    code, _, _ = run_cli(capsys, "check", "--budget", "1", "--trials", "6", "--seed", "0",
+                         "-o", str(out))
+    assert code == 1
+    suite = next(s for s in json.loads(out.read_text())["suites"]
+                 if s["name"] == "service-large-fault-cycle")
+    assert suite["detail"] == {"n": 7, "faults": 5, "trials": 3, "failures": [
+        {"trial": i, "status": "budget-exhausted"} for i in range(3)
+    ]}
+    assert len(draws) == 6
+    assert [v for v in searched if v in draws] == draws[1::2]
+
+
+def test_check_topology_records_each_failing_spec(tmp_path, capsys, monkeypatch):
+    # the sweep covers four named variants and one seeded random one at each
+    # of n = 3..6; each spec that fails is recorded by kind and dimension
+    bad = [make_preset(VariantSpec.random(4), 4), make_preset(VariantSpec("mobius1"), 5)]
+    real = cli.check_shape
+
+    def check(g):
+        if g in bad:
+            return ShapeReport((ShapeCheck("root: regularity", False, "stand-in"),))
+        return real(g)
+
+    monkeypatch.setattr(cli, "check_shape", check)
+    out = tmp_path / "c.json"
+    code, _, err = run_cli(capsys, "check", "--trials", "1", "-o", str(out))
+    assert code == 1
+    assert json.loads(out.read_text())["suites"][0] == {
+        "name": "topology-shape-sweep", "ok": False, "detail": {"failures": [
+            {"variant": "random", "n": 4, "failures": ["root: regularity"]},
+            {"variant": "mobius1", "n": 5, "failures": ["root: regularity"]},
+        ]},
+    }
+    assert "FAIL topology-shape-sweep" in err
 
 
 def test_check_flags_mutant_graph(tmp_path, capsys):

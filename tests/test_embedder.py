@@ -20,6 +20,8 @@ from thln import (
     embed,
     graph_from_json,
     graph_to_json,
+    join,
+    make_base,
     make_preset,
     neighbor_condition,
     splice,
@@ -292,6 +294,36 @@ def test_case4_split_pair_at_a_degree_two_path_end(graph8):
     assert res.trace.top_case() == "4.3.3.1"
     assert res.trace.records[0]["shape"] == "uend-1z"
     assert res.path[:4] == (1, 0, 2, 3)
+
+
+#: a 3-regular base whose nodes 0, 1 and 2 form a triangle
+TRIANGLE_BASE = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5), (3, 6), (3, 7), (4, 6),
+                 (4, 7), (5, 6), (5, 7)]
+#: node 0 keeps only its half-1 edges to 1 and 2, which are adjacent, so the
+#: case-4 path's end 0 has a chord to the node two along
+CASE4_CHORD_FAULTS = FaultSet.of(edges=[(0, 3), (0, 12), (0, 26), (0, 60), (0, 121), (112, 113)])
+
+
+def _triangle_graph8():
+    """``TRIANGLE_BASE`` joined up to dimension 8, each level's matching one
+    shuffle from a single seeded generator, lowest level first. No preset
+    holds a triangle, so only such a graph reaches the ``uend-1chord`` shape."""
+    g = make_base(VariantSpec.base3_custom(TRIANGLE_BASE))
+    rng = random.Random(0)
+    for d in range(3, 8):
+        m = list(range(1 << d))
+        rng.shuffle(m)
+        g = join(g, g, dict(enumerate(m)))
+    return g
+
+
+def test_case4_chord_at_the_path_end_survives_a_file_round_trip():
+    g = _triangle_graph8()
+    assert check_shape(g).ok
+    loaded = graph_from_json(graph_to_json(g))
+    a, b = (embed_and_check(x, CASE4_CHORD_FAULTS, 2, 129) for x in (g, loaded))
+    assert a.hamiltonian and len(a.path) == 256
+    assert a.to_json_obj() == b.to_json_obj()
 
 
 def _case5_path(graph9, f5):
@@ -741,6 +773,7 @@ def pinned_instances(graph8, graph9):
         "4.3.3.1": (g8, CASE4_FAULTS, p4[1], cp8(p4[0])),
         "4.3.3.2": (g8, CASE4_FAULTS, p4[5], cp8(p4[0])),
         "4.3.3.1-z": (g8, CASE4_DEGREE2_END, 1, cp8(0)),
+        "4.3.3.1-uend-1chord": (_triangle_graph8(), CASE4_CHORD_FAULTS, 2, 129),
         "2.1.2.1-z1": (g8, _cut_cross_edge(g8, c1[13]), c1[10], c1[12]),
         "2.1.3-x1-y1": (g8, _cut_cross_edge(g8, c1[11]), c1[10], c1[20]),
         "3.1.1": (g9, f3, 7, 99),
@@ -836,6 +869,7 @@ _PINNED_RESULTS = {
     "4.3.2-wend": "f881612932b1289c",
     "4.3.3": "f9ae5c3aa1bd1e21",
     "4.3.3.1": "b27ea853bce0347c",
+    "4.3.3.1-uend-1chord": "a97fdf5d98e3d597",
     "4.3.3.1-z": "386df5f045910fa5",
     "4.3.3.2": "8722b66ba741f884",
     "5.1-n8": "6ac8f47303c4574d",
@@ -898,8 +932,8 @@ def test_embed_results_are_pinned(pinned_instances, name):
 #: pinned instances named "<label>-<shape>": each reaches that sub-label
 #: through that construction shape
 _PINNED_SHAPES = [
-    "3.1.1.1-d1", "3.1.1.2-d2-direct", "3.3.1-blocked", "5.1.1-d1", "5.1.1-d2",
-    "5.2-both-ends", "5.3.1-vend", "5.3.1-wend", "5.3.1-uend-0", "5.3.1.1-uend-1",
+    "3.1.1.1-d1", "3.1.1.2-d2-direct", "3.3.1-blocked", "4.3.3.1-uend-1chord", "5.1.1-d1",
+    "5.1.1-d2", "5.2-both-ends", "5.3.1-vend", "5.3.1-wend", "5.3.1-uend-0", "5.3.1.1-uend-1",
     "5.3.1.2-uend-2",
 ]
 
