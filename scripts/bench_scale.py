@@ -20,9 +20,12 @@ seed's graph is built at least ``BUILD_REPEATS`` times and until
 ``MIN_BUILD_SPAN_S`` seconds of building have been timed, its embed is timed
 ``EMBED_REPEATS`` times, and each is the median of those; the cell's wall is
 the p50 and max of the seeds' embed walls. The graph costs are the p50 of
-the seeds' build seconds, and the MB the last seed's graph retains, from
-one more build of it under ``tracemalloc`` (which slows the build it
-watches, so no timed build is traced).
+the seeds' build seconds, the MB the last seed's graph retains, from one
+more build of it under ``tracemalloc`` (which slows the build it watches,
+so no timed build is traced), and ``embed_peak_mb``, the ``tracemalloc``
+peak of one more untimed embed of the last seed's instance, which is what
+the embed allocates on top of its graph. An embed peaks under twice what its
+graph holds when ``embed_peak_mb`` is below ``retained_mb``.
 
 Every build and embed time is corrected for host speed by ``HostClock``
 from ``perfbench/run.py``: it is scaled by the reference kernel's nominal
@@ -113,6 +116,20 @@ def _retained_mb(thln, spec, n: int) -> float:
     return round(held / 1e6, 2)
 
 
+def _embed_peak_mb(thln, g, f, s: int, t: int) -> float:
+    """Peak MB that one embed of the instance allocates over its graph."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        thln.embed(g, f, s, t)
+    except thln.ThlnError:
+        pass  # the timed runs record the error
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return round(peak / 1e6, 2)
+
+
 def _instance(thln, variant: str, n: int, placement: str, seed: int, graphs: dict, clock):
     """(graph spec, graph, its build times, faults, s, t)."""
     rng = random.Random(f"{variant}/{n}/{placement}/{seed}")
@@ -184,16 +201,17 @@ def record(thln, max_n: int, clock) -> list[dict]:
     for variant, n, placement in _cells(max_n):
         runs, seed_walls, seed_builds = [], [], []
         for seed in SEEDS:
+            g = None  # the previous seed's graph is freed before the next build
             spec, g, builds, f, s, t = _instance(thln, variant, n, placement, seed, graphs, clock)
             det, walls = _run(thln, g, f, s, t, clock)
             runs.append({"seed": seed, **det})
             seed_walls.append(walls)
             seed_builds.append(builds)
-            del g  # freed before the next build
             clock.measure()  # each seed's times are corrected by the kernel runs around them
         walls = [statistics.median(w) for w in seed_walls]
         builds = [statistics.median(b) for b in seed_builds]
         graph = {"build_p50_s": round(statistics.median(builds), 4),
+                 "embed_peak_mb": _embed_peak_mb(thln, g, f, s, t),
                  "retained_mb": _retained_mb(thln, spec, n)}
         cells.append({
             "variant": variant, "n": n, "placement": placement,
@@ -204,7 +222,8 @@ def record(thln, max_n: int, clock) -> list[dict]:
         })
         print(f"{variant:>15} n={n:2d} {placement:>14}: p50 {statistics.median(walls):7.3f} s, "
               f"max {max(walls):7.3f} s, expansions {[r.get('expansions') for r in runs]}, "
-              f"build {graph['build_p50_s']:.3f} s, {graph['retained_mb']} MB", file=sys.stderr)
+              f"build {graph['build_p50_s']:.3f} s, {graph['retained_mb']} MB, "
+              f"embed peak {graph['embed_peak_mb']} MB", file=sys.stderr)
     return cells
 
 

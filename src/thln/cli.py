@@ -457,10 +457,11 @@ def cmd_check(args) -> int:
             _service_suite("service-covering-cycle", 4, 2, seed + 1, trials,
                            lambda v, rng: ham_cycle(v, budget)),
             # with 2n-9 faults, a view of minimum degree >= 2 keeps a covering cycle
-            _service_suite("service-large-fault-cycle", 7, 5, seed + 2, max(trials // 10, 3),
+            _service_suite("service-large-fault-cycle", 7, 5, seed + 2,
+                           min(trials, max(trials // 10, 3)),
                            lambda v, rng: ham_cycle(v, budget)
                            if (v.min_degree_witness()[0] or 0) >= 2 else None),
-            _check_disjoint_paths_service(seed + 3, 100, budget),
+            _check_disjoint_paths_service(seed + 3, trials, budget),
         ]
     ok = all(s["ok"] for s in suites)
     _write(args.out, _dump({"ok": ok, "suites": suites}))

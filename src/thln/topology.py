@@ -212,12 +212,15 @@ class ThlnGraph:
     """Immutable network: adjacency indexed by node, plus node positions.
 
     The adjacency is the only store of edges; each row is sorted here, in
-    whatever order it was given. ``edges`` (every ``(u, v)`` with ``u < v``,
-    ascending) is rebuilt from the rows on each access. ``order`` lists the
-    node at each position and ``label`` (its inverse) the position of each
-    node; ``order=None`` means that ids are positions, and then both are
-    ``range(num_nodes)``. ``decomposition`` derives the top level from
-    them on each access (None for a dimension-3 base graph).
+    whatever order it was given. Built rows (:func:`make_preset`) and loaded
+    rows (:func:`graph_from_json_obj`) share one int object per id, so a
+    graph holds 2^n ints however many rows name each. ``edges`` (every
+    ``(u, v)`` with ``u < v``, ascending) is rebuilt from the rows on each
+    access. ``order`` lists the node at each position and ``label`` (its
+    inverse) the position of each node; ``order=None`` means that ids are
+    positions, and then both are ``range(num_nodes)``. ``decomposition``
+    derives the top level from them on each access (None for a dimension-3
+    base graph).
     """
 
     dimension: int
@@ -401,18 +404,22 @@ def _build_one_pass(n: int, base_at, matching_at) -> ThlnGraph:
     sub-level, the upper sub-level, then the level's own matching. Each
     8-node block is written from ``base_at(offset)`` (validated rows); the
     level of dimension d at ``offset`` is joined by ``matching_at(d,
-    offset)``, which maps each half-1 index to a half-2 index."""
+    offset)``, which maps each half-1 index to a half-2 index. Every entry
+    is an element of one ``ids`` list, so the rows hold one int per id."""
+    ids = list(range(1 << n))
     rows: list[list[int]] = []
     for off in range(0, 1 << n, 8):
-        rows += [[off + w for w in row] for row in base_at(off)]
+        block = ids[off:off + 8]
+        rows += [[block[w] for w in row] for row in base_at(off)]
         d, lo = 3, off
         while d < n and lo & (1 << d):  # an upper half ends here: its parent is whole
             d, lo = d + 1, lo - (1 << d)
             mid = lo + (1 << (d - 1))
             phi = matching_at(d, lo)
+            upper = ids[mid:mid + len(phi)]
             for row, w in zip(rows[lo:mid], phi):
-                row.append(mid + w)
-            for u, w in enumerate(phi, lo):
+                row.append(upper[w])
+            for u, w in zip(ids[lo:mid], phi):
                 rows[mid + w].append(u)
     return ThlnGraph(n, rows)
 
@@ -639,15 +646,16 @@ def graph_from_json_obj(obj: dict) -> ThlnGraph:
             f"{len(raw_edges)} edges cannot make a regular graph on 2^{dim} nodes"
         )
     n = 1 << dim
+    ids = list(range(n))  # one int per id; indexed after the range check, as -1 would wrap
     edges = set()
     for u, v in raw_edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise MalformedGraph(f"edge ({u},{v}) out of range for dimension {dim}")
-        edges.add(_norm_edge(u, v))
+        edges.add(_norm_edge(ids[u], ids[v]))
     adjacency = _adjacency_from_edges(n, edges)
     order: list[int] = []
-    _read_level(obj.get("decomposition"), list(range(n)), dim, "root", adjacency, order)
-    return ThlnGraph(dim, adjacency, None if order == list(range(n)) else tuple(order))
+    _read_level(obj.get("decomposition"), ids, dim, "root", adjacency, order)
+    return ThlnGraph(dim, adjacency, None if order == ids else tuple(order))
 
 
 def graph_from_json(text: str) -> ThlnGraph:

@@ -31,6 +31,7 @@ def test_scale_record_is_deterministic_apart_from_wall_times(tmp_path):
     }
     for cell in cells:
         assert set(cell["wall"]) == {"p50_s", "max_s"}
+        assert cell["graph"]["retained_mb"] > 0 and cell["graph"]["embed_peak_mb"] > 0
         tops = {r["top_case"].split(".")[0] for r in cell["deterministic"]}
         if cell["placement"] != "uniform":
             assert tops == {cell["placement"][-1]}

@@ -372,6 +372,18 @@ def test_check_rejects_a_negative_trial_count(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trials", [0, 2])
+def test_check_trial_count_bounds_every_service_suite(tmp_path, capsys, trials):
+    out = tmp_path / "c.json"
+    code, _, _ = run_cli(capsys, "check", "--trials", str(trials), "-o", str(out))
+    assert code == 0
+    counts = {s["name"]: s["detail"].get("trials", s["detail"].get("draws"))
+              for s in json.loads(out.read_text())["suites"] if s["name"].startswith("service-")}
+    assert counts == {"service-covering-path": trials, "service-covering-cycle": trials,
+                      "service-large-fault-cycle": trials,
+                      "service-disjoint-path-cover": trials}
+
+
 def test_stress_zero_trials(tmp_path, capsys):
     out = tmp_path / "r.json"
     code, _, _ = run_cli(capsys, "stress", "--n", "8", "--trials", "0", "-o", str(out))
@@ -521,7 +533,7 @@ def test_check_budget_one_fails_every_service_suite(tmp_path, capsys):
         assert detail["failures"] == [
             {count[:-1]: i, "status": "budget-exhausted"} for i in range(detail[count])
         ]
-    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "b4e0daf43a9b2339"
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "053b951763db75c1"
 
 
 def test_check_redraws_low_degree_views_without_counting_them(tmp_path, capsys, monkeypatch):

@@ -149,6 +149,17 @@ def test_preset_graphs_are_pinned(name):
     assert digests == _PRESET_DIGESTS[name]
 
 
+# past id 256 ints are not CPython's cached small ints, so n = 9 and 10 show
+# whether each row entry is the graph's one int object for that id
+@pytest.mark.parametrize("name", sorted(_PRESET_DIGESTS))
+@pytest.mark.parametrize("n", [9, 10])
+def test_built_and_loaded_rows_hold_one_int_object_per_id(name, n):
+    spec = VariantSpec.random(int(name[-1])) if name.startswith("random") else VariantSpec(name)
+    g = make_preset(spec, n)
+    for h in (g, graph_from_json(graph_to_json(g))):
+        assert len({id(w) for row in h.adjacency for w in row}) == h.num_nodes
+
+
 def test_random_preset_counts_and_determinism():
     g = make_preset(VariantSpec.random(1), 7)
     assert g.num_nodes == 128
