@@ -46,8 +46,8 @@ theorem's instance one dimension down. When the halves are ranges of ids
 (every built graph) both half views are derived from the level's own view
 by cutting each row's cross partner off; a loaded graph's set halves are
 built from the graph. A repaired fault (cases 4 and 5) leaves that share,
-and nodes kept out of a half-2 search narrow its scope; those views are
-built from the graph. A level's construction may begin at either endpoint:
+and nodes kept out of a half-2 search join it; those views are built from
+the graph over the half. A level's construction may begin at either endpoint:
 a split pair (one endpoint in each half) is built from its half-1 endpoint,
 and a starved endpoint in case 1, or an endpoint off the half-1 cycle or
 path when both lie in half 1, is reached last. The level reverses its
@@ -62,10 +62,13 @@ half of the parent it covers, None at the root). Search records carry the
 ``level`` that issued them; a half-2 search run because the recursion came
 back one short carries ``fallback: True``.
 
-``splice`` checks that its segments share no node and that each junction is
-an edge; the steps inside a segment come from a search or from a lower
-level. ``embed`` checks every edge of the finished path against the root
-view once, so a bad step made at any level still raises AdjacencyViolated.
+``splice`` only concatenates, and a level checks only its path's endpoints
+and its length against its view: one node short names the missed node, by
+one set difference, and any other shortfall raises InternalContradiction.
+``embed`` checks the finished path against the root view once, so a repeated
+node made at any level raises DisjointnessViolated, a node outside the view
+InternalContradiction and a step that is not a surviving edge
+AdjacencyViolated.
 """
 from __future__ import annotations
 
@@ -99,40 +102,19 @@ PathSeq = tuple[int, ...]
 # path utilities
 
 
-def splice(view, segments: Iterable[Sequence[int]]) -> PathSeq:
-    """Concatenate non-empty node sequences into one path, checking its joins.
+def splice(segments: Iterable[Sequence[int]]) -> PathSeq:
+    """Concatenate non-empty node sequences into one path.
 
-    Consecutive segments join over the edge from the last node of one to the
-    first node of the next. Every junction must be an edge of ``view``; an
-    empty segment or a repeated node fails. Steps inside a segment are not
-    checked here: ``embed`` checks every edge of the finished path once.
+    Consecutive segments join over the step from the last node of one to the
+    first node of the next. An empty segment fails; nothing else is checked
+    here: ``embed`` checks the nodes and steps of the finished path once.
     """
     out: list[int] = []
-    joins: list[int] = []  # i such that out[i], out[i + 1] is a junction
     for seg in segments:
         if not seg:
             raise AdjacencyViolated("empty segment")
-        if out:
-            joins.append(len(out) - 1)
         out.extend(seg)
-    if len(set(out)) != len(out):
-        seen: set[int] = set()
-        for i, v in enumerate(out):
-            if v in seen:
-                raise DisjointnessViolated(f"node {v} repeated at position {i}")
-            seen.add(v)
-    _require_edges(view, out, joins)
     return tuple(out)
-
-
-def _require_edges(view, path: Sequence[int], at: Iterable[int]) -> None:
-    """Raise AdjacencyViolated unless path[i], path[i + 1] is an edge of
-    ``view`` for every i in ``at``."""
-    for i in at:
-        if not view.has_edge(path[i], path[i + 1]):
-            raise AdjacencyViolated(
-                f"({path[i]},{path[i + 1]}) is not a surviving edge at position {i}"
-            )
 
 
 def _cross_pair_indexes(path, view, partner):
@@ -293,10 +275,11 @@ class _Ctx:
         )
 
     def _h2_view_without(self, exclude: Iterable[int]) -> SurvivingView:
-        """Half 2's view with the nodes of ``exclude`` out of scope."""
+        """Half 2's view with the nodes of ``exclude`` taken out as faults."""
         if not exclude:
             return self.h2_view
-        return SurvivingView(self.rt.graph, self.f2, scope=set(self.h2).difference(exclude))
+        f = FaultSet(self.f2.nodes.union(exclude), self.f2.edges)
+        return SurvivingView(self.rt.graph, f, scope=self.h2)
 
     def ham_path_h2(self, a: int, b: int, exclude: Iterable[int] = ()) -> PathSeq:
         extra = {}
@@ -371,7 +354,7 @@ class _Ctx:
         pair's index."""
         i = self.first_cross_pair(seq, interior)
         p2 = self.ham_path_h2(self.partner(seq[i]), self.partner(seq[i + 1]), exclude)
-        return splice(self.view, [seq[: i + 1], p2, seq[i + 1 :]]), i
+        return splice([seq[: i + 1], p2, seq[i + 1 :]]), i
 
 
 # ----------------------------------------------------------------------
@@ -456,6 +439,7 @@ _LABELS = {
     ("5", "split", "uend-1"): "5.3.1.1",
     ("5", "split", "uend-1z"): "5.3.1.1",
     ("5", "split", "uend-1chord"): "5.3.1.1",
+    ("5", "split", "uend-1miss"): "5.3.1.1",
     ("5", "split", "uend-2"): "5.3.1.2",
     ("5", "split", "stand-in"): "5.3.2",
 }
@@ -507,7 +491,7 @@ def _case1_both_h1(ctx: _Ctx):
             "recursive path was bound to leave exactly the starved endpoint out"
         )
     p2 = ctx.ham_path_h2(ctx.partner(u1), t2)
-    path = splice(ctx.view, [p1, p2, [t]])
+    path = splice([p1, p2, [t]])
     detail = {"cross": [[u1, ctx.partner(u1)], [t, t2]], "starved": t}
     return path, _LABELS["1", "h1", "starved"], detail
 
@@ -528,7 +512,7 @@ def _case1_both_h2(ctx: _Ctx):
         )
     u1, v1 = ctx.partner(p2[i]), ctx.partner(p2[i + 1])
     p1, _missed = ctx.recurse(u1, v1)
-    path = splice(ctx.view, [p2[: i + 1], p1, p2[i + 1 :]])
+    path = splice([p2[: i + 1], p1, p2[i + 1 :]])
     return path, _LABELS["1", "h2", None], {"cross": [[u1, p2[i]], [v1, p2[i + 1]]]}
 
 
@@ -542,7 +526,7 @@ def _case1_split(ctx: _Ctx):
         raise InternalContradiction("no usable cross end in half 1 for the split pair")
     p1, _missed = ctx.recurse(s, u1)
     p2 = ctx.ham_path_h2(ctx.partner(u1), t)
-    path = splice(ctx.view, [p1, p2])
+    path = splice([p1, p2])
     return path, _LABELS["1", "split", None], {"cross": [[u1, ctx.partner(u1)]]}
 
 
@@ -586,10 +570,10 @@ def _cycle_h1_both(ctx: _Ctx, c, s, t):
             y1, z1 = plong[-2], plong[1]
             if ctx.partner_ok(y1):
                 p2 = ctx.ham_path_h2(ctx.partner(y1), ctx.partner(x1))
-                return splice(ctx.view, [plong[:-1], p2, [x1, t]]), "d2-direct"
+                return splice([plong[:-1], p2, [x1, t]]), "d2-direct"
             if ctx.partner_ok(z1):
                 p2 = ctx.ham_path_h2(ctx.partner(x1), ctx.partner(z1))
-                return splice(ctx.view, [[s, x1], p2, plong[1:]]), "d2-direct"
+                return splice([[s, x1], p2, plong[1:]]), "d2-direct"
             raise InternalContradiction("both bypass anchors lost their cross edges")
         if len(c) == len(ctx.h1_view):
             # x1 stays out: the result misses exactly one node, so only a
@@ -611,7 +595,7 @@ def _cycle_h1_both(ctx: _Ctx, c, s, t):
         p2 = ctx.ham_path_h2(ctx.partner(v1), ctx.partner(u1))
         seg_back = list(reversed(interior[: jy + 1]))  # y1 .. v1
         seg_fwd = interior[jy + 1 :] + [t]  # u1 .. t
-        return splice(ctx.view, [[s, x1], seg_back, p2, seg_fwd]), "d2-reattach"
+        return splice([[s, x1], seg_back, p2, seg_fwd]), "d2-reattach"
 
     arc_f = _cyc_walk(c, ps, pt, 1)  # s .. t forward
     arc_b = _cyc_walk(c, ps, pt, -1)  # s .. t backward
@@ -619,10 +603,10 @@ def _cycle_h1_both(ctx: _Ctx, c, s, t):
     x1, v1 = arc_b[1], arc_b[-2]
     if ctx.partner_ok(u1) and ctx.partner_ok(v1):
         p2 = ctx.ham_path_h2(ctx.partner(v1), ctx.partner(u1))
-        return splice(ctx.view, [arc_b[:-1], p2, arc_f[1:]]), "d3"
+        return splice([arc_b[:-1], p2, arc_f[1:]]), "d3"
     if ctx.partner_ok(x1) and ctx.partner_ok(y1):
         p2 = ctx.ham_path_h2(ctx.partner(y1), ctx.partner(x1))
-        return splice(ctx.view, [arc_f[:-1], p2, arc_b[1:]]), "d3"
+        return splice([arc_f[:-1], p2, arc_b[1:]]), "d3"
     raise InternalContradiction("both neighbor pairs around the endpoints are blocked")
 
 
@@ -643,7 +627,7 @@ def _cycle_h2_both(ctx: _Ctx, c, s, t):
     a, b = ring[cut], ring[cut + 1]
     long_path = _cyc_walk(c, cut, (cut + 1) % len(c), -1)  # a .. b avoiding edge (a,b)
     p21, p22 = ctx.two_paths_h2(s, ctx.partner(a), ctx.partner(b), t)
-    return splice(ctx.view, [p21, long_path, p22]), None
+    return splice([p21, long_path, p22]), None
 
 
 def _cycle_split(ctx: _Ctx, c, s, t):
@@ -663,7 +647,7 @@ def _cycle_split(ctx: _Ctx, c, s, t):
         # the long way round from s to exit_node
         walk = _cyc_walk(c, ps, pos[exit_node], -1 if exit_node == nxt else 1)
         p2 = ctx.ham_path_h2(ctx.partner(exit_node), t)
-        return splice(ctx.view, [walk, p2]), "exit"
+        return splice([walk, p2]), "exit"
 
     # one side is blocked by the single outer fault and the other side's
     # partner is t itself: finish over that cross edge
@@ -674,7 +658,7 @@ def _cycle_split(ctx: _Ctx, c, s, t):
     # spliced in at a pair that is neither end of it
     arc = _cyc_walk(c, ps, pos[tside], -1 if tside == nxt else 1)[1:]
     core = ctx.detour(arc, exclude={t}, interior=True)[0]
-    return splice(ctx.view, [[s], core, [t]]), "blocked"
+    return splice([[s], core, [t]]), "blocked"
 
 
 # ----------------------------------------------------------------------
@@ -732,15 +716,11 @@ def _solve_repaired(ctx: _Ctx, major: str):
     holds no fault outside half 1 (``_solve_level`` checks f2 = fc = 0)."""
     if major == "4":
         fe = _select_restorable_fault(ctx)
-        cyc = ctx.ham_cycle_h1(restore=fe)
+        cyc, q1 = ctx.ham_cycle_h1(restore=fe), None
     else:
         fe = next(_canonical_faults(ctx.f1))
-        cyc, _missed = ctx.near_cycle_h1(restore=fe)
+        cyc, q1 = ctx.near_cycle_h1(restore=fe)
     p1 = _cut_cycle(ctx, cyc, fe)
-    off = ctx.h1_view.node_set - set(p1)
-    if len(off) > 1:
-        raise InternalContradiction("near-covering cycle left more than one node out")
-    q1 = next(iter(off)) if off else None
     path, label, detail = _dispatch(ctx, _PATH_SHAPES, p1, q1, major, ctx.s, ctx.t)
     detail.update(ends=[p1[0], p1[-1]], fe=list(fe) if isinstance(fe, tuple) else fe)
     return path, label, detail
@@ -764,14 +744,14 @@ def _path_h1_both(ctx: _Ctx, p1: PathSeq, s, t):
 
     if pb - pa == 1:
         p2 = ctx.ham_path_h2(u2, v2)
-        return splice(ctx.view, [head, p2, seq[pb:][::-1]]), "d1"
+        return splice([head, p2, seq[pb:][::-1]]), "d1"
     if pb - pa == 2:
         x1, y1 = seq[pa + 1], seq[pb + 1]
         p21, p22 = ctx.two_paths_h2(u2, v2, ctx.partner(x1), ctx.partner(y1))
-        return splice(ctx.view, [head, p21, seq[pb + 1 :][::-1], p22[::-1], [x1, seq[pb]]]), "d2"
+        return splice([head, p21, seq[pb + 1 :][::-1], p22[::-1], [x1, seq[pb]]]), "d2"
     x1, y1 = seq[pa + 1], seq[pb - 1]
     p21, p22 = ctx.two_paths_h2(u2, ctx.partner(x1), v2, ctx.partner(y1))
-    return splice(ctx.view, [head, p21, seq[pa + 1 : pb], p22[::-1], seq[pb:][::-1]]), "d3"
+    return splice([head, p21, seq[pa + 1 : pb], p22[::-1], seq[pb:][::-1]]), "d3"
 
 
 def _path_h2_both(ctx: _Ctx, p1: PathSeq, s, t):
@@ -783,7 +763,7 @@ def _path_h2_both(ctx: _Ctx, p1: PathSeq, s, t):
 
     if not hit:
         p21, p22 = ctx.two_paths_h2(s, u2, v2, t)
-        return splice(ctx.view, [p21, p1, p22]), "free"
+        return splice([p21, p1, p22]), "free"
 
     if len(hit) == 1:
         seq = tuple(p1) if u2 in (s, t) else tuple(reversed(p1))
@@ -791,7 +771,7 @@ def _path_h2_both(ctx: _Ctx, p1: PathSeq, s, t):
         tail_partner = ctx.partner(seq[-1])
         other = t if head == s else s
         p2 = ctx.ham_path_h2(tail_partner, other, exclude={head})
-        path = splice(ctx.view, [[head], seq, p2])
+        path = splice([[head], seq, p2])
         if head != s:
             path = tuple(reversed(path))
         return path, "one-end"
@@ -800,7 +780,7 @@ def _path_h2_both(ctx: _Ctx, p1: PathSeq, s, t):
     # pair that is neither end of the path
     seq = tuple(p1) if u2 == s else tuple(reversed(p1))
     core = ctx.detour(seq, exclude={s, t}, interior=True)[0]
-    return splice(ctx.view, [[s], core, [t]]), "both-ends"
+    return splice([[s], core, [t]]), "both-ends"
 
 
 def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
@@ -821,20 +801,20 @@ def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
 
     if t not in (u2, w2, v2):
         p21, p22 = ctx.two_paths_h2(u2, w2, v2, t)
-        return splice(ctx.view, [head, p21, seq[ps + 1 :], p22]), "free"
+        return splice([head, p21, seq[ps + 1 :], p22]), "free"
 
     if t == v2:
         p2 = ctx.ham_path_h2(u2, w2, exclude={t})
-        return splice(ctx.view, [head, p2, seq[ps + 1 :], [t]]), "vend"
+        return splice([head, p2, seq[ps + 1 :], [t]]), "vend"
 
     if t == w2:
         p2 = ctx.ham_path_h2(u2, v2, exclude={t})
-        return splice(ctx.view, [head, p2, seq[ps + 1 :][::-1], [t]]), "wend"
+        return splice([head, p2, seq[ps + 1 :][::-1], [t]]), "wend"
 
     # t is the partner of the near end
     if ps == 0:
         p2 = ctx.ham_path_h2(v2, t)
-        return splice(ctx.view, [seq, p2]), "uend-0"
+        return splice([seq, p2]), "uend-0"
 
     if ps == 1:
         on_path = sorted(
@@ -844,21 +824,20 @@ def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
         if px is not None:
             y1 = seq[px - 1]
             p21, p22 = ctx.two_paths_h2(w2, t, v2, ctx.partner(y1))
-            return splice(ctx.view, [[s, u1], seq[px:], p22, seq[2:px][::-1], p21]), "uend-1"
+            return splice([[s, u1], seq[px:], p22, seq[2:px][::-1], p21]), "uend-1"
         if 3 in on_path:
             z1 = seq[4]
             p21, p22 = ctx.two_paths_h2(w2, ctx.partner(z1), v2, t)
-            return splice(ctx.view, [[s, u1], [seq[3], seq[2]], p21, seq[4:], p22]), "uend-1z"
+            return splice([[s, u1], [seq[3], seq[2]], p21, seq[4:], p22]), "uend-1z"
         if 2 in on_path:
             p2 = ctx.ham_path_h2(v2, t)
-            return splice(ctx.view, [[s, u1], seq[2:], p2]), "uend-1chord"
-        raise InternalContradiction(
-            "path end kept no on-path neighbor despite its degree floor"
-        )
+            return splice([[s, u1], seq[2:], p2]), "uend-1chord"
+        # u1 is the starved node, whose only neighbours are s and t: leave it out
+        return splice([seq[1:], ctx.ham_path_h2(v2, t)]), "uend-1miss"
 
     x1 = seq[ps - 1]
     p21, p22 = ctx.two_paths_h2(ctx.partner(s), w2, v2, ctx.partner(x1), exclude={t})
-    return splice(ctx.view, [[s], p21, seq[ps + 1 :], p22, seq[:ps][::-1], [t]]), "uend-2"
+    return splice([[s], p21, seq[ps + 1 :], p22, seq[:ps][::-1], [t]]), "uend-2"
 
 
 # ----------------------------------------------------------------------
@@ -894,12 +873,12 @@ def _dispatch(ctx: _Ctx, shapes, seq: PathSeq, q1: Optional[int], major: str, s:
         if other in ctx.h1:  # both in half 1: the path ends at the off endpoint
             core, _label, _inner = _dispatch(ctx, shapes, seq, q1, major, other, agent)
             detail["flipped"] = off == s
-            return splice(ctx.view, [core, [off]]), _LABELS[major, "h1", "stand-in"], detail
+            return splice([core, [off]]), _LABELS[major, "h1", "stand-in"], detail
         core, _label, inner = _dispatch(ctx, shapes, seq, q1, major, agent, t)
         # pinned trace format: only a stand-in in half 2 records its inner shape
         if agent not in ctx.h1 and "shape" in inner:
             detail["shape"] = inner["shape"]
-        return splice(ctx.view, [[off], core]), _LABELS[major, "split", "stand-in"], detail
+        return splice([[off], core]), _LABELS[major, "split", "stand-in"], detail
     h1_both, h2_both, split = shapes
     if s in ctx.h1 and t in ctx.h1:
         placement, (path, shape) = "h1", h1_both(ctx, seq, s, t)
@@ -969,18 +948,20 @@ def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
 
     if path[0] != s or path[-1] != t:
         raise InternalContradiction("assembled path has the wrong endpoints")
-    alive = view.node_set
-    covered = set(path)
-    if len(covered) != len(path) or not covered <= alive:
-        raise InternalContradiction("assembled path left the surviving level")
-    short = len(alive) - len(covered)  # covered <= alive: the nodes left out
-    if short > 1:
+    # ends and length only: ``embed`` checks the nodes and steps once
+    short = len(view) - len(path)
+    missed = None
+    if short == 1:
+        off = view.node_set - set(path)
+        if len(off) != 1 or off & {s, t}:
+            raise InternalContradiction(
+                f"a path one node short at dimension {level.dim} leaves out {sorted(off)}"
+            )
+        (missed,) = off
+    elif short:
         raise InternalContradiction(
             f"assembled path misses {short} nodes at dimension {level.dim}"
         )
-    missed = next(iter(alive - covered)) if short else None
-    if missed is not None and missed in (s, t):
-        raise InternalContradiction("assembled path misses one of its endpoints")
     rec["missed"] = missed
     return path, missed
 
@@ -1025,6 +1006,16 @@ def embed(
     rt = _Runtime(graph=g, budget=budget)
     root = _Level(n, view, g.decomposition)
     path, missed = _solve_level(rt, root, s, t)
-    # splices check only their junctions: this is the one check of every step
-    _require_edges(view, path, range(len(path) - 1))
+    # the one check of the path's nodes and steps, whichever level made them
+    seen: set[int] = set()
+    for i, v in enumerate(path):
+        if v in seen:
+            raise DisjointnessViolated(f"node {v} repeated at position {i}")
+        if not view.has_node(v):
+            raise InternalContradiction(f"node {v} at position {i} is not a surviving node")
+        if i and not view.has_edge(path[i - 1], v):
+            raise AdjacencyViolated(
+                f"({path[i - 1]},{v}) is not a surviving edge at position {i - 1}"
+            )
+        seen.add(v)
     return EmbedResult(path=tuple(path), missed=missed, trace=CaseTrace(tuple(rt.trace)))

@@ -77,9 +77,9 @@ class NoCandidate(InternalContradiction):
 
 
 class DisjointnessViolated(ThlnError):
-    """Spliced segments share a node."""
+    """A finished path visits a node twice."""
 
 
 class AdjacencyViolated(ThlnError):
-    """A path steps between two nodes that are not adjacent in the surviving
-    graph (at a splice junction or anywhere on a finished path)."""
+    """A finished path steps between two nodes that are not adjacent in the
+    surviving graph, or a splice was given an empty segment."""

@@ -536,44 +536,6 @@ def test_check_budget_one_fails_every_service_suite(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "053b951763db75c1"
 
 
-def test_check_redraws_low_degree_views_without_counting_them(tmp_path, capsys, monkeypatch):
-    # 2n - 9 = 5 faults cannot take a dimension-7 node below degree 2, so
-    # the large-fault suite redraws only through a stand-in: every other
-    # dimension-7 draw reports minimum degree 1, and it must be neither
-    # searched nor counted as a trial
-    real_instance, real_cycle = cli._random_instance, cli.ham_cycle
-    draws, searched = [], []
-
-    class LowDegree:
-        def min_degree_witness(self):
-            return 1, 0
-
-    def instance(n, fault_count, rng):
-        g, f, view = real_instance(n, fault_count, rng)
-        if n == 7:
-            view = LowDegree() if len(draws) % 2 == 0 else view
-            draws.append(view)
-        return g, f, view
-
-    def cycle(view, budget):
-        searched.append(view)
-        return real_cycle(view, budget)
-
-    monkeypatch.setattr(cli, "_random_instance", instance)
-    monkeypatch.setattr(cli, "ham_cycle", cycle)
-    out = tmp_path / "c.json"
-    code, _, _ = run_cli(capsys, "check", "--budget", "1", "--trials", "6", "--seed", "0",
-                         "-o", str(out))
-    assert code == 1
-    suite = next(s for s in json.loads(out.read_text())["suites"]
-                 if s["name"] == "service-large-fault-cycle")
-    assert suite["detail"] == {"n": 7, "faults": 5, "trials": 3, "failures": [
-        {"trial": i, "status": "budget-exhausted"} for i in range(3)
-    ]}
-    assert len(draws) == 6
-    assert [v for v in searched if v in draws] == draws[1::2]
-
-
 def test_check_topology_records_each_failing_spec(tmp_path, capsys, monkeypatch):
     # the sweep covers four named variants and one seeded random one at each
     # of n = 3..6; each spec that fails is recorded by kind and dimension

@@ -10,6 +10,7 @@ from thln import (
     AdjacencyViolated,
     DisjointnessViolated,
     FaultSet,
+    InternalContradiction,
     NoCandidate,
     OracleBudgetExhausted,
     PreconditionViolated,
@@ -593,23 +594,20 @@ def test_named_variants_validate_with_half2_recursion(spec, n):
 
 
 def test_splice_basic(graph4):
-    view = surviving_view(graph4, FaultSet.empty())
     a = 0
     b = graph4.neighbors(a)[0]
     c = next(w for w in graph4.neighbors(b) if w != a)
     d = next(w for w in graph4.neighbors(c) if w not in (a, b))
-    assert splice(view, [(a, b), (c, d)]) == (a, b, c, d)
+    assert splice([(a, b), (c, d)]) == (a, b, c, d)
 
 
-def test_splice_rejects_overlap_and_gaps(graph4):
-    view = surviving_view(graph4, FaultSet.empty())
-    a = 0
-    b = graph4.neighbors(a)[0]
-    with pytest.raises(DisjointnessViolated):
-        splice(view, [(a, b), (b, a)])
-    far = next(v for v in graph4.nodes if v not in graph4.neighbors(b) and v != b)
-    with pytest.raises(AdjacencyViolated):
-        splice(view, [(a, b), (far,)])
+def test_splice_only_concatenates_and_rejects_empty_segments():
+    # overlaps and non-edges at a junction pass here: ``embed`` checks the
+    # finished path's nodes and steps once (see the mutant levels below)
+    assert splice([(0, 1), (1, 0), (9,)]) == (0, 1, 1, 0, 9)
+    assert splice(iter([[4], (5, 6)])) == (4, 5, 6)
+    with pytest.raises(AdjacencyViolated, match="empty segment"):
+        splice([(0, 1), ()])
 
 
 def test_a_bad_step_made_below_the_root_is_caught(graph9, monkeypatch):
@@ -635,6 +633,51 @@ def test_a_bad_step_made_below_the_root_is_caught(graph9, monkeypatch):
     with pytest.raises(AdjacencyViolated):
         embed(graph9, FaultSet.empty(), s, t)
     assert calls[0] == 128
+
+
+def _repeat(path, j, partner):
+    """``path`` with its node at j replaced by the one two before it, so the
+    step into the copy is still an edge."""
+    return path[:j] + (path[j - 2],) + path[j + 1 :]
+
+
+def _foreign(path, j, partner):
+    """``path`` with its node at j replaced by its cross partner, a node of
+    the other half of the calling level."""
+    return path[:j] + (partner(path[j]),) + path[j + 1 :]
+
+
+def _two_short(path, j, partner):
+    return path[:j] + path[j + 2 :]
+
+
+@pytest.mark.parametrize(
+    "mutate, raised",
+    [(_repeat, DisjointnessViolated),
+     (_foreign, (DisjointnessViolated, AdjacencyViolated, InternalContradiction)),
+     (_two_short, InternalContradiction)],
+    ids=["repeated-node", "other-half-node", "two-short"],
+)
+def test_a_bad_path_returned_below_the_root_is_caught(graph9, monkeypatch, mutate, raised):
+    # levels check only their ends and length, and the root checks the
+    # nodes and steps once: the first dimension-7 level (case 1.1.1 at
+    # dimensions 9 and 8 above it, so its path keeps its orientation in the
+    # result) hands its caller a corrupted path
+    real = embedder._solve_level
+    mutated = []
+
+    def mutant(rt, level, s, t):
+        path, missed = real(rt, level, s, t)
+        if level.dim == 7 and not mutated:
+            mutated.append(level.parent)
+            # the caller covers half 1 of the root; its matching pairs the halves
+            path = mutate(path, 4, graph9.decomposition.child1.partner)
+        return path, missed
+
+    monkeypatch.setattr(embedder, "_solve_level", mutant)
+    with pytest.raises(raised):
+        embed(graph9, FaultSet.empty(), 0, 5)
+    assert mutated and mutated[0] is not None
 
 
 def test_select_cross_edge_first_pair(graph8):
@@ -817,6 +860,17 @@ def pinned_instances(graph8, graph9):
         for seed in (1, 2):
             one[f"split-n10-case{case}-{seed}"] = _split_instance(case, seed)
     out = {name: [inst] for name, inst in one.items()}
+    # case-5 split pairs at the starved end of the cut half-1 path: s is the
+    # path's second node and t the starved node's partner, the starved node's
+    # only neighbours (34 at n = 8, 28 at n = 9), so the path leaves it out
+    out["5.3.1.1-uend-1miss"] = [
+        (make_preset(VariantSpec.random(7), 8),
+         FaultSet.of(nodes=[21, 32, 35, 43, 59], edges=[(34, 99)]), 38, 149),
+        (make_preset(VariantSpec.random(3), 9),
+         FaultSet.of(nodes=[22, 194],
+                     edges=[(11, 28), (24, 28), (28, 30), (28, 45), (28, 120), (146, 150)]),
+         29, 422),
+    ]
     rng = random.Random(11)
     trials = []
     for _ in range(25):
@@ -884,6 +938,7 @@ _PINNED_RESULTS = {
     "5.3.1-vend": "18e4582a61689c45",
     "5.3.1-wend": "ecc42a69a449537b",
     "5.3.1.1-uend-1": "b1474d729c48b49c",
+    "5.3.1.1-uend-1miss": "a8725cb67cec4f1a",
     "5.3.1.2-uend-2": "3cb892ad5cae6c7e",
     "5.3.2": "53519c5e438e491c",
     "base-n7": "6a83d1127ff23671",
@@ -934,15 +989,15 @@ def test_embed_results_are_pinned(pinned_instances, name):
 _PINNED_SHAPES = [
     "3.1.1.1-d1", "3.1.1.2-d2-direct", "3.3.1-blocked", "4.3.3.1-uend-1chord", "5.1.1-d1",
     "5.1.1-d2", "5.2-both-ends", "5.3.1-vend", "5.3.1-wend", "5.3.1-uend-0", "5.3.1.1-uend-1",
-    "5.3.1.2-uend-2",
+    "5.3.1.2-uend-2", "5.3.1.1-uend-1miss",
 ]
 
 
 @pytest.mark.parametrize("name", _PINNED_SHAPES)
 def test_pinned_instances_reach_their_shape(pinned_instances, name):
-    (inst,) = pinned_instances[name]
-    top = embed(*inst).trace.records[0]
-    assert [top["case"], top["shape"]] == name.split("-", 1)
+    for inst in pinned_instances[name]:
+        top = embed(*inst).trace.records[0]
+        assert [top["case"], top["shape"]] == name.split("-", 1)
 
 
 def _relabelled(g, seed):
