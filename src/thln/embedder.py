@@ -20,9 +20,11 @@ with k the halves' dimension), it dispatches:
   case 5  f1  = 2k-8, min degree <= 1   as case 4 from a near-covering cycle
 
 Sub-labels name the endpoint placement and splice shape; ``_LABELS`` lists
-every one. Cases 2 to 5 share one dispatch over the placements, given the
-constructions on a half-1 cycle (cases 2, 3) or path (cases 4, 5); an
-endpoint off that cycle or path is reached through a stand-in, its cross
+every one. Cases 2 to 5 share one body: it fetches one cycle of half 1,
+covering or near-covering, with the repaired fault of cases 4 and 5 restored
+and the cycle cut there into a path, and dispatches over the placements to
+the constructions on that cycle (cases 2, 3) or path (cases 4, 5). An
+endpoint off the cycle or path is reached through a stand-in, its cross
 partner or a half-1 neighbor. Labels appear in traces and are stable.
 
 Every "choose any" step picks the first candidate in canonical order (path
@@ -38,23 +40,24 @@ comes back one short, exact search over the half runs instead. At k = 7 the
 level would be the same single search, so half 2 is searched directly.
 A chain of case-1 levels therefore bottoms out in dimension-7 searches.
 
-Each level works on the surviving view of its own scope: the root on the
-view ``embed`` validated, every lower level on the view of the half of the
-level above that it covers. A level's faults are the ones its view holds;
-each half's view holds that half's share of them, so a half is the
-theorem's instance one dimension down. When the halves are ranges of ids
-(every built graph) both half views are derived from the level's own view
-by cutting each row's cross partner off; a loaded graph's set halves are
-built from the graph. A repaired fault (cases 4 and 5) leaves that share,
-and nodes kept out of a half-2 search join it; those views are built from
-the graph over the half. A level's construction may begin at either endpoint:
-a split pair (one endpoint in each half) is built from its half-1 endpoint,
-and a starved endpoint in case 1, or an endpoint off the half-1 cycle or
-path when both lie in half 1, is reached last. The level reverses its
-finished path once, when it begins at t; a split pair records that as
-``flipped: True``. Every search-service call goes through one traced call
-on the runtime, which records it and raises when a guaranteed answer is
-missing.
+A level's inputs are its surviving view and its decomposition node, whose
+dimension is the level's: the root gets the view ``embed`` validated, every
+lower level the view of the half of the level above that it covers. A
+level's faults are the ones its view holds; each half's view holds that
+half's share of them, so a half is the theorem's instance one dimension
+down, and the root view is the one check that the faults belong to the
+graph. When the halves are ranges of ids (every built graph) both half
+views are derived from the level's own view by cutting each row's cross
+partner off; a loaded graph's set halves are built from the graph. A
+repaired fault (cases 4 and 5) leaves that share, and nodes kept out of a
+half-2 search join it; those views are built from the graph over the half.
+A level's construction may begin at either endpoint: a split pair (one
+endpoint in each half) is built from its half-1 endpoint, and a starved
+endpoint in case 1, or an endpoint off the half-1 cycle or path when both
+lie in half 1, is reached last. The level reverses its finished path once,
+when it begins at t; a split pair records that as ``flipped: True``. Every
+search-service call goes through one traced call on the runtime, which
+records it and raises when a guaranteed answer is missing.
 
 The trace holds one record per level, in solve order: ``id`` (that order),
 ``parent`` (the calling level's ``id``, None at the root) and ``half`` (the
@@ -73,7 +76,7 @@ AdjacencyViolated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import oracle
 from .errors import (
@@ -115,18 +118,6 @@ def splice(segments: Iterable[Sequence[int]]) -> PathSeq:
             raise AdjacencyViolated("empty segment")
         out.extend(seg)
     return tuple(out)
-
-
-def _cross_pair_indexes(path, view, partner):
-    """Indexes i, ascending, where path[i] and path[i + 1] both keep a live
-    cross edge in ``view``."""
-
-    def usable(x):
-        return view.has_edge(x, partner(x))
-
-    for i in range(len(path) - 1):
-        if usable(path[i]) and usable(path[i + 1]):
-            yield i
 
 
 # ----------------------------------------------------------------------
@@ -217,32 +208,21 @@ class _Runtime:
         return out
 
 
-@dataclass(frozen=True)
-class _Level:
-    dim: int
-    view: SurvivingView
-    decomp: Optional[DecompositionNode]
-    parent: Optional[int] = None  # id of the calling level; None at the root
-    half: Optional[int] = None  # half of the calling level this one covers
-
-
 class _Ctx:
     """Per-level working state: halves ordered by fault count, each with its
     own faults and view, the endpoints oriented so that a split pair starts
     in half 1, and traced access to the search services."""
 
-    def __init__(self, rt: _Runtime, level: _Level, s: int, t: int, level_id: int):
-        decomp = level.decomp
-        if decomp is None:
-            raise InternalContradiction(f"no decomposition at dimension {level.dim}")
+    def __init__(self, rt: _Runtime, view: SurvivingView, decomp: DecompositionNode,
+                 s: int, t: int, level_id: int):
         self.rt = rt
         self.id = level_id
-        self.dim = level.dim
-        self.k = level.dim - 1
-        part = partition_decomposition(decomp, level.view.faults)
+        self.dim = decomp.dim
+        self.k = decomp.dim - 1
+        part = partition_decomposition(decomp, view.faults)
         h1, h2 = decomp.halves
         if isinstance(h1, range):
-            v1, v2 = level.view.halves(rt.graph, h2.start, part.f1, part.f2)
+            v1, v2 = view.halves(h2.start, part.f1, part.f2)
         else:  # a loaded graph's halves are sets of ids
             v1 = SurvivingView(rt.graph, part.f1, scope=h1)
             v2 = SurvivingView(rt.graph, part.f2, scope=h2)
@@ -256,7 +236,7 @@ class _Ctx:
         ) = halves
         self.fc_count = len(part.fc_direct)
         self.partner = decomp.partner
-        self.view = level.view
+        self.view = view
         self.delta1 = self.h1_view.min_degree_witness()[0]
         # a split pair is built from its half-1 endpoint, so its path begins
         # at t when that endpoint is t
@@ -266,6 +246,12 @@ class _Ctx:
 
     def partner_ok(self, x: int) -> bool:
         return self.view.has_edge(x, self.partner(x))
+
+    def cross_pairs(self, path) -> Iterator[int]:
+        """Indexes i, ascending, where path[i] and path[i + 1] both keep a
+        live cross edge."""
+        ok = self.partner_ok
+        return (i for i in range(len(path) - 1) if ok(path[i]) and ok(path[i + 1]))
 
     # -- traced search services
 
@@ -305,27 +291,25 @@ class _Ctx:
             "two_disjoint_spanning_paths", out, "half-2 disjoint path cover", 2
         ).paths
 
-    def _h1_restored_view(self, restore) -> SurvivingView:
-        """Half 1's view with ``restore``, one of its faults (a node id or an
-        edge pair), repaired."""
-        if restore is None:
-            return self.h1_view
-        f = FaultSet(self.f1.nodes - {restore}, self.f1.edges - {restore})
-        return SurvivingView(self.rt.graph, f, scope=self.h1)
-
-    def ham_cycle_h1(self, restore=None) -> PathSeq:
-        out = oracle.ham_cycle(self._h1_restored_view(restore), self.rt.budget)
-        return self._traced("ham_cycle", out, "half-1 covering cycle", 1).path
-
-    def near_cycle_h1(self, restore=None) -> tuple[PathSeq, Optional[int]]:
-        out = oracle.near_ham_cycle(self._h1_restored_view(restore), self.rt.budget)
+    def cycle_h1(self, near: bool, restore=None) -> tuple[PathSeq, Optional[int]]:
+        """A cycle through every half-1 node, or with ``near`` through every
+        one but the returned node (None when it misses none), with
+        ``restore``, one half-1 fault (a node id or an edge pair), repaired."""
+        view = self.h1_view
+        if restore is not None:
+            f = FaultSet(self.f1.nodes - {restore}, self.f1.edges - {restore})
+            view = SurvivingView(self.rt.graph, f, scope=self.h1)
+        if not near:
+            out = oracle.ham_cycle(view, self.rt.budget)
+            return self._traced("ham_cycle", out, "half-1 covering cycle", 1).path, None
+        out = oracle.near_ham_cycle(view, self.rt.budget)
         self._traced("near_ham_cycle", out, "half-1 near-covering cycle", 1, missed=out.missed)
         return out.path, out.missed
 
     def recurse(self, s: int, t: int, half: int = 1) -> tuple[PathSeq, Optional[int]]:
         """Solve one half (1 by default) as a level of its own."""
         view, decomp = (self.h1_view, self.child1) if half == 1 else (self.h2_view, self.child2)
-        return _solve_level(self.rt, _Level(self.k, view, decomp, self.id, half), s, t)
+        return _solve_level(self.rt, view, decomp, s, t, self.id, half)
 
     # -- cross-edge selection
 
@@ -338,7 +322,7 @@ class _Ctx:
         """Index of the first consecutive pair on ``path`` whose cross edges
         both survive; with ``interior``, the first that holds neither end of
         ``path``."""
-        pairs = _cross_pair_indexes(path[:-1] if interior else path, self.view, self.partner)
+        pairs = self.cross_pairs(path[:-1] if interior else path)
         idx = next((i for i in pairs if i or not interior), None)
         if idx is None:
             raise NoCandidate(
@@ -499,7 +483,7 @@ def _case1_both_h1(ctx: _Ctx):
 def _case1_both_h2(ctx: _Ctx):
     s, t = ctx.s, ctx.t
     p2 = ctx.ham_path_h2(s, t)
-    gen = _cross_pair_indexes(p2, ctx.view, ctx.partner)
+    gen = ctx.cross_pairs(p2)
     i1 = next(gen, None)
     if i1 is None:
         raise NoCandidate("no usable cross pair on the half-2 path")
@@ -531,22 +515,7 @@ def _case1_split(ctx: _Ctx):
 
 
 # ----------------------------------------------------------------------
-# cases 2 and 3: covering cycle in half 1
-
-
-def _solve_cycle(ctx: _Ctx, major: str):
-    """Case 2 covers half 1 with a cycle; case 3 with a near-covering cycle
-    that misses the starved node, which ``_dispatch`` reaches through a
-    stand-in when it is an endpoint."""
-    if major == "2":
-        cyc, q1 = ctx.ham_cycle_h1(), None
-    else:
-        cyc, q1 = ctx.near_cycle_h1()
-        if q1 is None:
-            raise InternalContradiction(
-                "half 1 at minimum degree <= 1 cannot have a full covering cycle"
-            )
-    return _dispatch(ctx, _CYCLE_SHAPES, _canon_cycle(cyc), q1, major, ctx.s, ctx.t)
+# cases 2 and 3: constructions on the half-1 cycle
 
 
 def _cycle_h1_both(ctx: _Ctx, c, s, t):
@@ -611,23 +580,20 @@ def _cycle_h1_both(ctx: _Ctx, c, s, t):
 
 
 def _cycle_h2_both(ctx: _Ctx, c, s, t):
-    """Both endpoints in half 2: cut the cycle at a cross-usable edge and
-    cover half 2 with two disjoint paths; returns (path, None)."""
+    """Both endpoints in half 2: cut the cycle at its first edge whose ends
+    keep cross partners other than s and t, and enter the path left over its
+    ends, as ``_path_h2_both`` does when neither partner is an endpoint;
+    returns (path, None)."""
     ring = c + c[:1]  # cycle edge i is ring[i], ring[i + 1]
     cut = next(
-        (
-            i
-            for i in _cross_pair_indexes(ring, ctx.view, ctx.partner)
-            if ctx.partner(ring[i]) not in (s, t) and ctx.partner(ring[i + 1]) not in (s, t)
-        ),
+        (i for i in ctx.cross_pairs(ring)
+         if ctx.partner(ring[i]) not in (s, t) and ctx.partner(ring[i + 1]) not in (s, t)),
         None,
     )
     if cut is None:
         raise InternalContradiction("no cycle edge had two usable cross partners")
-    a, b = ring[cut], ring[cut + 1]
-    long_path = _cyc_walk(c, cut, (cut + 1) % len(c), -1)  # a .. b avoiding edge (a,b)
-    p21, p22 = ctx.two_paths_h2(s, ctx.partner(a), ctx.partner(b), t)
-    return splice([p21, long_path, p22]), None
+    long_path = _cyc_walk(c, cut, (cut + 1) % len(c), -1)  # a .. b avoiding edge (a, b)
+    return _path_h2_both(ctx, long_path, s, t)[0], None
 
 
 def _cycle_split(ctx: _Ctx, c, s, t):
@@ -707,23 +673,6 @@ def _cut_cycle(ctx: _Ctx, cyc: PathSeq, fe) -> PathSeq:
         key=lambda i: (min(cyc[i], cyc[(i + 1) % m]), max(cyc[i], cyc[(i + 1) % m])),
     )
     return tuple(cyc[best + 1 :]) + tuple(cyc[: best + 1])
-
-
-def _solve_repaired(ctx: _Ctx, major: str):
-    """Case 4 repairs the first fault that leaves half 1 at minimum degree 2
-    and cuts its covering cycle; case 5 repairs the first fault and cuts its
-    near-covering cycle, whose off-cycle node stays off the path. The level
-    holds no fault outside half 1 (``_solve_level`` checks f2 = fc = 0)."""
-    if major == "4":
-        fe = _select_restorable_fault(ctx)
-        cyc, q1 = ctx.ham_cycle_h1(restore=fe), None
-    else:
-        fe = next(_canonical_faults(ctx.f1))
-        cyc, q1 = ctx.near_cycle_h1(restore=fe)
-    p1 = _cut_cycle(ctx, cyc, fe)
-    path, label, detail = _dispatch(ctx, _PATH_SHAPES, p1, q1, major, ctx.s, ctx.t)
-    detail.update(ends=[p1[0], p1[-1]], fe=list(fe) if isinstance(fe, tuple) else fe)
-    return path, label, detail
 
 
 def _path_h1_both(ctx: _Ctx, p1: PathSeq, s, t):
@@ -841,12 +790,37 @@ def _path_split(ctx: _Ctx, p1: PathSeq, s, t):
 
 
 # ----------------------------------------------------------------------
-# cases 2 to 5: one dispatch over the endpoint placements
+# cases 2 to 5: one body, one dispatch over the endpoint placements
 
 #: the constructions on a half-1 cycle or path, by endpoint placement: both
 #: in half 1, both in half 2, split (s in half 1); each returns (path, shape)
 _CYCLE_SHAPES = (_cycle_h1_both, _cycle_h2_both, _cycle_split)
 _PATH_SHAPES = (_path_h1_both, _path_h2_both, _path_split)
+
+
+def _solve_cover(ctx: _Ctx, major: str):
+    """Cover the level around one cycle of half 1: a covering cycle in cases
+    2 and 4, a near-covering one, which misses the starved node, in cases 3
+    and 5. Cases 4 and 5 first repair one fault: the first that leaves half
+    1 at minimum degree 2 in case 4, the first in case 5; the cycle cut at
+    it is a path of the unrepaired half. Those levels hold no fault outside
+    half 1 (``_solve_level`` checks f2 = fc = 0)."""
+    fe = None
+    if major == "4":
+        fe = _select_restorable_fault(ctx)
+    elif major == "5":
+        fe = next(_canonical_faults(ctx.f1))
+    cyc, q1 = ctx.cycle_h1(near=major in ("3", "5"), restore=fe)
+    if major == "3" and q1 is None:
+        raise InternalContradiction(
+            "half 1 at minimum degree <= 1 cannot have a full covering cycle"
+        )
+    if fe is None:
+        return _dispatch(ctx, _CYCLE_SHAPES, _canon_cycle(cyc), q1, major, ctx.s, ctx.t)
+    p1 = _cut_cycle(ctx, cyc, fe)
+    path, label, detail = _dispatch(ctx, _PATH_SHAPES, p1, q1, major, ctx.s, ctx.t)
+    detail.update(ends=[p1[0], p1[-1]], fe=list(fe) if isinstance(fe, tuple) else fe)
+    return path, label, detail
 
 
 def _dispatch(ctx: _Ctx, shapes, seq: PathSeq, q1: Optional[int], major: str, s: int, t: int):
@@ -895,19 +869,22 @@ def _dispatch(ctx: _Ctx, shapes, seq: PathSeq, q1: Optional[int], major: str, s:
 # level solver and public entry point
 
 
-def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
+def _solve_level(rt: _Runtime, view: SurvivingView, decomp: DecompositionNode, s: int, t: int,
+                 parent: Optional[int] = None, half: Optional[int] = None):
+    """Path from s to t over ``view``, the level of ``decomp``, and the node
+    it misses (or None); ``parent`` is the calling level's id and ``half``
+    the half of it this level covers, both None at the root."""
+    dim = decomp.dim
     level_id = rt.levels
     rt.levels += 1
-    rec: dict = {"dim": level.dim, "id": level_id, "parent": level.parent, "half": level.half}
+    rec: dict = {"dim": dim, "id": level_id, "parent": parent, "half": half}
     rt.trace.append(rec)
-    view = level.view
     if not neighbor_condition(view, s, t):
         raise InternalContradiction(
-            f"level at dimension {level.dim} received endpoints violating the "
-            "neighbor condition"
+            f"level at dimension {dim} received endpoints violating the neighbor condition"
         )
 
-    if level.dim == 7:
+    if dim == 7:
         # at most 4 faults keep the dimension-7 base covered by paths
         out = oracle.ham_path(view, s, t, rt.budget)
         path = rt.traced(
@@ -915,7 +892,7 @@ def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
         ).path
         rec.update(case="base", missed=None)
     else:
-        ctx = _Ctx(rt, level, s, t, level_id)
+        ctx = _Ctx(rt, view, decomp, s, t, level_id)
         k = ctx.k
         f1 = len(ctx.f1)
         delta = ctx.delta1
@@ -924,13 +901,13 @@ def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
         if f1 <= 2 * k - 10:
             path, label, detail = solve_case1(ctx)
         elif f1 == 2 * k - 9:
-            path, label, detail = _solve_cycle(ctx, "2" if delta >= 2 else "3")
+            path, label, detail = _solve_cover(ctx, "2" if delta >= 2 else "3")
         elif f1 == 2 * k - 8 and not ctx.f2 and not ctx.fc_count:
-            path, label, detail = _solve_repaired(ctx, "4" if delta >= 2 else "5")
+            path, label, detail = _solve_cover(ctx, "4" if delta >= 2 else "5")
         else:
             raise PreconditionViolated(
                 f"fault load f1={f1}, f2={len(ctx.f2)}, fc={ctx.fc_count} exceeds "
-                f"the dispatch table at dimension {level.dim}"
+                f"the dispatch table at dimension {dim}"
             )
         if path[0] == t:  # the construction began at t
             path = path[::-1]
@@ -955,13 +932,11 @@ def _solve_level(rt: _Runtime, level: _Level, s: int, t: int):
         off = view.node_set - set(path)
         if len(off) != 1 or off & {s, t}:
             raise InternalContradiction(
-                f"a path one node short at dimension {level.dim} leaves out {sorted(off)}"
+                f"a path one node short at dimension {dim} leaves out {sorted(off)}"
             )
         (missed,) = off
     elif short:
-        raise InternalContradiction(
-            f"assembled path misses {short} nodes at dimension {level.dim}"
-        )
+        raise InternalContradiction(f"assembled path misses {short} nodes at dimension {dim}")
     rec["missed"] = missed
     return path, missed
 
@@ -1004,8 +979,7 @@ def embed(
             "neighbor condition: an endpoint has no surviving neighbor besides the other"
         )
     rt = _Runtime(graph=g, budget=budget)
-    root = _Level(n, view, g.decomposition)
-    path, missed = _solve_level(rt, root, s, t)
+    path, missed = _solve_level(rt, view, g.decomposition, s, t)
     # the one check of the path's nodes and steps, whichever level made them
     seen: set[int] = set()
     for i, v in enumerate(path):

@@ -104,12 +104,13 @@ class SurvivingView:
     """Read-only fault-free subgraph, optionally narrowed to a node scope.
 
     A node is present iff it is in scope and not faulty; an edge is present
-    iff both endpoints are present and the edge is not faulty. Every view
-    validates its fault set (:class:`ForeignFault`). A view stores one row
-    dict, whose rows, like the graph's, list neighbours in ascending order,
-    and the tuple of its nodes in ascending order (``nodes``); ``node_set``
-    is the dict's key view. Views are cheap to share and safe to use
-    concurrently.
+    iff both endpoints are present and the edge is not faulty. A view built
+    from a graph validates its fault set (:class:`ForeignFault`); the views
+    :meth:`halves` derives hold shares of faults validated already. A view
+    stores one row dict, whose rows, like the graph's, list neighbours in
+    ascending order, and the tuple of its nodes in ascending order
+    (``nodes``); ``node_set`` is the dict's key view. Views are cheap to
+    share and safe to use concurrently.
 
     The view keeps its fault set (``faults``), not its graph or scope. To
     leave nodes out of a view, build one over a narrower scope: the view of
@@ -164,13 +165,14 @@ class SurvivingView:
         self._nodes = tuple(adj)  # ascending: built in node order
 
     def halves(
-        self, graph: ThlnGraph, mid: int, f_low: FaultSet, f_high: FaultSet
+        self, mid: int, f_low: FaultSet, f_high: FaultSet
     ) -> tuple["SurvivingView", "SurvivingView"]:
         """The views of this level's two halves, the ids below ``mid`` under
-        ``f_low`` and the rest under ``f_high`` (each half's share of this
-        view's faults, which each derived view validates).
+        ``f_low`` and the rest under ``f_high``: each half's share of this
+        view's faults, as ``partition_decomposition`` splits them, which are
+        not validated again.
 
-        This view must hold exactly one level of ``graph`` whose halves are
+        This view must hold exactly one level of a graph whose halves are
         ranges of ids split at ``mid``, with its faults removed. A node's one
         neighbour in the other half is then its cross partner, which an
         ascending row lists last in the lower half and first in the upper
@@ -178,8 +180,6 @@ class SurvivingView:
         entry cut off. A row with two entries in the other half raises
         MalformedGraph.
         """
-        f_low.validate_against(graph)
-        f_high.validate_against(graph)
         nodes, adj = self._nodes, self._adj
         cut = bisect_left(nodes, mid)
         low, high = {}, {}

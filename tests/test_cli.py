@@ -219,6 +219,22 @@ def test_embed_endpoint_outside_the_graph_exits_2(instance, capsys, s, t):
     assert json.loads(out)["status"] == "error"
 
 
+@pytest.mark.parametrize("faults", [
+    lambda g: FaultSet.of(nodes=[1, g.num_nodes]),
+    lambda g: FaultSet.of(edges=[(0, next(w for w in g.nodes if w and not g.has_edge(0, w)))]),
+], ids=["node-past-the-end", "non-edge"])
+def test_embed_foreign_fault_exits_2(instance, tmp_path, capsys, faults):
+    gpath, _ = instance
+    f = faults(graph_from_json(gpath.read_text()))
+    fpath = tmp_path / "foreign.json"
+    fpath.write_text(f.to_json())
+    code, out, err = run_cli(capsys, "embed", "--graph", str(gpath), "--faults",
+                             str(fpath), "-s", "5", "-t", "200")
+    assert code == 2
+    assert err.startswith("error: faulty ") and err.endswith(" is not in the graph\n")
+    assert json.loads(out)["status"] == "error"
+
+
 def test_embed_rejects_a_graph_with_non_integer_ids(tmp_path, capsys):
     # "0" and 1.6 would load as 0 and 1 if ids were coerced with int()
     gpath = tmp_path / "g.json"

@@ -10,6 +10,7 @@ from thln import (
     AdjacencyViolated,
     DisjointnessViolated,
     FaultSet,
+    ForeignFault,
     InternalContradiction,
     NoCandidate,
     OracleBudgetExhausted,
@@ -30,7 +31,7 @@ from thln import (
     validate_path,
 )
 from thln import embedder
-from thln.embedder import _Ctx, _Level, _Runtime, _canon_cycle, _cut_cycle, _select_restorable_fault
+from thln.embedder import _Ctx, _Runtime, _canon_cycle, _cut_cycle, _select_restorable_fault
 from thln.faults import SurvivingView, partition, sample_faults
 from thln.oracle import ham_cycle, near_ham_cycle
 
@@ -213,13 +214,13 @@ def test_case2_blocked_exit_with_partner_endpoint(graph8):
 def _ctx(g, f, s, t):
     """The top-level working state ``embed`` builds for this instance."""
     rt = _Runtime(graph=g, budget=SearchBudget())
-    return _Ctx(rt, _Level(g.dimension, surviving_view(g, f), g.decomposition), s, t, 0)
+    return _Ctx(rt, surviving_view(g, f), g.decomposition, s, t, 0)
 
 
 def _case4_path(graph8):
     ctx = _ctx(graph8, CASE4_FAULTS, 5, 77)
     fe = _select_restorable_fault(ctx)
-    return _cut_cycle(ctx, ctx.ham_cycle_h1(restore=fe), fe)
+    return _cut_cycle(ctx, ctx.cycle_h1(near=False, restore=fe)[0], fe)
 
 
 @pytest.mark.parametrize(
@@ -289,7 +290,7 @@ def test_case4_split_pair_at_a_degree_two_path_end(graph8):
     t = cross_partner(graph8, 0)
     ctx = _ctx(graph8, CASE4_DEGREE2_END, 1, t)
     fe = _select_restorable_fault(ctx)
-    p1 = _cut_cycle(ctx, ctx.ham_cycle_h1(restore=fe), fe)
+    p1 = _cut_cycle(ctx, ctx.cycle_h1(near=False, restore=fe)[0], fe)
     assert ctx.h1_view.neighbors(0) == (1, 2) and p1[:4] == (0, 1, 3, 2)
     res = embed_and_check(graph8, CASE4_DEGREE2_END, 1, t)
     assert res.trace.top_case() == "4.3.3.1"
@@ -331,7 +332,7 @@ def _case5_path(graph9, f5):
     """The cut path of ``case5_setup``: node 1, its first fault, repaired and
     cut out of the near-covering cycle."""
     ctx = _ctx(graph9, f5, 7, 99)
-    return _cut_cycle(ctx, ctx.near_cycle_h1(restore=1)[0], 1)
+    return _cut_cycle(ctx, ctx.cycle_h1(near=True, restore=1)[0], 1)
 
 
 def test_case4_restored_node_cut_ends_at_its_cycle_neighbors(graph8):
@@ -560,9 +561,9 @@ def test_level_tree_rebuilds_from_the_trace_at_n10():
 def test_half2_falls_back_to_search_when_the_recursion_is_one_short(monkeypatch):
     real = embedder._solve_level
 
-    def one_short_on_half2(rt, level, s, t):
-        path, missed = real(rt, level, s, t)
-        return (path, path[1]) if level.half == 2 else (path, missed)
+    def one_short_on_half2(rt, view, decomp, s, t, parent=None, half=None):
+        path, missed = real(rt, view, decomp, s, t, parent, half)
+        return (path, path[1]) if half == 2 else (path, missed)
 
     monkeypatch.setattr(embedder, "_solve_level", one_short_on_half2)
     g = make_preset(VariantSpec.random(0), 9)
@@ -666,10 +667,10 @@ def test_a_bad_path_returned_below_the_root_is_caught(graph9, monkeypatch, mutat
     real = embedder._solve_level
     mutated = []
 
-    def mutant(rt, level, s, t):
-        path, missed = real(rt, level, s, t)
-        if level.dim == 7 and not mutated:
-            mutated.append(level.parent)
+    def mutant(rt, view, decomp, s, t, parent=None, half=None):
+        path, missed = real(rt, view, decomp, s, t, parent, half)
+        if decomp.dim == 7 and not mutated:
+            mutated.append(parent)
             # the caller covers half 1 of the root; its matching pairs the halves
             path = mutate(path, 4, graph9.decomposition.child1.partner)
         return path, missed
@@ -678,6 +679,29 @@ def test_a_bad_path_returned_below_the_root_is_caught(graph9, monkeypatch, mutat
     with pytest.raises(raised):
         embed(graph9, FaultSet.empty(), 0, 5)
     assert mutated and mutated[0] is not None
+
+
+@pytest.mark.parametrize("faults", [
+    lambda g: FaultSet.of(nodes=[1, g.num_nodes]),
+    lambda g: FaultSet.of(edges=[(0, next(w for w in g.nodes if w and not g.has_edge(0, w)))]),
+], ids=["node-past-the-end", "non-edge"])
+def test_a_foreign_fault_stops_at_the_root_view(graph8, monkeypatch, faults):
+    # the root view is the one check that the faults belong to the graph:
+    # each half's view takes its share of them unchecked, so a foreign fault
+    # must stop before the first level starts
+    real = embedder._solve_level
+    levels = []
+
+    def spy(*args):
+        levels.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(embedder, "_solve_level", spy)
+    with pytest.raises(ForeignFault):
+        embed(graph8, faults(graph8), 5, 200)
+    assert not levels
+    embed(graph8, FaultSet.of(nodes=[1]), 5, 200)
+    assert levels
 
 
 def test_select_cross_edge_first_pair(graph8):

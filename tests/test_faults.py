@@ -304,7 +304,7 @@ def test_half_view_from_its_own_faults_matches_the_whole_set(seed):
     while stack:
         d, level = stack.pop()
         split = partition_decomposition(d, level.faults)
-        derived = level.halves(g, d.half2.start, split.f1, split.f2)
+        derived = level.halves(d.half2.start, split.f1, split.f2)
         for half, own, child, view in zip(
             (d.half1_set, d.half2_set), (split.f1, split.f2), (d.child1, d.child2), derived
         ):
@@ -335,7 +335,7 @@ def test_halves_reject_a_row_with_two_neighbours_across_the_cut():
         bad = ThlnGraph(n, tuple(map(tuple, rows)))
         f1, f2 = (FaultSet.empty(),) * 2
         with pytest.raises(MalformedGraph, match="two neighbours across the cut"):
-            surviving_view(bad, FaultSet.empty()).halves(bad, mid, f1, f2)
+            surviving_view(bad, FaultSet.empty()).halves(mid, f1, f2)
     with pytest.raises(MalformedGraph, match="two neighbours across the cut"):
         embed(bad, FaultSet.empty(), 0, 5)  # the n = 8 graph, at its top level
 
