@@ -8,6 +8,9 @@ Exit codes are the scriptable contract:
   3  precondition violated (fault bound, faulty endpoint, neighbor condition)
   4  search budget exhausted
 
+Every node id that ``embed`` reads or writes is the graph file's own, also
+where the loader has renumbered the file's nodes to positions.
+
 Every command honors ``--seed``; identical invocations write byte-identical
 artifacts. Wall-clock numbers are therefore never written to report files
 unless ``--timing`` is passed; the human summary on stderr always shows them.
@@ -191,6 +194,32 @@ _EMBED_EXITS = (
 )
 
 
+#: trace record fields that hold node ids: a node, a pair, or a list of pairs
+_TRACE_NODE_FIELDS = frozenset({"agent", "cross", "ends", "fe", "missed", "q1", "starved"})
+
+
+def _to_positions(g: ThlnGraph, f: FaultSet, s: int, t: int) -> tuple[FaultSet, int, int]:
+    """The fault file and the endpoints, in the graph file's ids, at ``g``'s
+    positions. What ``embed`` rejects by naming a node, a foreign fault or a
+    faulty endpoint, is rejected here first, in its order, by the file's id;
+    an endpoint that is no id of the file is left for ``embed`` to reject."""
+    position = dict(zip(g.file_ids or g.nodes, g.nodes))
+    for v in f.nodes:
+        if v not in position:
+            raise ForeignFault(f"faulty node {v} is not in the graph")
+    for u, v in f.edges:
+        if not (u in position and v in position and g.has_edge(position[u], position[v])):
+            raise ForeignFault(f"faulty edge {(u, v)} is not in the graph")
+    for v in (s, t):  # an unknown endpoint comes before a faulty one
+        if v not in position:
+            break
+        if v in f.nodes:
+            raise PreconditionViolated(f"endpoint {v} is faulty")
+    moved = FaultSet.of(nodes=[position[v] for v in f.nodes],
+                        edges=[(position[u], position[v]) for u, v in f.edges])
+    return moved, position.get(s, s), position.get(t, t)
+
+
 def cmd_embed(args) -> int:
     try:
         budget = _default_budget(args)
@@ -207,12 +236,24 @@ def cmd_embed(args) -> int:
         _info(f"error: graph fails shape check {bad.name}{detail}")
         return 2
     out_of_contract = args.unsafe and len(f) > 2 * g.dimension - 10
+    ids = g.file_ids or g.nodes
+
+    def name(x):  # a node id, or nested lists of them, in the file's ids
+        if x is None:
+            return None
+        return [name(y) for y in x] if isinstance(x, list) else ids[x]
 
     def emit(obj) -> None:
-        _write(args.out, _dump(obj))
+        """Write ``obj``, an ``EmbedResult.to_json_obj()`` or an error record
+        of that form, with its path, missed node and trace node fields in the file's ids."""
+        trace = [{k: name(v) if k in _TRACE_NODE_FIELDS else v for k, v in rec.items()}
+                 for rec in obj["trace"]]
+        _write(args.out, _dump(dict(obj, path=name(obj["path"]), missed=name(obj["missed"]),
+                                    trace=trace)))
 
     try:
-        result = embed(g, f, args.s, args.t, budget, enforce_bounds=not args.unsafe)
+        f, s, t = _to_positions(g, f, args.s, args.t)
+        result = embed(g, f, s, t, budget, enforce_bounds=not args.unsafe)
     except ThlnError as exc:
         code, prefix = next((c, p) for cls, c, p in _EMBED_EXITS if isinstance(exc, cls))
         trace = getattr(exc, "trace", None)  # budget exhaustion carries its trace
@@ -221,7 +262,7 @@ def cmd_embed(args) -> int:
         _info(f"{prefix}: {exc}")
         return code
 
-    verdict = validate_path(g, f, args.s, args.t, result.path)
+    verdict = validate_path(g, f, s, t, result.path)
     if not verdict.is_valid or verdict.missed != result.missed:
         emit({"status": "error", "path": list(result.path), "missed": result.missed,
               "trace": result.trace.to_json_obj(),
@@ -235,7 +276,7 @@ def cmd_embed(args) -> int:
     emit(obj)
     _info(
         f"{result.classification}: {len(result.path)} nodes"
-        + (f", missed {result.missed}" if result.missed is not None else "")
+        + (f", missed {name(result.missed)}" if result.missed is not None else "")
     )
     return 0
 

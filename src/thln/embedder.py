@@ -46,11 +46,11 @@ lower level the view of the half of the level above that it covers. A
 level's faults are the ones its view holds; each half's view holds that
 half's share of them, so a half is the theorem's instance one dimension
 down, and the root view is the one check that the faults belong to the
-graph. When the halves are ranges of ids (every built graph) both half
-views are derived from the level's own view by cutting each row's cross
-partner off; a loaded graph's set halves are built from the graph. A
-repaired fault (cases 4 and 5) leaves that share, and nodes kept out of a
-half-2 search join it; those views are built from the graph over the half.
+graph. Node ids are positions, so each half is a range of ids, and both
+half views are derived from the level's own view by cutting each row's
+cross partner off. A repaired fault (cases 4 and 5) leaves that share, and
+nodes kept out of a half-2 search join it as node faults; those views are
+built from the graph over the half's range.
 A level's construction may begin at either endpoint: a split pair (one
 endpoint in each half) is built from its half-1 endpoint, and a starved
 endpoint in case 1, or an endpoint off the half-1 cycle or path when both
@@ -220,12 +220,8 @@ class _Ctx:
         self.dim = decomp.dim
         self.k = decomp.dim - 1
         part = partition_decomposition(decomp, view.faults)
-        h1, h2 = decomp.halves
-        if isinstance(h1, range):
-            v1, v2 = view.halves(h2.start, part.f1, part.f2)
-        else:  # a loaded graph's halves are sets of ids
-            v1 = SurvivingView(rt.graph, part.f1, scope=h1)
-            v2 = SurvivingView(rt.graph, part.f2, scope=h2)
+        h1, h2 = decomp.half1, decomp.half2
+        v1, v2 = view.halves(h2.start, part.f1, part.f2)
         halves = [(h1, decomp.child1, part.f1, v1), (h2, decomp.child2, part.f2, v2)]
         self.swapped = len(part.f2) > len(part.f1)
         if self.swapped:
@@ -832,12 +828,12 @@ def _dispatch(ctx: _Ctx, shapes, seq: PathSeq, q1: Optional[int], major: str, s:
     detail: dict = {} if q1 is None else {"q1": q1}
     if q1 in (s, t):
         # The endpoint off ``seq`` is reached from a stand-in: its cross
-        # partner when that edge survives, else its lowest half-1 neighbour
-        # besides the other endpoint. In cases 4 and 5 f2 = fc = 0, so every
-        # cross edge between surviving nodes survives and the stand-in is
-        # always the partner.
+        # partner when that edge survives and the partner is not the other
+        # endpoint, else its lowest half-1 neighbour besides the other
+        # endpoint. A split pair whose half-2 end is that partner takes the
+        # neighbour in every case, 4 and 5 included.
         off, other = (s, t) if s == q1 else (t, s)
-        if ctx.partner_ok(off):
+        if ctx.partner_ok(off) and ctx.partner(off) != other:
             agent = ctx.partner(off)
         else:
             agent = next((w for w in sorted(ctx.h1_view.neighbors(off)) if w != other), None)

@@ -101,7 +101,7 @@ class FaultSet:
 
 
 class SurvivingView:
-    """Read-only fault-free subgraph, optionally narrowed to a node scope.
+    """Read-only fault-free subgraph, optionally narrowed to a range of ids.
 
     A node is present iff it is in scope and not faulty; an edge is present
     iff both endpoints are present and the edge is not faulty. A view built
@@ -113,17 +113,16 @@ class SurvivingView:
     share and safe to use concurrently.
 
     The view keeps its fault set (``faults``), not its graph or scope. To
-    leave nodes out of a view, build one over a narrower scope: the view of
-    ``scope - X`` is the view of ``scope`` with exactly the nodes of X and
-    their edges removed.
+    leave nodes out of a view, add them to its faults as node faults: the
+    view of a scope under ``F + X`` is the view of that scope under ``F``
+    with exactly the nodes of X and their edges removed.
 
     Building one costs O(scope + faults x degree): a row that no fault
     touches is the graph's own row (kept as is when unscoped, sliced to the
-    scope when that is a range of ids, filtered to it otherwise), and only
-    the rows of a dead node's neighbours and of a faulty edge's endpoints
-    are filtered against the faults. The views of a level's two halves are
-    derived from the level's own view by :meth:`halves`, at one row slice
-    and one comparison per node, when the halves are ranges of ids.
+    scope otherwise), and only the rows of a dead node's neighbours and of a
+    faulty edge's endpoints are filtered against the faults. The views of a
+    level's two halves are derived from the level's own view by
+    :meth:`halves`, at one row slice and one comparison per node.
     """
 
     __slots__ = ("faults", "_adj", "_nodes")
@@ -132,7 +131,7 @@ class SurvivingView:
         self,
         graph: ThlnGraph,
         faults: FaultSet,
-        scope: Optional[Iterable[int]] = None,
+        scope: Optional[range] = None,
     ):
         faults.validate_against(graph)
         self.faults = faults
@@ -140,17 +139,11 @@ class SurvivingView:
         if scope is None:
             adj = dict(enumerate(rows))  # the graph's own rows, shared
         else:
-            # walk the scope, not the whole graph; nodes outside the graph drop out
-            n = graph.num_nodes
-            if isinstance(scope, range):  # a half of a built graph
-                # rows ascend, so a row's share of an id range is one slice
-                lo, hi = scope.start, scope.stop
-                adj = {v: rows[v][bisect_left(rows[v], lo):bisect_left(rows[v], hi)]
-                       for v in scope if 0 <= v < n}
-            else:
-                scope = frozenset(scope)
-                in_scope = scope.__contains__
-                adj = {v: tuple(filter(in_scope, rows[v])) for v in sorted(scope) if 0 <= v < n}
+            # walk the scope, not the whole graph; nodes outside the graph drop
+            # out. Rows ascend, so a row's share of an id range is one slice.
+            lo, hi = max(scope.start, 0), min(scope.stop, graph.num_nodes)
+            adj = {v: rows[v][bisect_left(rows[v], lo):bisect_left(rows[v], hi)]
+                   for v in range(lo, hi)}
         dead = faults.nodes
         bad_edge = faults.edges
         # only the rows of a dead node's neighbours and of a faulty edge's
@@ -172,8 +165,8 @@ class SurvivingView:
         view's faults, as ``partition_decomposition`` splits them, which are
         not validated again.
 
-        This view must hold exactly one level of a graph whose halves are
-        ranges of ids split at ``mid``, with its faults removed. A node's one
+        This view must hold exactly one level of a graph, whose halves are
+        the ids below and from ``mid``, with its faults removed. A node's one
         neighbour in the other half is then its cross partner, which an
         ascending row lists last in the lower half and first in the upper
         half, so each derived row is the level's row with at most that one
@@ -276,8 +269,8 @@ class FaultPartition:
 def partition_decomposition(decomp: DecompositionNode, f: FaultSet) -> FaultPartition:
     """Split ``f`` at one level: an edge with an end in each half is a cross
     fault."""
-    h1, h2 = decomp.halves
-    cross = frozenset((u, v) for u, v in f.edges if (u in h1 and v in h2) or (u in h2 and v in h1))
+    h1, h2 = decomp.half1, decomp.half2
+    cross = frozenset((u, v) for u, v in f.edges if u in h1 and v in h2)  # u < v
     return FaultPartition(f.restricted(h1), f.restricted(h2), cross)
 
 

@@ -5,14 +5,14 @@ recursively: two dimension-(n-1) copies joined by a perfect matching of
 cross edges, bottoming out at a fixed 3-regular 8-node twisted base graph.
 Node identity is an integer index.
 
-The decomposition is not stored; it is read off node positions. Each node
-has a position in 0..2^n-1, and the level of dimension d that holds a node
-is its aligned block of 2^d positions: half 1 is the lower half of the
-block, and a node's cross partner at that level is its one neighbour whose
-position first differs from its own in bit d - 1. Graphs built by
-:func:`join` or :func:`make_preset` number their nodes so that positions
-are ids. A graph loaded from a file gets its positions from the file's
-decomposition tree, which the loader checks against the edges;
+The decomposition is not stored; it is read off node ids, which are
+positions in 0..2^n-1. The level of dimension d that holds a node is its
+aligned block of 2^d ids: half 1 is the lower half of the block, and a
+node's cross partner at that level is its one neighbour whose id first
+differs from its own in bit d - 1. :func:`join` and :func:`make_preset`
+number nodes that way. A graph loaded from a file is renumbered to the
+positions of the file's decomposition tree, which the loader checks against
+the edges, and keeps the file's ids to write back (``file_ids``).
 :func:`check_shape` then checks every derived level.
 
 Preset generators are provided for the classic twisted families (crossed,
@@ -131,34 +131,27 @@ class VariantSpec:
 
 @dataclass(frozen=True, eq=False)
 class DecompositionNode:
-    """One level of the recursive two-half structure, derived from positions.
+    """One level of the recursive two-half structure, derived from node ids.
 
-    The level of dimension ``dim`` holds the nodes at positions ``base`` to
+    The level of dimension ``dim`` holds the nodes ``base`` to
     ``base + 2**dim - 1`` of ``graph``; half 1 holds the lower half of those
-    positions. Everything below is computed on each access: ``half1`` and
-    ``half2`` are ranges when the graph's ids are its positions and sorted
-    tuples otherwise, ``matching`` lists the cross edges as ``(u1, u2)``
-    with ``u1`` in half 1, and the children are None exactly when the halves
-    are dimension-3 base graphs.
+    ids. Everything below is computed on each access: ``half1`` and
+    ``half2`` are id ranges, ``matching`` lists the cross edges as
+    ``(u1, u2)`` with ``u1`` in half 1, and the children are None exactly
+    when the halves are dimension-3 base graphs.
     """
 
     graph: "ThlnGraph" = field(repr=False)
     dim: int
     base: int = 0
 
-    def _half(self, i: int) -> Sequence[int]:
-        size = 1 << (self.dim - 1)
-        start = self.base + i * size
-        nodes = self.graph.order[start:start + size]
-        return nodes if isinstance(nodes, range) else tuple(sorted(nodes))
+    @property
+    def half1(self) -> range:
+        return range(self.base, self.base + (1 << (self.dim - 1)))
 
     @property
-    def half1(self) -> Sequence[int]:
-        return self._half(0)
-
-    @property
-    def half2(self) -> Sequence[int]:
-        return self._half(1)
+    def half2(self) -> range:
+        return range(self.base + (1 << (self.dim - 1)), self.base + (1 << self.dim))
 
     @property
     def half1_set(self) -> frozenset[int]:
@@ -167,14 +160,6 @@ class DecompositionNode:
     @property
     def half2_set(self) -> frozenset[int]:
         return frozenset(self.half2)
-
-    @property
-    def halves(self) -> tuple:
-        """Both halves as containers with fast membership: the ranges
-        themselves when ids are positions, frozensets otherwise."""
-        if isinstance(self.graph.order, range):
-            return self.half1, self.half2
-        return self.half1_set, self.half2_set
 
     @property
     def matching(self) -> tuple[Edge, ...]:
@@ -195,47 +180,38 @@ class DecompositionNode:
 
     def partner(self, v: int) -> int:
         """The node matched with ``v`` across this level's cut: v's one
-        neighbour whose position first differs from v's in bit ``dim - 1``."""
-        g, label = self.graph, self.graph.label
-        # the range guard matters: label[-1] is the last node's position
-        if not 0 <= v < g.num_nodes or label[v] >> self.dim != self.base >> self.dim:
+        neighbour whose id first differs from v's in bit ``dim - 1``."""
+        # an id outside the graph, negative ones included, leaves every block
+        if v >> self.dim != self.base >> self.dim:
             raise UnknownNode(f"node {v} is not a node of this dimension-{self.dim} level")
-        pos = label[v]
-        for w in g.adjacency[v]:
-            if (pos ^ label[w]).bit_length() == self.dim:
+        for w in self.graph.adjacency[v]:
+            if (v ^ w).bit_length() == self.dim:
                 return w
         raise MalformedGraph(f"node {v} has no cross partner at dimension {self.dim}")
 
 
 @dataclass(frozen=True)
 class ThlnGraph:
-    """Immutable network: adjacency indexed by node, plus node positions.
+    """Immutable network: adjacency indexed by node id, ids being positions.
 
     The adjacency is the only store of edges; each row is sorted here, in
     whatever order it was given. Built rows (:func:`make_preset`) and loaded
     rows (:func:`graph_from_json_obj`) share one int object per id, so a
     graph holds 2^n ints however many rows name each. ``edges`` (every
     ``(u, v)`` with ``u < v``, ascending) is rebuilt from the rows on each
-    access. ``order`` lists the node at each position and ``label`` (its
-    inverse) the position of each node; ``order=None`` means that ids are
-    positions, and then both are ``range(num_nodes)``. ``decomposition``
-    derives the top level from them on each access (None for a dimension-3
-    base graph).
+    access. ``decomposition`` derives the top level from the ids on each
+    access (None for a dimension-3 base graph). ``file_ids`` is a loaded
+    file's own id at each position, or None where ids are the file's; only
+    graph file I/O and the command line read it.
     """
 
     dimension: int
     adjacency: tuple[tuple[int, ...], ...]
-    order: Optional[Sequence[int]] = None
-    label: Sequence[int] = field(init=False, repr=False, compare=False)
+    file_ids: Optional[tuple[int, ...]] = field(default=None, repr=False)
 
     def __post_init__(self):
         # the one place rows are sorted: views over a half bisect them
         object.__setattr__(self, "adjacency", tuple(map(tuple, map(sorted, self.adjacency))))
-        if self.order is None:
-            object.__setattr__(self, "order", range(len(self.adjacency)))
-        order = self.order  # a permutation's inverse is its argsort
-        object.__setattr__(self, "label", order if isinstance(order, range)
-                           else tuple(sorted(range(len(order)), key=order.__getitem__)))
 
     @property
     def decomposition(self) -> Optional[DecompositionNode]:
@@ -279,18 +255,17 @@ def _adjacency_from_edges(n_nodes: int, edges: Iterable[Edge]) -> list[set[int]]
     return rows
 
 
-def _is_connected(adjacency: Sequence[Sequence[int]], nodes: Sequence[int]) -> bool:
+def _is_connected(adjacency: Sequence[Sequence[int]], nodes: range) -> bool:
     """Whether ``nodes`` (at least one) induce a connected subgraph."""
-    node_set = set(nodes)
     seen = {nodes[0]}
     frontier = [nodes[0]]
     while frontier:
         v = frontier.pop()
         for w in adjacency[v]:
-            if w in node_set and w not in seen:
+            if w in nodes and w not in seen:
                 seen.add(w)
                 frontier.append(w)
-    return len(seen) == len(node_set)
+    return len(seen) == len(nodes)
 
 
 def make_base(spec: VariantSpec) -> ThlnGraph:
@@ -334,8 +309,8 @@ def join(
 
     ``matching`` maps each node of ``g1`` to a node of ``g2`` in the halves'
     own 0-based coordinates; the second half's identifiers are offset by
-    ``2**g1.dimension`` in the result. Only the adjacency is built: positions
-    are ids, or the halves' positions in order when an input's are not.
+    ``2**g1.dimension`` in the result. Only the adjacency is built, and
+    ids stay positions; a loaded input's file ids are not carried over.
     """
     if g1.dimension != g2.dimension:
         raise DimensionMismatch(
@@ -353,11 +328,7 @@ def join(
     for u, w in phi.items():
         rows[u].append(w + n)
         rows[w + n].append(u)
-
-    order = None  # positions are ids unless an input's are not
-    if not (isinstance(g1.order, range) and isinstance(g2.order, range)):
-        order = tuple(g1.order) + tuple(v + n for v in g2.order)
-    return ThlnGraph(g1.dimension + 1, rows, order)
+    return ThlnGraph(g1.dimension + 1, rows)
 
 
 def _bijection(phi: list[int]) -> list[int]:
@@ -517,11 +488,10 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
     def add(name, passed, detail=""):
         checks.append(ShapeCheck(name, bool(passed), detail))
 
-    def level(label: str, dim: int, nodes: Sequence[int]):
-        node_set = set(nodes)
+    def level(label: str, dim: int, nodes: range):
         add(f"{label}: node-count", len(nodes) == 1 << dim,
             f"expected {1 << dim}, got {len(nodes)}")
-        degrees = [sum(w in node_set for w in g.adjacency[v]) for v in nodes]
+        degrees = [sum(w in nodes for w in g.adjacency[v]) for v in nodes]
         add(f"{label}: regularity", all(d == dim for d in degrees),
             f"every node needs degree {dim} within the level")
         add(f"{label}: edge-count", sum(degrees) == dim * (1 << dim),
@@ -533,7 +503,7 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
             level(f"{label}.1", dim - 1, nodes[:half])
             level(f"{label}.2", dim - 1, nodes[half:])
 
-    level("root", g.dimension, g.order)
+    level("root", g.dimension, g.nodes)
     return ShapeReport(tuple(checks))
 
 
@@ -541,27 +511,34 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
 # serialization
 
 
-def _decomposition_to_obj(node: Optional[DecompositionNode]):
+def _file_edges(g: ThlnGraph) -> Sequence[Edge]:
+    """``g.edges`` in the file's ids, as ``(u, v)`` with ``u < v``, ascending."""
+    ids = g.file_ids
+    return g.edges if ids is None else sorted(_norm_edge(ids[u], ids[v]) for u, v in g.edges)
+
+
+def _decomposition_to_obj(node: Optional[DecompositionNode], ids: Sequence[int]):
     if node is None:
         return None
-    children = [_decomposition_to_obj(c) for c in (node.child1, node.child2) if c is not None]
+    matching = sorted([ids[u], ids[w]] for u, w in node.matching)  # half1's ids ascending
     return {
-        "half1": list(node.half1),
-        "matching": [list(p) for p in node.matching],
-        "children": children,
+        "half1": [u for u, _ in matching],
+        "matching": matching,
+        "children": [_decomposition_to_obj(c, ids) for c in (node.child1, node.child2) if c],
     }
 
 
 def graph_to_json_obj(g: ThlnGraph) -> dict:
     return {
         "dimension": g.dimension,
-        "edges": [list(e) for e in g.edges],
-        "decomposition": _decomposition_to_obj(g.decomposition),
+        "edges": [list(e) for e in _file_edges(g)],
+        "decomposition": _decomposition_to_obj(g.decomposition, g.file_ids or g.nodes),
     }
 
 
 def graph_to_json(g: ThlnGraph) -> str:
-    """Canonical JSON: edges as sorted ``[u, v]`` pairs with ``u < v``."""
+    """Canonical JSON, in the file's ids for a loaded graph: edges as sorted
+    ``[u, v]`` pairs with ``u < v``, and each level's ``half1`` ascending."""
     return json.dumps(graph_to_json_obj(g), indent=2, sort_keys=True) + "\n"
 
 
@@ -591,7 +568,7 @@ def _json_pairs(xs, what: str) -> list[Edge]:
 
 
 def _read_level(obj, nodes: list[int], dim: int, name: str,
-                adjacency: Sequence[Sequence[int]], order: list[int]) -> None:
+                edges: set[Edge], order: list[int]) -> None:
     """Append one level's nodes to ``order`` in position order, checking the
     file's decomposition of it against the edges. The leaves keep their ids
     ascending."""
@@ -620,20 +597,20 @@ def _read_level(obj, nodes: list[int], dim: int, name: str,
         ("matching-size", len(matching) == size, f"expected {size}, got {len(matching)}"),
         ("matching-bijection",
          firsts <= h1 and seconds <= h2 and len(firsts) == len(seconds) == size, ""),
-        ("matching-edges-present", all(u in h1 and v in adjacency[u] for u, v in matching), ""),
+        ("matching-edges-present", all(_norm_edge(u, v) in edges for u, v in matching), ""),
     ):
         if not passed:
             detail = f" ({detail})" if detail else ""
             raise MalformedGraph(f"decomposition fails check {name}: {check}{detail}")
-    _read_level(children[0], sorted(h1), dim - 1, f"{name}.1", adjacency, order)
-    _read_level(children[1], sorted(h2), dim - 1, f"{name}.2", adjacency, order)
+    _read_level(children[0], sorted(h1), dim - 1, f"{name}.1", edges, order)
+    _read_level(children[1], sorted(h2), dim - 1, f"{name}.2", edges, order)
 
 
 def graph_from_json_obj(obj: dict) -> ThlnGraph:
     """Raises MalformedGraph unless ids and the dimension are JSON integers
     (no string, float or boolean is coerced), the graph is well formed and
-    its decomposition tree agrees with its edges. Node positions come from
-    that tree."""
+    its decomposition tree agrees with its edges. Nodes are renumbered to the
+    positions that tree gives, keeping the file's ids as ``file_ids``."""
     dim, raw_edges = _json_fields(obj, "graph object", "dimension", "edges")
     dim = _json_int(dim, "dimension")
     raw_edges = _json_pairs(raw_edges, "edges")
@@ -652,10 +629,13 @@ def graph_from_json_obj(obj: dict) -> ThlnGraph:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise MalformedGraph(f"edge ({u},{v}) out of range for dimension {dim}")
         edges.add(_norm_edge(ids[u], ids[v]))
-    adjacency = _adjacency_from_edges(n, edges)
     order: list[int] = []
-    _read_level(obj.get("decomposition"), ids, dim, "root", adjacency, order)
-    return ThlnGraph(dim, adjacency, None if order == ids else tuple(order))
+    _read_level(obj.get("decomposition"), ids, dim, "root", edges, order)
+    position = [0] * n  # of each file id, sharing the ids' int objects
+    for p, v in enumerate(order):
+        position[v] = ids[p]
+    rows = _adjacency_from_edges(n, ((position[u], position[v]) for u, v in edges))
+    return ThlnGraph(dim, rows, None if order == ids else tuple(ids[v] for v in order))
 
 
 def graph_from_json(text: str) -> ThlnGraph:
@@ -667,12 +647,12 @@ def graph_from_json(text: str) -> ThlnGraph:
 
 
 def graph_to_dot(g: ThlnGraph) -> str:
-    """Graphviz export; nodes labeled with the binary form of their index."""
+    """Graphviz export in the file's ids; nodes labeled with their id in binary."""
     width = g.dimension
     lines = ["graph thln {"]
-    for v in g.nodes:
+    for v in g.nodes:  # a file's ids are a permutation of the positions
         lines.append(f'  n{v} [label="{v:0{width}b}"];')
-    for u, v in g.edges:
+    for u, v in _file_edges(g):
         lines.append(f"  n{u} -- n{v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

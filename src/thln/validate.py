@@ -45,16 +45,15 @@ def _invalid(reason: str, position: Optional[int] = None) -> PathClass:
     return PathClass(PathStatus.INVALID, reason=reason, position=position)
 
 
-def _check_sequence(
-    g: ThlnGraph, f: FaultSet, seq: Sequence[int], *, closed: bool
-) -> Optional[PathClass]:
-    """Shared walk checks; returns an Invalid verdict or None if clean."""
-    alive_nodes = set(g.nodes) - f.nodes
+def _classify(g: ThlnGraph, f: FaultSet, seq: Sequence[int], *, closed: bool) -> PathClass:
+    """The walk checks shared by paths and cycles, then the cover: Invalid at
+    the first failing position, else by the live nodes the walk leaves out."""
+    alive = set(g.nodes) - f.nodes
     seen: set[int] = set()
     for i, v in enumerate(seq):
         if not isinstance(v, int) or not (0 <= v < g.num_nodes):
             return _invalid(f"unknown node {v!r}", i)
-        if v not in alive_nodes:
+        if v not in alive:
             return _invalid(f"faulty node {v}", i)
         if v in seen:
             return _invalid(f"repeated node {v}", i)
@@ -66,18 +65,13 @@ def _check_sequence(
             return _invalid(f"({u},{v}) is not an edge", i)
         if _norm_edge(u, v) in f.edges:
             return _invalid(f"dead edge ({u},{v})", i)
-    return None
-
-
-def _classify_cover(g: ThlnGraph, f: FaultSet, seq: Sequence[int]) -> PathClass:
-    surviving = set(g.nodes) - f.nodes
-    covered = set(seq)
-    if len(covered) == len(surviving):
+    left = alive - seen
+    if not left:
         return PathClass(PathStatus.HAMILTONIAN)
-    if len(covered) == len(surviving) - 1:
-        (missed,) = surviving - covered
+    if len(left) == 1:
+        (missed,) = left
         return PathClass(PathStatus.NEAR_HAMILTONIAN, missed=missed)
-    return _invalid(f"covers {len(covered)} of {len(surviving)} surviving nodes")
+    return _invalid(f"covers {len(seen)} of {len(alive)} surviving nodes")
 
 
 def validate_path(
@@ -92,10 +86,7 @@ def validate_path(
         return _invalid(f"starts at {seq[0]}, expected {s}", 0)
     if seq[-1] != t:
         return _invalid(f"ends at {seq[-1]}, expected {t}", len(seq) - 1)
-    bad = _check_sequence(g, f, seq, closed=False)
-    if bad is not None:
-        return bad
-    return _classify_cover(g, f, seq)
+    return _classify(g, f, seq, closed=False)
 
 
 def validate_cycle(g: ThlnGraph, f: FaultSet, seq: Sequence[int]) -> PathClass:
@@ -104,7 +95,4 @@ def validate_cycle(g: ThlnGraph, f: FaultSet, seq: Sequence[int]) -> PathClass:
         return _invalid("empty sequence")
     if len(seq) < 3:
         return _invalid("a cycle needs at least three nodes")
-    bad = _check_sequence(g, f, seq, closed=True)
-    if bad is not None:
-        return bad
-    return _classify_cover(g, f, seq)
+    return _classify(g, f, seq, closed=True)

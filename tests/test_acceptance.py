@@ -204,7 +204,7 @@ def _criterion7():
     q = 20
     intra = [w for w in g.neighbors(q) if w < 128]
     adversarial = FaultSet.of(edges=[(q, w) for w in intra[:5]])
-    half1 = SurvivingView(g, adversarial, scope=frozenset(range(128)))
+    half1 = SurvivingView(g, adversarial, scope=range(128))
     min_degree, _ = half1.min_degree_witness()
     res = embed(g, adversarial, 5, 77)
     results["case3-unreachable"] = {
@@ -222,7 +222,7 @@ def _criterion8():
     started = time.perf_counter()
     g = make_preset(VariantSpec.random(7), 8)
     inner = [1, 33, 65, 97, 120]
-    hv = SurvivingView(g, FaultSet.of(nodes=inner), scope=frozenset(range(128)))
+    hv = SurvivingView(g, FaultSet.of(nodes=inner), scope=range(128))
     c1 = _canon_cycle(ham_cycle(hv).path)
     s, x1, t = c1[10], c1[11], c1[12]
     f = FaultSet.of(nodes=inner, edges=[(x1, cross_partner(g, x1))])

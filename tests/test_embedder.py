@@ -30,7 +30,7 @@ from thln import (
     surviving_view,
     validate_path,
 )
-from thln import embedder
+from thln import cli, embedder
 from thln.embedder import _Ctx, _Runtime, _canon_cycle, _cut_cycle, _select_restorable_fault
 from thln.faults import SurvivingView, partition, sample_faults
 from thln.oracle import ham_cycle, near_ham_cycle
@@ -48,7 +48,7 @@ def embed_and_check(g, f, s, t, **kw):
 
 def probe_half1_cycle(g, f1_nodes=(), f1_edges=()):
     """Replicate the cycle the solver will compute for half 1."""
-    h1 = frozenset(range(g.num_nodes // 2))
+    h1 = range(g.num_nodes // 2)
     hv = SurvivingView(g, FaultSet.of(nodes=f1_nodes, edges=f1_edges), scope=h1)
     out = ham_cycle(hv)
     assert out.found
@@ -130,7 +130,7 @@ def test_random_trials_validate_with_consistent_traces(graph8):
         assert top["f1"] == part_counts[0]
         assert top["f2"] == part_counts[1]
         h1 = range(128, 256) if top["swapped"] else range(128)
-        half = SurvivingView(graph8, f, scope=frozenset(h1))
+        half = SurvivingView(graph8, f, scope=h1)
         assert top["delta1"] == half.min_degree_witness()[0]
     assert "1" in seen
 
@@ -358,7 +358,7 @@ def case3_setup(graph9):
 
 def test_case3_dispatch_reached(graph9, case3_setup):
     q, f = case3_setup
-    half = SurvivingView(graph9, f, scope=frozenset(range(256)))
+    half = SurvivingView(graph9, f, scope=range(256))
     assert half.min_degree_witness() == (1, q)
 
 
@@ -393,7 +393,7 @@ def test_case3_agents_when_cross_partner_is_blocked(graph9, case3_setup):
 
 def test_case3_blocked_middle_reattaches(graph9, case3_setup):
     q, f = case3_setup
-    hv = SurvivingView(graph9, f, scope=frozenset(range(256)))
+    hv = SurvivingView(graph9, f, scope=range(256))
     out = near_ham_cycle(hv)
     assert out.found and out.missed == q
     c1 = _canon_cycle(out.path)
@@ -801,7 +801,7 @@ def pinned_instances(graph8, graph9):
     f3_cut = FaultSet.of(edges=sorted(f3.edges) + [(q, cross_partner(g9, q))])
     f5 = FaultSet.of(nodes=[1], edges=f3.edges)
     cp9 = functools.partial(cross_partner, g9)
-    c3 = _canon_cycle(near_ham_cycle(SurvivingView(g9, f3, scope=frozenset(range(256)))).path)
+    c3 = _canon_cycle(near_ham_cycle(SurvivingView(g9, f3, scope=range(256))).path)
     f3_mid = FaultSet.of(edges=sorted(f3.edges) + [(c3[11], cp9(c3[11]))])
     f3_exit = FaultSet.of(edges=sorted(f3.edges) + [(c3[19], cp9(c3[19]))])
     p5 = _case5_path(g9, f5)
@@ -895,6 +895,11 @@ def pinned_instances(graph8, graph9):
                      edges=[(11, 28), (24, 28), (28, 30), (28, 45), (28, 120), (146, 150)]),
          29, 422),
     ]
+    # case 3, the starved node q = 68 and its cross partner as the endpoints,
+    # in both orders: q's stand-in is its other neighbour, not the partner
+    g = make_preset(VariantSpec.random(1), 9)
+    f = FaultSet.of(nodes=[20, 69, 70, 103, 167, 455], edges=[(68, 79), (68, 94)])
+    out["3.3.2-partner-end"] = [(g, f, 68, 449), (g, f, 449, 68)]
     rng = random.Random(11)
     trials = []
     for _ in range(25):
@@ -934,6 +939,7 @@ _PINNED_RESULTS = {
     "3.3.1": "d3d4cb37a9414469",
     "3.3.1-blocked": "95a23c27520ab2af",
     "3.3.2": "830de93b4853eb67",
+    "3.3.2-partner-end": "e1fd2562b84bc8b5",
     "3.3.2-agent": "a2626ad391454ddd",
     "4.1": "e656d21b2852b275",
     "4.1.1": "001a3583d4a18bbe",
@@ -1024,11 +1030,9 @@ def test_pinned_instances_reach_their_shape(pinned_instances, name):
         assert [top["case"], top["shape"]] == name.split("-", 1)
 
 
-def _relabelled(g, seed):
-    """``g``'s file with every id moved by a seeded permutation: the edges
-    and every level's ``half1`` and ``matching``, so no half is an id range."""
-    perm = list(range(g.num_nodes))
-    random.Random(seed).shuffle(perm)
+def _permuted_file(g, perm):
+    """``g``'s file with every id v written as ``perm[v]``: the edges and
+    every level's ``half1`` and ``matching``."""
     doc = json.loads(graph_to_json(g))
 
     def tree(t):
@@ -1044,34 +1048,41 @@ def _relabelled(g, seed):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-#: sha256 prefixes of ``EmbedResult.to_json_obj()`` on the relabelled graph.
-#: The uniform one counts its faulty cross edge whose half-1 end has the
-#: larger id (``fc`` 1); apart from that count it is the result a lookup of
-#: the file's matching pairs gave.
+def _relabelled(g, seed):
+    """``g``'s file with every id moved by a seeded permutation, so no half
+    is an id range of the file."""
+    perm = list(range(g.num_nodes))
+    random.Random(seed).shuffle(perm)
+    return _permuted_file(g, perm)
+
+
+#: sha256 prefixes of ``EmbedResult.to_json_obj()`` on the relabelled graph,
+#: renumbered to positions, with faults and endpoints drawn in positions.
 _RELABELLED_RESULTS = {
-    "uniform": "82f290f0ae62ae98",
-    "concentrated-2": "9e96d957074cd2e6",
-    "concentrated-4": "313b12ef37ae23af",
+    "uniform": "a52e96149f0845b6",
+    "concentrated-2": "beba01545007aaa7",
+    "concentrated-4": "7219d36f7a83fec7",
 }
 
 
 def test_relabelled_graph_is_solved_through_its_file_decomposition():
     text = _relabelled(make_preset(VariantSpec.random(0), 8), 5)
     g = graph_from_json(text)
-    assert not isinstance(g.order, range)
+    ids = g.file_ids  # the file's id at each position
+    assert ids is not None and sorted(ids) == list(g.nodes)
     assert check_shape(g).ok
     assert graph_to_json(g) == text
     d = g.decomposition
     root = json.loads(text)["decomposition"]
-    assert list(d.half1) == root["half1"]
-    assert [cross_partner(g, u) for u in d.half1] == [v for _, v in root["matching"]]
+    assert sorted(ids[u] for u in d.half1) == root["half1"]
+    assert sorted([ids[u], ids[cross_partner(g, u)]] for u in d.half1) == root["matching"]
     for placement, count in (("uniform", 6), ("concentrated-2", 5), ("concentrated-4", 6)):
         rng = random.Random(f"relabelled/{placement}")
         if placement == "uniform":
             f = sample_faults(g, count, rng)
         else:
-            h1 = d.half1_set
-            elements = [("node", v) for v in d.half1]
+            h1 = d.half1
+            elements = [("node", v) for v in h1]
             elements += [("edge", e) for e in g.edges if e[0] in h1 and e[1] in h1]
             picked = rng.sample(elements, count)
             f = FaultSet.of(nodes=[p for k, p in picked if k == "node"],
@@ -1085,6 +1096,170 @@ def test_relabelled_graph_is_solved_through_its_file_decomposition():
         res = embed_and_check(g, f, s, t)
         body = json.dumps(res.to_json_obj(), sort_keys=True)
         assert hashlib.sha256(body.encode()).hexdigest()[:16] == _RELABELLED_RESULTS[placement]
+
+
+#: trace record fields that hold node ids (a node, a pair or a list of
+#: pairs), and the fields that do not; every field a trace records is in one
+_TRACE_NODE_KEYS = {"agent", "cross", "ends", "fe", "missed", "q1", "starved"}
+_TRACE_OTHER_KEYS = {
+    "backtracks", "case", "cut_tests", "delta1", "dim", "expansions", "f1", "f2", "fallback",
+    "fc", "flipped", "half", "id", "level", "parent", "restarts", "service", "shape",
+    "status", "swapped",
+}
+
+
+def _renamed(x, ids):
+    if x is None:
+        return None
+    return [_renamed(y, ids) for y in x] if isinstance(x, list) else ids[x]
+
+
+#: pinned instances at n = 8-10 whose traces hold every node field: cases 1-5,
+#: with cross, starved, agent, q1, fe and ends records
+_BLOCK_PERMUTED = [
+    "1-spread", "1.1.2-n10", "chain-n10", "2.1.2.1", "2.3.2", "3.1.2-agent", "3.3.2-agent",
+    "3.3.1-blocked", "3.2", "4.2.3", "4.3.3.1", "4.3.3.1-z", "5.1.2", "5.2-both-ends",
+    "5.3.1.1-uend-1miss", "split-n10-case5-1", "3.3.2-partner-end",
+]
+
+
+def test_block_permuted_file_gives_the_built_result_in_its_ids(pinned_instances, tmp_path):
+    # whole 8-node leaf blocks move and the offsets inside each block stay,
+    # so the file renumbers to the built graph itself; ``thln embed`` on it
+    # must give the built graph's result with every node id written as the
+    # file's: the path, the missed node and every trace node field
+    files, keys = {}, set()
+    for name in _BLOCK_PERMUTED:
+        for g, f, s, t in pinned_instances[name]:
+            if id(g) not in files:
+                blocks = list(range(g.num_nodes // 8))
+                random.Random(g.num_nodes).shuffle(blocks)
+                perm = [8 * blocks[v >> 3] + (v & 7) for v in g.nodes]
+                gpath = tmp_path / f"g{len(files)}.json"
+                gpath.write_text(_permuted_file(g, perm))
+                loaded = graph_from_json(gpath.read_text())
+                assert loaded.adjacency == g.adjacency and list(loaded.file_ids) == perm
+                files[id(g)] = gpath, perm
+            gpath, perm = files[id(g)]
+            fpath, out = tmp_path / "f.json", tmp_path / "out.json"
+            fpath.write_text(FaultSet.of(nodes=[perm[v] for v in f.nodes],
+                                         edges=[(perm[u], perm[v]) for u, v in f.edges]).to_json())
+            argv = ["embed", "--graph", str(gpath), "--faults", str(fpath),
+                    "-s", str(perm[s]), "-t", str(perm[t]), "-o", str(out)]
+            assert cli.main(argv) == 0, name
+            want = embed(g, f, s, t).to_json_obj()
+            for rec in want["trace"]:
+                keys.update(rec)
+                for k in _TRACE_NODE_KEYS & rec.keys():
+                    rec[k] = _renamed(rec[k], perm)
+            want.update(path=_renamed(want["path"], perm), missed=_renamed(want["missed"], perm))
+            assert json.loads(out.read_text()) == want, name
+    assert keys <= _TRACE_NODE_KEYS | _TRACE_OTHER_KEYS, keys - _TRACE_OTHER_KEYS
+    assert _TRACE_NODE_KEYS <= keys
+
+
+def _file_edges_of(doc):
+    return {tuple(e) for e in doc["edges"]}
+
+
+def test_cli_speaks_the_file_ids_of_a_relabelled_file(tmp_path, capsys):
+    text = _relabelled(make_preset(VariantSpec.random(1), 8), 5)
+    doc = json.loads(text)
+    n_nodes, edges = 1 << doc["dimension"], _file_edges_of(doc)
+    gpath = tmp_path / "relabelled.json"
+    gpath.write_text(text)
+    rng = random.Random("cli/relabelled")
+    picked = rng.sample([("node", v) for v in range(n_nodes)]
+                        + [("edge", e) for e in sorted(edges)], 6)
+    dead = {v for k, v in picked if k == "node"}
+    dead_edges = {e for k, e in picked if k == "edge"}
+    fpath = tmp_path / "faults.json"
+    fpath.write_text(json.dumps({"nodes": sorted(dead), "edges": [list(e) for e in dead_edges]}))
+
+    def live_nbrs(v):
+        return {w for e in edges if v in e for w in e if w != v
+                and w not in dead and e not in dead_edges}
+
+    alive = sorted(set(range(n_nodes)) - dead)
+    while True:
+        s, t = rng.sample(alive, 2)
+        if live_nbrs(s) - {t} and live_nbrs(t) - {s}:
+            break
+
+    def run(*argv):
+        code = cli.main(list(argv))
+        return code, capsys.readouterr().err
+
+    out = tmp_path / "out.json"
+    code, _ = run("embed", "--graph", str(gpath), "--faults", str(fpath),
+                  "-s", str(s), "-t", str(t), "-o", str(out))
+    assert code == 0
+    # the path read against the file's own edges and fault file
+    r = json.loads(out.read_text())
+    path = r["path"]
+    assert path[0] == s and path[-1] == t and len(set(path)) == len(path)
+    assert not set(path) & dead
+    assert all(tuple(sorted(p)) in edges - dead_edges for p in zip(path, path[1:]))
+    left = set(alive) - set(path)
+    assert left == ({r["missed"]} if r["missed"] is not None else set())
+    assert r["status"] == ("hamiltonian" if not left else "near-hamiltonian")
+
+    # errors name the ids the user gave
+    code, err = run("embed", "--graph", str(gpath), "--faults", str(fpath),
+                    "-s", str(n_nodes + 5), "-t", str(t))
+    assert code == 2 and err == f"error: endpoint {n_nodes + 5} is not a node of the graph\n"
+    u = alive[0]
+    w = next(w for w in range(n_nodes) if w != u and tuple(sorted((u, w))) not in edges)
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text(json.dumps({"nodes": [], "edges": [[u, w]]}))
+    code, err = run("embed", "--graph", str(gpath), "--faults", str(foreign),
+                    "-s", str(s), "-t", str(t))
+    assert code == 2 and err == f"error: faulty edge {(min(u, w), max(u, w))} is not in the graph\n"
+    x = alive[1]
+    faulty = tmp_path / "faulty.json"
+    faulty.write_text(json.dumps({"nodes": [x], "edges": []}))
+    code, err = run("embed", "--graph", str(gpath), "--faults", str(faulty),
+                    "-s", str(x), "-t", str(next(v for v in alive if v != x)))
+    assert code == 3 and err == f"precondition violated: endpoint {x} is faulty\n"
+
+    # export lists the file's ids
+    dot = tmp_path / "g.dot"
+    assert run("export", "--graph", str(gpath), "-o", str(dot))[0] == 0
+    lines = dot.read_text().splitlines()
+    assert {tuple(int(x[1:]) for x in ln.strip(" ;").split(" -- "))
+            for ln in lines if " -- " in ln} == edges
+    assert run("check", "--graph", str(gpath))[0] == 0
+
+
+def _starved_placement(n, case, seed):
+    """Seeded random-variant instance of top case ``case`` (3 or 5): 2k - 9
+    or 2k - 8 faults inside half 1, k - 1 of them cutting a node q down to
+    one in-half edge, and the endpoints q and q's cross partner."""
+    g = make_preset(VariantSpec.random(seed), n)
+    h1 = g.decomposition.half1
+    rng = random.Random(f"starved/{n}/{case}/{seed}")
+    q = rng.choice(h1)
+    intra = [w for w in g.neighbors(q) if w in h1]
+    cut = [(q, w) for w in intra[:-1]]
+    elements = [("node", v) for v in h1 if v not in (q, intra[-1])]
+    elements += [("edge", e) for e in g.edges if e[0] in h1 and e[1] in h1 and q not in e]
+    k = n - 1
+    picked = rng.sample(elements, (2 * k - 9 if case == 3 else 2 * k - 8) - len(cut))
+    f = FaultSet.of(nodes=[p for kind, p in picked if kind == "node"],
+                    edges=[p for kind, p in picked if kind == "edge"] + cut)
+    return g, f, q, cross_partner(g, q)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("case", [3, 5])
+def test_starved_node_and_its_partner_as_endpoints(n, case):
+    # the starved node q is off the half-1 cycle, and its cross partner is
+    # the other endpoint, so q must be reached through another stand-in
+    for seed in range(6):
+        g, f, s, t = _starved_placement(n, case, seed)
+        for a, b in ((s, t), (t, s)):
+            res = embed_and_check(g, f, a, b)
+            assert res.trace.top_case().startswith(str(case))
 
 
 def test_pinned_split_pairs_are_solved_from_half_1(pinned_instances):

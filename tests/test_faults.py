@@ -131,13 +131,13 @@ def test_count_identity_and_effective_cross_brute_force():
 
 
 def test_analyze_half_no_faults(graph4):
-    half = SurvivingView(graph4, FaultSet.empty(), scope=graph4.decomposition.half1_set)
+    half = SurvivingView(graph4, FaultSet.empty(), scope=graph4.decomposition.half1)
     # halves of a dimension-4 network are 3-regular
     assert half.min_degree_witness() == (3, graph4.decomposition.half1[0])
 
 
 def test_analyze_half_targeted_faults(graph4):
-    h1 = graph4.decomposition.half1_set
+    h1 = graph4.decomposition.half1
     q = graph4.decomposition.half1[0]
     intra = [w for w in graph4.neighbors(q) if w in h1]
     half = SurvivingView(graph4, FaultSet.of(nodes=intra[:-1]), scope=h1)
@@ -147,7 +147,7 @@ def test_analyze_half_targeted_faults(graph4):
 
 
 def test_analyze_half_reports_empty(graph4):
-    h1 = graph4.decomposition.half1_set
+    h1 = graph4.decomposition.half1
     half = SurvivingView(graph4, FaultSet.of(nodes=h1), scope=h1)
     assert len(half) == 0
     assert half.min_degree_witness() == (None, None)
@@ -211,11 +211,12 @@ def test_failed_neighbor_condition_means_no_long_path(seed):
 
 
 def test_view_scoping(graph4):
-    half = SurvivingView(graph4, FaultSet.of(nodes=[3]), scope=frozenset(range(8)))
+    half = SurvivingView(graph4, FaultSet.of(nodes=[3]), scope=range(8))
     assert half.node_set == frozenset(range(8)) - {3}
     for v in half.nodes:
         assert all(w < 8 for w in half.neighbors(v))
-    fewer = SurvivingView(graph4, FaultSet.of(nodes=[3]), scope=frozenset(range(8)) - {0, 1})
+    # nodes are left out of a view as node faults over the same scope
+    fewer = SurvivingView(graph4, FaultSet.of(nodes=[3, 0, 1]), scope=range(8))
     assert fewer.node_set == half.node_set - {0, 1}
 
 
@@ -237,16 +238,18 @@ def test_view_rows_match_their_definition(seed):
     g = make_preset(VariantSpec.random(rng.randrange(4)), rng.choice((4, 5, 6)))
     f = sample_faults(g, rng.randrange(0, 2 * g.dimension + 1), rng)
     d = g.decomposition
-    stray = {-1, -7, g.num_nodes, g.num_nodes + 5}  # ids outside the graph
-    picked = frozenset(rng.sample(g.nodes, rng.randrange(g.num_nodes + 1)))
-    for scope in (None, d.half1_set, d.half2_set, picked | stray):
+    n = g.num_nodes
+    # a range that may reach ids outside the graph at either end
+    stray = range(rng.randrange(-7, n), rng.randrange(0, n + 6))
+    for scope in (None, d.half1, d.half2, stray):
         view = SurvivingView(g, f, scope=scope)
         want = _view_by_definition(g, f, scope)
         assert view.nodes == tuple(want)
         assert {v: view.neighbors(v) for v in view.nodes} == want
-        drop = set(rng.sample(view.nodes, min(len(view), 3))) | {g.num_nodes}
-        narrow = (frozenset(g.nodes) if scope is None else scope) - drop
-        fewer = SurvivingView(g, f, scope=narrow)
+        # nodes are left out as node faults over the same scope
+        drop = frozenset(rng.sample(view.nodes, min(len(view), 3)))
+        fewer = SurvivingView(g, FaultSet(f.nodes | drop, f.edges), scope=scope)
+        narrow = frozenset(g.nodes if scope is None else scope) - drop
         want = _view_by_definition(g, f, narrow)
         assert fewer.nodes == tuple(want)
         assert {v: fewer.neighbors(v) for v in fewer.nodes} == want
@@ -306,14 +309,14 @@ def test_half_view_from_its_own_faults_matches_the_whole_set(seed):
         split = partition_decomposition(d, level.faults)
         derived = level.halves(d.half2.start, split.f1, split.f2)
         for half, own, child, view in zip(
-            (d.half1_set, d.half2_set), (split.f1, split.f2), (d.child1, d.child2), derived
+            (d.half1, d.half2), (split.f1, split.f2), (d.child1, d.child2), derived
         ):
             built = SurvivingView(g, own, scope=half)
             assert view.faults == own
             assert view.nodes == built.nodes
             assert _rows(view) == _rows(built) == _rows(SurvivingView(g, f, scope=half))
-            x = frozenset(rng.sample(sorted(half), rng.randrange(4)))
-            narrow = SurvivingView(g, own, scope=half - x)
+            x = frozenset(rng.sample(half, rng.randrange(4)))
+            narrow = SurvivingView(g, FaultSet(own.nodes | x, own.edges), scope=half)
             assert narrow.node_set == view.node_set - x
             assert _rows(narrow) == {
                 v: tuple(w for w in view.neighbors(v) if w not in x) for v in narrow.nodes

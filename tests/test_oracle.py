@@ -375,7 +375,7 @@ def test_rank_keys_order_successors_by_degree_then_tie_break():
     # two-path helper's id is negative
     g = _pinned_graph(7)
     rng = random.Random(13)
-    view = SurvivingView(g, sample_faults(g, 3, rng), scope=g.decomposition.half2_set)
+    view = SurvivingView(g, sample_faults(g, 3, rng), scope=g.decomposition.half2)
     ids, rows = oracle._snapshot(view)
     assert min(ids) == 64
     for ids in (ids, ids + (oracle._VIRTUAL,)):
@@ -415,7 +415,7 @@ def _half1_drawn(faults, seed, picks, starved):
     distinct survivors. A starved node keeps one in-half edge; its k - 1 = 8
     edge faults count towards ``faults``."""
     graph = _pinned_graph(10)
-    h1 = graph.decomposition.half1_set
+    h1 = graph.decomposition.half1
     rng = random.Random(seed)
     elements = [("node", v) for v in sorted(h1)]
     elements += [("edge", e) for e in graph.edges if e[0] in h1 and e[1] in h1]
