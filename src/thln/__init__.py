@@ -20,6 +20,7 @@ from .errors import (
     NoDecomposition,
     NotABijection,
     OracleBudgetExhausted,
+    PathFault,
     PreconditionViolated,
     ThlnError,
     TooLarge,

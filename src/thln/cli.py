@@ -243,6 +243,9 @@ def cmd_embed(args) -> int:
             return None
         return [name(y) for y in x] if isinstance(x, list) else ids[x]
 
+    def file_id(v):  # for a path check's finding, which may name a value that is no node
+        return ids[v] if isinstance(v, int) and 0 <= v < len(ids) else v
+
     def emit(obj) -> None:
         """Write ``obj``, an ``EmbedResult.to_json_obj()`` or an error record
         of that form, with its path, missed node and trace node fields in the file's ids."""
@@ -257,16 +260,24 @@ def cmd_embed(args) -> int:
     except ThlnError as exc:
         code, prefix = next((c, p) for cls, c, p in _EMBED_EXITS if isinstance(exc, cls))
         trace = getattr(exc, "trace", None)  # budget exhaustion carries its trace
+        fault = getattr(exc, "fault", None)  # the root check's finding on the path
+        reason = fault.say(file_id) if fault else str(exc)
         emit({"status": "error", "path": [], "missed": None,
-              "trace": trace.to_json_obj() if trace else [], "reason": str(exc)})
-        _info(f"{prefix}: {exc}")
+              "trace": trace.to_json_obj() if trace else [], "reason": reason})
+        _info(f"{prefix}: {reason}")
         return code
 
     verdict = validate_path(g, f, s, t, result.path)
     if not verdict.is_valid or verdict.missed != result.missed:
+        if verdict.fault is None:
+            reason = f"missed node {name(verdict.missed)}, reported {name(result.missed)}"
+        elif verdict.position is None:
+            reason = verdict.fault.say(file_id)
+        else:
+            reason = f"{verdict.fault.say(file_id)} at path position {verdict.position}"
         emit({"status": "error", "path": list(result.path), "missed": result.missed,
               "trace": result.trace.to_json_obj(),
-              "reason": f"self-check failed: {verdict.reason}"})
+              "reason": f"self-check failed: {reason}"})
         _info("error: produced path failed independent validation")
         return 1
     obj = result.to_json_obj()

@@ -71,7 +71,9 @@ one set difference, and any other shortfall raises InternalContradiction.
 ``embed`` checks the finished path against the root view once, so a repeated
 node made at any level raises DisjointnessViolated, a node outside the view
 InternalContradiction and a step that is not a surviving edge
-AdjacencyViolated.
+AdjacencyViolated. Each carries a PathFault: the failing path position
+(``.position``) and the node ids its message names, so a caller that speaks
+other ids can render it.
 """
 from __future__ import annotations
 
@@ -85,6 +87,7 @@ from .errors import (
     InternalContradiction,
     NoCandidate,
     OracleBudgetExhausted,
+    PathFault,
     PreconditionViolated,
     UnknownNode,
 )
@@ -980,12 +983,14 @@ def embed(
     seen: set[int] = set()
     for i, v in enumerate(path):
         if v in seen:
-            raise DisjointnessViolated(f"node {v} repeated at position {i}")
+            raise DisjointnessViolated(PathFault("node {} repeated at position {position}", (v,), i))
         if not view.has_node(v):
-            raise InternalContradiction(f"node {v} at position {i} is not a surviving node")
-        if i and not view.has_edge(path[i - 1], v):
-            raise AdjacencyViolated(
-                f"({path[i - 1]},{v}) is not a surviving edge at position {i - 1}"
+            raise InternalContradiction(
+                PathFault("node {} at position {position} is not a surviving node", (v,), i)
             )
+        if i and not view.has_edge(path[i - 1], v):
+            raise AdjacencyViolated(PathFault(
+                "({},{}) is not a surviving edge at position {position}", (path[i - 1], v), i - 1
+            ))
         seen.add(v)
     return EmbedResult(path=tuple(path), missed=missed, trace=CaseTrace(tuple(rt.trace)))

@@ -1,8 +1,44 @@
 """Exception hierarchy shared across the package."""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
+
+
+@dataclass(frozen=True)
+class PathFault:
+    """What is wrong with a node sequence, and where: ``text`` names the ids
+    ``nodes`` by its ``{}`` fields and the sequence index ``position`` (None:
+    the sequence as a whole) by ``{position}``. A caller that speaks other
+    ids renders it with ``say(name)``."""
+
+    text: str
+    nodes: tuple[Any, ...] = ()
+    position: Optional[int] = None
+
+    def say(self, name: Callable[[Any], Any] = lambda v: v) -> str:
+        return self.text.format(*map(name, self.nodes), position=self.position)
+
+    def __str__(self) -> str:
+        return self.say()
 
 
 class ThlnError(Exception):
     """Base class for all package errors."""
+
+
+class _PathError(ThlnError):
+    """An error that a check of a finished path raises with a PathFault as
+    its message; raised elsewhere, it carries plain text."""
+
+    @property
+    def fault(self) -> Optional[PathFault]:
+        return self.args[0] if self.args and isinstance(self.args[0], PathFault) else None
+
+    @property
+    def position(self) -> Optional[int]:
+        """The index into the path where the check failed, if it names one."""
+        return self.fault.position if self.fault else None
 
 
 # -- topology -----------------------------------------------------------
@@ -64,7 +100,7 @@ class OracleBudgetExhausted(ThlnError):
         self.trace = trace
 
 
-class InternalContradiction(ThlnError):
+class InternalContradiction(_PathError):
     """A choice the construction guarantees to exist was unavailable.
 
     This always indicates a bug (or an out-of-contract input), never a normal
@@ -76,10 +112,10 @@ class NoCandidate(InternalContradiction):
     """No consecutive path edge satisfied the cross-edge selection filters."""
 
 
-class DisjointnessViolated(ThlnError):
+class DisjointnessViolated(_PathError):
     """A finished path visits a node twice."""
 
 
-class AdjacencyViolated(ThlnError):
+class AdjacencyViolated(_PathError):
     """A finished path steps between two nodes that are not adjacent in the
     surviving graph, or a splice was given an empty segment."""

@@ -10,7 +10,11 @@ number of unvisited neighbours (``rdeg``), updated in O(degree) per visit and
 backtrack. Every expansion prunes unless an end is left and at most one
 unvisited node has degree one counting the head (such nodes have rdeg <= 1,
 a set kept apart) and that node is an end. This degree check costs
-O(|low set|) and is the per-expansion prune.
+O(|low set|) and is the per-expansion prune. An attempt is one loop: it
+steps to the next head (visiting the best successor left, backtracking over
+every path node that has none) and expands it. Its expansion, backtrack and
+cut-test counts stay in locals and are written back to the call's budget
+state once, when the attempt ends.
 
 The cut test, one O(V) Hopcroft-Tarjan articulation pass, runs only on an
 attempt's first expansion and on the first expansion after a backtrack. It
@@ -25,7 +29,10 @@ forward run misses ends in a dead end, and the test catches it at the first
 expansion after that and at each sibling on the way back up. Successors are
 tried lowest rdeg first, ties broken by a salted bijection of the node id
 (one integer key, rdeg * |V| + the node's rank under that bijection), so
-identical inputs always explore the identical tree.
+identical inputs always explore the identical tree. Salt 0's bijection is
+the id itself, and a view lists its ids in ascending order, so the ranks of
+an attempt at salt 0 are the index order (the two-path helper first) and
+need no sort.
 
 Attempts run in restart slices sized to the view (Luby, Sinclair and
 Zuckerman 1993; Gomes, Selman and Kautz 1998): slice i of a search over |V|
@@ -115,10 +122,12 @@ class _BudgetState:
 
 def _snapshot(view) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """The view's nodes (``ids``, index order) and one row of neighbour
-    indices per node."""
+    indices per node. A view lists its nodes in ascending id order, so index
+    order is id order, which ``_ranks`` relies on for salt 0."""
     ids = tuple(view.nodes)
-    index = {v: i for i, v in enumerate(ids)}
-    return ids, [tuple(map(index.__getitem__, view.neighbors(v))) for v in ids]
+    index = dict(zip(ids, range(len(ids))))
+    at = index.__getitem__
+    return ids, [tuple(map(at, row)) for row in map(view.neighbors, ids)]
 
 
 def _cut_prune(rows, head: int, remaining: bytearray, count: int, is_end) -> bool:
@@ -134,41 +143,40 @@ def _cut_prune(rows, head: int, remaining: bytearray, count: int, is_end) -> boo
         return False
     size = len(rows)
     disc = [0] * size  # 0: undiscovered; the head is 1
-    low = [0] * size  # includes the tree edge to the parent: low[v] <= disc[p]
-    has_t = bytearray(size)
+    has_t = is_end[:]  # once a node is discovered: its subtree holds an end
     hung = bytearray(size)  # a piece already hangs from this node
-    disc[head] = low[head] = 1
+    disc[head] = 1
     counter = 2
-    stack = [(head, iter(rows[head]))]
-    while stack:
-        v, it = stack[-1]
-        lv = low[v]
+    # v is the node being scanned and lv its low so far, the tree edge to its
+    # parent included (lv <= disc[parent]); stack holds each ancestor of v as
+    # (node, its row iterator, its low so far)
+    v, it, lv = head, iter(rows[head]), 1
+    stack = []
+    while True:
         for w in it:
             d = disc[w]
             if d:
                 if d < lv:
                     lv = d
             elif remaining[w]:
-                low[v] = lv
-                disc[w] = low[w] = counter
+                stack.append((v, it, lv))
+                disc[w] = lv = counter
                 counter += 1
-                has_t[w] = is_end[w]
-                stack.append((w, iter(rows[w])))
+                v, it = w, iter(rows[w])
                 break
         else:
-            stack.pop()
             if not stack:
-                break
-            p = stack[-1][0]
-            if lv < low[p]:
-                low[p] = lv
+                return counter != count + 2  # disconnected
+            p, it, lp = stack.pop()
             has_t[p] |= has_t[v]
             if lv >= disc[p]:
                 # v's subtree hangs from p: no edge leaves it above p
                 if not has_t[v] or hung[p]:
                     return True
                 hung[p] = 1
-    return counter != count + 2  # disconnected
+            elif lv < lp:
+                lp = lv
+            v, lv = p, lp
 
 
 #: Restart schedule (see the module docstring); |V| is ``len(rows)``, the
@@ -197,9 +205,19 @@ def _tie(salt: int, c: int) -> int:
 
 def _ranks(ids: tuple[int, ...], salt: int) -> tuple[list[int], list[int]]:
     """Each index's position in the salted tie-break order of the ids, and
-    the indices in that order."""
-    by_rank = sorted(range(len(ids)), key=lambda c: _tie(salt, ids[c]))
-    rank = [0] * len(ids)
+    the indices in that order.
+
+    Salt 0 ranks by the id itself, and ids ascend in index order (see
+    ``_snapshot``) but for a trailing two-path helper, ``_VIRTUAL``, which
+    ranks first; so that order needs no sort."""
+    size = len(ids)
+    if salt == 0:
+        if ids and ids[-1] == _VIRTUAL:
+            return [*range(1, size), 0], [size - 1, *range(size - 1)]
+        identity = list(range(size))  # its own inverse
+        return identity, identity
+    by_rank = sorted(range(size), key=lambda c: _tie(salt, ids[c]))
+    rank = [0] * size
     for k, c in enumerate(by_rank):
         rank[c] = k
     return rank, by_rank
@@ -223,96 +241,99 @@ def _dfs_cover(
     for e in ends:
         is_end[e] = 1
     ends_left = sum(is_end)
-    count = size
-    rdeg = [len(r) for r in rows]  # unvisited neighbours, kept for every node
+    count = size  # unvisited nodes
+    rdeg = list(map(len, rows))  # unvisited neighbours, kept for every node
     low = {u for u in range(size) if rdeg[u] <= 1}  # unvisited with rdeg <= 1
     rank, by_rank = _ranks(ids, salt)  # a successor's key is rdeg * size + rank
     banned, src = gate if gate is not None else (-1, -1)
-    stop = state.limit if cap is None else min(state.limit, state.spent + cap)
+    spent, backtracks, cut_tests = state.spent, 0, 0
+    stop = state.limit if cap is None else min(state.limit, spent + cap)
     path: list[int] = []
-    stack: list[list[int]] = []
+    # successor keys of each path node, popped from the end, under a root
+    # entry whose one successor is s
+    stack = [[rank[s]]]
     cut_due = True  # the cut test runs on the first expansion and after each backtrack
-
-    def visit(c: int) -> None:
-        nonlocal count, ends_left
-        path.append(c)
-        remaining[c] = 0
-        count -= 1
-        ends_left -= is_end[c]
-        low.discard(c)
-        for w in rows[c]:
-            rdeg[w] -= 1
-            if rdeg[w] == 1 and remaining[w]:
-                low.add(w)
-
-    def backtrack() -> None:
-        nonlocal count, ends_left, cut_due
-        c = path.pop()
-        state.backtracks += 1
-        remaining[c] = 1
-        count += 1
-        ends_left += is_end[c]
-        for w in rows[c]:
-            rdeg[w] += 1
-            if rdeg[w] == 2 and remaining[w]:
-                low.discard(w)
-        if rdeg[c] <= 1:
-            low.add(c)
-        cut_due = True
-
-    def expand(v: int) -> Optional[list[int]]:
-        # one search-tree expansion: prune checks plus successor keys
-        nonlocal cut_due
-        if state.spent >= stop:
-            return None
-        state.spent += 1
-        if not ends_left:
-            return []  # no end left to stop on
-        stuck = False
-        for u in low:  # degree rdeg[u] + [u adjacent to v] <= 1 needs rdeg <= 1
-            d = rdeg[u] + (v in rows[u])
-            if d == 0 or d == 1 and (stuck or not is_end[u]):
-                return []
-            stuck = stuck or d == 1
-        if cut_due:
-            cut_due = False
-            state.cut_tests += 1
-            if _cut_prune(rows, v, remaining, count, is_end):
-                return []
-        skip = banned if v != src else -1
-        if ends_last and count > 1:
-            keys = [rdeg[c] * size + rank[c] for c in rows[v]
-                    if remaining[c] and not is_end[c] and c != skip]
-        else:
-            keys = [rdeg[c] * size + rank[c] for c in rows[v] if remaining[c] and c != skip]
-        # keys never tie, so the order is total; reversed, to pop from the end
-        keys.sort(reverse=True)
-        return keys
-
-    visit(s)
-    succ = expand(s)
-    if succ is None:
-        return SearchStatus.BUDGET_EXHAUSTED, None, not state.exhausted
-    stack.append(succ)
-    while stack:
-        top = stack[-1]
-        if not top:
-            stack.pop()
-            if len(path) > 1:
-                backtrack()
-            continue
-        c = by_rank[top.pop() % size]
-        visit(c)
-        if not count:
-            if is_end[c]:
-                return SearchStatus.FOUND, tuple(ids[i] for i in path), False
-            backtrack()
-            continue
-        succ = expand(c)
-        if succ is None:
-            return SearchStatus.BUDGET_EXHAUSTED, None, not state.exhausted
-        stack.append(succ)
-    return SearchStatus.PROVEN_ABSENT, None, False
+    status = None
+    while True:
+        # step to the next head: visit the best successor left, backtracking
+        # over every path node that has none
+        while True:
+            top = stack[-1]
+            if top:
+                v = by_rank[top.pop() % size]
+                path.append(v)
+                remaining[v] = 0
+                count -= 1
+                ends_left -= is_end[v]
+                low.discard(v)
+                for w in rows[v]:
+                    d = rdeg[w] - 1
+                    rdeg[w] = d
+                    if d == 1 and remaining[w]:
+                        low.add(w)
+                if count:
+                    break
+                if is_end[v]:
+                    status = SearchStatus.FOUND
+                    break
+            else:
+                stack.pop()
+                if len(stack) == 1:  # s has no successor left
+                    status = SearchStatus.PROVEN_ABSENT
+                    break
+            # backtrack: pop the path's last node
+            c = path.pop()
+            backtracks += 1
+            remaining[c] = 1
+            count += 1
+            ends_left += is_end[c]
+            for w in rows[c]:
+                d = rdeg[w] + 1
+                rdeg[w] = d
+                if d == 2 and remaining[w]:
+                    low.discard(w)
+            if rdeg[c] <= 1:
+                low.add(c)
+            cut_due = True
+        if status is not None:
+            break
+        # expand v, the head: prune checks, then its successor keys
+        if spent >= stop:
+            status = SearchStatus.BUDGET_EXHAUSTED
+            break
+        spent += 1
+        keys = []
+        if ends_left:  # else no end is left to stop on
+            stuck = False
+            for u in low:  # degree rdeg[u] + [u adjacent to v] <= 1 needs rdeg <= 1
+                d = rdeg[u] + (v in rows[u])
+                if d == 0 or d == 1 and (stuck or not is_end[u]):
+                    break
+                stuck = stuck or d == 1
+            else:
+                if cut_due:
+                    cut_due = False
+                    cut_tests += 1
+                    pruned = _cut_prune(rows, v, remaining, count, is_end)
+                else:
+                    pruned = False
+                if not pruned:
+                    skip = banned if v != src else -1
+                    if ends_last and count > 1:
+                        keys = [rdeg[c] * size + rank[c] for c in rows[v]
+                                if remaining[c] and not is_end[c] and c != skip]
+                    else:
+                        keys = [rdeg[c] * size + rank[c] for c in rows[v]
+                                if remaining[c] and c != skip]
+                    # keys never tie, so the order is total; reversed, to pop from the end
+                    keys.sort(reverse=True)
+        stack.append(keys)
+    state.spent = spent
+    state.backtracks += backtracks
+    state.cut_tests += cut_tests
+    if status is SearchStatus.FOUND:
+        return status, tuple(ids[i] for i in path), False
+    return status, None, status is SearchStatus.BUDGET_EXHAUSTED and not state.exhausted
 
 
 _Answer = tuple[SearchStatus, Optional[tuple[int, ...]]]
@@ -354,7 +375,8 @@ def _cycle_engine(rows, ids, state: _BudgetState) -> _Answer:
     fresh tie-break salt."""
     if len(rows) < 3:
         return SearchStatus.PROVEN_ABSENT, None
-    v0 = min(range(len(rows)), key=lambda v: (len(rows[v]), ids[v]))
+    degrees = list(map(len, rows))
+    v0 = degrees.index(min(degrees))  # the first of lowest degree: ids ascend
     return _engine(
         lambda cap, phase: _dfs_cover(rows, ids, v0, rows[v0], False, state, cap, phase),
         len(rows), state,
@@ -407,8 +429,13 @@ def near_ham_cycle(view, budget: Optional[SearchBudget] = None) -> SearchOutcome
     for m in [first] + [i for i in range(len(ids)) if i != first]:
         if state.exhausted:
             return state.outcome(SearchStatus.BUDGET_EXHAUSTED)
-        # drop m: indices above it shift down by one
-        sub = [tuple(x - (x > m) for x in r if x != m) for i, r in enumerate(rows) if i != m]
+        # drop m: indices above it shift down by one, and m (now -1) leaves
+        # the rows of its neighbours
+        shift = [*range(m), -1, *range(m, len(ids) - 1)]
+        sub = [tuple(map(shift.__getitem__, r)) for r in rows]
+        for i in rows[m]:
+            sub[i] = tuple(x for x in sub[i] if x >= 0)
+        del sub[m]
         status, path = _cycle_engine(sub, ids[:m] + ids[m + 1 :], state)
         if status is SearchStatus.FOUND:
             return state.outcome(status, path=path, missed=ids[m])

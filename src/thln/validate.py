@@ -11,6 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .errors import PathFault
 from .faults import FaultSet
 from .topology import ThlnGraph, _norm_edge
 
@@ -25,8 +26,16 @@ class PathStatus(enum.Enum):
 class PathClass:
     status: PathStatus
     missed: Optional[int] = None
-    reason: Optional[str] = None
-    position: Optional[int] = None
+    fault: Optional[PathFault] = None  # what makes an Invalid sequence invalid
+
+    @property
+    def reason(self) -> Optional[str]:
+        return self.fault and str(self.fault)
+
+    @property
+    def position(self) -> Optional[int]:
+        """The first failing index of an Invalid sequence, if it has one."""
+        return self.fault and self.fault.position
 
     @property
     def is_hamiltonian(self) -> bool:
@@ -41,8 +50,8 @@ class PathClass:
         return self.status is not PathStatus.INVALID
 
 
-def _invalid(reason: str, position: Optional[int] = None) -> PathClass:
-    return PathClass(PathStatus.INVALID, reason=reason, position=position)
+def _invalid(text: str, nodes: tuple = (), position: Optional[int] = None) -> PathClass:
+    return PathClass(PathStatus.INVALID, fault=PathFault(text, nodes, position))
 
 
 def _classify(g: ThlnGraph, f: FaultSet, seq: Sequence[int], *, closed: bool) -> PathClass:
@@ -52,19 +61,19 @@ def _classify(g: ThlnGraph, f: FaultSet, seq: Sequence[int], *, closed: bool) ->
     seen: set[int] = set()
     for i, v in enumerate(seq):
         if not isinstance(v, int) or not (0 <= v < g.num_nodes):
-            return _invalid(f"unknown node {v!r}", i)
+            return _invalid("unknown node {!r}", (v,), i)
         if v not in alive:
-            return _invalid(f"faulty node {v}", i)
+            return _invalid("faulty node {}", (v,), i)
         if v in seen:
-            return _invalid(f"repeated node {v}", i)
+            return _invalid("repeated node {}", (v,), i)
         seen.add(v)
     hops = len(seq) - 1 + (1 if closed else 0)
     for i in range(hops):
         u, v = seq[i], seq[(i + 1) % len(seq)]
         if not g.has_edge(u, v):
-            return _invalid(f"({u},{v}) is not an edge", i)
+            return _invalid("({},{}) is not an edge", (u, v), i)
         if _norm_edge(u, v) in f.edges:
-            return _invalid(f"dead edge ({u},{v})", i)
+            return _invalid("dead edge ({},{})", (u, v), i)
     left = alive - seen
     if not left:
         return PathClass(PathStatus.HAMILTONIAN)
@@ -83,9 +92,9 @@ def validate_path(
     if len(seq) < 2:
         return _invalid("a path needs at least two nodes")
     if seq[0] != s:
-        return _invalid(f"starts at {seq[0]}, expected {s}", 0)
+        return _invalid("starts at {}, expected {}", (seq[0], s), 0)
     if seq[-1] != t:
-        return _invalid(f"ends at {seq[-1]}, expected {t}", len(seq) - 1)
+        return _invalid("ends at {}, expected {}", (seq[-1], t), len(seq) - 1)
     return _classify(g, f, seq, closed=False)
 
 

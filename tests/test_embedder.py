@@ -1231,6 +1231,54 @@ def test_cli_speaks_the_file_ids_of_a_relabelled_file(tmp_path, capsys):
     assert run("check", "--graph", str(gpath))[0] == 0
 
 
+def _repeat_at(path, j):
+    """``path`` with its node at j replaced by the one two before it."""
+    return path[:j] + (path[j - 2],) + path[j + 1 :]
+
+
+@pytest.mark.parametrize("check", ["self-check", "root-check"])
+def test_exit_1_messages_name_the_file_ids_of_a_relabelled_file(tmp_path, capsys, monkeypatch,
+                                                                check):
+    # a solver fault on a relabelled file: embed's own root check, or the
+    # CLI's independent self-check after it, finds a repeated node; the exit-1
+    # message names it by the file's id, not by its position
+    text = _relabelled(make_preset(VariantSpec.random(1), 8), 5)
+    g = graph_from_json(text)
+    ids = g.file_ids
+    gpath, fpath, out = tmp_path / "g.json", tmp_path / "f.json", tmp_path / "out.json"
+    gpath.write_text(text)
+    fpath.write_text(json.dumps({"nodes": [], "edges": []}))
+    j = 6
+    path = embed(g, FaultSet.empty(), 3, 200).path
+    repeated = path[j - 2]
+    assert ids[repeated] != repeated  # the file's id and the position differ
+    if check == "self-check":
+        real = cli.embed
+
+        def mutant(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, path=_repeat_at(res.path, j))
+
+        monkeypatch.setattr(cli, "embed", mutant)
+        expected = f"self-check failed: repeated node {ids[repeated]} at path position {j}"
+        err_line = "error: produced path failed independent validation\n"
+    else:
+        real = embedder._solve_level
+
+        def mutant(rt, view, decomp, s, t, parent=None, half=None):
+            p, missed = real(rt, view, decomp, s, t, parent, half)
+            return (_repeat_at(p, j) if parent is None else p), missed
+
+        monkeypatch.setattr(embedder, "_solve_level", mutant)
+        expected = f"node {ids[repeated]} repeated at position {j}"
+        err_line = f"error: {expected}\n"
+    code = cli.main(["embed", "--graph", str(gpath), "--faults", str(fpath),
+                     "-s", str(ids[3]), "-t", str(ids[200]), "-o", str(out)])
+    assert code == 1 and capsys.readouterr().err == err_line
+    record = json.loads(out.read_text())
+    assert record["status"] == "error" and record["reason"] == expected
+
+
 def _starved_placement(n, case, seed):
     """Seeded random-variant instance of top case ``case`` (3 or 5): 2k - 9
     or 2k - 8 faults inside half 1, k - 1 of them cutting a node q down to

@@ -378,6 +378,7 @@ def test_rank_keys_order_successors_by_degree_then_tie_break():
     view = SurvivingView(g, sample_faults(g, 3, rng), scope=g.decomposition.half2)
     ids, rows = oracle._snapshot(view)
     assert min(ids) == 64
+    assert list(ids) == sorted(ids)  # salt 0 ranks by index order on this
     for ids in (ids, ids + (oracle._VIRTUAL,)):
         size = len(ids)
         for salt in range(4):
@@ -456,8 +457,9 @@ def _pinned_call(service, n, faults, seed, budget=None, starved=False):
 
 
 #: (service, n, faults, seed, budget[, starved]) -> (status, expansions,
-#: missed, digest of the path or path pair). Every search is deterministic, so
-#: any change in pruning or successor order moves these numbers. The n = 7
+#: restarts, backtracks, cut tests, missed, digest of the path or path pair).
+#: Every search is deterministic, so any change in pruning, in successor order
+#: or in where the cut test runs moves these numbers. The n = 7
 #: cases run past their first slice of max(64, 2|V|) expansions: the path and
 #: the two-path pair finish in the reversed slice, the cycle in the first
 #: salted restart.
@@ -465,43 +467,43 @@ def _pinned_call(service, n, faults, seed, budget=None, starved=False):
 #: in it, the scale of the embedder's cases 2-5.
 _PINNED_SEARCH_TREES = {
     "path-n4-found": ((ham_path, 4, 3, 0),
-        ("found", 31, None, "d63c987d15c44b08")),
+        ("found", 31, 0, 17, 5, None, "d63c987d15c44b08")),
     "path-n4-absent": ((ham_path, 4, 4, 8),
-        ("proven-absent", 226, None, None)),
+        ("proven-absent", 226, 2, 215, 31, None, None)),
     "path-n7-reversed-slice": ((ham_path, 7, 5, 90),
-        ("found", 392, None, "d9e933071d4c6c90")),
+        ("found", 392, 1, 153, 28, None, "d9e933071d4c6c90")),
     "path-n7-budget-in-slice-2": ((ham_path, 7, 5, 90, _first_slice_plus(50)),
-        ("budget-exhausted", 304, None, None)),
+        ("budget-exhausted", 304, 1, 141, 25, None, None)),
     "cycle-n4-found": ((ham_cycle, 4, 2, 0),
-        ("found", 25, None, "3bcffaa4b8b0968e")),
+        ("found", 25, 0, 10, 3, None, "3bcffaa4b8b0968e")),
     "cycle-n4-absent": ((ham_cycle, 4, 3, 2136),
-        ("proven-absent", 517, None, None)),
+        ("proven-absent", 517, 4, 494, 94, None, None)),
     "cycle-n7-budget-in-slice-2": ((ham_cycle, 7, 5, 135, _first_slice_plus(200)),
-        ("budget-exhausted", 454, None, None)),
+        ("budget-exhausted", 454, 1, 222, 37, None, None)),
     "cycle-n7-salted-restart": ((ham_cycle, 7, 5, 135),
-        ("found", 491, None, "c97799e04c2dfdd6")),
+        ("found", 491, 1, 246, 44, None, "c97799e04c2dfdd6")),
     "near-n4-full": ((near_ham_cycle, 4, 2, 0),
-        ("found", 25, None, "3bcffaa4b8b0968e")),
+        ("found", 25, 0, 10, 3, None, "3bcffaa4b8b0968e")),
     "near-n4-degree-below-two": ((near_ham_cycle, 4, 3, 26),
-        ("found", 15, 14, "df6a42f59d8cb0c1")),
+        ("found", 15, 0, 2, 3, 14, "df6a42f59d8cb0c1")),
     "near-n4-full-absent-then-missed": ((near_ham_cycle, 4, 3, 2136),
-        ("found", 529, 7, "d8ff739d4c339489")),
+        ("found", 529, 4, 494, 95, 7, "d8ff739d4c339489")),
     "near-n4-absent": ((near_ham_cycle, 4, 4, 342),
-        ("proven-absent", 185, None, None)),
+        ("proven-absent", 185, 0, 171, 32, None, None)),
     "near-n7-full-restart": ((near_ham_cycle, 7, 5, 135),
-        ("found", 491, None, "c97799e04c2dfdd6")),
+        ("found", 491, 1, 246, 44, None, "c97799e04c2dfdd6")),
     "two-n4-found": ((two_disjoint_spanning_paths, 4, 2, 0),
-        ("found", 53, None, "8bbcea9a66be0718")),
+        ("found", 53, 0, 37, 7, None, "8bbcea9a66be0718")),
     "two-n4-absent": ((two_disjoint_spanning_paths, 4, 1, 171),
-        ("proven-absent", 2765, None, None)),
+        ("proven-absent", 2765, 8, 2702, 507, None, None)),
     "two-n7-reversed-slice": ((two_disjoint_spanning_paths, 7, 1, 24),
-        ("found", 402, None, "1b26c53340bdc97f")),
+        ("found", 402, 1, 159, 33, None, "1b26c53340bdc97f")),
     "cycle-n10-half1": ((ham_cycle, 10, 9, 0),
-        ("found", 582, None, "d1782a8ad05877e9")),
+        ("found", 582, 0, 72, 17, None, "d1782a8ad05877e9")),
     "near-n10-half1-starved": ((near_ham_cycle, 10, 9, 0, None, True),
-        ("found", 521, 394, "136b25ae42643b5c")),
+        ("found", 521, 0, 11, 6, 394, "136b25ae42643b5c")),
     "two-n10-half1": ((two_disjoint_spanning_paths, 10, 9, 2),
-        ("found", 840, None, "3f83c036b7aad316")),
+        ("found", 840, 0, 331, 45, None, "3f83c036b7aad316")),
 }
 
 
@@ -515,7 +517,8 @@ def _search_tree_fingerprint(out):
     digest = None
     if body is not None:
         digest = hashlib.sha256(repr(body).encode()).hexdigest()[:16]
-    return out.status.value, out.expansions, out.missed, digest
+    return (out.status.value, out.expansions, out.restarts, out.backtracks, out.cut_tests,
+            out.missed, digest)
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SEARCH_TREES))
