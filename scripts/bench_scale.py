@@ -14,9 +14,9 @@ placements per cell:
 
 Each cell runs three fixed seeds; the seed fixes the random variant's graph,
 the faults and the endpoints. A cell keeps its deterministic part (top case,
-level count and a digest of every level label, search expansions, restarts
-and cut tests, per seed) apart from its wall times and its graph costs. Each
-seed's graph is built at least ``BUILD_REPEATS`` times and until
+level count and a digest of every level label, search expansions, restarts,
+backtracks and cut tests, per seed) apart from its wall times and its graph
+costs. Each seed's graph is built at least ``BUILD_REPEATS`` times and until
 ``MIN_BUILD_SPAN_S`` seconds of building have been timed, its embed is timed
 ``EMBED_REPEATS`` times, and each is the median of those; the cell's wall is
 the p50 and max of the seeds' embed walls. The graph costs are the p50 of
@@ -35,8 +35,8 @@ under ``host_reference``.
 Every path is checked with ``validate_path``. The point replaces any earlier
 point of the same label, so points of other code sit side by side;
 ``--src`` runs the ``thln`` package of another checkout's ``src/`` (its
-``cut_tests`` and ``restarts`` read null when that code does not count
-them).
+``cut_tests``, ``restarts`` and ``backtracks`` read null when that code does
+not count them).
 """
 from __future__ import annotations
 
@@ -177,6 +177,7 @@ def _run(thln, g, f, s: int, t: int, clock) -> tuple[dict, list[float]]:
     searches = [r for r in res.trace.records if "service" in r]
     cut = [r.get("cut_tests") for r in searches]
     restarts = [r.get("restarts") for r in searches]
+    backtracks = [r.get("backtracks") for r in searches]
     return {
         "valid": thln.validate_path(g, f, s, t, res.path).is_valid,
         "top_case": labels[0],
@@ -185,6 +186,7 @@ def _run(thln, g, f, s: int, t: int, clock) -> tuple[dict, list[float]]:
         "searches": len(searches),
         "expansions": sum(r["expansions"] for r in searches),
         "restarts": None if None in restarts else sum(restarts),
+        "backtracks": None if None in backtracks else sum(backtracks),
         "cut_tests": None if None in cut else sum(cut),
     }, walls
 

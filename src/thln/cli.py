@@ -220,6 +220,20 @@ def _to_positions(g: ThlnGraph, f: FaultSet, s: int, t: int) -> tuple[FaultSet, 
     return moved, position.get(s, s), position.get(t, t)
 
 
+def _self_check(verdict, missed: Optional[int], name=lambda v: v) -> Optional[str]:
+    """Why a produced path fails its independent validation (``verdict``), in
+    the node names ``name`` gives, or None when it passes: the validator's
+    finding with its path position, or, for a path that validates but whose
+    reported missed node is not the validator's, both missed nodes."""
+    if verdict.is_valid and verdict.missed == missed:
+        return None
+    if verdict.fault is None:
+        return f"missed node {name(verdict.missed)}, reported {name(missed)}"
+    if verdict.position is None:
+        return verdict.fault.say(name)
+    return f"{verdict.fault.say(name)} at path position {verdict.position}"
+
+
 def cmd_embed(args) -> int:
     try:
         budget = _default_budget(args)
@@ -267,14 +281,8 @@ def cmd_embed(args) -> int:
         _info(f"{prefix}: {reason}")
         return code
 
-    verdict = validate_path(g, f, s, t, result.path)
-    if not verdict.is_valid or verdict.missed != result.missed:
-        if verdict.fault is None:
-            reason = f"missed node {name(verdict.missed)}, reported {name(result.missed)}"
-        elif verdict.position is None:
-            reason = verdict.fault.say(file_id)
-        else:
-            reason = f"{verdict.fault.say(file_id)} at path position {verdict.position}"
+    reason = _self_check(validate_path(g, f, s, t, result.path), result.missed, file_id)
+    if reason is not None:
         emit({"status": "error", "path": list(result.path), "missed": result.missed,
               "trace": result.trace.to_json_obj(),
               "reason": f"self-check failed: {reason}"})
@@ -326,10 +334,9 @@ def run_stress_trial(n: int, fault_count: int, seed: int,
             "elapsed_s": time.perf_counter() - started,
         }
     elapsed = time.perf_counter() - started
-    verdict = validate_path(g, f, s, t, result.path)
-    ok = verdict.is_valid and verdict.missed == result.missed
+    reason = _self_check(validate_path(g, f, s, t, result.path), result.missed)
     return {
-        "ok": ok,
+        "ok": reason is None,
         "s": s,
         "t": t,
         "status": result.classification,
@@ -337,7 +344,7 @@ def run_stress_trial(n: int, fault_count: int, seed: int,
         "path_len": len(result.path),
         "cases": list(result.trace.labels()),
         "elapsed_s": elapsed,
-        "error": None if ok else f"validation: {verdict.reason}",
+        "error": None if reason is None else f"validation: {reason}",
     }
 
 

@@ -12,19 +12,25 @@ unvisited node has degree one counting the head (such nodes have rdeg <= 1,
 a set kept apart) and that node is an end. This degree check costs
 O(|low set|) and is the per-expansion prune. An attempt is one loop: it
 steps to the next head (visiting the best successor left, backtracking over
-every path node that has none) and expands it. Its expansion, backtrack and
-cut-test counts stay in locals and are written back to the call's budget
-state once, when the attempt ends.
+every path node that has none) and expands it. The visit's walk over the
+head's row, which updates rdeg, also builds the head's successor keys; the
+expansion only drops the end's key (a path enters its end last) and the
+gated helper's. An attempt's expansion, backtrack and cut-test counts stay
+in locals and are written back to the call's budget state once, when it
+ends.
 
-The cut test, one O(V) Hopcroft-Tarjan articulation pass, runs only on an
-attempt's first expansion and on the first expansion after a backtrack. It
-prunes when the head and the unvisited nodes form a disconnected region, or
-a node of it (the head too) leaves two hanging pieces, or one without an
-end. The pieces depend on the region, not on the order a DFS meets them, so
-neither does the decision. Skipping it elsewhere keeps the paths found: it
-only removes subtrees that hold no covering path, and the successor order
-never depends on it, so the search meets the same covering paths in the same
-order, only later when an attempt's slice runs out first. An obstruction a
+The cut test, one O(V) Hopcroft-Tarjan articulation pass, runs only on the
+first expansion after a backtrack. It prunes when the head and the
+unvisited nodes form a disconnected region, or a node of it (the head too)
+leaves two hanging pieces, or one without an end. The pieces depend on the
+region, not on the order a DFS meets them, so neither does the decision.
+Skipping it elsewhere keeps the paths found: it only removes subtrees that
+hold no covering path, and the successor order never depends on it, so the
+search meets the same covering paths in the same order, only later when an
+attempt's slice runs out first. At an attempt's root that subtree is the
+whole search, so a root pass could only cut short a search that has no
+answer (the search then proves the absence by backtracking instead), and a
+forward run that finds its path runs no cut test at all. An obstruction a
 forward run misses ends in a dead end, and the test catches it at the first
 expansion after that and at each sibling on the way back up. Successors are
 tried lowest rdeg first, ties broken by a salted bijection of the node id
@@ -245,14 +251,18 @@ def _dfs_cover(
     rdeg = list(map(len, rows))  # unvisited neighbours, kept for every node
     low = {u for u in range(size) if rdeg[u] <= 1}  # unvisited with rdeg <= 1
     rank, by_rank = _ranks(ids, salt)  # a successor's key is rdeg * size + rank
+    last = ends[0] if ends_last else -1  # an ends-last path has one end
     banned, src = gate if gate is not None else (-1, -1)
+    gated = frozenset(rows[banned]) - {src} if gate is not None else frozenset()
     spent, backtracks, cut_tests = state.spent, 0, 0
     stop = state.limit if cap is None else min(state.limit, spent + cap)
     path: list[int] = []
     # successor keys of each path node, popped from the end, under a root
     # entry whose one successor is s
     stack = [[rank[s]]]
-    cut_due = True  # the cut test runs on the first expansion and after each backtrack
+    # the cut test is due at the first expansion after each backtrack, not at
+    # the root: there it could prune only a search with no covering path
+    cut_due = False
     status = None
     while True:
         # step to the next head: visit the best successor left, backtracking
@@ -266,11 +276,14 @@ def _dfs_cover(
                 count -= 1
                 ends_left -= is_end[v]
                 low.discard(v)
+                keys = []  # v's successor keys, built while its row is walked
                 for w in rows[v]:
                     d = rdeg[w] - 1
                     rdeg[w] = d
-                    if d == 1 and remaining[w]:
-                        low.add(w)
+                    if remaining[w]:
+                        keys.append(d * size + rank[w])
+                        if d == 1:
+                            low.add(w)
                 if count:
                     break
                 if is_end[v]:
@@ -297,36 +310,35 @@ def _dfs_cover(
             cut_due = True
         if status is not None:
             break
-        # expand v, the head: prune checks, then its successor keys
+        # expand v, the head: prune checks, then order its successor keys
         if spent >= stop:
             status = SearchStatus.BUDGET_EXHAUSTED
             break
         spent += 1
-        keys = []
-        if ends_left:  # else no end is left to stop on
+        if not ends_left:  # no end is left to stop on
+            keys = []
+        else:
             stuck = False
             for u in low:  # degree rdeg[u] + [u adjacent to v] <= 1 needs rdeg <= 1
                 d = rdeg[u] + (v in rows[u])
                 if d == 0 or d == 1 and (stuck or not is_end[u]):
+                    keys = []
                     break
                 stuck = stuck or d == 1
             else:
                 if cut_due:
                     cut_due = False
                     cut_tests += 1
-                    pruned = _cut_prune(rows, v, remaining, count, is_end)
-                else:
-                    pruned = False
-                if not pruned:
-                    skip = banned if v != src else -1
-                    if ends_last and count > 1:
-                        keys = [rdeg[c] * size + rank[c] for c in rows[v]
-                                if remaining[c] and not is_end[c] and c != skip]
-                    else:
-                        keys = [rdeg[c] * size + rank[c] for c in rows[v]
-                                if remaining[c] and c != skip]
-                    # keys never tie, so the order is total; reversed, to pop from the end
-                    keys.sort(reverse=True)
+                    if _cut_prune(rows, v, remaining, count, is_end):
+                        keys = []
+                # the end is entered only last (it is unvisited: ends_left),
+                # and the gated helper only from src
+                if keys and ends_last and count > 1 and last in rows[v]:
+                    keys.remove(rdeg[last] * size + rank[last])
+                if keys and v in gated and remaining[banned]:
+                    keys.remove(rdeg[banned] * size + rank[banned])
+                # keys never tie, so the order is total; reversed, to pop from the end
+                keys.sort(reverse=True)
         stack.append(keys)
     state.spent = spent
     state.backtracks += backtracks

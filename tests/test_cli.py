@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from thln import FaultSet, VariantSpec, cli, graph_from_json, make_preset, validate_path
+from thln import (
+    FaultSet,
+    SearchBudget,
+    VariantSpec,
+    cli,
+    graph_from_json,
+    make_preset,
+    validate_path,
+)
 from thln.cli import main
 from thln.topology import ShapeCheck, ShapeReport
 
@@ -455,6 +463,23 @@ def test_stress_past_the_bound_fails_cleanly(tmp_path, capsys):
     assert json.loads(out.read_text())["failures"] == [
         {"trial": 0, "error": error}, {"trial": 3, "error": error}
     ]
+
+
+def test_stress_trial_names_both_missed_nodes_when_they_disagree(monkeypatch):
+    # the path validates, but embed reports one of its own nodes as missed:
+    # the record names the validator's missed node and the reported one, in
+    # the words of thln embed's self-check
+    real, reported = cli.embed, []
+
+    def misreport(*args, **kwargs):
+        res = real(*args, **kwargs)
+        reported.append(res.path[3])
+        return dataclasses.replace(res, missed=res.path[3])
+
+    monkeypatch.setattr(cli, "embed", misreport)
+    record = cli.run_stress_trial(8, 6, 1, SearchBudget())
+    assert record["ok"] is False
+    assert record["error"] == f"validation: missed node None, reported {reported[0]}"
 
 
 #: stand-ins for ``run_stress_trial``'s records, by trial index; no uniform

@@ -917,90 +917,90 @@ def pinned_instances(graph8, graph9):
 #: each instance, in order. The construction is deterministic, so any change
 #: in a path, a case label or a trace record moves these digests.
 _PINNED_RESULTS = {
-    "1-spread": "b7cc1d6c71237dfd",
-    "1.1.2-n10": "ede0424651eb4edc",
-    "2.1": "d921358e68979240",
-    "2.1.1": "80ffc56aa0d7af66",
-    "2.1.2.1": "c7deee0e0d230b70",
-    "2.1.2.1-z1": "c7b3c2eda75e5b06",
-    "2.1.2.2": "4f7292cc7cbc6dc1",
-    "2.1.3": "a465ad7159fa3506",
-    "2.1.3-x1-y1": "5fec611bc3395ffd",
-    "2.2": "2d7e328368851919",
-    "2.3": "6da6d2de6c48f16e",
-    "2.3.2": "7b5723fdae67d0da",
-    "3.1.1": "434e25a0d8127482",
-    "3.1.1.1-d1": "ba4b2fe5fa8ad86e",
-    "3.1.1.2": "9da622b130eb8682",
-    "3.1.1.2-d2-direct": "78771bf1a204e242",
-    "3.1.2": "2d5988b2c34a6761",
-    "3.1.2-agent": "7d89e6b19cfb7f23",
-    "3.2": "561a8cd51e1013da",
-    "3.3.1": "d3d4cb37a9414469",
-    "3.3.1-blocked": "95a23c27520ab2af",
-    "3.3.2": "830de93b4853eb67",
-    "3.3.2-partner-end": "e1fd2562b84bc8b5",
-    "3.3.2-agent": "a2626ad391454ddd",
-    "4.1": "e656d21b2852b275",
-    "4.1.1": "001a3583d4a18bbe",
-    "4.1.2": "acd6b66999004dd1",
-    "4.1.2-far-end": "fd94569812f522f2",
-    "4.2": "009288138383e351",
-    "4.2.2": "fd6e978943f5e31b",
-    "4.2.3": "adf871aba7aa2b9f",
-    "4.3": "5757ed5fb46ed37b",
-    "4.3.2-vend": "7e04c7614f37233f",
-    "4.3.2-wend": "f881612932b1289c",
-    "4.3.3": "f9ae5c3aa1bd1e21",
-    "4.3.3.1": "b27ea853bce0347c",
-    "4.3.3.1-uend-1chord": "a97fdf5d98e3d597",
-    "4.3.3.1-z": "386df5f045910fa5",
-    "4.3.3.2": "8722b66ba741f884",
-    "5.1-n8": "6ac8f47303c4574d",
-    "5.1.1": "fd4d51827730b0f0",
-    "5.1.1-d1": "e16ca5cb116df325",
-    "5.1.1-d2": "580cc74fa5c9ed5f",
-    "5.1.2": "e9d30059d1673977",
-    "5.2": "3ac9dbc703e64761",
-    "5.2-both-ends": "c1e5da789e8384fa",
-    "5.3.1": "4260e9f1259c7b46",
-    "5.3.1-uend-0": "ab6b08bde5d5d969",
-    "5.3.1-vend": "18e4582a61689c45",
-    "5.3.1-wend": "ecc42a69a449537b",
-    "5.3.1.1-uend-1": "b1474d729c48b49c",
-    "5.3.1.1-uend-1miss": "a8725cb67cec4f1a",
-    "5.3.1.2-uend-2": "3cb892ad5cae6c7e",
-    "5.3.2": "53519c5e438e491c",
-    "base-n7": "6a83d1127ff23671",
-    "chain-n10": "5f816a4c0f51d9fe",
-    "crossed-n10-0": "831f634ac4213c87",
-    "crossed-n10-1": "0eedd0af57bf63ac",
-    "crossed-n9-0": "279c8b6a261c54a6",
-    "crossed-n9-1": "03951b13b8f0ad91",
-    "deterministic-n8": "6fba1e6554147b9d",
-    "locally-twisted-n10-0": "dc2486acefa1d8b6",
-    "locally-twisted-n10-1": "5de6ae90e3e3235a",
-    "locally-twisted-n9-0": "b0c74b8012af1a12",
-    "locally-twisted-n9-1": "f60d98208d9e6ae3",
-    "mobius0-n10-0": "8026c019ce18478e",
-    "mobius0-n10-1": "04144e8955201efa",
-    "mobius0-n9-0": "ba41fc428c4b3d77",
-    "mobius0-n9-1": "f656743e2ed6ccba",
-    "mobius1-n10-0": "67b86a6fb5d714e4",
-    "mobius1-n10-1": "7ee61584074030d1",
-    "mobius1-n9-0": "f2c96ec5835a4429",
-    "mobius1-n9-1": "9d733c7d5480561f",
-    "random-trials-n8": "b46101448135c4e8",
-    "split-n10-case1-1": "7a8bfd7de2e17200",
-    "split-n10-case1-2": "6b3b5adf8a2e54dc",
-    "split-n10-case2-1": "e345ec945e451b90",
-    "split-n10-case2-2": "6a19567b7514ba63",
-    "split-n10-case3-1": "efe9ea2b1bbdee12",
-    "split-n10-case3-2": "51b9e0ae744ac03c",
-    "split-n10-case4-1": "a1cec6687c7aa15a",
-    "split-n10-case4-2": "3c4fba4a106cf023",
-    "split-n10-case5-1": "c344f3301c0be889",
-    "split-n10-case5-2": "009e012c2ba25062",
+    "1-spread": "7afcb1e346490d67",
+    "1.1.2-n10": "0a4c4e5ce87065db",
+    "2.1": "6785d417c3a2184c",
+    "2.1.1": "7234afa40ed3468e",
+    "2.1.2.1": "49ea84cbf8ab48bc",
+    "2.1.2.1-z1": "36e83e6f0214c205",
+    "2.1.2.2": "1159ff8f3d4c9bd3",
+    "2.1.3": "190b8284dee35225",
+    "2.1.3-x1-y1": "77e411b604ee60a0",
+    "2.2": "6ce8f8e6310c5731",
+    "2.3": "d3af2c011ceb7b06",
+    "2.3.2": "ec5acc324f55b3d8",
+    "3.1.1": "5095c60b3033905e",
+    "3.1.1.1-d1": "b1178f3c04f2c6a2",
+    "3.1.1.2": "1a89f3d27914f96c",
+    "3.1.1.2-d2-direct": "a4cf25c24c1d8ae3",
+    "3.1.2": "04c7d05ebef43523",
+    "3.1.2-agent": "3b13bb2d4e332306",
+    "3.2": "7e07d4ce73e4741a",
+    "3.3.1": "f742f310cc2d0aa1",
+    "3.3.1-blocked": "2e1a1056e1dd7199",
+    "3.3.2": "089ff7334db25990",
+    "3.3.2-partner-end": "03c7041a5d4747da",
+    "3.3.2-agent": "b8813fd21cc435e8",
+    "4.1": "963027f629ded363",
+    "4.1.1": "d185c1f906ed5eaf",
+    "4.1.2": "5c9318ffa3596fc9",
+    "4.1.2-far-end": "30fce0026c263d28",
+    "4.2": "6858bc1c55f74a67",
+    "4.2.2": "11d629aa87c61b96",
+    "4.2.3": "052ba974551365e8",
+    "4.3": "38168bd7ef46c869",
+    "4.3.2-vend": "6dfb0582757021e2",
+    "4.3.2-wend": "7c59b4c1539b4a12",
+    "4.3.3": "305b241c2e5df215",
+    "4.3.3.1": "afa8e7f3b5a4a5ea",
+    "4.3.3.1-uend-1chord": "277428b7b8262e7c",
+    "4.3.3.1-z": "fadae7b745eadb65",
+    "4.3.3.2": "2cdf69ab1f2047e8",
+    "5.1-n8": "c3ec57ba503b25ec",
+    "5.1.1": "3ff8908fcffe3110",
+    "5.1.1-d1": "39de7ebd55ac5ea9",
+    "5.1.1-d2": "248cf894d882220d",
+    "5.1.2": "ebf986da664dd7b6",
+    "5.2": "3388aa4e7ecc0451",
+    "5.2-both-ends": "bd3d23cce346eb5d",
+    "5.3.1": "b625f2dbbb586053",
+    "5.3.1-uend-0": "8c20759cb9b99e1f",
+    "5.3.1-vend": "7d9335dfb5bac2e5",
+    "5.3.1-wend": "309c681a4cfc8869",
+    "5.3.1.1-uend-1": "88962bbce7a25c71",
+    "5.3.1.1-uend-1miss": "4e3883327cb2ab68",
+    "5.3.1.2-uend-2": "05771eaa2b26303f",
+    "5.3.2": "ff83af4658c0e17c",
+    "base-n7": "9d9d843d434ec401",
+    "chain-n10": "925c41f14a829164",
+    "crossed-n10-0": "2be2aacb165b23db",
+    "crossed-n10-1": "79c43a2d74618f6f",
+    "crossed-n9-0": "94b50f59387395ef",
+    "crossed-n9-1": "a265f5daa65e82f4",
+    "deterministic-n8": "9c6d7b947cd58b84",
+    "locally-twisted-n10-0": "e9aae22dde4001a0",
+    "locally-twisted-n10-1": "a3ea4a1b8c92f3cd",
+    "locally-twisted-n9-0": "6af479fc4c9417d1",
+    "locally-twisted-n9-1": "85389864b01d91c6",
+    "mobius0-n10-0": "7f2baa604cb38a2f",
+    "mobius0-n10-1": "ad2d56d3513b0062",
+    "mobius0-n9-0": "4707a29f79acad7a",
+    "mobius0-n9-1": "e08ab773dbfd595a",
+    "mobius1-n10-0": "e58f8a2530fd383f",
+    "mobius1-n10-1": "d4fa8201d6479003",
+    "mobius1-n9-0": "e672f5829f655aa4",
+    "mobius1-n9-1": "d85d7666f7cb0c3c",
+    "random-trials-n8": "e720d1b02cc6c931",
+    "split-n10-case1-1": "619e71021e4a1676",
+    "split-n10-case1-2": "47e69eef18f18594",
+    "split-n10-case2-1": "da613a43a3ad5b48",
+    "split-n10-case2-2": "9d2099df50747363",
+    "split-n10-case3-1": "676f64d7896fdf27",
+    "split-n10-case3-2": "9c8a966b1f3a4869",
+    "split-n10-case4-1": "a545e9165b0e01b8",
+    "split-n10-case4-2": "e516b416eace258b",
+    "split-n10-case5-1": "85e8da090726312a",
+    "split-n10-case5-2": "f5e74217daf55a1f",
 }
 
 
@@ -1059,9 +1059,9 @@ def _relabelled(g, seed):
 #: sha256 prefixes of ``EmbedResult.to_json_obj()`` on the relabelled graph,
 #: renumbered to positions, with faults and endpoints drawn in positions.
 _RELABELLED_RESULTS = {
-    "uniform": "a52e96149f0845b6",
-    "concentrated-2": "beba01545007aaa7",
-    "concentrated-4": "7219d36f7a83fec7",
+    "uniform": "b04708ad59975595",
+    "concentrated-2": "8158b3811344b926",
+    "concentrated-4": "ccf95aeccaa095cc",
 }
 
 

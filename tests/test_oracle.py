@@ -467,43 +467,43 @@ def _pinned_call(service, n, faults, seed, budget=None, starved=False):
 #: in it, the scale of the embedder's cases 2-5.
 _PINNED_SEARCH_TREES = {
     "path-n4-found": ((ham_path, 4, 3, 0),
-        ("found", 31, 0, 17, 5, None, "d63c987d15c44b08")),
+        ("found", 31, 0, 17, 4, None, "d63c987d15c44b08")),
     "path-n4-absent": ((ham_path, 4, 4, 8),
-        ("proven-absent", 226, 2, 215, 31, None, None)),
+        ("proven-absent", 226, 2, 215, 28, None, None)),
     "path-n7-reversed-slice": ((ham_path, 7, 5, 90),
-        ("found", 392, 1, 153, 28, None, "d9e933071d4c6c90")),
+        ("found", 392, 1, 153, 26, None, "d9e933071d4c6c90")),
     "path-n7-budget-in-slice-2": ((ham_path, 7, 5, 90, _first_slice_plus(50)),
-        ("budget-exhausted", 304, 1, 141, 25, None, None)),
+        ("budget-exhausted", 304, 1, 141, 23, None, None)),
     "cycle-n4-found": ((ham_cycle, 4, 2, 0),
-        ("found", 25, 0, 10, 3, None, "3bcffaa4b8b0968e")),
+        ("found", 25, 0, 10, 2, None, "3bcffaa4b8b0968e")),
     "cycle-n4-absent": ((ham_cycle, 4, 3, 2136),
-        ("proven-absent", 517, 4, 494, 94, None, None)),
+        ("proven-absent", 517, 4, 494, 89, None, None)),
     "cycle-n7-budget-in-slice-2": ((ham_cycle, 7, 5, 135, _first_slice_plus(200)),
-        ("budget-exhausted", 454, 1, 222, 37, None, None)),
+        ("budget-exhausted", 454, 1, 222, 35, None, None)),
     "cycle-n7-salted-restart": ((ham_cycle, 7, 5, 135),
-        ("found", 491, 1, 246, 44, None, "c97799e04c2dfdd6")),
+        ("found", 491, 1, 246, 42, None, "c97799e04c2dfdd6")),
     "near-n4-full": ((near_ham_cycle, 4, 2, 0),
-        ("found", 25, 0, 10, 3, None, "3bcffaa4b8b0968e")),
+        ("found", 25, 0, 10, 2, None, "3bcffaa4b8b0968e")),
     "near-n4-degree-below-two": ((near_ham_cycle, 4, 3, 26),
-        ("found", 15, 0, 2, 3, 14, "df6a42f59d8cb0c1")),
+        ("found", 15, 0, 2, 2, 14, "df6a42f59d8cb0c1")),
     "near-n4-full-absent-then-missed": ((near_ham_cycle, 4, 3, 2136),
-        ("found", 529, 4, 494, 95, 7, "d8ff739d4c339489")),
+        ("found", 529, 4, 494, 89, 7, "d8ff739d4c339489")),
     "near-n4-absent": ((near_ham_cycle, 4, 4, 342),
-        ("proven-absent", 185, 0, 171, 32, None, None)),
+        ("proven-absent", 191, 0, 177, 20, None, None)),
     "near-n7-full-restart": ((near_ham_cycle, 7, 5, 135),
-        ("found", 491, 1, 246, 44, None, "c97799e04c2dfdd6")),
+        ("found", 491, 1, 246, 42, None, "c97799e04c2dfdd6")),
     "two-n4-found": ((two_disjoint_spanning_paths, 4, 2, 0),
-        ("found", 53, 0, 37, 7, None, "8bbcea9a66be0718")),
+        ("found", 53, 0, 37, 6, None, "8bbcea9a66be0718")),
     "two-n4-absent": ((two_disjoint_spanning_paths, 4, 1, 171),
-        ("proven-absent", 2765, 8, 2702, 507, None, None)),
+        ("proven-absent", 2765, 8, 2702, 498, None, None)),
     "two-n7-reversed-slice": ((two_disjoint_spanning_paths, 7, 1, 24),
-        ("found", 402, 1, 159, 33, None, "1b26c53340bdc97f")),
+        ("found", 402, 1, 159, 31, None, "1b26c53340bdc97f")),
     "cycle-n10-half1": ((ham_cycle, 10, 9, 0),
-        ("found", 582, 0, 72, 17, None, "d1782a8ad05877e9")),
+        ("found", 582, 0, 72, 16, None, "d1782a8ad05877e9")),
     "near-n10-half1-starved": ((near_ham_cycle, 10, 9, 0, None, True),
-        ("found", 521, 0, 11, 6, 394, "136b25ae42643b5c")),
+        ("found", 521, 0, 11, 5, 394, "136b25ae42643b5c")),
     "two-n10-half1": ((two_disjoint_spanning_paths, 10, 9, 2),
-        ("found", 840, 0, 331, 45, None, "3f83c036b7aad316")),
+        ("found", 840, 0, 331, 44, None, "3f83c036b7aad316")),
 }
 
 
@@ -560,12 +560,19 @@ def test_search_counters(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SEARCH_TREES))
 def test_cut_test_runs_only_where_the_search_turns_back(name):
-    # the cut test runs on an attempt's first expansion and on the first
-    # expansion after each backtrack, so one engine run tests at most
-    # 1 + restarts + backtracks times (near_ham_cycle's later engine runs
-    # may add one each; on these cases the backtracks before them cover it)
+    # the cut test runs only on the first expansion after a backtrack, never
+    # at an attempt's root, so a call tests at most once per backtrack
     out = _pinned_outcome(name)
-    assert 0 < out.cut_tests <= 1 + out.restarts + out.backtracks
+    assert 0 < out.cut_tests <= out.backtracks
+
+
+def test_a_forward_run_runs_no_cut_test():
+    # a covering path found without backtracking: 31 expansions for 32
+    # nodes, and no cut test, not even at the root
+    g = make_preset(VariantSpec.random(1), 5)
+    out = ham_path(surviving_view(g, FaultSet.empty()), 0, 25)
+    assert out.found and validate_path(g, FaultSet.empty(), 0, 25, out.path).is_hamiltonian
+    assert (out.expansions, out.restarts, out.backtracks, out.cut_tests) == (31, 0, 0, 0)
 
 
 def test_cut_tests_are_few_on_a_forward_run():
@@ -585,8 +592,9 @@ def test_trace_records_carry_the_search_counters(graph8):
     for rec in searches:
         assert list(rec)[:6] == ["service", "status", "expansions", "restarts", "backtracks",
                                  "cut_tests"]
+        # one cut test at most per backtrack: none runs at the root
         assert rec["restarts"] == 0 and 0 < rec["backtracks"] < rec["expansions"]
-        assert 0 < rec["cut_tests"] <= 1 + rec["backtracks"]
+        assert 0 < rec["cut_tests"] <= rec["backtracks"]
 
 
 def test_degree_check_misses_no_prune(monkeypatch):
@@ -694,6 +702,109 @@ def _cut_reference(adj, head, region, ends):
         if len(hanging) > 1 or (hanging and not hanging[0] & ends):
             return True
     return False
+
+
+def _cuts_along(rows, path, ends):
+    """``_cut_prune`` at every prefix of ``path`` (indices), the root's one
+    node included, with ``ends`` the nodes the path may stop on."""
+    remaining = bytearray(b"\x01") * len(rows)
+    is_end = bytearray(len(rows))
+    for e in ends:
+        is_end[e] = 1
+    count = len(rows)
+    for v in path:
+        remaining[v] = 0
+        count -= 1
+        yield oracle._cut_prune(rows, v, remaining, count, is_end)
+
+
+class _Region:
+    """The view on ``rows``'s indices that keeps the nodes of ``region``."""
+
+    def __init__(self, rows, region):
+        self.nodes = tuple(sorted(region))
+        self._rows = {v: tuple(w for w in rows[v] if w in region) for v in region}
+
+    def has_node(self, v):
+        return v in self._rows
+
+    def neighbors(self, v):
+        return self._rows[v]
+
+
+def _simple_paths(rows, s, t):
+    """Every simple path from index s that enters index t only last."""
+    path, on = [s], {s, t}
+
+    def grow():
+        yield path
+        for w in rows[path[-1]]:
+            if w not in on:
+                path.append(w)
+                on.add(w)
+                yield from grow()
+                on.discard(path.pop())
+
+    yield from grow()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cut_test_never_prunes_a_prefix_of_a_covering_path(n):
+    # the cut test removes only subtrees that hold no covering path, so it
+    # keeps every prefix of a covering path, the root's included: which is
+    # why an attempt's root needs no cut test. Checked along every validated
+    # answer of the path, cycle and two-path services (the helper node in
+    # the path), and on views of at most 12 nodes against the enumerator at
+    # every prefix of every simple path from s
+    rng = random.Random(f"cut-sound/{n}")
+    prefixes = enumerated = 0
+    for _ in range(100):
+        g = make_preset(VariantSpec.random(rng.randrange(1 << 30)), n)
+        f = sample_faults(g, rng.randrange(2 * n - 2), rng)
+        scope = rng.choice((None, g.decomposition.half1, g.decomposition.half2))
+        view = SurvivingView(g, f, scope=scope)
+        if len(view) < 4:
+            continue
+        # the view as faults of the whole graph, for the validator
+        outside = FaultSet.of(nodes=[v for v in g.nodes if not view.has_node(v)], edges=f.edges)
+        ids, rows = oracle._snapshot(view)
+        at = dict(zip(ids, range(len(ids))))
+        answers = []
+        s, t = rng.sample(view.nodes, 2)
+        out = ham_path(view, s, t)
+        if out.found:
+            assert validate_path(g, outside, s, t, out.path).is_hamiltonian
+            answers.append((rows, [at[v] for v in out.path], (at[t],)))
+        out = ham_cycle(view)
+        if out.found:
+            assert validate_cycle(g, outside, out.path).is_hamiltonian
+            answers.append((rows, [at[v] for v in out.path], rows[at[out.path[0]]]))
+        x1, y1, x2, y2 = rng.sample(view.nodes, 4)
+        out = two_disjoint_spanning_paths(view, x1, y1, x2, y2)
+        if out.found:
+            p1, p2 = out.paths
+            for (a, b, p), other in (((x1, y1, p1), p2), ((x2, y2, p2), p1)):
+                rest = FaultSet.of(nodes=outside.nodes | set(other), edges=f.edges)
+                assert validate_path(g, rest, a, b, p).is_hamiltonian
+            helper = len(ids)
+            two = rows[:]
+            two[at[y1]] += (helper,)
+            two[at[x2]] += (helper,)
+            two.append((at[y1], at[x2]))
+            answers.append((two, [at[v] for v in p1] + [helper] + [at[v] for v in p2],
+                            (at[y2],)))
+        for rows_, path, ends in answers:
+            assert not any(_cuts_along(rows_, path, ends)), (ids, path)
+            prefixes += len(path)
+        if len(view) <= 12:
+            size = len(rows)
+            for path in _simple_paths(rows, at[s], at[t]):
+                *_, cut = _cuts_along(rows, path, (at[t],))
+                if cut:
+                    region = _Region(rows, set(range(size)) - set(path[:-1]))
+                    assert not enumerate_ham_path_exists(region, path[-1], at[t]), path
+                    enumerated += 1
+    assert prefixes > 2000 and (n > 4 or enumerated > 500)
 
 
 @given(seed=st.integers(0, 10 ** 6))
