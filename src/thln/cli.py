@@ -14,14 +14,11 @@ where the loader has renumbered the file's nodes to positions.
 Every command honors ``--seed``; identical invocations write byte-identical
 artifacts. Wall-clock numbers are therefore never written to report files
 unless ``--timing`` is passed; the human summary on stderr always shows them.
-The environment variable ``THLN_BUDGET`` overrides the default expansion
-budget when ``--budget`` is absent.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import statistics
 import sys
@@ -30,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .embedder import embed
+from .embedder import CaseTrace, embed
 from .errors import (
     ForeignFault,
     MalformedGraph,
@@ -102,22 +99,21 @@ class RunConfig:
 
 
 def _default_budget(args) -> SearchBudget:
-    """The budget from ``--budget``, else from ``THLN_BUDGET``, else the
-    default. Raises ValueError unless the value given is a positive integer."""
-    raw = args.budget if args.budget is not None else os.environ.get("THLN_BUDGET")
-    if raw is None or raw == "":
+    """The budget from ``--budget``, else the default. Raises ValueError
+    unless the value given is positive."""
+    if args.budget is None:
         return SearchBudget()
     try:
-        return SearchBudget(max_expansions=int(raw))
+        return SearchBudget(max_expansions=args.budget)
     except ValueError:
-        raise ValueError(f"budget must be a positive integer, got {raw!r}") from None
+        raise ValueError(f"budget must be a positive integer, got {args.budget!r}") from None
 
 
 def _variant_spec(name: str, seed: int) -> VariantSpec:
     if name == "random":
         return VariantSpec.random(seed)
     if name == "default":
-        return VariantSpec.base3_default()
+        return VariantSpec("base3-default")
     return VariantSpec(name)
 
 
@@ -161,8 +157,6 @@ def cmd_generate(args) -> int:
         _info(f"error: {exc}")
         return 2
     _write(args.out, graph_to_json(g))
-    if args.dot:
-        _write(args.dot, graph_to_dot(g))
     _info(
         f"generated {args.variant} dimension-{args.n}: "
         f"{g.num_nodes} nodes, {g.num_edges} edges"
@@ -192,10 +186,6 @@ _EMBED_EXITS = (
     (OracleBudgetExhausted, 4, "budget exhausted"),
     (ThlnError, 1, "error"),
 )
-
-
-#: trace record fields that hold node ids: a node, a pair, or a list of pairs
-_TRACE_NODE_FIELDS = frozenset({"agent", "cross", "ends", "fe", "missed", "q1", "starved"})
 
 
 def _to_positions(g: ThlnGraph, f: FaultSet, s: int, t: int) -> tuple[FaultSet, int, int]:
@@ -252,18 +242,17 @@ def cmd_embed(args) -> int:
     out_of_contract = args.unsafe and len(f) > 2 * g.dimension - 10
     ids = g.file_ids or g.nodes
 
-    def name(x):  # a node id, or nested lists of them, in the file's ids
-        if x is None:
-            return None
-        return [name(y) for y in x] if isinstance(x, list) else ids[x]
-
-    def file_id(v):  # for a path check's finding, which may name a value that is no node
-        return ids[v] if isinstance(v, int) and 0 <= v < len(ids) else v
+    def name(x):
+        """A node id, or nested lists of them, in the file's ids; a value that
+        is no node (a path check may name one) as it is."""
+        if isinstance(x, list):
+            return [name(y) for y in x]
+        return ids[x] if isinstance(x, int) and 0 <= x < len(ids) else x
 
     def emit(obj) -> None:
         """Write ``obj``, an ``EmbedResult.to_json_obj()`` or an error record
         of that form, with its path, missed node and trace node fields in the file's ids."""
-        trace = [{k: name(v) if k in _TRACE_NODE_FIELDS else v for k, v in rec.items()}
+        trace = [{k: name(v) if k in CaseTrace.NODE_FIELDS else v for k, v in rec.items()}
                  for rec in obj["trace"]]
         _write(args.out, _dump(dict(obj, path=name(obj["path"]), missed=name(obj["missed"]),
                                     trace=trace)))
@@ -275,13 +264,13 @@ def cmd_embed(args) -> int:
         code, prefix = next((c, p) for cls, c, p in _EMBED_EXITS if isinstance(exc, cls))
         trace = getattr(exc, "trace", None)  # budget exhaustion carries its trace
         fault = getattr(exc, "fault", None)  # the root check's finding on the path
-        reason = fault.say(file_id) if fault else str(exc)
+        reason = fault.say(name) if fault else str(exc)
         emit({"status": "error", "path": [], "missed": None,
               "trace": trace.to_json_obj() if trace else [], "reason": reason})
         _info(f"{prefix}: {reason}")
         return code
 
-    reason = _self_check(validate_path(g, f, s, t, result.path), result.missed, file_id)
+    reason = _self_check(validate_path(g, f, s, t, result.path), result.missed, name)
     if reason is not None:
         emit({"status": "error", "path": list(result.path), "missed": result.missed,
               "trace": result.trace.to_json_obj(),
@@ -540,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True, help=f"dimension (3 to {MAX_DIMENSION})")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--out", default=None, help="output JSON (default stdout)")
-    g.add_argument("--dot", default=None, help="also write a DOT rendering here")
     g.set_defaults(func=cmd_generate)
 
     e = sub.add_parser("embed", help="fault-tolerant covering path between two nodes")

@@ -71,9 +71,9 @@ one set difference, and any other shortfall raises InternalContradiction.
 ``embed`` checks the finished path against the root view once, so a repeated
 node made at any level raises DisjointnessViolated, a node outside the view
 InternalContradiction and a step that is not a surviving edge
-AdjacencyViolated. Each carries a PathFault: the failing path position
-(``.position``) and the node ids its message names, so a caller that speaks
-other ids can render it.
+AdjacencyViolated. Each carries a PathFault (``.fault``): the failing path
+position and the node ids its message names, so a caller that speaks other
+ids can render it.
 """
 from __future__ import annotations
 
@@ -130,9 +130,11 @@ def splice(segments: Iterable[Sequence[int]]) -> PathSeq:
 @dataclass(frozen=True)
 class CaseTrace:
     """Chronological construction log: one record per solved level, one per
-    search-service invocation."""
+    search-service invocation. ``NODE_FIELDS`` names the record fields that
+    hold node ids: a node, a pair, or a list of pairs."""
 
     records: tuple[dict, ...]
+    NODE_FIELDS = frozenset({"agent", "cross", "ends", "fe", "missed", "q1", "starved"})
 
     def labels(self) -> tuple[str, ...]:
         return tuple(r["case"] for r in self.records if "case" in r)

@@ -35,11 +35,6 @@ class _PathError(ThlnError):
     def fault(self) -> Optional[PathFault]:
         return self.args[0] if self.args and isinstance(self.args[0], PathFault) else None
 
-    @property
-    def position(self) -> Optional[int]:
-        """The index into the path where the check failed, if it names one."""
-        return self.fault.position if self.fault else None
-
 
 # -- topology -----------------------------------------------------------
 

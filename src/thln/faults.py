@@ -101,7 +101,8 @@ class FaultSet:
 
 
 class SurvivingView:
-    """Read-only fault-free subgraph, optionally narrowed to a range of ids.
+    """Read-only fault-free subgraph, optionally narrowed to a range of ids
+    (of step 1; any other step raises ValueError).
 
     A node is present iff it is in scope and not faulty; an edge is present
     iff both endpoints are present and the edge is not faulty. A view built
@@ -138,6 +139,8 @@ class SurvivingView:
         rows = graph.adjacency
         if scope is None:
             adj = dict(enumerate(rows))  # the graph's own rows, shared
+        elif scope.step != 1:
+            raise ValueError(f"a view's scope must be a range of step 1, got {scope!r}")
         else:
             # walk the scope, not the whole graph; nodes outside the graph drop
             # out. Rows ascend, so a row's share of an id range is one slice.

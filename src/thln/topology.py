@@ -16,13 +16,14 @@ the edges, and keeps the file's ids to write back (``file_ids``).
 :func:`check_shape` then checks every derived level.
 
 Preset generators are provided for the classic twisted families (crossed,
-Moebius, locally twisted) plus seeded random matchings. A preset is written
-in one pass into one row table: each 8-node base block, then each level's
-matching, in the recursive definition's order (lower sub-level, upper
-sub-level, then the level), so the random kind draws its matchings in that
-order. Presets are convenience constructors validated structurally by
-:func:`check_shape`; every algorithm in this package works on any graph
-passing those checks. :func:`join` stays the way to join two given graphs.
+Moebius, locally twisted) plus seeded random matchings, each named by a
+:class:`VariantSpec` kind. A preset is written in one pass into one row
+table: each 8-node base block, then each level's matching, in the recursive
+definition's order (lower sub-level, upper sub-level, then the level), so the
+random kind draws its matchings in that order. Presets are convenience
+constructors validated structurally by :func:`check_shape`; every algorithm
+in this package works on any graph passing those checks. :func:`join` stays
+the way to join two given graphs.
 """
 from __future__ import annotations
 
@@ -84,8 +85,10 @@ class VariantSpec:
     """Which member of the family to build.
 
     ``kind`` is one of ``base3-default``, ``base3-custom``, ``crossed``,
-    ``mobius0``, ``mobius1``, ``locally-twisted``, ``random``. Custom base
-    kinds carry an explicit 8-node edge list; the random kind carries a seed.
+    ``mobius0``, ``mobius1``, ``locally-twisted``, ``random``. A kind that
+    carries no data is built as ``VariantSpec(kind)``; the two that do have
+    their own constructors: ``base3_custom(edges)`` takes an explicit 8-node
+    edge list and ``random(seed)`` a seed.
     """
 
     kind: str
@@ -101,28 +104,8 @@ class VariantSpec:
             raise ValueError("random variant requires a seed")
 
     @classmethod
-    def base3_default(cls) -> "VariantSpec":
-        return cls("base3-default")
-
-    @classmethod
     def base3_custom(cls, edges: Iterable[Edge]) -> "VariantSpec":
         return cls("base3-custom", edges=tuple(_norm_edge(u, v) for u, v in edges))
-
-    @classmethod
-    def crossed(cls) -> "VariantSpec":
-        return cls("crossed")
-
-    @classmethod
-    def mobius0(cls) -> "VariantSpec":
-        return cls("mobius0")
-
-    @classmethod
-    def mobius1(cls) -> "VariantSpec":
-        return cls("mobius1")
-
-    @classmethod
-    def locally_twisted(cls) -> "VariantSpec":
-        return cls("locally-twisted")
 
     @classmethod
     def random(cls, seed: int) -> "VariantSpec":
@@ -156,10 +139,6 @@ class DecompositionNode:
     @property
     def half1_set(self) -> frozenset[int]:
         return frozenset(self.half1)
-
-    @property
-    def half2_set(self) -> frozenset[int]:
-        return frozenset(self.half2)
 
     @property
     def matching(self) -> tuple[Edge, ...]:
@@ -466,12 +445,6 @@ class ShapeReport:
     @property
     def failures(self) -> tuple[ShapeCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
-
-    def summary(self) -> str:
-        lines = [f"{'ok ' if c.passed else 'FAIL'} {c.name}"
-                 + (f"  ({c.detail})" if c.detail and not c.passed else "")
-                 for c in self.checks]
-        return "\n".join(lines)
 
 
 def check_shape(g: ThlnGraph) -> ShapeReport:

@@ -14,6 +14,7 @@ from thln import (
     VariantSpec,
     cli,
     graph_from_json,
+    graph_to_dot,
     make_preset,
     validate_path,
 )
@@ -96,16 +97,13 @@ def test_export_missing_file_exits_2(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
-def test_generate_dot_and_export_agree(tmp_path, capsys):
+def test_export_writes_the_dot_rendering(tmp_path, capsys):
     g = tmp_path / "g.json"
-    d1 = tmp_path / "a.dot"
-    d2 = tmp_path / "b.dot"
-    run_cli(capsys, "generate", "--variant", "crossed", "--n", "4", "-o", str(g),
-            "--dot", str(d1))
-    code, _, _ = run_cli(capsys, "export", "--graph", str(g), "-o", str(d2))
+    run_cli(capsys, "generate", "--variant", "crossed", "--n", "4", "-o", str(g))
+    code, out, _ = run_cli(capsys, "export", "--graph", str(g))
     assert code == 0
-    assert d1.read_text() == d2.read_text()
-    assert "label=" in d1.read_text()
+    assert out == graph_to_dot(graph_from_json(g.read_text()))
+    assert "label=" in out
 
 
 @pytest.fixture()
@@ -140,6 +138,22 @@ def test_embed_too_many_faults_exits_3(instance, tmp_path, capsys):
                              str(fpath), "-s", "10", "-t", "200")
     assert code == 3
     assert json.loads(out)["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "n,s,t,reason",
+    [(6, 0, 5, "embedding needs dimension >= 7, got 6"), (8, 5, 5, "endpoints must be distinct")],
+    ids=["dimension-6", "equal-endpoints"],
+)
+def test_embed_dimension_below_7_or_equal_endpoints_exits_3(tmp_path, capsys, n, s, t, reason):
+    gpath, fpath = tmp_path / "g.json", tmp_path / "f.json"
+    run_cli(capsys, "generate", "--n", str(n), "--seed", "1", "-o", str(gpath))
+    fpath.write_text(FaultSet.empty().to_json())
+    code, out, err = run_cli(capsys, "embed", "--graph", str(gpath), "--faults", str(fpath),
+                             "-s", str(s), "-t", str(t))
+    assert code == 3
+    assert err == f"precondition violated: {reason}\n"
+    assert json.loads(out)["reason"] == reason
 
 
 def test_embed_unsafe_reports_out_of_contract(instance, tmp_path, capsys):
@@ -266,26 +280,12 @@ def test_embed_tiny_budget_exits_4(instance, capsys):
     assert code == 4
 
 
-def test_embed_budget_env_override(instance, capsys, monkeypatch):
-    gpath, fpath = instance
-    monkeypatch.setenv("THLN_BUDGET", "10")
-    code, _, _ = run_cli(capsys, "embed", "--graph", str(gpath), "--faults",
-                         str(fpath), "-s", "5", "-t", "200")
-    assert code == 4
-
-
 @pytest.mark.parametrize("command", ["embed", "stress", "check"])
-@pytest.mark.parametrize(
-    "flag,env",
-    [(["--budget", "0"], None), (["--budget", "-5"], None), ([], "abc")],
-    ids=["budget-zero", "budget-negative", "env-not-a-number"],
-)
-def test_bad_budget_exits_2(instance, capsys, monkeypatch, command, flag, env):
-    # a budget that is not a positive integer is bad configuration, whether it
-    # comes from --budget or from THLN_BUDGET
+@pytest.mark.parametrize("flag", [["--budget", "0"], ["--budget", "-5"]],
+                         ids=["budget-zero", "budget-negative"])
+def test_bad_budget_exits_2(instance, capsys, command, flag):
+    # a budget that is not a positive integer is bad configuration
     gpath, fpath = instance
-    if env is not None:
-        monkeypatch.setenv("THLN_BUDGET", env)
     argv = {
         "embed": ["--graph", str(gpath), "--faults", str(fpath), "-s", "5", "-t", "200"],
         "stress": ["--n", "8", "--faults", "6", "--trials", "1"],
@@ -294,6 +294,17 @@ def test_bad_budget_exits_2(instance, capsys, monkeypatch, command, flag, env):
     code, _, err = run_cli(capsys, command, *argv, *flag)
     assert code == 2
     assert "budget" in err
+
+
+def test_embed_graph_file_the_loader_rejects_exits_2(instance, capsys):
+    gpath, fpath = instance
+    doc = json.loads(gpath.read_text())
+    doc["decomposition"]["children"] = doc["decomposition"]["children"][:1]
+    gpath.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "embed", "--graph", str(gpath), "--faults", str(fpath),
+                             "-s", "5", "-t", "200")
+    assert code == 2
+    assert (out, err) == ("", "error: children must be absent or a pair\n")
 
 
 def test_embed_missing_file_exits_2(instance, capsys, tmp_path):

@@ -33,7 +33,7 @@ from thln import (
 from thln import cli, embedder
 from thln.embedder import _Ctx, _Runtime, _canon_cycle, _cut_cycle, _select_restorable_fault
 from thln.faults import SurvivingView, partition, sample_faults
-from thln.oracle import ham_cycle, near_ham_cycle
+from thln.oracle import SearchStatus, ham_cycle, near_ham_cycle
 
 
 def embed_and_check(g, f, s, t, **kw):
@@ -70,6 +70,17 @@ def test_fault_bound_enforced(graph8):
     f = sample_faults(graph8, 7, random.Random(0))  # 2n-9 at n=8
     with pytest.raises(PreconditionViolated):
         embed(graph8, f, 0, 200)
+
+
+@pytest.mark.parametrize(
+    "n,s,t,reason",
+    [(6, 0, 5, "embedding needs dimension >= 7, got 6"), (8, 5, 5, "endpoints must be distinct")],
+    ids=["dimension-6", "equal-endpoints"],
+)
+def test_dimension_below_7_and_equal_endpoints_rejected(n, s, t, reason):
+    with pytest.raises(PreconditionViolated) as err:
+        embed(make_preset(VariantSpec.random(1), n), FaultSet.empty(), s, t)
+    assert str(err.value) == reason
 
 
 def test_faulty_endpoint_rejected(graph8):
@@ -579,8 +590,8 @@ def test_half2_falls_back_to_search_when_the_recursion_is_one_short(monkeypatch)
 @pytest.mark.parametrize("n", [9, 10])
 @pytest.mark.parametrize(
     "spec",
-    [VariantSpec.crossed(), VariantSpec.mobius0(), VariantSpec.mobius1(),
-     VariantSpec.locally_twisted()],
+    [VariantSpec("crossed"), VariantSpec("mobius0"), VariantSpec("mobius1"),
+     VariantSpec("locally-twisted")],
     ids=lambda spec: spec.kind,
 )
 def test_named_variants_validate_with_half2_recursion(spec, n):
@@ -681,6 +692,37 @@ def test_a_bad_path_returned_below_the_root_is_caught(graph9, monkeypatch, mutat
     assert mutated and mutated[0] is not None
 
 
+def test_a_faulty_node_on_the_finished_path_is_caught_at_its_position(graph8, monkeypatch):
+    # the root level hands back its path with node 10 replaced by the faulty
+    # node 1, which no level has visited: the root check names it and where
+    real = embedder._solve_level
+
+    def mutant(rt, view, decomp, s, t, parent=None, half=None):
+        path, missed = real(rt, view, decomp, s, t, parent, half)
+        return (path[:10] + (1,) + path[11:] if parent is None else path), missed
+
+    monkeypatch.setattr(embedder, "_solve_level", mutant)
+    with pytest.raises(InternalContradiction) as err:
+        embed(graph8, FaultSet.of(nodes=[1]), 5, 200)
+    assert (err.value.fault.nodes, err.value.fault.position) == ((1,), 10)
+    assert str(err.value) == "node 1 at position 10 is not a surviving node"
+
+
+def test_a_search_proving_a_guaranteed_answer_absent_is_a_contradiction(graph8, monkeypatch):
+    # the first search, the dimension-7 base search of half 1, claims that
+    # its covering path does not exist
+    search = embedder.oracle.ham_path
+
+    def absent(view, a, b, budget=None):
+        out = search(view, a, b, budget)
+        return dataclasses.replace(out, status=SearchStatus.PROVEN_ABSENT, path=None)
+
+    monkeypatch.setattr(embedder.oracle, "ham_path", absent)
+    with pytest.raises(InternalContradiction) as err:
+        embed(graph8, FaultSet.of(nodes=[1]), 5, 200)
+    assert str(err.value) == "base covering path at dimension 7 was guaranteed but proven absent"
+
+
 @pytest.mark.parametrize("faults", [
     lambda g: FaultSet.of(nodes=[1, g.num_nodes]),
     lambda g: FaultSet.of(edges=[(0, next(w for w in g.nodes if w and not g.has_edge(0, w)))]),
@@ -776,9 +818,9 @@ def _split_instance(case, seed):
             nodes=[p for kind, p in picked if kind == "node"],
             edges=[p for kind, p in picked if kind == "edge"] + cut,
         )
-    heavy = d.half1_set
-    if len(f.restricted(d.half2_set)) > len(f.restricted(d.half1_set)):
-        heavy = d.half2_set
+    heavy = d.half1
+    if len(f.restricted(d.half2)) > len(f.restricted(d.half1)):
+        heavy = d.half2
     view = surviving_view(g, f)
     while True:
         s, t = rng.sample(view.nodes, 2)
@@ -874,8 +916,8 @@ def pinned_instances(graph8, graph9):
     one["1.1.2-n10"] = (g, FaultSet.of(nodes=nbrs[1:]), nbrs[0], 70)
     g = make_preset(VariantSpec.random(0), 10)
     one["chain-n10"] = (g, *uniform_instance(g, 0))
-    for spec in (VariantSpec.crossed(), VariantSpec.mobius0(), VariantSpec.mobius1(),
-                 VariantSpec.locally_twisted()):
+    for spec in (VariantSpec("crossed"), VariantSpec("mobius0"), VariantSpec("mobius1"),
+                 VariantSpec("locally-twisted")):
         for n in (9, 10):
             g = make_preset(spec, n)
             for seed in range(2):
@@ -1277,6 +1319,31 @@ def test_exit_1_messages_name_the_file_ids_of_a_relabelled_file(tmp_path, capsys
     assert code == 1 and capsys.readouterr().err == err_line
     record = json.loads(out.read_text())
     assert record["status"] == "error" and record["reason"] == expected
+
+
+def test_exit_1_record_keeps_a_value_that_is_no_node_as_it_is(tmp_path, capsys, monkeypatch):
+    # a solver fault puts an id past the graph on the path of a relabelled
+    # file: the record and the self-check's finding write it as it is, and
+    # the file's ids for the nodes around it
+    text = _relabelled(make_preset(VariantSpec.random(1), 8), 5)
+    ids = graph_from_json(text).file_ids
+    gpath, fpath, out = tmp_path / "g.json", tmp_path / "f.json", tmp_path / "out.json"
+    gpath.write_text(text)
+    fpath.write_text(json.dumps({"nodes": [], "edges": []}))
+    real = cli.embed
+
+    def mutant(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, path=res.path[:6] + (999,) + res.path[7:])
+
+    monkeypatch.setattr(cli, "embed", mutant)
+    code = cli.main(["embed", "--graph", str(gpath), "--faults", str(fpath),
+                     "-s", str(ids[3]), "-t", str(ids[200]), "-o", str(out)])
+    assert code == 1
+    record = json.loads(out.read_text())
+    assert record["reason"] == "self-check failed: unknown node 999 at path position 6"
+    path = real(graph_from_json(text), FaultSet.empty(), 3, 200).path
+    assert record["path"] == [ids[v] for v in path[:6]] + [999] + [ids[v] for v in path[7:]]
 
 
 def _starved_placement(n, case, seed):

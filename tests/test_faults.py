@@ -112,7 +112,7 @@ def test_partition_empty_and_intra_edge(graph4):
 
 
 def test_partition_needs_decomposition():
-    base = make_base(VariantSpec.base3_default())
+    base = make_base(VariantSpec("base3-default"))
     with pytest.raises(NoDecomposition):
         partition(base, FaultSet.empty())
 
@@ -218,6 +218,15 @@ def test_view_scoping(graph4):
     # nodes are left out of a view as node faults over the same scope
     fewer = SurvivingView(graph4, FaultSet.of(nodes=[3, 0, 1]), scope=range(8))
     assert fewer.node_set == half.node_set - {0, 1}
+
+
+@pytest.mark.parametrize("scope", [range(0, 16, 2), range(15, -1, -1)],
+                         ids=["step-2", "descending"])
+def test_view_scope_must_step_by_one(graph4, scope):
+    # read by its start and stop alone, the first scope would give all 16
+    # nodes and the second none
+    with pytest.raises(ValueError, match="step 1"):
+        SurvivingView(graph4, FaultSet.empty(), scope=scope)
 
 
 def _view_by_definition(g, f, scope):
@@ -341,6 +350,24 @@ def test_halves_reject_a_row_with_two_neighbours_across_the_cut():
             surviving_view(bad, FaultSet.empty()).halves(mid, f1, f2)
     with pytest.raises(MalformedGraph, match="two neighbours across the cut"):
         embed(bad, FaultSet.empty(), 0, 5)  # the n = 8 graph, at its top level
+
+
+def test_halves_reject_an_upper_row_with_two_neighbours_across_the_cut():
+    # moving half-1 node a's cross edge from its partner to w leaves a one
+    # neighbour across the cut and w two, so only the half-2 rows trip
+    g = make_preset(VariantSpec.random(1), 4)
+    rows = [set(r) for r in g.adjacency]
+    mid, a = 8, 3
+    a2 = cross_partner(g, a)
+    w = next(w for w in range(mid, 16) if w != a2)
+    rows[a] -= {a2}
+    rows[a2] -= {a}
+    rows[a].add(w)
+    rows[w].add(a)
+    bad = ThlnGraph(4, tuple(map(tuple, rows)))
+    f1, f2 = (FaultSet.empty(),) * 2
+    with pytest.raises(MalformedGraph, match=f"node {w} has two neighbours across the cut"):
+        surviving_view(bad, FaultSet.empty()).halves(mid, f1, f2)
 
 
 def test_fault_set_json_roundtrip():

@@ -111,7 +111,7 @@ def test_small_fault_model_paths_always_found():
 
 
 def test_cycle_on_base_graph():
-    g = make_preset(VariantSpec.base3_default(), 3)
+    g = make_preset(VariantSpec("base3-default"), 3)
     out = ham_cycle(surviving_view(g, FaultSet.empty()))
     assert out.found
     assert validate_cycle(g, FaultSet.empty(), out.path).is_hamiltonian
@@ -159,7 +159,7 @@ def test_near_cycle_degree_one_node(graph4):
 
 def test_near_cycle_ground_truth_on_base():
     # independent enumeration confirms no full cycle once a node hits degree 1
-    g = make_preset(VariantSpec.base3_default(), 3)
+    g = make_preset(VariantSpec("base3-default"), 3)
     q = 0
     f = FaultSet.of(edges=[(q, w) for w in g.neighbors(q)[:2]])
     view = surviving_view(g, f)
@@ -525,6 +525,19 @@ def _search_tree_fingerprint(out):
 def test_search_tree_is_pinned(name):
     expected = _PINNED_SEARCH_TREES[name][1]
     assert _search_tree_fingerprint(_pinned_outcome(name)) == expected
+
+
+def test_near_cycle_budget_runs_out_around_the_one_short_phase():
+    # this search proves the full cycle absent in 517 expansions and finds a
+    # one-short cycle at 529: a budget of 517 is spent when the one-short
+    # phase begins, one of 520 runs out inside it, and 529 gives the
+    # unbounded answer
+    args = _PINNED_SEARCH_TREES["near-n4-full-absent-then-missed"][0]
+    for budget in (517, 520):
+        out = _pinned_call(*args, budget)
+        assert out.status is SearchStatus.BUDGET_EXHAUSTED and out.path is None
+        assert out.expansions == budget
+    assert _pinned_call(*args, 529) == _pinned_outcome("near-n4-full-absent-then-missed")
 
 
 def test_search_counters(monkeypatch):

@@ -36,7 +36,7 @@ Q3_EDGES = [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 
 
 
 def test_default_base_counts():
-    g = make_base(VariantSpec.base3_default())
+    g = make_base(VariantSpec("base3-default"))
     assert g.num_nodes == 8
     assert g.num_edges == 12
     assert all(g.degree(v) == 3 for v in g.nodes)
@@ -45,7 +45,7 @@ def test_default_base_counts():
 
 def test_default_base_is_not_bipartite():
     # the default base is genuinely twisted: it contains an odd cycle
-    g = make_base(VariantSpec.base3_default())
+    g = make_base(VariantSpec("base3-default"))
     color = {0: 0}
     stack = [0]
     odd_cycle = False
@@ -86,7 +86,7 @@ def test_custom_base_rejections(bad, exc):
 
 
 def test_join_identity_matching():
-    b = make_base(VariantSpec.base3_default())
+    b = make_base(VariantSpec("base3-default"))
     g = join(b, b, {u: u for u in range(8)})
     assert g.num_nodes == 16
     assert all(g.degree(v) == 4 for v in g.nodes)
@@ -95,14 +95,14 @@ def test_join_identity_matching():
 
 
 def test_join_dimension_mismatch():
-    b = make_base(VariantSpec.base3_default())
+    b = make_base(VariantSpec("base3-default"))
     g4 = join(b, b, {u: u for u in range(8)})
     with pytest.raises(DimensionMismatch):
         join(b, g4, {})
 
 
 def test_join_rejects_non_bijection():
-    b = make_base(VariantSpec.base3_default())
+    b = make_base(VariantSpec("base3-default"))
     phi = {u: 0 for u in range(8)}
     with pytest.raises(NotABijection):
         join(b, b, phi)
@@ -170,7 +170,7 @@ def test_random_preset_counts_and_determinism():
 
 
 def test_locally_twisted_4_decomposes():
-    g = make_preset(VariantSpec.locally_twisted(), 4)
+    g = make_preset(VariantSpec("locally-twisted"), 4)
     assert g.num_nodes == 16
     assert all(g.degree(v) == 4 for v in g.nodes)
     d = g.decomposition
@@ -184,14 +184,14 @@ def test_locally_twisted_4_decomposes():
 def test_named_variants_pass_shape_checks(kind, n):
     g = make_preset(VariantSpec(kind), n)
     rep = check_shape(g)
-    assert rep.ok, rep.summary()
+    assert rep.ok, rep.failures
     assert g.num_nodes == 2 ** n
     assert g.num_edges == n * 2 ** (n - 1)
 
 
 def test_base_kinds_only_at_dimension_3():
     with pytest.raises(UnsupportedDimension):
-        make_preset(VariantSpec.base3_default(), 4)
+        make_preset(VariantSpec("base3-default"), 4)
     with pytest.raises(UnsupportedDimension):
         make_preset(VariantSpec.random(0), 2)
 
@@ -200,7 +200,7 @@ def test_cross_partner_involution_and_errors():
     g = make_preset(VariantSpec.random(4), 5)
     for v in g.nodes:
         assert cross_partner(g, cross_partner(g, v)) == v
-    base = make_base(VariantSpec.base3_default())
+    base = make_base(VariantSpec("base3-default"))
     with pytest.raises(NoDecomposition):
         cross_partner(base, 0)
 
@@ -269,8 +269,8 @@ def _half_as_graph(g, half, offset):
 def test_decompose_then_join_rebuilds_identical_graph():
     # join and the one-pass preset builder are checked against each other,
     # on every variant; one test id, so the original random case keeps its name
-    specs = [VariantSpec.crossed(), VariantSpec.locally_twisted(), VariantSpec.mobius0(),
-             VariantSpec.mobius1(), VariantSpec.random(13)]
+    specs = [VariantSpec("crossed"), VariantSpec("locally-twisted"), VariantSpec("mobius0"),
+             VariantSpec("mobius1"), VariantSpec.random(13)]
     for spec in specs:
         for n in range(4, 9):
             g = make_preset(spec, n)
@@ -290,6 +290,34 @@ def test_json_rejects_malformed_documents():
         graph_from_json(json.dumps({"dimension": 4, "edges": [[0, 99]]}))
     with pytest.raises(MalformedGraph):
         graph_from_json(json.dumps({"dimension": 4, "edges": [], "decomposition": None}))
+
+
+def _root(doc, **fields):
+    """``doc`` with ``fields`` of its root decomposition replaced."""
+    return dict(doc, decomposition=dict(doc["decomposition"], **fields))
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [(lambda doc: [doc], "bad graph object"),
+     (lambda doc: dict(doc, dimension=2), "dimension must be at least 3, got 2"),
+     (lambda doc: dict(doc, edges=[[0, 16]] + doc["edges"][1:]), r"edge \(0,16\) out of range"),
+     (lambda doc: dict(doc, decomposition=None), "decomposition missing at dimension 4"),
+     (lambda doc: _root(doc, children=[{"half1": [], "matching": []}, None]),
+      "a dimension-3 level has no decomposition"),
+     (lambda doc: _root(doc, children=[None]), "children must be absent or a pair"),
+     (lambda doc: _root(doc, half1=0), "half1 must be a list, got 0"),
+     (lambda doc: _root(doc, half1=[99]), "half1 contains foreign nodes")],
+    ids=["not-an-object", "dimension-2", "edge-out-of-range", "decomposition-missing",
+         "decomposition-at-dimension-3", "children-not-a-pair", "half1-not-a-list",
+         "half1-foreign-node"],
+)
+def test_json_rejects_a_malformed_document_naming_its_fault(edit, message):
+    # each edit of a well-formed dimension-4 file trips one check of the
+    # loader, past the checks before it
+    doc = json.loads(graph_to_json(make_preset(VariantSpec.random(0), 4)))
+    with pytest.raises(MalformedGraph, match=message):
+        graph_from_json(json.dumps(edit(doc)))
 
 
 @pytest.mark.parametrize("dim,edges", [(20, []), (30, [[0, 1]] * 1000), (10 ** 9, [])])

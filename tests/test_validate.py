@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,11 +55,31 @@ def test_dead_edge_reported_with_position(graph4):
 
 
 def test_wrong_endpoints_and_repeats():
-    g = make_base(VariantSpec.base3_default())
+    g = make_base(VariantSpec("base3-default"))
     assert validate_path(g, NONE, 0, 5, (1, 3, 5)).status is PathStatus.INVALID
     assert validate_path(g, NONE, 0, 0, (0,)).status is PathStatus.INVALID
     bad = validate_path(g, NONE, 0, 1, (0, 1, 0, 1))
     assert bad.status is PathStatus.INVALID and bad.position == 2
+
+
+@pytest.mark.parametrize(
+    "faulty,t,seq,reason,position",
+    [((), 99, (0, 99), "unknown node 99", 1),
+     ((1,), 1, (0, 1), "faulty node 1", 1),
+     ((), 1, (), "empty sequence", None),
+     ((), 5, (0, 1), "ends at 1, expected 5", 1)],
+    ids=["unknown-id", "faulty-node", "empty", "wrong-last-node"],
+)
+def test_path_verdict_names_the_first_failure(faulty, t, seq, reason, position):
+    g = make_base(VariantSpec("base3-default"))
+    verdict = validate_path(g, FaultSet.of(nodes=faulty), 0, t, seq)
+    assert verdict.status is PathStatus.INVALID
+    assert (verdict.reason, verdict.position) == (reason, position)
+
+
+def test_empty_cycle_is_invalid():
+    verdict = validate_cycle(make_base(VariantSpec("base3-default")), NONE, ())
+    assert verdict.status is PathStatus.INVALID and verdict.reason == "empty sequence"
 
 
 def test_cycle_triangle_and_near_cycle():
