@@ -47,10 +47,11 @@ level's faults are the ones its view holds; each half's view holds that
 half's share of them, so a half is the theorem's instance one dimension
 down, and the root view is the one check that the faults belong to the
 graph. Node ids are positions, so each half is a range of ids, and both
-half views are derived from the level's own view by cutting each row's
-cross partner off. A repaired fault (cases 4 and 5) leaves that share, and
-nodes kept out of a half-2 search join it as node faults; those views are
-built from the graph over the half's range.
+half views are derived from the level's own view by splitting its dead
+nodes and the rows its faults touch at the cut: no level reads or copies
+its half's other rows. A repaired fault (cases 4 and 5) leaves that share,
+and nodes kept out of a half-2 search join it as node faults; those views
+are built from the graph over the half's range, at the same cost.
 A level's construction may begin at either endpoint: a split pair (one
 endpoint in each half) is built from its half-1 endpoint, and a starved
 endpoint in case 1, or an endpoint off the half-1 cycle or path when both
@@ -68,12 +69,13 @@ back one short carries ``fallback: True``.
 ``splice`` only concatenates, and a level checks only its path's endpoints
 and its length against its view: one node short names the missed node, by
 one set difference, and any other shortfall raises InternalContradiction.
-``embed`` checks the finished path against the root view once, so a repeated
-node made at any level raises DisjointnessViolated, a node outside the view
-InternalContradiction and a step that is not a surviving edge
-AdjacencyViolated. Each carries a PathFault (``.fault``): the failing path
-position and the node ids its message names, so a caller that speaks other
-ids can render it.
+``embed`` checks the finished path against the root view once, in one pass
+at C level (``SurvivingView.is_path``); only a path that fails it is walked
+step by step to name the first fault: a repeated node made at any level
+raises DisjointnessViolated, a node outside the view InternalContradiction
+and a step that is not a surviving edge AdjacencyViolated. Each carries a
+PathFault (``.fault``): the failing path position and the node ids its
+message names, so a caller that speaks other ids can render it.
 """
 from __future__ import annotations
 
@@ -317,7 +319,9 @@ class _Ctx:
     def cross_end(self, ok) -> Optional[int]:
         """The lowest node of half 1 whose cross edge survives and that
         ``ok`` accepts, or None."""
-        return next((u for u in self.h1_view.nodes if self.partner_ok(u) and ok(u)), None)
+        # partner_ok holds only for live nodes, so half 1's range stands in
+        # for its node list
+        return next((u for u in self.h1 if self.partner_ok(u) and ok(u)), None)
 
     def first_cross_pair(self, path, interior: bool = False) -> int:
         """Index of the first consecutive pair on ``path`` whose cross edges
@@ -981,18 +985,23 @@ def embed(
         )
     rt = _Runtime(graph=g, budget=budget)
     path, missed = _solve_level(rt, view, g.decomposition, s, t)
-    # the one check of the path's nodes and steps, whichever level made them
-    seen: set[int] = set()
-    for i, v in enumerate(path):
-        if v in seen:
-            raise DisjointnessViolated(PathFault("node {} repeated at position {position}", (v,), i))
-        if not view.has_node(v):
-            raise InternalContradiction(
-                PathFault("node {} at position {position} is not a surviving node", (v,), i)
-            )
-        if i and not view.has_edge(path[i - 1], v):
-            raise AdjacencyViolated(PathFault(
-                "({},{}) is not a surviving edge at position {position}", (path[i - 1], v), i - 1
-            ))
-        seen.add(v)
+    # the one check of the path's nodes and steps, whichever level made them;
+    # only a path that fails it is walked to name its first fault
+    if not view.is_path(path):
+        seen: set[int] = set()
+        for i, v in enumerate(path):
+            if v in seen:
+                raise DisjointnessViolated(
+                    PathFault("node {} repeated at position {position}", (v,), i)
+                )
+            if not view.has_node(v):
+                raise InternalContradiction(
+                    PathFault("node {} at position {position} is not a surviving node", (v,), i)
+                )
+            if i and not view.has_edge(path[i - 1], v):
+                raise AdjacencyViolated(PathFault(
+                    "({},{}) is not a surviving edge at position {position}",
+                    (path[i - 1], v), i - 1,
+                ))
+            seen.add(v)
     return EmbedResult(path=tuple(path), missed=missed, trace=CaseTrace(tuple(rt.trace)))

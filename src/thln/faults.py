@@ -13,12 +13,13 @@ import json
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Container, Iterable, KeysView, Optional
+from itertools import filterfalse
+from operator import contains
+from typing import Container, Iterable, Optional, Sequence
 
 from .errors import (
     FaultyEndpoint,
     ForeignFault,
-    MalformedGraph,
     NoDecomposition,
     PreconditionViolated,
 )
@@ -107,26 +108,31 @@ class SurvivingView:
     A node is present iff it is in scope and not faulty; an edge is present
     iff both endpoints are present and the edge is not faulty. A view built
     from a graph validates its fault set (:class:`ForeignFault`); the views
-    :meth:`halves` derives hold shares of faults validated already. A view
-    stores one row dict, whose rows, like the graph's, list neighbours in
-    ascending order, and the tuple of its nodes in ascending order
-    (``nodes``); ``node_set`` is the dict's key view. Views are cheap to
-    share and safe to use concurrently.
+    :meth:`halves` derives hold shares of faults validated already. Views are
+    cheap to share and safe to use concurrently.
+
+    A view holds no row per node. It holds its graph's rows, its id range
+    (the scope clipped to the graph), its dead nodes in that range, and the
+    filtered rows of the nodes its faults touch: a dead node's neighbours
+    and a faulty edge's ends. Every other node's row is the graph row's
+    share of the range: the row itself when the view spans the whole graph,
+    else its slice between two ``bisect`` points (rows ascend), which is
+    exact on any graph. Rows list neighbours in ascending order, and
+    ``nodes``, built when first asked for and then kept, lists the nodes in
+    ascending order.
 
     The view keeps its fault set (``faults``), not its graph or scope. To
     leave nodes out of a view, add them to its faults as node faults: the
     view of a scope under ``F + X`` is the view of that scope under ``F``
     with exactly the nodes of X and their edges removed.
 
-    Building one costs O(scope + faults x degree): a row that no fault
-    touches is the graph's own row (kept as is when unscoped, sliced to the
-    scope otherwise), and only the rows of a dead node's neighbours and of a
-    faulty edge's endpoints are filtered against the faults. The views of a
-    level's two halves are derived from the level's own view by
-    :meth:`halves`, at one row slice and one comparison per node.
+    Building one costs O(faults x degree), and so does deriving the views of
+    a level's two halves by :meth:`halves`, which splits the dead set and the
+    touched rows at the cut. ``len`` and ``min_degree_witness`` read the
+    faults alone; ``nodes``, ``node_set`` and ``rows`` cost O(range).
     """
 
-    __slots__ = ("faults", "_adj", "_nodes")
+    __slots__ = ("faults", "_adj", "_lo", "_hi", "_whole", "_dead", "_touched", "_nodes")
 
     def __init__(
         self,
@@ -135,30 +141,39 @@ class SurvivingView:
         scope: Optional[range] = None,
     ):
         faults.validate_against(graph)
-        self.faults = faults
-        rows = graph.adjacency
-        if scope is None:
-            adj = dict(enumerate(rows))  # the graph's own rows, shared
-        elif scope.step != 1:
-            raise ValueError(f"a view's scope must be a range of step 1, got {scope!r}")
-        else:
-            # walk the scope, not the whole graph; nodes outside the graph drop
-            # out. Rows ascend, so a row's share of an id range is one slice.
-            lo, hi = max(scope.start, 0), min(scope.stop, graph.num_nodes)
-            adj = {v: rows[v][bisect_left(rows[v], lo):bisect_left(rows[v], hi)]
-                   for v in range(lo, hi)}
-        dead = faults.nodes
-        bad_edge = faults.edges
+        adj = graph.adjacency
+        lo, hi = 0, len(adj)
+        if scope is not None:
+            if scope.step != 1:
+                raise ValueError(f"a view's scope must be a range of step 1, got {scope!r}")
+            # ids outside the graph drop out
+            lo, hi = max(scope.start, 0), min(scope.stop, hi)
+            hi = max(hi, lo)
+        dead = frozenset(v for v in faults.nodes if lo <= v < hi)
         # only the rows of a dead node's neighbours and of a faulty edge's
-        # endpoints lose an entry to the faults
-        hit = {w for v in dead for w in rows[v]}
-        hit.update(v for e in bad_edge for v in e)
+        # ends lose an entry to the faults: the ones in ``gone``
+        gone: dict[int, set[int]] = {}
         for v in dead:
-            adj.pop(v, None)
-        for v in hit.intersection(adj):
-            adj[v] = tuple(w for w in adj[v] if w not in dead and _norm_edge(v, w) not in bad_edge)
+            for w in adj[v]:
+                gone.setdefault(w, set()).add(v)
+        for u, w in faults.edges:
+            gone.setdefault(u, set()).add(w)
+            gone.setdefault(w, set()).add(u)
+        self._fill(faults, adj, lo, hi, dead, {})
+        for v, lost in gone.items():
+            if self.has_node(v):
+                # v has no touched row yet, so neighbors gives its share
+                self._touched[v] = tuple(filterfalse(lost.__contains__, self.neighbors(v)))
+
+    def _fill(self, faults, adj, lo, hi, dead, touched) -> "SurvivingView":
+        self.faults = faults
         self._adj = adj
-        self._nodes = tuple(adj)  # ascending: built in node order
+        self._lo, self._hi = lo, hi
+        self._whole = lo == 0 and hi == len(adj)
+        self._dead = dead
+        self._touched = touched
+        self._nodes = None  # built when first asked for
+        return self
 
     def halves(
         self, mid: int, f_low: FaultSet, f_high: FaultSet
@@ -168,72 +183,111 @@ class SurvivingView:
         view's faults, as ``partition_decomposition`` splits them, which are
         not validated again.
 
-        This view must hold exactly one level of a graph, whose halves are
-        the ids below and from ``mid``, with its faults removed. A node's one
-        neighbour in the other half is then its cross partner, which an
-        ascending row lists last in the lower half and first in the upper
-        half, so each derived row is the level's row with at most that one
-        entry cut off. A row with two entries in the other half raises
-        MalformedGraph.
+        A half's dead nodes are this view's on its side of ``mid``, and a
+        touched row is cut at ``mid`` (rows ascend, so by one ``bisect``);
+        every other row is the graph row's share of the half's range. Which
+        rows a graph holds is ``check_shape``'s business, not this split's.
         """
-        nodes, adj = self._nodes, self._adj
-        cut = bisect_left(nodes, mid)
+        low_dead = frozenset(v for v in self._dead if v < mid)
         low, high = {}, {}
-        for v in nodes[:cut]:
-            row = adj[v]
-            if row and row[-1] >= mid:
-                row = row[:-1]
-                if row and row[-1] >= mid:
-                    raise MalformedGraph(f"node {v} has two neighbours across the cut at {mid}")
-            low[v] = row
-        for v in nodes[cut:]:
-            row = adj[v]
-            if row and row[0] < mid:
-                row = row[1:]
-                if row and row[0] < mid:
-                    raise MalformedGraph(f"node {v} has two neighbours across the cut at {mid}")
-            high[v] = row
+        for v, row in self._touched.items():
+            i = bisect_left(row, mid)
+            if v < mid:
+                low[v] = row[:i]
+            else:
+                high[v] = row[i:]
         cls = type(self)
-        views = cls.__new__(cls), cls.__new__(cls)
-        for view, faults, rows in zip(views, (f_low, f_high), (low, high)):
-            view.faults = faults
-            view._adj = rows
-            view._nodes = tuple(rows)
-        return views
+        return (
+            cls.__new__(cls)._fill(f_low, self._adj, self._lo, mid, low_dead, low),
+            cls.__new__(cls)._fill(f_high, self._adj, mid, self._hi, self._dead - low_dead, high),
+        )
 
     @property
     def nodes(self) -> tuple[int, ...]:
+        if self._nodes is None:
+            span = range(self._lo, self._hi)
+            self._nodes = tuple(filterfalse(self._dead.__contains__, span) if self._dead else span)
         return self._nodes
 
     @property
-    def node_set(self) -> KeysView[int]:
-        return self._adj.keys()
+    def node_set(self) -> frozenset[int]:
+        return frozenset(self.nodes)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._hi - self._lo - len(self._dead)
 
     def has_node(self, v: int) -> bool:
-        return v in self._adj
+        return self._lo <= v < self._hi and v not in self._dead
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        """``v``'s row; KeyError when ``v`` is not a node of the view."""
+        row = self._touched.get(v)
+        if row is not None:
+            return row
+        if not self.has_node(v):
+            raise KeyError(v)
+        row = self._adj[v]
+        if self._whole:
+            return row
+        return row[bisect_left(row, self._lo):bisect_left(row, self._hi)]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self._adj.get(u)
-        return row is not None and v in row
+        row = self._touched.get(u)
+        if row is not None:
+            return v in row
+        # an untouched node has no dead neighbour and no faulty edge
+        lo, hi = self._lo, self._hi
+        return lo <= u < hi and lo <= v < hi and u not in self._dead and v in self._adj[u]
+
+    def rows(self) -> list[tuple[int, ...]]:
+        """Every node's row, in ``nodes`` order."""
+        ids = self.nodes
+        share = map(self._adj.__getitem__, ids)
+        if not self._whole:
+            lo, hi = self._lo, self._hi
+            share = [r[bisect_left(r, lo):bisect_left(r, hi)] for r in share]
+        # a touched node's filtered row, else the graph row's share
+        return list(map(self._touched.get, ids, share))
+
+    def is_path(self, path: Sequence[int]) -> bool:
+        """True iff ``path`` holds no node twice, only nodes of this view,
+        and steps only over edges of it. One pass at C level: a step between
+        two live nodes of the range is an edge of the view iff it is in the
+        graph row, or in the touched row when its first node has one."""
+        seen = set(path)
+        if len(seen) != len(path):
+            return False
+        if not seen:
+            return True
+        if min(seen) < self._lo or max(seen) >= self._hi or not self._dead.isdisjoint(seen):
+            return False
+        rows = list(self._adj)
+        for v, row in self._touched.items():
+            rows[v] = row
+        return all(map(contains, map(rows.__getitem__, path[:-1]), path[1:]))
 
     def min_degree_witness(self) -> tuple[Optional[int], Optional[int]]:
-        """(minimum degree, lowest-index node attaining it); (None, None) if empty."""
-        best_deg: Optional[int] = None
-        best_node: Optional[int] = None
-        for v in self._nodes:
-            d = len(self._adj[v])
-            if best_deg is None or d < best_deg:
-                best_deg, best_node = d, v
-        return best_deg, best_node
+        """(minimum degree, lowest-index node attaining it); (None, None) if empty.
+
+        On a level of a graph that passes ``check_shape`` (a range of 2^d ids
+        from a multiple of 2^d) every untouched node has degree d, so the
+        touched rows and the lowest untouched node are read; over any other
+        range every row is.
+        """
+        lo, hi, dead, touched = self._lo, self._hi, self._dead, self._touched
+        size = hi - lo
+        if size & (size - 1) or lo % max(size, 1):
+            pairs = zip(map(len, self.rows()), self.nodes)
+        else:
+            # the lowest node neither dead nor touched, if any
+            free = next((v for v in range(lo, hi) if v not in dead and v not in touched), None)
+            pairs = [(len(row), v) for v, row in touched.items()]
+            if free is not None:
+                pairs.append((len(self.neighbors(free)), free))
+        return min(pairs, default=(None, None))
 
 
 def sample_faults(g: ThlnGraph, count: int, rng: random.Random) -> FaultSet:

@@ -56,6 +56,12 @@ never change a found answer. Outcomes also count ``restarts`` (slices begun
 after the first), ``backtracks`` (nodes popped off the path) and
 ``cut_tests`` (articulation passes run).
 
+A search reads its view through a small protocol: ``nodes`` (the ids in
+ascending order), ``rows()`` (every node's neighbours, in ``nodes`` order,
+read once per call by ``_snapshot``), ``has_node`` for the endpoints, and
+``min_degree_witness`` (``near_ham_cycle``); the enumerator reads
+``neighbors`` node by node.
+
 ``enumerate_ham_path_exists`` is a tiny, prune-free enumerator kept
 deliberately independent of the main engine; tests use it as ground truth.
 """
@@ -133,7 +139,7 @@ def _snapshot(view) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     ids = tuple(view.nodes)
     index = dict(zip(ids, range(len(ids))))
     at = index.__getitem__
-    return ids, [tuple(map(at, row)) for row in map(view.neighbors, ids)]
+    return ids, [tuple(map(at, row)) for row in view.rows()]
 
 
 def _cut_prune(rows, head: int, remaining: bytearray, count: int, is_end) -> bool:

@@ -708,6 +708,34 @@ def test_a_faulty_node_on_the_finished_path_is_caught_at_its_position(graph8, mo
     assert str(err.value) == "node 1 at position 10 is not a surviving node"
 
 
+def test_the_root_check_names_each_fault_at_its_position(graph8, monkeypatch):
+    # embed's one pass over the finished path only decides, and a walk names
+    # the first fault when it fails. The root level hands back a fault-free
+    # covering path, mutated: a step over a faulty edge between two live
+    # nodes passes the graph rows and fails only through its first node's
+    # touched row; a repeated node and ids outside the view fail earlier
+    s, t = 5, 200
+    clean = embed(graph8, FaultSet.empty(), s, t).path
+    a, b = clean[10], clean[11]
+    cases = [
+        (FaultSet.of(edges=[(a, b)]), clean, AdjacencyViolated, (a, b), 10),
+        (FaultSet.empty(), clean[:7] + (clean[5],) + clean[8:], DisjointnessViolated,
+         (clean[5],), 7),
+        (FaultSet.empty(), clean[:12] + (256,) + clean[13:], InternalContradiction, (256,), 12),
+        (FaultSet.empty(), clean[:12] + (-1,) + clean[13:], InternalContradiction, (-1,), 12),
+    ]
+    real = embedder._solve_level
+    for f, path, raised, nodes, position in cases:
+        def mutant(rt, view, decomp, s, t, parent=None, half=None, path=path):
+            out = real(rt, view, decomp, s, t, parent, half)
+            return (path, None) if parent is None else out
+
+        monkeypatch.setattr(embedder, "_solve_level", mutant)
+        with pytest.raises(raised) as err:
+            embed(graph8, f, s, t)
+        assert (err.value.fault.nodes, err.value.fault.position) == (nodes, position)
+
+
 def test_a_search_proving_a_guaranteed_answer_absent_is_a_contradiction(graph8, monkeypatch):
     # the first search, the dimension-7 base search of half 1, claims that
     # its covering path does not exist

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from thln import (
     FaultSet,
     FaultyEndpoint,
     ForeignFault,
-    MalformedGraph,
     NoDecomposition,
     SurvivingView,
     ThlnGraph,
@@ -21,7 +21,11 @@ from thln import (
     partition,
     surviving_view,
 )
+from thln.cli import main
+from thln.errors import ThlnError
 from thln.faults import partition_decomposition, sample_faults
+from thln.topology import check_shape, graph_from_json, graph_to_json_obj
+from thln.validate import validate_path
 
 
 def test_empty_faults_view_equals_graph(graph4):
@@ -240,11 +244,69 @@ def _view_by_definition(g, f, scope):
     }
 
 
+def _assert_view_is(view, want, g):
+    """``view`` against ``want``, its dict view from ``_view_by_definition``,
+    on every member, including ids that are dead, outside the view's range
+    or outside the graph."""
+    assert view.nodes == tuple(want)
+    assert view.node_set == frozenset(want)
+    assert len(view) == len(want)
+    assert _rows(view) == want
+    assert view.rows() == list(want.values())
+    assert view.min_degree_witness() == min(
+        ((len(row), v) for v, row in want.items()), default=(None, None)
+    )
+    n = g.num_nodes
+    probes = (-5, -1, *g.nodes, n, n + 3)
+    for v in probes:
+        assert view.has_node(v) == (v in want)
+        if v in want:
+            assert view.degree(v) == len(want[v])
+        else:
+            with pytest.raises(KeyError):
+                view.neighbors(v)
+            with pytest.raises(KeyError):
+                view.degree(v)
+        for w in (-1, n, *(g.adjacency[v] if 0 <= v < n else ())):
+            assert view.has_edge(v, w) == (v in want and w in want[v])
+
+
+def _relabelled_graph(g, seed):
+    """``g`` read back from its file with every id moved by a seeded
+    permutation, so the loader renumbers the file's ids to positions."""
+    perm = list(range(g.num_nodes))
+    random.Random(seed).shuffle(perm)
+    doc = graph_to_json_obj(g)
+
+    def tree(t):
+        return {"half1": sorted(perm[v] for v in t["half1"]),
+                "matching": sorted([perm[u], perm[v]] for u, v in t["matching"]),
+                "children": [tree(c) for c in t["children"]]}
+
+    doc = {"dimension": doc["dimension"],
+           "edges": sorted(sorted([perm[u], perm[v]]) for u, v in doc["edges"]),
+           "decomposition": tree(doc["decomposition"])}
+    return graph_from_json(json.dumps(doc))
+
+
+def _any_graph(rng):
+    """A graph of dimension 4 to 6: a preset of any variant, or a random one
+    read back from a relabelled file."""
+    variant = rng.choice(("random", "crossed", "mobius0", "mobius1", "locally-twisted",
+                          "relabelled"))
+    if variant in ("random", "relabelled"):
+        spec = VariantSpec.random(rng.randrange(4))
+    else:
+        spec = VariantSpec(variant)
+    g = make_preset(spec, rng.choice((4, 5, 6)))
+    return _relabelled_graph(g, rng.randrange(100)) if variant == "relabelled" else g
+
+
 @given(seed=st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_view_rows_match_their_definition(seed):
     rng = random.Random(seed)
-    g = make_preset(VariantSpec.random(rng.randrange(4)), rng.choice((4, 5, 6)))
+    g = _any_graph(rng)
     f = sample_faults(g, rng.randrange(0, 2 * g.dimension + 1), rng)
     d = g.decomposition
     n = g.num_nodes
@@ -252,16 +314,45 @@ def test_view_rows_match_their_definition(seed):
     stray = range(rng.randrange(-7, n), rng.randrange(0, n + 6))
     for scope in (None, d.half1, d.half2, stray):
         view = SurvivingView(g, f, scope=scope)
-        want = _view_by_definition(g, f, scope)
-        assert view.nodes == tuple(want)
-        assert {v: view.neighbors(v) for v in view.nodes} == want
+        _assert_view_is(view, _view_by_definition(g, f, scope), g)
         # nodes are left out as node faults over the same scope
         drop = frozenset(rng.sample(view.nodes, min(len(view), 3)))
         fewer = SurvivingView(g, FaultSet(f.nodes | drop, f.edges), scope=scope)
         narrow = frozenset(g.nodes if scope is None else scope) - drop
-        want = _view_by_definition(g, f, narrow)
-        assert fewer.nodes == tuple(want)
-        assert {v: fewer.neighbors(v) for v in fewer.nodes} == want
+        _assert_view_is(fewer, _view_by_definition(g, f, narrow), g)
+
+
+def test_min_degree_witness_reads_touched_and_untouched_nodes(graph4):
+    # the lowest of the nodes of least degree, whether its row was filtered
+    # against the faults or not
+    d = graph4.decomposition
+    h1 = d.half1
+    cross = [(u, d.partner(u)) for u in h1]
+
+    def check(view, scope, f, expected):
+        assert view.min_degree_witness() == expected
+        _assert_view_is(view, _view_by_definition(graph4, f, scope), graph4)
+
+    # a faulty cross edge touches its half-1 end without lowering its degree
+    # in half 1: a tie with the untouched nodes, broken by the lower id
+    for u, expected in ((h1[0], (3, h1[0])), (h1[5], (3, h1[0]))):
+        f = FaultSet.of(edges=[cross[u - h1[0]]])
+        check(SurvivingView(graph4, f, scope=h1), h1, f, expected)
+    # every node touched: by every cross edge, in half 1 and in the whole graph
+    f = FaultSet.of(edges=cross)
+    check(SurvivingView(graph4, f, scope=h1), h1, f, (3, h1[0]))
+    check(SurvivingView(graph4, f), None, f, (3, 0))
+    # and the same ties in derived views, whose touched rows are cut at the cut
+    whole = SurvivingView(graph4, f)
+    split = partition_decomposition(d, f)
+    for half, own, view in zip((h1, d.half2), (split.f1, split.f2),
+                               whole.halves(d.half2.start, split.f1, split.f2)):
+        check(view, half, own, (3, half[0]))
+    # an empty view: every node of the range dead, or an empty range
+    f = FaultSet.of(nodes=h1)
+    check(SurvivingView(graph4, f, scope=h1), h1, f, (None, None))
+    check(SurvivingView(graph4, FaultSet.empty(), scope=range(5, 2)), range(5, 2),
+          FaultSet.empty(), (None, None))
 
 
 @given(seed=st.integers(0, 10 ** 6))
@@ -298,11 +389,11 @@ def test_half_view_from_its_own_faults_matches_the_whole_set(seed):
     # a half built from partition_decomposition's f1 / f2 has the rows of
     # one built from the whole set, and so has the half's view derived from
     # its level's view by SurvivingView.halves, at every level; narrowing
-    # the scope by X drops exactly X
+    # the scope by X drops exactly X. Every view matches its definition,
+    # and so do the views that leave nodes out (half-2 searches) and that
+    # restore one fault (cases 4 and 5).
     rng = random.Random(seed)
-    variant = rng.choice(("random", "crossed", "mobius0", "mobius1", "locally-twisted"))
-    spec = VariantSpec.random(rng.randrange(4)) if variant == "random" else VariantSpec(variant)
-    g = make_preset(spec, rng.choice((5, 6)))
+    g = _any_graph(rng)
     f = sample_faults(g, rng.randrange(0, 2 * g.dimension + 1), rng)
     # a cross partner and a cross edge of random levels fail too, so that
     # derived rows lose the entry they would otherwise cut off
@@ -312,7 +403,9 @@ def test_half_view_from_its_own_faults_matches_the_whole_set(seed):
     d = rng.choice(levels)
     u = rng.choice(d.half1)
     f = FaultSet.of(nodes=f.nodes | {dead}, edges=f.edges | {(u, d.partner(u))})
-    stack = [(g.decomposition, surviving_view(g, f))]
+    root = surviving_view(g, f)
+    _assert_view_is(root, _view_by_definition(g, f, None), g)
+    stack = [(g.decomposition, root)]
     while stack:
         d, level = stack.pop()
         split = partition_decomposition(d, level.faults)
@@ -324,37 +417,66 @@ def test_half_view_from_its_own_faults_matches_the_whole_set(seed):
             assert view.faults == own
             assert view.nodes == built.nodes
             assert _rows(view) == _rows(built) == _rows(SurvivingView(g, f, scope=half))
+            _assert_view_is(view, _view_by_definition(g, own, half), g)
             x = frozenset(rng.sample(half, rng.randrange(4)))
             narrow = SurvivingView(g, FaultSet(own.nodes | x, own.edges), scope=half)
             assert narrow.node_set == view.node_set - x
             assert _rows(narrow) == {
                 v: tuple(w for w in view.neighbors(v) if w not in x) for v in narrow.nodes
             }
+            _assert_view_is(narrow, _view_by_definition(g, own, frozenset(half) - x), g)
+            if own:
+                fault = rng.choice((*sorted(own.nodes), *sorted(own.edges)))
+                kept = FaultSet(own.nodes - {fault}, own.edges - {fault})
+                _assert_view_is(SurvivingView(g, kept, scope=half),
+                                _view_by_definition(g, kept, half), g)
             if child is not None:
                 stack.append((child, view))
 
 
-def test_halves_reject_a_row_with_two_neighbours_across_the_cut():
-    # a directly built graph may skip the shape check; a half-1 node with a
-    # second neighbour in half 2 has no single cross partner to cut off
+def _shape_failures(g):
+    return [c.name for c in check_shape(g).failures]
+
+
+def test_shape_check_rejects_a_row_with_two_neighbours_across_the_cut(tmp_path, capsys):
+    # a half-1 node with a second neighbour in half 2 breaks the root
+    # level's degree; the views split faults, not rows, so the shape check is
+    # the one place a graph's rows are checked
     for n in (4, 8):
-        rows = [set(r) for r in make_preset(VariantSpec.random(1), n).adjacency]
+        good = make_preset(VariantSpec.random(1), n)
+        rows = [set(r) for r in good.adjacency]
         mid = 1 << (n - 1)
         u = 3
         w = next(w for w in range(mid, 2 * mid) if w not in rows[u])
         rows[u].add(w)
         rows[w].add(u)
         bad = ThlnGraph(n, tuple(map(tuple, rows)))
-        f1, f2 = (FaultSet.empty(),) * 2
-        with pytest.raises(MalformedGraph, match="two neighbours across the cut"):
-            surviving_view(bad, FaultSet.empty()).halves(mid, f1, f2)
-    with pytest.raises(MalformedGraph, match="two neighbours across the cut"):
-        embed(bad, FaultSet.empty(), 0, 5)  # the n = 8 graph, at its top level
+        assert _shape_failures(bad) == ["root: regularity", "root: edge-count"]
+    # the n = 8 graph as a file, the good graph's with the extra edge: it
+    # loads, and thln embed stops at its shape check
+    doc = graph_to_json_obj(good)
+    doc["edges"].append([u, w])
+    gpath, fpath = tmp_path / "bad.json", tmp_path / "faults.json"
+    gpath.write_text(json.dumps(doc))
+    fpath.write_text(FaultSet.empty().to_json())
+    assert graph_from_json(gpath.read_text()).adjacency == bad.adjacency
+    code = main(["embed", "--graph", str(gpath), "--faults", str(fpath), "-s", "0", "-t", "5"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: graph fails shape check root: regularity")
+    # embed itself skips the shape check: it raises a package error or returns
+    # a path the validator accepts
+    try:
+        res = embed(bad, FaultSet.empty(), 0, 5)
+    except ThlnError:
+        return
+    verdict = validate_path(bad, FaultSet.empty(), 0, 5, res.path)
+    assert verdict.is_valid and verdict.missed == res.missed
 
 
-def test_halves_reject_an_upper_row_with_two_neighbours_across_the_cut():
+def test_shape_check_rejects_an_upper_row_with_two_neighbours_across_the_cut():
     # moving half-1 node a's cross edge from its partner to w leaves a one
-    # neighbour across the cut and w two, so only the half-2 rows trip
+    # neighbour across the cut and w two: w's degree and a's old partner's
+    # break the root level
     g = make_preset(VariantSpec.random(1), 4)
     rows = [set(r) for r in g.adjacency]
     mid, a = 8, 3
@@ -365,9 +487,7 @@ def test_halves_reject_an_upper_row_with_two_neighbours_across_the_cut():
     rows[a].add(w)
     rows[w].add(a)
     bad = ThlnGraph(4, tuple(map(tuple, rows)))
-    f1, f2 = (FaultSet.empty(),) * 2
-    with pytest.raises(MalformedGraph, match=f"node {w} has two neighbours across the cut"):
-        surviving_view(bad, FaultSet.empty()).halves(mid, f1, f2)
+    assert _shape_failures(bad) == ["root: regularity"]
 
 
 def test_fault_set_json_roundtrip():

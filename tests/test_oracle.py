@@ -50,6 +50,9 @@ class FakeView:
     def neighbors(self, v):
         return self._adj[v]
 
+    def rows(self):
+        return [self._adj[v] for v in self.nodes]
+
     def min_degree_witness(self):
         v = min(self.nodes, key=lambda u: (len(self._adj[u]), u))
         return len(self._adj[v]), v
