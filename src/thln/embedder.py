@@ -228,7 +228,7 @@ class _Ctx:
         self.k = decomp.dim - 1
         part = partition_decomposition(decomp, view.faults)
         h1, h2 = decomp.half1, decomp.half2
-        v1, v2 = view.halves(h2.start, part.f1, part.f2)
+        v1, v2 = view.halves(part.f1, part.f2)
         halves = [(h1, decomp.child1, part.f1, v1), (h2, decomp.child2, part.f2, v2)]
         self.swapped = len(part.f2) > len(part.f1)
         if self.swapped:

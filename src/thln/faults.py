@@ -2,8 +2,9 @@
 split across the top decomposition level.
 
 A fault set holds failed nodes and failed edges. The surviving view is the
-graph with faulty nodes removed and an edge present only when both endpoints
-survive and the edge itself is not faulty. Faulting an edge whose endpoint is
+graph, or one level of it, with faulty nodes removed and an edge present only
+when both endpoints survive and the edge itself is not faulty; its rows keep
+the graph's level order. Faulting an edge whose endpoint is
 already faulty is allowed and still counts toward the fault total; redundant
 faults only make bound checks more conservative.
 """
@@ -11,10 +12,9 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import filterfalse
-from operator import contains
+from operator import contains, itemgetter
 from typing import Container, Iterable, Optional, Sequence
 
 from .errors import (
@@ -102,8 +102,9 @@ class FaultSet:
 
 
 class SurvivingView:
-    """Read-only fault-free subgraph, optionally narrowed to a range of ids
-    (of step 1; any other step raises ValueError).
+    """Read-only fault-free subgraph, optionally narrowed to one level of
+    the graph: an aligned block of 2^d ids, d >= 3, inside the graph (any
+    other scope raises ValueError).
 
     A node is present iff it is in scope and not faulty; an edge is present
     iff both endpoints are present and the edge is not faulty. A view built
@@ -111,13 +112,12 @@ class SurvivingView:
     :meth:`halves` derives hold shares of faults validated already. Views are
     cheap to share and safe to use concurrently.
 
-    A view holds no row per node. It holds its graph's rows, its id range
-    (the scope clipped to the graph), its dead nodes in that range, and the
-    filtered rows of the nodes its faults touch: a dead node's neighbours
-    and a faulty edge's ends. Every other node's row is the graph row's
-    share of the range: the row itself when the view spans the whole graph,
-    else its slice between two ``bisect`` points (rows ascend), which is
-    exact on any graph. Rows list neighbours in ascending order, and
+    A view holds no row per node. It holds its graph's rows, its level (id
+    range and dimension d), its dead nodes in that range, and the filtered
+    rows of the nodes its faults touch: a dead node's neighbours and a
+    faulty edge's ends. Every other node's row is the graph row's share of
+    the level, its first d entries, as graph rows are in level order
+    (:class:`~thln.topology.ThlnGraph`). Rows keep that order, and
     ``nodes``, built when first asked for and then kept, lists the nodes in
     ascending order.
 
@@ -132,7 +132,7 @@ class SurvivingView:
     faults alone; ``nodes``, ``node_set`` and ``rows`` cost O(range).
     """
 
-    __slots__ = ("faults", "_adj", "_lo", "_hi", "_whole", "_dead", "_touched", "_nodes")
+    __slots__ = ("faults", "_adj", "_lo", "_hi", "_d", "_dead", "_touched", "_nodes")
 
     def __init__(
         self,
@@ -142,13 +142,13 @@ class SurvivingView:
     ):
         faults.validate_against(graph)
         adj = graph.adjacency
-        lo, hi = 0, len(adj)
+        lo, hi, d = 0, len(adj), graph.dimension
         if scope is not None:
-            if scope.step != 1:
-                raise ValueError(f"a view's scope must be a range of step 1, got {scope!r}")
-            # ids outside the graph drop out
-            lo, hi = max(scope.start, 0), min(scope.stop, hi)
-            hi = max(hi, lo)
+            lo, hi, size = scope.start, scope.stop, len(scope)
+            d = size.bit_length() - 1
+            if scope.step != 1 or d < 3 or size != 1 << d or lo % size or lo < 0 or hi > len(adj):
+                raise ValueError(f"a view's scope must be a level of the graph, 2^d ids from "
+                                 f"a multiple of 2^d with d >= 3, got {scope!r}")
         dead = frozenset(v for v in faults.nodes if lo <= v < hi)
         # only the rows of a dead node's neighbours and of a faulty edge's
         # ends lose an entry to the faults: the ones in ``gone``
@@ -159,47 +159,39 @@ class SurvivingView:
         for u, w in faults.edges:
             gone.setdefault(u, set()).add(w)
             gone.setdefault(w, set()).add(u)
-        self._fill(faults, adj, lo, hi, dead, {})
-        for v, lost in gone.items():
-            if self.has_node(v):
-                # v has no touched row yet, so neighbors gives its share
-                self._touched[v] = tuple(filterfalse(lost.__contains__, self.neighbors(v)))
+        touched = {v: tuple(filterfalse(lost.__contains__, adj[v][:d]))
+                   for v, lost in gone.items() if lo <= v < hi and v not in dead}
+        self._fill(faults, adj, lo, hi, d, dead, touched)
 
-    def _fill(self, faults, adj, lo, hi, dead, touched) -> "SurvivingView":
+    def _fill(self, faults, adj, lo, hi, d, dead, touched) -> "SurvivingView":
         self.faults = faults
         self._adj = adj
-        self._lo, self._hi = lo, hi
-        self._whole = lo == 0 and hi == len(adj)
+        self._lo, self._hi, self._d = lo, hi, d
         self._dead = dead
         self._touched = touched
         self._nodes = None  # built when first asked for
         return self
 
-    def halves(
-        self, mid: int, f_low: FaultSet, f_high: FaultSet
-    ) -> tuple["SurvivingView", "SurvivingView"]:
-        """The views of this level's two halves, the ids below ``mid`` under
-        ``f_low`` and the rest under ``f_high``: each half's share of this
-        view's faults, as ``partition_decomposition`` splits them, which are
-        not validated again.
+    def halves(self, f_low: FaultSet, f_high: FaultSet) -> tuple["SurvivingView", "SurvivingView"]:
+        """The views of this level's two halves, half 1 under ``f_low`` and
+        half 2 under ``f_high``: each half's share of this view's faults, as
+        ``partition_decomposition`` splits them, not validated again.
 
-        A half's dead nodes are this view's on its side of ``mid``, and a
-        touched row is cut at ``mid`` (rows ascend, so by one ``bisect``);
-        every other row is the graph row's share of the half's range. Which
-        rows a graph holds is ``check_shape``'s business, not this split's.
+        A half's dead nodes are this view's on its side of the cut, and a
+        touched row drops its last entry when that entry, the level's cross
+        partner, lies across the cut. Which rows a graph holds is
+        ``check_shape``'s business, not this split's.
         """
+        d, mid = self._d - 1, self._lo + (1 << (self._d - 1))
         low_dead = frozenset(v for v in self._dead if v < mid)
         low, high = {}, {}
         for v, row in self._touched.items():
-            i = bisect_left(row, mid)
-            if v < mid:
-                low[v] = row[:i]
-            else:
-                high[v] = row[i:]
+            side = v < mid
+            (low if side else high)[v] = row[:-1] if row and (row[-1] < mid) != side else row
         cls = type(self)
         return (
-            cls.__new__(cls)._fill(f_low, self._adj, self._lo, mid, low_dead, low),
-            cls.__new__(cls)._fill(f_high, self._adj, mid, self._hi, self._dead - low_dead, high),
+            cls.__new__(cls)._fill(f_low, self._adj, self._lo, mid, d, low_dead, low),
+            cls.__new__(cls)._fill(f_high, self._adj, mid, self._hi, d, self._dead - low_dead, high),
         )
 
     @property
@@ -226,10 +218,7 @@ class SurvivingView:
             return row
         if not self.has_node(v):
             raise KeyError(v)
-        row = self._adj[v]
-        if self._whole:
-            return row
-        return row[bisect_left(row, self._lo):bisect_left(row, self._hi)]
+        return self._adj[v][:self._d]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -245,10 +234,7 @@ class SurvivingView:
     def rows(self) -> list[tuple[int, ...]]:
         """Every node's row, in ``nodes`` order."""
         ids = self.nodes
-        share = map(self._adj.__getitem__, ids)
-        if not self._whole:
-            lo, hi = self._lo, self._hi
-            share = [r[bisect_left(r, lo):bisect_left(r, hi)] for r in share]
+        share = map(itemgetter(slice(self._d)), map(self._adj.__getitem__, ids))
         # a touched node's filtered row, else the graph row's share
         return list(map(self._touched.get, ids, share))
 
@@ -272,21 +258,16 @@ class SurvivingView:
     def min_degree_witness(self) -> tuple[Optional[int], Optional[int]]:
         """(minimum degree, lowest-index node attaining it); (None, None) if empty.
 
-        On a level of a graph that passes ``check_shape`` (a range of 2^d ids
-        from a multiple of 2^d) every untouched node has degree d, so the
-        touched rows and the lowest untouched node are read; over any other
-        range every row is.
+        On a graph that passes ``check_shape`` every untouched node of a
+        level of dimension d has degree d, so the touched rows and the
+        lowest untouched node are read.
         """
         lo, hi, dead, touched = self._lo, self._hi, self._dead, self._touched
-        size = hi - lo
-        if size & (size - 1) or lo % max(size, 1):
-            pairs = zip(map(len, self.rows()), self.nodes)
-        else:
-            # the lowest node neither dead nor touched, if any
-            free = next((v for v in range(lo, hi) if v not in dead and v not in touched), None)
-            pairs = [(len(row), v) for v, row in touched.items()]
-            if free is not None:
-                pairs.append((len(self.neighbors(free)), free))
+        # the lowest node neither dead nor touched, if any
+        free = next((v for v in range(lo, hi) if v not in dead and v not in touched), None)
+        pairs = [(len(row), v) for v, row in touched.items()]
+        if free is not None:
+            pairs.append((len(self.neighbors(free)), free))
         return min(pairs, default=(None, None))
 
 

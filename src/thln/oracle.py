@@ -58,7 +58,8 @@ after the first), ``backtracks`` (nodes popped off the path) and
 
 A search reads its view through a small protocol: ``nodes`` (the ids in
 ascending order), ``rows()`` (every node's neighbours, in ``nodes`` order,
-read once per call by ``_snapshot``), ``has_node`` for the endpoints, and
+read once per call by ``_snapshot``; in level order, which no search
+depends on: successors go by key), ``has_node`` for the endpoints, and
 ``min_degree_witness`` (``near_ham_cycle``); the enumerator reads
 ``neighbors`` node by node.
 
@@ -71,7 +72,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import PreconditionViolated, TooLarge
+from .errors import MalformedGraph, PreconditionViolated, TooLarge
 
 DEFAULT_MAX_EXPANSIONS = 5_000_000
 
@@ -139,7 +140,10 @@ def _snapshot(view) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     ids = tuple(view.nodes)
     index = dict(zip(ids, range(len(ids))))
     at = index.__getitem__
-    return ids, [tuple(map(at, row)) for row in view.rows()]
+    try:
+        return ids, [tuple(map(at, row)) for row in view.rows()]
+    except KeyError as exc:  # rows out of level order: the graph fails check_shape
+        raise MalformedGraph(f"node {exc.args[0]} is in a row of the view, not in the view") from exc
 
 
 def _cut_prune(rows, head: int, remaining: bytearray, count: int, is_end) -> bool:

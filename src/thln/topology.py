@@ -10,10 +10,11 @@ positions in 0..2^n-1. The level of dimension d that holds a node is its
 aligned block of 2^d ids: half 1 is the lower half of the block, and a
 node's cross partner at that level is its one neighbour whose id first
 differs from its own in bit d - 1. :func:`join` and :func:`make_preset`
-number nodes that way. A graph loaded from a file is renumbered to the
+number nodes that way, and every row is stored in level order (see
+:class:`ThlnGraph`). A graph loaded from a file is renumbered to the
 positions of the file's decomposition tree, which the loader checks against
 the edges, and keeps the file's ids to write back (``file_ids``).
-:func:`check_shape` then checks every derived level.
+:func:`check_shape` then checks every derived level and the row order.
 
 Preset generators are provided for the classic twisted families (crossed,
 Moebius, locally twisted) plus seeded random matchings, each named by a
@@ -158,26 +159,28 @@ class DecompositionNode:
         return self._child(1)
 
     def partner(self, v: int) -> int:
-        """The node matched with ``v`` across this level's cut: v's one
-        neighbour whose id first differs from v's in bit ``dim - 1``."""
+        """The node matched with ``v`` across this level's cut: entry
+        ``dim - 1`` of v's row, whose id first differs from v's in that bit."""
         # an id outside the graph, negative ones included, leaves every block
         if v >> self.dim != self.base >> self.dim:
             raise UnknownNode(f"node {v} is not a node of this dimension-{self.dim} level")
-        for w in self.graph.adjacency[v]:
-            if (v ^ w).bit_length() == self.dim:
-                return w
-        raise MalformedGraph(f"node {v} has no cross partner at dimension {self.dim}")
+        row = self.graph.adjacency[v]
+        if len(row) < self.dim or (v ^ row[self.dim - 1]).bit_length() != self.dim:
+            raise MalformedGraph(f"node {v} has no cross partner at dimension {self.dim}")
+        return row[self.dim - 1]
 
 
 @dataclass(frozen=True)
 class ThlnGraph:
     """Immutable network: adjacency indexed by node id, ids being positions.
 
-    The adjacency is the only store of edges; each row is sorted here, in
-    whatever order it was given. Built rows (:func:`make_preset`) and loaded
-    rows (:func:`graph_from_json_obj`) share one int object per id, so a
-    graph holds 2^n ints however many rows name each. ``edges`` (every
-    ``(u, v)`` with ``u < v``, ascending) is rebuilt from the rows on each
+    The adjacency is the only store of edges, each row in level order (as
+    built, loaded by :func:`_level_rows` and checked by ``check_shape``):
+    v's 8-node block neighbours ascending, then its cross partner at level
+    d at entry d - 1, d = 4..n. Built and loaded rows share one int object
+    per id, so a graph holds 2^n ints however many rows name each.
+    ``neighbors`` is a row ascending. ``edges`` (every ``(u, v)`` with
+    ``u < v``, ascending) is rebuilt from the rows on each
     access. ``decomposition`` derives the top level from the ids on each
     access (None for a dimension-3 base graph). ``file_ids`` is a loaded
     file's own id at each position, or None where ids are the file's; only
@@ -189,8 +192,7 @@ class ThlnGraph:
     file_ids: Optional[tuple[int, ...]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        # the one place rows are sorted: views over a half bisect them
-        object.__setattr__(self, "adjacency", tuple(map(tuple, map(sorted, self.adjacency))))
+        object.__setattr__(self, "adjacency", tuple(map(tuple, self.adjacency)))
 
     @property
     def decomposition(self) -> Optional[DecompositionNode]:
@@ -205,7 +207,7 @@ class ThlnGraph:
         return range(len(self.adjacency))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        return tuple(sorted(self.adjacency[v]))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -232,6 +234,13 @@ def _adjacency_from_edges(n_nodes: int, edges: Iterable[Edge]) -> list[set[int]]
         rows[u].add(v)
         rows[v].add(u)
     return rows
+
+
+def _level_rows(rows: Sequence[Iterable[int]]) -> list[list[int]]:
+    """Each row in level order: by the dimension of the lowest level that
+    holds both ends (at least 3), then by id."""
+    return [sorted(row, key=lambda w, v=v: (max((v ^ w).bit_length(), 3), w))
+            for v, row in enumerate(rows)]
 
 
 def _is_connected(adjacency: Sequence[Sequence[int]], nodes: range) -> bool:
@@ -276,7 +285,7 @@ def make_base(spec: VariantSpec) -> ThlnGraph:
         raise MalformedBase(f"nodes {bad} do not have degree 3")
     if not _is_connected(adjacency, range(8)):
         raise MalformedBase("base graph is not connected")
-    return ThlnGraph(dimension=3, adjacency=adjacency)
+    return ThlnGraph(dimension=3, adjacency=_level_rows(adjacency))
 
 
 def join(
@@ -351,7 +360,8 @@ def _build_one_pass(n: int, base_at, matching_at) -> ThlnGraph:
     """Write a dimension-n graph into one row table, positions as ids.
 
     Levels are visited in the recursive definition's order: the lower
-    sub-level, the upper sub-level, then the level's own matching. Each
+    sub-level, the upper sub-level, then the level's own matching (so rows
+    come out in level order). Each
     8-node block is written from ``base_at(offset)`` (validated rows); the
     level of dimension d at ``offset`` is joined by ``matching_at(d,
     offset)``, which maps each half-1 index to a half-2 index. Every entry
@@ -453,7 +463,8 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
 
     Degree d inside each level and d - 1 inside each of its halves make the
     edges between the halves a perfect matching, so no matching is checked
-    here (the loader checks a file's own). Never raises; failures are
+    here (the loader checks a file's own). ``root: level-order`` checks the
+    row order that views and partners read. Never raises; failures are
     carried in the report.
     """
     checks: list[ShapeCheck] = []
@@ -477,6 +488,8 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
             level(f"{label}.2", dim - 1, nodes[half:])
 
     level("root", g.dimension, g.nodes)
+    add("root: level-order", list(map(list, g.adjacency)) == _level_rows(g.adjacency),
+        "every row lists its 8-node block ascending, then one cross partner per level")
     return ShapeReport(tuple(checks))
 
 
@@ -608,7 +621,7 @@ def graph_from_json_obj(obj: dict) -> ThlnGraph:
     for p, v in enumerate(order):
         position[v] = ids[p]
     rows = _adjacency_from_edges(n, ((position[u], position[v]) for u, v in edges))
-    return ThlnGraph(dim, rows, None if order == ids else tuple(ids[v] for v in order))
+    return ThlnGraph(dim, _level_rows(rows), None if order == ids else tuple(ids[v] for v in order))
 
 
 def graph_from_json(text: str) -> ThlnGraph:

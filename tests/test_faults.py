@@ -32,7 +32,7 @@ def test_empty_faults_view_equals_graph(graph4):
     view = surviving_view(graph4, FaultSet.empty())
     assert view.nodes == tuple(graph4.nodes)
     for v in graph4.nodes:
-        assert view.neighbors(v) == graph4.neighbors(v)
+        assert view.neighbors(v) == graph4.adjacency[v]
 
 
 def test_node_fault_reduces_each_neighbor_by_one(graph4):
@@ -224,24 +224,38 @@ def test_view_scoping(graph4):
     assert fewer.node_set == half.node_set - {0, 1}
 
 
-@pytest.mark.parametrize("scope", [range(0, 16, 2), range(15, -1, -1)],
-                         ids=["step-2", "descending"])
-def test_view_scope_must_step_by_one(graph4, scope):
-    # read by its start and stop alone, the first scope would give all 16
-    # nodes and the second none
-    with pytest.raises(ValueError, match="step 1"):
+@pytest.mark.parametrize(
+    "scope",
+    [range(0, 16, 2), range(15, -1, -1), range(4, 20), range(0, 4), range(5, 2),
+     range(16, 24), range(-8, 0)],
+    ids=["step-2", "descending", "unaligned", "under-8-ids", "empty", "past-the-end",
+         "negative-start"],
+)
+def test_view_scope_must_be_a_level(graph4, scope):
+    # a view's untouched rows are their first d entries, which holds on a
+    # level of dimension d alone; read by its start and stop alone, the
+    # step-2 scope would give all 16 nodes and the descending one none
+    with pytest.raises(ValueError, match="level"):
         SurvivingView(graph4, FaultSet.empty(), scope=scope)
 
 
 def _view_by_definition(g, f, scope):
     """Rows of the surviving view straight from its definition: a neighbour
     is kept when it is alive, in scope and joined by an edge that is not
-    faulty; walking the nodes in order keeps every row ascending."""
+    faulty. Each row is in level order."""
     alive = [v for v in g.nodes if v not in f.nodes and (scope is None or v in scope)]
     return {
-        v: tuple(w for w in alive if g.has_edge(v, w) and (min(v, w), max(v, w)) not in f.edges)
+        v: _in_level_order(
+            v, (w for w in alive if g.has_edge(v, w) and (min(v, w), max(v, w)) not in f.edges)
+        )
         for v in alive
     }
+
+
+def _in_level_order(v, row):
+    """``row`` of node v in level order: by the dimension of the lowest
+    level holding v and the neighbour (at least 3), then by id."""
+    return tuple(sorted(row, key=lambda w: (max((v ^ w).bit_length(), 3), w)))
 
 
 def _assert_view_is(view, want, g):
@@ -309,10 +323,9 @@ def test_view_rows_match_their_definition(seed):
     g = _any_graph(rng)
     f = sample_faults(g, rng.randrange(0, 2 * g.dimension + 1), rng)
     d = g.decomposition
-    n = g.num_nodes
-    # a range that may reach ids outside the graph at either end
-    stray = range(rng.randrange(-7, n), rng.randrange(0, n + 6))
-    for scope in (None, d.half1, d.half2, stray):
+    # a half of any level, an 8-node block included
+    sub = rng.choice(list(_levels(d)))
+    for scope in (None, d.half1, d.half2, rng.choice((sub.half1, sub.half2))):
         view = SurvivingView(g, f, scope=scope)
         _assert_view_is(view, _view_by_definition(g, f, scope), g)
         # nodes are left out as node faults over the same scope
@@ -346,13 +359,11 @@ def test_min_degree_witness_reads_touched_and_untouched_nodes(graph4):
     whole = SurvivingView(graph4, f)
     split = partition_decomposition(d, f)
     for half, own, view in zip((h1, d.half2), (split.f1, split.f2),
-                               whole.halves(d.half2.start, split.f1, split.f2)):
+                               whole.halves(split.f1, split.f2)):
         check(view, half, own, (3, half[0]))
-    # an empty view: every node of the range dead, or an empty range
+    # an empty view: every node of the level dead
     f = FaultSet.of(nodes=h1)
     check(SurvivingView(graph4, f, scope=h1), h1, f, (None, None))
-    check(SurvivingView(graph4, FaultSet.empty(), scope=range(5, 2)), range(5, 2),
-          FaultSet.empty(), (None, None))
 
 
 @given(seed=st.integers(0, 10 ** 6))
@@ -364,7 +375,7 @@ def test_view_over_an_id_range_matches_the_view_over_its_set(seed):
     f = sample_faults(g, rng.randrange(0, 2 * g.dimension + 1), rng)
     d = g.decomposition
     n = g.num_nodes
-    for scope in (d.half1, d.half2, d.child2.half1, range(n - 5, n + 5)):
+    for scope in (d.half1, d.half2, d.child2.half1, range(n - 8, n)):
         view = SurvivingView(g, f, scope=scope)
         want = _view_by_definition(g, f, frozenset(scope))
         assert view.nodes == tuple(want)
@@ -409,7 +420,7 @@ def test_half_view_from_its_own_faults_matches_the_whole_set(seed):
     while stack:
         d, level = stack.pop()
         split = partition_decomposition(d, level.faults)
-        derived = level.halves(d.half2.start, split.f1, split.f2)
+        derived = level.halves(split.f1, split.f2)
         for half, own, child, view in zip(
             (d.half1, d.half2), (split.f1, split.f2), (d.child1, d.child2), derived
         ):
@@ -450,7 +461,7 @@ def test_shape_check_rejects_a_row_with_two_neighbours_across_the_cut(tmp_path, 
         w = next(w for w in range(mid, 2 * mid) if w not in rows[u])
         rows[u].add(w)
         rows[w].add(u)
-        bad = ThlnGraph(n, tuple(map(tuple, rows)))
+        bad = ThlnGraph(n, [_in_level_order(v, r) for v, r in enumerate(rows)])
         assert _shape_failures(bad) == ["root: regularity", "root: edge-count"]
     # the n = 8 graph as a file, the good graph's with the extra edge: it
     # loads, and thln embed stops at its shape check
@@ -486,7 +497,7 @@ def test_shape_check_rejects_an_upper_row_with_two_neighbours_across_the_cut():
     rows[a2] -= {a}
     rows[a].add(w)
     rows[w].add(a)
-    bad = ThlnGraph(4, tuple(map(tuple, rows)))
+    bad = ThlnGraph(4, [_in_level_order(v, r) for v, r in enumerate(rows)])
     assert _shape_failures(bad) == ["root: regularity"]
 
 

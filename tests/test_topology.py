@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -31,6 +32,8 @@ from thln import (
     make_preset,
     validate_path,
 )
+from thln.errors import ThlnError
+from thln.topology import ThlnGraph, _level_rows, graph_to_json_obj
 
 Q3_EDGES = [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
 
@@ -242,7 +245,7 @@ def test_check_shape_flags_short_matching():
     for u, v in ((a, b), (a2, b2)):
         rows[u].add(v)
         rows[v].add(u)
-    broken = dataclasses.replace(g, adjacency=tuple(tuple(sorted(r)) for r in rows))
+    broken = dataclasses.replace(g, adjacency=_level_rows(rows))
     rep = check_shape(broken)
     assert not rep.ok
     failed = {c.name for c in rep.failures}
@@ -257,8 +260,6 @@ def test_json_roundtrip_is_byte_identical():
 
 
 def _half_as_graph(g, half, offset):
-    from thln.topology import ThlnGraph
-
     half_set = set(half)
     rows = tuple(
         tuple(w - offset for w in g.adjacency[v] if w in half_set) for v in half
@@ -400,13 +401,54 @@ def test_edge_queries_leave_nothing_on_the_graph():
     assert retained < 32 * 1024
 
 
-def test_a_graph_built_with_unsorted_rows_equals_its_sorted_twin():
-    # the graph sorts its rows itself: views over a half bisect them
-    from thln.topology import ThlnGraph
-
+def test_a_graph_built_with_rows_out_of_level_order_fails_that_check_alone():
+    # the graph stores its rows as given, and views and partners read them
+    # in level order; embed, which skips the shape check, raises a package
+    # error or returns a path the validator accepts. Reversed rows break
+    # every partner; node 100's swapped level-7 and level-8 partners put a
+    # node of the other half into its dimension-7 search rows
     g = make_preset(VariantSpec.random(1), 8)
-    h = ThlnGraph(8, tuple(tuple(reversed(row)) for row in g.adjacency))
-    assert h == g and h.edges == g.edges
-    assert check_shape(h).ok
-    res = embed(h, FaultSet.empty(), 0, 200)
-    assert validate_path(h, FaultSet.empty(), 0, 200, res.path).is_valid
+    swapped = [list(row) for row in g.adjacency]
+    swapped[100][6:8] = swapped[100][7:5:-1]
+    for rows in ([row[::-1] for row in g.adjacency], swapped):
+        h = ThlnGraph(8, rows)
+        assert sorted(h.edges) == list(g.edges)
+        assert [c.name for c in check_shape(h).failures] == ["root: level-order"]
+        try:
+            res = embed(h, FaultSet.empty(), 0, 200)
+        except ThlnError:
+            continue
+        assert validate_path(h, FaultSet.empty(), 0, 200, res.path).is_valid
+
+
+def test_partner_rejects_a_row_without_its_level_entry():
+    # partner reads entry d - 1 of a row in level order: a row too short for
+    # the level, or one whose entry d - 1 lies at another level, raises
+    # MalformedGraph, never IndexError and never a wrong node
+    g = make_preset(VariantSpec.random(4), 5)
+    d = g.decomposition
+    v = 3
+    row = g.adjacency[v]
+    short = [*g.adjacency[:v], row[:4], *g.adjacency[v + 1:]]
+    swapped = [*g.adjacency[:v], (*row[:3], row[4], row[3]), *g.adjacency[v + 1:]]
+    for rows, levels in ((short, (5,)), (swapped, (4, 5))):
+        h = ThlnGraph(5, rows)
+        for level in levels:
+            node = h.decomposition if level == 5 else h.decomposition.child1
+            with pytest.raises(MalformedGraph, match="no cross partner"):
+                node.partner(v)
+    assert d.child1.partner(v) == row[3] and d.partner(v) == row[4]
+
+
+@pytest.mark.parametrize("kind", ["crossed", "mobius0", "mobius1", "locally-twisted", "random"])
+def test_loaded_rows_do_not_depend_on_the_files_edge_order(kind):
+    # the loader puts rows in level order whatever order the file lists its
+    # edges and their ends in
+    spec = VariantSpec.random(1) if kind == "random" else VariantSpec(kind)
+    rng = random.Random(kind)
+    for n in range(4, 9):
+        g = make_preset(spec, n)
+        doc = graph_to_json_obj(g)
+        edges = [[v, u] for u, v in doc["edges"]]
+        rng.shuffle(edges)
+        assert graph_from_json(json.dumps(dict(doc, edges=edges))).adjacency == g.adjacency
