@@ -14,7 +14,7 @@ number nodes that way, and every row is stored in level order (see
 :class:`ThlnGraph`). A graph loaded from a file is renumbered to the
 positions of the file's decomposition tree, which the loader checks against
 the edges, and keeps the file's ids to write back (``file_ids``).
-:func:`check_shape` then checks every derived level and the row order.
+:func:`check_shape` then checks the shape in one pass over the rows.
 
 Preset generators are provided for the classic twisted families (crossed,
 Moebius, locally twisted) plus seeded random matchings, each named by a
@@ -180,9 +180,9 @@ class ThlnGraph:
     d at entry d - 1, d = 4..n. Built and loaded rows share one int object
     per id, so a graph holds 2^n ints however many rows name each.
     ``neighbors`` is a row ascending. ``edges`` (every ``(u, v)`` with
-    ``u < v``, ascending) is rebuilt from the rows on each
-    access. ``decomposition`` derives the top level from the ids on each
-    access (None for a dimension-3 base graph). ``file_ids`` is a loaded
+    ``u < v``, ascending for rows in level order) is rebuilt from the rows
+    on each access. ``decomposition`` derives the top level from the ids on
+    each access (None for a dimension-3 base graph). ``file_ids`` is a loaded
     file's own id at each position, or None where ids are the file's; only
     graph file I/O and the command line read it.
     """
@@ -458,39 +458,46 @@ class ShapeReport:
 
 
 def check_shape(g: ThlnGraph) -> ShapeReport:
-    """Verify every structural invariant on every derived level, and report
-    each check.
+    """Check the graph's shape in one pass over its rows: 2^n rows of n
+    entries, each entry a node whose row names the row's node back, each row
+    in level order (three other nodes of its 8-node block ascending, then at
+    entry i a node first differing from it in bit i) and each 8-node block
+    connected. By induction every level of dimension d is then d-regular and
+    connected, its halves joined by a perfect matching (the loader checks a
+    file's own). A failing check of the rows names the first node it fails
+    at, in a loaded graph's file ids. Never raises; failures are carried in
+    the report."""
+    n, rows = g.dimension, g.adjacency
+    size = len(rows)
+    row_of = dict(enumerate(rows))  # an entry that is no node names no row
+    first: dict[str, int] = {}  # check name -> the first node it fails at
+    for v, row in enumerate(rows):
+        if len(row) != n:
+            first.setdefault("regularity", v)
+        elif not (n >= 3 and row[0] < row[1] < row[2] and v not in row[:3]
+                  and row[0] >> 3 == row[2] >> 3 == v >> 3
+                  and all((v ^ w).bit_length() == d for d, w in enumerate(row[3:], 4))):
+            first.setdefault("level-order", v)
+        if not all(v in row_of.get(w, ()) for w in row):
+            first.setdefault("symmetry", v)
+        if not v & 7 and not _is_connected(rows, range(v, min(v + 8, size))):
+            first.setdefault("blocks-connected", v)
 
-    Degree d inside each level and d - 1 inside each of its halves make the
-    edges between the halves a perfect matching, so no matching is checked
-    here (the loader checks a file's own). ``root: level-order`` checks the
-    row order that views and partners read. Never raises; failures are
-    carried in the report.
-    """
-    checks: list[ShapeCheck] = []
+    def at_node(name: str, rule: str) -> ShapeCheck:
+        v = first.get(name)
+        return ShapeCheck(f"root: {name}", v is None, rule if v is None else
+                          f"{rule}; first fails at node {(g.file_ids or range(size))[v]}")
 
-    def add(name, passed, detail=""):
-        checks.append(ShapeCheck(name, bool(passed), detail))
-
-    def level(label: str, dim: int, nodes: range):
-        add(f"{label}: node-count", len(nodes) == 1 << dim,
-            f"expected {1 << dim}, got {len(nodes)}")
-        degrees = [sum(w in nodes for w in g.adjacency[v]) for v in nodes]
-        add(f"{label}: regularity", all(d == dim for d in degrees),
-            f"every node needs degree {dim} within the level")
-        add(f"{label}: edge-count", sum(degrees) == dim * (1 << dim),
-            f"expected {dim * (1 << (dim - 1))} edges, got {sum(degrees) // 2}")
-        if nodes:
-            add(f"{label}: connected", _is_connected(g.adjacency, nodes))
-        if dim > 3:
-            half = 1 << (dim - 1)
-            level(f"{label}.1", dim - 1, nodes[:half])
-            level(f"{label}.2", dim - 1, nodes[half:])
-
-    level("root", g.dimension, g.nodes)
-    add("root: level-order", list(map(list, g.adjacency)) == _level_rows(g.adjacency),
-        "every row lists its 8-node block ascending, then one cross partner per level")
-    return ShapeReport(tuple(checks))
+    degrees = sum(map(len, rows))
+    return ShapeReport((
+        ShapeCheck("root: node-count", size == 1 << n, f"expected {1 << n}, got {size}"),
+        at_node("regularity", f"every node needs degree {n}"),
+        ShapeCheck("root: edge-count", degrees == n << n,
+                   f"expected {n << (n - 1)} edges, got {degrees // 2}"),
+        at_node("symmetry", "every entry is a node whose row names it back"),
+        at_node("level-order", "every row lists its 8-node block, then a partner per level"),
+        at_node("blocks-connected", "every 8-node block is connected"),
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +507,7 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
 def _file_edges(g: ThlnGraph) -> Sequence[Edge]:
     """``g.edges`` in the file's ids, as ``(u, v)`` with ``u < v``, ascending."""
     ids = g.file_ids
-    return g.edges if ids is None else sorted(_norm_edge(ids[u], ids[v]) for u, v in g.edges)
+    return sorted(g.edges if ids is None else (_norm_edge(ids[u], ids[v]) for u, v in g.edges))
 
 
 def _decomposition_to_obj(node: Optional[DecompositionNode], ids: Sequence[int]):

@@ -247,10 +247,172 @@ def test_check_shape_flags_short_matching():
         rows[v].add(u)
     broken = dataclasses.replace(g, adjacency=_level_rows(rows))
     rep = check_shape(broken)
-    assert not rep.ok
-    failed = {c.name for c in rep.failures}
-    assert not any(name.startswith("root:") for name in failed)
-    assert {"root.1: regularity", "root.2: regularity"} <= failed
+    # root: regularity passes; a's row has no level-5 entry, so it is out of
+    # level order, and a is the first node whose row is
+    assert [c.name for c in rep.failures] == ["root: level-order"]
+    assert rep.failures[0].detail.endswith(f"first fails at node {a}")
+
+
+def _shape_by_definition(g):
+    """Whether ``g`` has a THLN's shape by the recursive definition, level by
+    level: 2^n rows making a simple undirected graph in which every level of
+    dimension d (an aligned block of 2^d ids, d = 3..n) is d-regular and
+    connected, with each row in level order: by the dimension of the lowest
+    level holding v and the neighbour (at least 3), then by id."""
+    n, rows = g.dimension, g.adjacency
+    nodes = range(len(rows))
+    if n < 3 or len(rows) != 1 << n:
+        return False
+    for v, row in enumerate(rows):
+        if len(set(row)) != len(row) or not all(w in nodes and w != v and v in rows[w]
+                                                for w in row):
+            return False
+    for d in range(3, n + 1):
+        for base in range(0, 1 << n, 1 << d):
+            level = range(base, base + (1 << d))
+            if any(sum(w in level for w in rows[v]) != d for v in level):
+                return False
+            seen, stack = {base}, [base]
+            while stack:
+                for w in rows[stack.pop()]:
+                    if w in level and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) != len(level):
+                return False
+    return all(list(row) == sorted(row, key=lambda w, v=v: (max((v ^ w).bit_length(), 3), w))
+               for v, row in enumerate(rows))
+
+
+def _edited(g, drop=(), add=()):
+    """``g``'s neighbour sets with the edges ``drop`` removed and ``add`` added."""
+    rows = [set(r) for r in g.adjacency]
+    for u, v in drop:
+        rows[u].discard(v)
+        rows[v].discard(u)
+    for u, v in add:
+        rows[u].add(v)
+        rows[v].add(u)
+    return rows
+
+
+def _mutants(g, rng):
+    """Seeded edits of ``g``'s edges, as neighbour sets: an edge removed, an
+    edge added, 2-switches (a-b, c-d to a-c, b-d) of two edges of one level
+    inside one block of it and of two edges of different levels, and block 0
+    rewired as two 4-cliques."""
+    edges = g.edges
+    level = [max((u ^ v).bit_length(), 3) for u, v in edges]
+    yield _edited(g, drop=[e for e in edges if e[1] < 8],
+                  add=[(u, v) for u in range(8) for v in range(u + 1, 8) if u >> 2 == v >> 2])
+    for _ in range(2):
+        yield _edited(g, drop=[rng.choice(edges)])
+        u, v = rng.sample(g.nodes, 2)
+        if not g.has_edge(u, v):
+            yield _edited(g, add=[(u, v)])
+        i = rng.randrange(len(edges))
+        d = level[i]
+        same = [j for j, e in enumerate(edges) if level[j] == d and e[0] >> d == edges[i][0] >> d]
+        other = [j for j in range(len(edges)) if level[j] != d]
+        for j in (rng.choice(same), *([rng.choice(other)] if other else ())):
+            (a, b), (c, e) = edges[i], edges[j][::rng.choice((1, -1))]
+            if len({a, b, c, e}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, e):
+                yield _edited(g, drop=[(a, b), (c, e)], add=[(a, c), (b, e)])
+
+
+@pytest.mark.parametrize("kind", ["base3-custom", "crossed", "mobius0", "mobius1",
+                                  "locally-twisted", "random"])
+def test_check_shape_agrees_with_the_definition(kind):
+    # every preset and seeded mutants of it, each with its rows in level
+    # order and ascending; the report holds the same six checks at every n
+    rng = random.Random(kind)
+    verdicts = set()
+    graphs = ([make_base(VariantSpec.base3_custom(Q3_EDGES))] if kind == "base3-custom" else
+              [make_preset(VariantSpec.random(n) if kind == "random" else VariantSpec(kind), n)
+               for n in range(3, 9)])
+    for g in graphs:
+        for rows in [[set(r) for r in g.adjacency], *_mutants(g, rng)]:
+            for ordered in (_level_rows(rows), [sorted(r) for r in rows]):
+                h = ThlnGraph(g.dimension, ordered)
+                rep = check_shape(h)
+                assert len(rep.checks) == 6
+                assert rep.ok == _shape_by_definition(h), (g.dimension, rep.failures)
+                verdicts.add(rep.ok)
+    assert verdicts == {True, False}
+
+
+def _malformed(edit):
+    """A random n = 5 graph's rows (as lists) with ``edit`` applied to them."""
+    rows = [list(r) for r in make_preset(VariantSpec.random(4), 5).adjacency]
+    edit(rows)
+    return ThlnGraph(5, rows)
+
+
+def _one_way(rows):
+    # node 3's level-5 entry moves from its partner to another half-2 node,
+    # which does not name 3 back; every degree and the level order hold
+    rows[3][4] ^= 1
+
+
+def _negative_id(rows):
+    # a negative id whose bits first differ from 3's in bit 4, so only the
+    # symmetry check can catch it
+    rows[3][4] = next(w for w in range(-1, -64, -1) if (3 ^ w).bit_length() == 5)
+
+
+@pytest.mark.parametrize("graph,failing", [
+    (lambda: _malformed(_one_way), ["root: symmetry"]),
+    (lambda: _malformed(lambda rows: rows[3].append(1000)),
+     ["root: regularity", "root: edge-count", "root: symmetry"]),
+    (lambda: _malformed(lambda rows: rows[3].__setitem__(4, 32)),
+     ["root: symmetry", "root: level-order"]),
+    (lambda: _malformed(_negative_id), ["root: symmetry"]),
+    (lambda: _malformed(lambda rows: rows[3].__setitem__(1, rows[3][0])),
+     ["root: symmetry", "root: level-order"]),
+    (lambda: _malformed(lambda rows: rows.pop()),
+     ["root: node-count", "root: edge-count", "root: symmetry"]),
+    (lambda: _malformed(lambda rows: rows.append([])),
+     ["root: node-count", "root: regularity"]),
+    (lambda: ThlnGraph(2, [(1, 2), (0, 3), (0, 3), (1, 2)]), ["root: level-order"]),
+], ids=["one-way-row", "extra-id-1000", "id-2^n", "negative-id", "duplicate-entry",
+        "a-row-short", "a-row-over", "dimension-2"])
+def test_check_shape_fails_malformed_rows_without_raising(graph, failing):
+    # the shape check is the one place a graph's rows are checked: an id out
+    # of the graph fails it, never wraps or raises
+    rep = check_shape(graph())
+    assert [c.name for c in rep.failures] == failing
+
+
+def test_shape_check_names_the_failing_node_in_the_files_ids():
+    # ids reversed, so each file id differs from its position; an extra cross
+    # edge fails regularity first at one of its ends
+    doc = graph_to_json_obj(make_preset(VariantSpec.random(2), 5))
+
+    def flip(t):
+        return {"half1": sorted(31 - v for v in t["half1"]),
+                "matching": sorted([31 - u, 31 - v] for u, v in t["matching"]),
+                "children": [flip(c) for c in t["children"]]}
+
+    edges = {tuple(sorted((31 - u, 31 - v))) for u, v in doc["edges"]}
+    tree = flip(doc["decomposition"])
+    u = min(tree["half1"])
+    w = min(w for w in range(32) if w not in tree["half1"] and (u, w) not in edges)
+    g = graph_from_json(json.dumps({"dimension": 5, "edges": sorted(edges | {(u, w)}),
+                                    "decomposition": tree}))
+    assert g.file_ids is not None
+    bad = check_shape(g).failures[0]
+    assert bad.name == "root: regularity"
+    assert int(bad.detail.rsplit(" ", 1)[1]) in (u, w)
+
+
+def test_graph_files_are_canonical_whatever_the_row_order():
+    # each row's base entries reversed: the rows are out of level order, but
+    # the graph, and so its JSON and DOT files, are the canonical twin's
+    g = make_preset(VariantSpec.random(1), 4)
+    h = ThlnGraph(4, [row[2::-1] + row[3:] for row in g.adjacency])
+    assert [c.name for c in check_shape(h).failures] == ["root: level-order"]
+    assert graph_to_json(h) == graph_to_json(g)
+    assert graph_to_dot(h) == graph_to_dot(g)
 
 
 def test_json_roundtrip_is_byte_identical():
