@@ -9,7 +9,6 @@ from .embedder import (
 )
 from .errors import (
     AdjacencyViolated,
-    DimensionMismatch,
     DisjointnessViolated,
     FaultyEndpoint,
     ForeignFault,
@@ -56,7 +55,6 @@ from .topology import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    join,
     make_base,
     make_preset,
 )

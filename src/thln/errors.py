@@ -47,12 +47,8 @@ class MalformedGraph(ThlnError):
     parsed into a well-formed graph."""
 
 
-class DimensionMismatch(ThlnError):
-    """Two halves of different dimensions cannot be joined."""
-
-
 class NotABijection(ThlnError):
-    """A joining matching fails to map the first half onto the second one-to-one."""
+    """A preset's level matching fails to map the first half onto the second one-to-one."""
 
 
 class NoDecomposition(ThlnError):

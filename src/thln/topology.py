@@ -9,11 +9,11 @@ The decomposition is not stored; it is read off node ids, which are
 positions in 0..2^n-1. The level of dimension d that holds a node is its
 aligned block of 2^d ids: half 1 is the lower half of the block, and a
 node's cross partner at that level is its one neighbour whose id first
-differs from its own in bit d - 1. :func:`join` and :func:`make_preset`
-number nodes that way, and every row is stored in level order (see
-:class:`ThlnGraph`). A graph loaded from a file is renumbered to the
-positions of the file's decomposition tree, which the loader checks against
-the edges, and keeps the file's ids to write back (``file_ids``).
+differs from its own in bit d - 1. :func:`make_preset` numbers nodes that
+way, and every row is stored in level order (see :class:`ThlnGraph`). A
+graph loaded from a file is renumbered to the positions of the file's
+decomposition tree, which the loader checks against the edges, and keeps the
+file's ids to write back (``file_ids``).
 :func:`check_shape` then checks the shape in one pass over the rows.
 
 Preset generators are provided for the classic twisted families (crossed,
@@ -21,20 +21,19 @@ Moebius, locally twisted) plus seeded random matchings, each named by a
 :class:`VariantSpec` kind. A preset is written in one pass into one row
 table: each 8-node base block, then each level's matching, in the recursive
 definition's order (lower sub-level, upper sub-level, then the level), so the
-random kind draws its matchings in that order. Presets are convenience
-constructors validated structurally by :func:`check_shape`; every algorithm
-in this package works on any graph passing those checks. :func:`join` stays
-the way to join two given graphs.
+random kind draws its matchings in that order. The three built-in 8-node
+bases are judged by :func:`check_shape` once, at import, and every preset
+reuses their rows; every algorithm in this package works on any graph
+passing those checks.
 """
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    DimensionMismatch,
     MalformedBase,
     MalformedGraph,
     NoDecomposition,
@@ -236,87 +235,43 @@ def _adjacency_from_edges(n_nodes: int, edges: Iterable[Edge]) -> list[set[int]]
     return rows
 
 
-def _level_rows(rows: Sequence[Iterable[int]]) -> list[list[int]]:
+def _level_rows(rows: Iterable[Iterable[int]]) -> list[list[int]]:
     """Each row in level order: by the dimension of the lowest level that
     holds both ends (at least 3), then by id."""
     return [sorted(row, key=lambda w, v=v: (max((v ^ w).bit_length(), 3), w))
             for v, row in enumerate(rows)]
 
 
-def _is_connected(adjacency: Sequence[Sequence[int]], nodes: range) -> bool:
-    """Whether ``nodes`` (at least one) induce a connected subgraph."""
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        v = frontier.pop()
-        for w in adjacency[v]:
-            if w in nodes and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(nodes)
+def _checked_base(edges: Iterable[Edge]) -> ThlnGraph:
+    """The dimension-3 graph of an 8-node edge list, judged by
+    :func:`check_shape`. Raises :class:`MalformedBase` naming the first
+    failing root check; an id outside 0..7 or a repeated pair is caught on
+    the list, before rows exist."""
+    norm = [_norm_edge(u, v) for u, v in edges]
+    for u, v in norm:
+        if not (0 <= u < 8 and 0 <= v < 8):
+            raise MalformedBase(f"edge ({u},{v}) outside nodes 0..7")
+    if len(set(norm)) != len(norm):
+        raise MalformedBase("duplicate edge in base list")
+    g = ThlnGraph(3, _level_rows(_adjacency_from_edges(8, norm)))
+    failures = check_shape(g).failures
+    if failures:
+        raise MalformedBase(f"base graph fails check {failures[0].name}: {failures[0].detail}")
+    return g
 
 
 def make_base(spec: VariantSpec) -> ThlnGraph:
     """Build a dimension-3 base graph from a base3 variant spec.
 
-    Raises :class:`MalformedBase` if a custom edge list is not a simple,
-    connected, 3-regular graph on nodes 0..7.
+    The default base was validated once, at import, and is returned as is.
+    A custom edge list raises :class:`MalformedBase` unless it is a simple,
+    connected, 3-regular graph on nodes 0..7 (see :func:`_checked_base`).
     """
     if spec.kind == "base3-default":
-        edges = DEFAULT_BASE_EDGES
-    elif spec.kind == "base3-custom":
-        edges = spec.edges or ()
-    else:
-        raise ValueError(f"make_base requires a base3 kind, got {spec.kind!r}")
-
-    norm = [_norm_edge(u, v) for u, v in edges]
-    for u, v in norm:
-        if u == v:
-            raise MalformedBase(f"self-loop at node {u}")
-        if not (0 <= u < 8 and 0 <= v < 8):
-            raise MalformedBase(f"edge ({u},{v}) outside nodes 0..7")
-    if len(set(norm)) != len(norm):
-        raise MalformedBase("duplicate edge in base list")
-    if len(norm) != 12:
-        raise MalformedBase(f"expected 12 edges, got {len(norm)}")
-    adjacency = _adjacency_from_edges(8, norm)
-    bad = [v for v in range(8) if len(adjacency[v]) != 3]
-    if bad:
-        raise MalformedBase(f"nodes {bad} do not have degree 3")
-    if not _is_connected(adjacency, range(8)):
-        raise MalformedBase("base graph is not connected")
-    return ThlnGraph(dimension=3, adjacency=_level_rows(adjacency))
-
-
-def join(
-    g1: ThlnGraph,
-    g2: ThlnGraph,
-    matching: Union[Mapping[int, int], Iterable[Edge]],
-) -> ThlnGraph:
-    """Join two equal-dimension graphs with a perfect matching into one level up.
-
-    ``matching`` maps each node of ``g1`` to a node of ``g2`` in the halves'
-    own 0-based coordinates; the second half's identifiers are offset by
-    ``2**g1.dimension`` in the result. Only the adjacency is built, and
-    ids stay positions; a loaded input's file ids are not carried over.
-    """
-    if g1.dimension != g2.dimension:
-        raise DimensionMismatch(
-            f"cannot join dimensions {g1.dimension} and {g2.dimension}"
-        )
-    n = g1.num_nodes
-    phi = dict(matching.items()) if isinstance(matching, Mapping) else dict(matching)
-    if sorted(phi.keys()) != list(range(n)) or sorted(phi.values()) != list(range(n)):
-        raise NotABijection(
-            "matching must map the first half's nodes onto the second half's nodes"
-        )
-
-    rows: list[list[int]] = [list(g1.adjacency[v]) for v in range(n)]
-    rows += [[w + n for w in g2.adjacency[v]] for v in range(n)]
-    for u, w in phi.items():
-        rows[u].append(w + n)
-        rows[w + n].append(u)
-    return ThlnGraph(g1.dimension + 1, rows)
+        return _DEFAULT_BASE
+    if spec.kind == "base3-custom":
+        return _checked_base(spec.edges or ())
+    raise ValueError(f"make_base requires a base3 kind, got {spec.kind!r}")
 
 
 def _bijection(phi: list[int]) -> list[int]:
@@ -350,10 +305,6 @@ def _moebius_matching(m_bits: int, kind: int) -> list[int]:
     # 0-Moebius: the identity; 1-Moebius: the complement.
     full = (1 << m_bits) - 1 if kind else 0
     return [full ^ u for u in range(1 << m_bits)]
-
-
-def _base_rows(edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
-    return make_base(VariantSpec.base3_custom(edges)).adjacency
 
 
 def _build_one_pass(n: int, base_at, matching_at) -> ThlnGraph:
@@ -390,8 +341,8 @@ def make_preset(spec: VariantSpec, n: int) -> ThlnGraph:
     The graph is written in one pass into one row table (positions are ids):
     each 8-node base block, then each level's matching, in the recursive
     definition's order, lower sub-level, upper sub-level, then the level.
-    Each base edge list is validated once by :func:`make_base` and each
-    matching is checked to be a bijection. The random kind draws each
+    The blocks reuse the rows of the built-in bases, validated once, at
+    import, and each matching is checked to be a bijection. The random kind draws each
     level's matching, one ``shuffle`` of the half's indices, from a single
     generator seeded with ``spec.seed`` in that order (left half first,
     depth first), so equal seeds give identical graphs.
@@ -406,12 +357,12 @@ def make_preset(spec: VariantSpec, n: int) -> ThlnGraph:
         # a level of dimension d is 1-Moebius when it is its parent's upper
         # half (bit d of its offset is set); the top level's kind is the spec's
         top = int(spec.kind == "mobius1") << n
-        bases = [_base_rows(MOEBIUS0_BASE_EDGES), _base_rows(MOEBIUS1_BASE_EDGES)]
+        bases = [_MOEBIUS0_BASE.adjacency, _MOEBIUS1_BASE.adjacency]
         matchings = {(d, kind): _bijection(_moebius_matching(d - 1, kind))
                      for d in range(4, n + 1) for kind in (0, 1)}
         return _build_one_pass(n, lambda off: bases[(top | off) >> 3 & 1],
                                lambda d, off: matchings[d, (top | off) >> d & 1])
-    base = _base_rows(DEFAULT_BASE_EDGES)
+    base = _DEFAULT_BASE.adjacency
     if spec.kind == "random":
         rng = random.Random(spec.seed)
 
@@ -457,6 +408,19 @@ class ShapeReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+def _is_connected(adjacency: Sequence[Sequence[int]], nodes: range) -> bool:
+    """Whether ``nodes`` (at least one) induce a connected subgraph."""
+    seen = {nodes[0]}
+    frontier = [nodes[0]]
+    while frontier:
+        v = frontier.pop()
+        for w in adjacency[v]:
+            if w in nodes and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == len(nodes)
+
+
 def check_shape(g: ThlnGraph) -> ShapeReport:
     """Check the graph's shape in one pass over its rows: 2^n rows of n
     entries, each entry a node whose row names the row's node back, each row
@@ -469,6 +433,7 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
     the report."""
     n, rows = g.dimension, g.adjacency
     size = len(rows)
+    n_nodes = 1 << n if n >= 0 else 0  # a negative dimension fails node-count
     row_of = dict(enumerate(rows))  # an entry that is no node names no row
     first: dict[str, int] = {}  # check name -> the first node it fails at
     for v, row in enumerate(rows):
@@ -490,14 +455,21 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
 
     degrees = sum(map(len, rows))
     return ShapeReport((
-        ShapeCheck("root: node-count", size == 1 << n, f"expected {1 << n}, got {size}"),
+        ShapeCheck("root: node-count", n >= 0 and size == n_nodes,
+                   f"expected {n_nodes}, got {size}"),
         at_node("regularity", f"every node needs degree {n}"),
-        ShapeCheck("root: edge-count", degrees == n << n,
-                   f"expected {n << (n - 1)} edges, got {degrees // 2}"),
+        ShapeCheck("root: edge-count", degrees == n * n_nodes,
+                   f"expected {n * n_nodes // 2} edges, got {degrees // 2}"),
         at_node("symmetry", "every entry is a node whose row names it back"),
         at_node("level-order", "every row lists its 8-node block, then a partner per level"),
         at_node("blocks-connected", "every 8-node block is connected"),
     ))
+
+
+#: The built-in bases, each judged by :func:`check_shape` once, here, at
+#: import; :func:`make_base` and :func:`make_preset` reuse them.
+_DEFAULT_BASE, _MOEBIUS0_BASE, _MOEBIUS1_BASE = map(
+    _checked_base, (DEFAULT_BASE_EDGES, MOEBIUS0_BASE_EDGES, MOEBIUS1_BASE_EDGES))
 
 
 # ----------------------------------------------------------------------
@@ -560,11 +532,11 @@ def _json_pairs(xs, what: str) -> list[Edge]:
     return [(_json_int(u, what), _json_int(v, what)) for u, v in xs]
 
 
-def _read_level(obj, nodes: list[int], dim: int, name: str,
-                edges: set[Edge], order: list[int]) -> None:
+def _read_level(obj, nodes: set[int], dim: int, name: str,
+                adjacency: Sequence[set[int]], order: list[int]) -> None:
     """Append one level's nodes to ``order`` in position order, checking the
-    file's decomposition of it against the edges. The leaves keep their ids
-    ascending."""
+    file's decomposition of it against the edges (``adjacency``, in the
+    file's ids). The leaves keep their ids ascending."""
     if dim == 3:
         if obj is not None:
             raise MalformedGraph("a dimension-3 level has no decomposition")
@@ -578,25 +550,26 @@ def _read_level(obj, nodes: list[int], dim: int, name: str,
     children = obj.get("children") or [None, None]
     if not isinstance(children, list) or len(children) != 2:
         raise MalformedGraph("children must be absent or a pair")
-    h1, node_set = set(half1), set(nodes)
-    if not h1 <= node_set:
+    h1 = set(half1)
+    if not h1 <= nodes:
         raise MalformedGraph("half1 contains foreign nodes")
-    h2 = node_set - h1
+    h2 = nodes - h1
     size = 1 << (dim - 1)
     firsts, seconds = {u for u, _ in matching}, {v for _, v in matching}
+    # once the matching is a bijection of the halves, each of its ids has a row
+    bijection = firsts <= h1 and seconds <= h2 and len(firsts) == len(seconds) == size
     for check, passed, detail in (
         ("halves-partition", len(half1) == len(h1) == len(h2) == size,
          f"each half needs {size} distinct nodes"),
         ("matching-size", len(matching) == size, f"expected {size}, got {len(matching)}"),
-        ("matching-bijection",
-         firsts <= h1 and seconds <= h2 and len(firsts) == len(seconds) == size, ""),
-        ("matching-edges-present", all(_norm_edge(u, v) in edges for u, v in matching), ""),
+        ("matching-bijection", bijection, ""),
+        ("matching-edges-present", bijection and all(v in adjacency[u] for u, v in matching), ""),
     ):
         if not passed:
             detail = f" ({detail})" if detail else ""
             raise MalformedGraph(f"decomposition fails check {name}: {check}{detail}")
-    _read_level(children[0], sorted(h1), dim - 1, f"{name}.1", edges, order)
-    _read_level(children[1], sorted(h2), dim - 1, f"{name}.2", edges, order)
+    _read_level(children[0], h1, dim - 1, f"{name}.1", adjacency, order)
+    _read_level(children[1], h2, dim - 1, f"{name}.2", adjacency, order)
 
 
 def graph_from_json_obj(obj: dict) -> ThlnGraph:
@@ -616,19 +589,18 @@ def graph_from_json_obj(obj: dict) -> ThlnGraph:
             f"{len(raw_edges)} edges cannot make a regular graph on 2^{dim} nodes"
         )
     n = 1 << dim
-    ids = list(range(n))  # one int per id; indexed after the range check, as -1 would wrap
-    edges = set()
-    for u, v in raw_edges:
+    for u, v in raw_edges:  # before any id indexes a row, as -1 would wrap
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise MalformedGraph(f"edge ({u},{v}) out of range for dimension {dim}")
-        edges.add(_norm_edge(ids[u], ids[v]))
+    adjacency = _adjacency_from_edges(n, raw_edges)
+    ids = list(range(n))  # one int per id
     order: list[int] = []
-    _read_level(obj.get("decomposition"), ids, dim, "root", edges, order)
+    _read_level(obj.get("decomposition"), set(ids), dim, "root", adjacency, order)
     position = [0] * n  # of each file id, sharing the ids' int objects
     for p, v in enumerate(order):
         position[v] = ids[p]
-    rows = _adjacency_from_edges(n, ((position[u], position[v]) for u, v in edges))
-    return ThlnGraph(dim, _level_rows(rows), None if order == ids else tuple(ids[v] for v in order))
+    rows = _level_rows([position[w] for w in adjacency[v]] for v in order)
+    return ThlnGraph(dim, rows, None if order == ids else tuple(ids[v] for v in order))
 
 
 def graph_from_json(text: str) -> ThlnGraph:

@@ -8,6 +8,25 @@ if str(SRC) not in sys.path:
 import pytest
 
 from thln import VariantSpec, make_preset
+from thln.topology import ThlnGraph
+
+
+def _join(g1, g2, matching):
+    """The reference builder of one level: equal-dimension ``g1`` and ``g2``
+    joined by ``matching``, a dict from each node of ``g1`` onto a node of
+    ``g2`` in the halves' own ids; ``g2``'s ids are offset by ``g1``'s size.
+    Each row keeps its level order, its new cross partner last."""
+    n = g1.num_nodes
+    rows = [list(row) for row in g1.adjacency] + [[w + n for w in row] for row in g2.adjacency]
+    for u, w in matching.items():
+        rows[u].append(w + n)
+        rows[w + n].append(u)
+    return ThlnGraph(g1.dimension + 1, rows)
+
+
+@pytest.fixture(scope="session")
+def join():
+    return _join
 
 
 @pytest.fixture(scope="session")

@@ -90,6 +90,19 @@ def test_module_entry_point_generates_the_default_base(n, code):
         assert proc.stderr == "error: base3-default is only defined at dimension 3\n"
 
 
+def test_generate_default_writes_a_base_that_passes_the_file_check(tmp_path, capsys):
+    gpath = tmp_path / "default.json"
+    code, _, err = run_cli(capsys, "generate", "--variant", "default", "--n", "3", "-o", str(gpath))
+    assert code == 0, err
+    code, _, _ = run_cli(capsys, "check", "--graph", str(gpath), "-o", str(tmp_path / "check.json"))
+    assert code == 0
+    code, _, err = run_cli(capsys, "generate", "--variant", "default", "--n", "4",
+                           "-o", str(tmp_path / "four.json"))
+    assert code == 2
+    assert err == "error: base3-default is only defined at dimension 3\n"
+    assert not (tmp_path / "four.json").exists()
+
+
 def test_export_missing_file_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "export", "--graph", str(tmp_path / "nope.json"))
     assert code == 2

@@ -22,7 +22,6 @@ from thln import (
     embed,
     graph_from_json,
     graph_to_json,
-    join,
     make_base,
     make_preset,
     neighbor_condition,
@@ -317,7 +316,7 @@ TRIANGLE_BASE = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5), (3, 6), (3, 7),
 CASE4_CHORD_FAULTS = FaultSet.of(edges=[(0, 3), (0, 12), (0, 26), (0, 60), (0, 121), (112, 113)])
 
 
-def _triangle_graph8():
+def _triangle_graph8(join):
     """``TRIANGLE_BASE`` joined up to dimension 8, each level's matching one
     shuffle from a single seeded generator, lowest level first. No preset
     holds a triangle, so only such a graph reaches the ``uend-1chord`` shape."""
@@ -330,8 +329,8 @@ def _triangle_graph8():
     return g
 
 
-def test_case4_chord_at_the_path_end_survives_a_file_round_trip():
-    g = _triangle_graph8()
+def test_case4_chord_at_the_path_end_survives_a_file_round_trip(join):
+    g = _triangle_graph8(join)
     assert check_shape(g).ok
     loaded = graph_from_json(graph_to_json(g))
     a, b = (embed_and_check(x, CASE4_CHORD_FAULTS, 2, 129) for x in (g, loaded))
@@ -857,7 +856,7 @@ def _split_instance(case, seed):
 
 
 @pytest.fixture(scope="module")
-def pinned_instances(graph8, graph9):
+def pinned_instances(graph8, graph9, join):
     """name -> the (graph, faults, s, t) instances of every hand-built
     fixture above, and seeded n = 10 split pairs solved from t."""
     g8, g9 = graph8, graph9
@@ -910,7 +909,7 @@ def pinned_instances(graph8, graph9):
         "4.3.3.1": (g8, CASE4_FAULTS, p4[1], cp8(p4[0])),
         "4.3.3.2": (g8, CASE4_FAULTS, p4[5], cp8(p4[0])),
         "4.3.3.1-z": (g8, CASE4_DEGREE2_END, 1, cp8(0)),
-        "4.3.3.1-uend-1chord": (_triangle_graph8(), CASE4_CHORD_FAULTS, 2, 129),
+        "4.3.3.1-uend-1chord": (_triangle_graph8(join), CASE4_CHORD_FAULTS, 2, 129),
         "2.1.2.1-z1": (g8, _cut_cross_edge(g8, c1[13]), c1[10], c1[12]),
         "2.1.3-x1-y1": (g8, _cut_cross_edge(g8, c1[11]), c1[10], c1[20]),
         "3.1.1": (g9, f3, 7, 99),

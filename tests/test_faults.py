@@ -10,6 +10,7 @@ from thln import (
     FaultyEndpoint,
     ForeignFault,
     NoDecomposition,
+    PreconditionViolated,
     SurvivingView,
     ThlnGraph,
     VariantSpec,
@@ -506,3 +507,23 @@ def test_fault_set_json_roundtrip():
     again = FaultSet.from_json(f.to_json())
     assert again == f
     assert f.to_json() == again.to_json()
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: FaultSet.of(edges=[(3, 3)]), "self-loop fault at node 3"),
+    (lambda: FaultSet.from_json_obj({"edges": [[1, 2, 3]]}), "must be a pair of integers"),
+    (lambda: FaultSet.from_json_obj({"nodes": 5}), "must be lists"),
+    (lambda: FaultSet.from_json_obj({"edges": {"1": 2}}), "must be lists"),
+])
+def test_malformed_fault_sets_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_neighbor_condition_needs_distinct_endpoints(graph4):
+    with pytest.raises(PreconditionViolated, match="distinct"):
+        neighbor_condition(surviving_view(graph4, FaultSet.empty()), 3, 3)
+
+
+def test_the_empty_path_is_a_path_of_every_view(graph4):
+    assert SurvivingView(graph4, FaultSet.of(nodes=[1, 2])).is_path(())

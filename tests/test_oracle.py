@@ -843,3 +843,19 @@ def test_cut_test_matches_its_definition_in_any_dfs_order(seed):
     for _ in range(3):
         rows = [tuple(rng.sample(sorted(adj[v]), len(adj[v]))) for v in range(size)]
         assert oracle._cut_prune(rows, head, remaining, len(region), is_end) == expected
+
+
+def test_a_view_too_small_for_a_cycle_has_none(graph4):
+    # nodes 6 and 7 are all that is left of the block: no covering cycle,
+    # and nothing left at all once they go too
+    two = SurvivingView(graph4, FaultSet.of(nodes=range(6)), scope=range(8))
+    assert len(two) == 2
+    assert ham_cycle(two).status is SearchStatus.PROVEN_ABSENT
+    empty = SurvivingView(graph4, FaultSet.of(nodes=range(8)), scope=range(8))
+    assert near_ham_cycle(empty).status is SearchStatus.PROVEN_ABSENT
+
+
+def test_the_enumerator_needs_distinct_endpoints(graph4):
+    view = SurvivingView(graph4, FaultSet.empty(), scope=range(8))
+    with pytest.raises(PreconditionViolated, match="distinct"):
+        enumerate_ham_path_exists(view, 3, 3)

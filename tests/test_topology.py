@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from thln import (
     DEFAULT_BASE_EDGES,
-    DimensionMismatch,
     FaultSet,
     MalformedBase,
     MalformedGraph,
@@ -27,13 +26,12 @@ from thln import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    join,
     make_base,
     make_preset,
     validate_path,
 )
 from thln.errors import ThlnError
-from thln.topology import ThlnGraph, _level_rows, graph_to_json_obj
+from thln.topology import ThlnGraph, _bijection, _level_rows, graph_to_json_obj
 
 Q3_EDGES = [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
 
@@ -88,27 +86,50 @@ def test_custom_base_rejections(bad, exc):
         make_base(VariantSpec.base3_custom(bad))
 
 
-def test_join_identity_matching():
-    b = make_base(VariantSpec("base3-default"))
-    g = join(b, b, {u: u for u in range(8)})
+#: two 4-cliques: 3-regular with 12 edges, but not connected
+TWO_K4 = [(u, v) for block in (0, 4) for u in range(block, block + 4)
+          for v in range(u + 1, block + 4)]
+
+
+@pytest.mark.parametrize("bad,message", [
+    (Q3_EDGES[:11] + [(1, 0)], "duplicate edge in base list"),
+    (TWO_K4, "base graph fails check root: blocks-connected"),
+    ([(0, 0)] + Q3_EDGES[:11], "base graph fails check root: regularity"),
+    (Q3_EDGES[:11], "base graph fails check root: regularity"),
+])
+def test_custom_base_rejection_names_the_failing_check(bad, message):
+    # a repeated pair is caught on the list, before rows exist; every other
+    # rejection names the first failing root check of check_shape
+    with pytest.raises(MalformedBase, match=message):
+        make_base(VariantSpec.base3_custom(bad))
+
+
+def test_make_base_rejects_a_non_base_kind():
+    with pytest.raises(ValueError, match="base3 kind"):
+        make_base(VariantSpec("crossed"))
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("no-such-kind", "unknown variant kind"),
+    ("base3-custom", "requires an edge list"),
+    ("random", "requires a seed"),
+])
+def test_variant_spec_rejections(kind, message):
+    with pytest.raises(ValueError, match=message):
+        VariantSpec(kind)
+
+
+def test_a_matching_that_is_no_bijection_is_rejected():
+    with pytest.raises(NotABijection):
+        _bijection([0, 0, 1, 2])
+
+
+def test_mobius0_joins_its_top_level_by_the_identity():
+    g = make_preset(VariantSpec("mobius0"), 4)
     assert g.num_nodes == 16
     assert all(g.degree(v) == 4 for v in g.nodes)
     assert len(g.decomposition.matching) == 8
     assert cross_partner(g, 3) == 3 + 8
-
-
-def test_join_dimension_mismatch():
-    b = make_base(VariantSpec("base3-default"))
-    g4 = join(b, b, {u: u for u in range(8)})
-    with pytest.raises(DimensionMismatch):
-        join(b, g4, {})
-
-
-def test_join_rejects_non_bijection():
-    b = make_base(VariantSpec("base3-default"))
-    phi = {u: 0 for u in range(8)}
-    with pytest.raises(NotABijection):
-        join(b, b, phi)
 
 
 #: variant -> sha256 prefixes of ``graph_to_json`` at n = 3..10.
@@ -374,8 +395,10 @@ def _negative_id(rows):
     (lambda: _malformed(lambda rows: rows.append([])),
      ["root: node-count", "root: regularity"]),
     (lambda: ThlnGraph(2, [(1, 2), (0, 3), (0, 3), (1, 2)]), ["root: level-order"]),
+    (lambda: ThlnGraph(0, []), ["root: node-count"]),
+    (lambda: ThlnGraph(-1, [()]), ["root: node-count", "root: regularity"]),
 ], ids=["one-way-row", "extra-id-1000", "id-2^n", "negative-id", "duplicate-entry",
-        "a-row-short", "a-row-over", "dimension-2"])
+        "a-row-short", "a-row-over", "dimension-2", "dimension-0", "dimension-minus-1"])
 def test_check_shape_fails_malformed_rows_without_raising(graph, failing):
     # the shape check is the one place a graph's rows are checked: an id out
     # of the graph fails it, never wraps or raises
@@ -429,8 +452,8 @@ def _half_as_graph(g, half, offset):
     return ThlnGraph(g.dimension - 1, rows)
 
 
-def test_decompose_then_join_rebuilds_identical_graph():
-    # join and the one-pass preset builder are checked against each other,
+def test_decompose_then_join_rebuilds_identical_graph(join):
+    # the reference join and the one-pass preset builder are checked against each other,
     # on every variant; one test id, so the original random case keeps its name
     specs = [VariantSpec("crossed"), VariantSpec("locally-twisted"), VariantSpec("mobius0"),
              VariantSpec("mobius1"), VariantSpec.random(13)]
