@@ -19,26 +19,32 @@ gated helper's. An attempt's expansion, backtrack and cut-test counts stay
 in locals and are written back to the call's budget state once, when it
 ends.
 
-The cut test, one O(V) Hopcroft-Tarjan articulation pass, runs only on the
-first expansion after a backtrack. It prunes when the head and the
-unvisited nodes form a disconnected region, or a node of it (the head too)
-leaves two hanging pieces, or one without an end. The pieces depend on the
-region, not on the order a DFS meets them, so neither does the decision.
-Skipping it elsewhere keeps the paths found: it only removes subtrees that
-hold no covering path, and the successor order never depends on it, so the
-search meets the same covering paths in the same order, only later when an
-attempt's slice runs out first. At an attempt's root that subtree is the
-whole search, so a root pass could only cut short a search that has no
-answer (the search then proves the absence by backtracking instead), and a
-forward run that finds its path runs no cut test at all. An obstruction a
-forward run misses ends in a dead end, and the test catches it at the first
-expansion after that and at each sibling on the way back up. Successors are
-tried lowest rdeg first, ties broken by a salted bijection of the node id
-(one integer key, rdeg * |V| + the node's rank under that bijection), so
-identical inputs always explore the identical tree. Salt 0's bijection is
-the id itself, and a view lists its ids in ascending order, so the ranks of
-an attempt at salt 0 are the index order (the two-path helper first) and
-need no sort.
+The cut test, one O(V) Hopcroft-Tarjan articulation pass, prunes when the
+head and the unvisited nodes form a disconnected region, or a node of it
+(the head too) leaves two hanging pieces, or one without an end. The pieces
+depend on the region, not on the order a DFS meets them, so neither does the
+decision. It runs only on the first expansion after a backtrack, and only
+once the attempt has backtracked |V| times, the restart schedule's own
+view-sized unit. On benchmark traffic it prunes in about one run in eight,
+so a search that backtracks a little (a few dozen times on a 128-node view)
+does better on the degree check alone. But it is what settles structural
+absence: a cut vertex between two parts of the view blocks every covering
+path, the degree check does not see it, and an attempt without the test
+thrashes through the parts' orderings; so attempts that thrash and proofs
+of absence keep it. Skipping it anywhere keeps the paths found: it only
+removes subtrees that hold no covering path, and the successor order never
+depends on it, so the search meets the same covering paths in the same
+order, only later when an attempt's slice runs out first. At an attempt's
+root that subtree is the whole search, so a root pass could only cut short
+a search that has no answer, and a forward run that finds its path runs no
+cut test at all.
+
+Successors are tried lowest rdeg first, ties broken by a salted bijection of
+the node id (one integer key, rdeg * |V| + the node's rank under that
+bijection), so identical inputs always explore the identical tree. Salt 0's
+bijection is the id itself, and a view lists its ids in ascending order, so
+the ranks of an attempt at salt 0 are the index order (the two-path helper
+first) and need no sort.
 
 Attempts run in restart slices sized to the view (Luby, Sinclair and
 Zuckerman 1993; Gomes, Selman and Kautz 1998): slice i of a search over |V|
@@ -270,8 +276,9 @@ def _dfs_cover(
     # successor keys of each path node, popped from the end, under a root
     # entry whose one successor is s
     stack = [[rank[s]]]
-    # the cut test is due at the first expansion after each backtrack, not at
-    # the root: there it could prune only a search with no covering path
+    # the cut test is due at the first expansion after each backtrack from
+    # the attempt's size-th on, never at the root: there it could prune only
+    # a search with no covering path
     cut_due = False
     status = None
     while True:
@@ -317,7 +324,7 @@ def _dfs_cover(
                     low.discard(w)
             if rdeg[c] <= 1:
                 low.add(c)
-            cut_due = True
+            cut_due = backtracks >= size
         if status is not None:
             break
         # expand v, the head: prune checks, then order its successor keys

@@ -14,7 +14,8 @@ way, and every row is stored in level order (see :class:`ThlnGraph`). A
 graph loaded from a file is renumbered to the positions of the file's
 decomposition tree, which the loader checks against the edges, and keeps the
 file's ids to write back (``file_ids``).
-:func:`check_shape` then checks the shape in one pass over the rows.
+:func:`check_shape` then checks the shape in one pass over the rows, and
+over their level columns for symmetry.
 
 Preset generators are provided for the classic twisted families (crossed,
 Moebius, locally twisted) plus seeded random matchings, each named by a
@@ -31,6 +32,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -421,20 +424,42 @@ def _is_connected(adjacency: Sequence[Sequence[int]], nodes: range) -> bool:
     return len(seen) == len(nodes)
 
 
+def _first_one_way(rows: Sequence[Sequence[int]], n: int) -> Optional[int]:
+    """The first node whose row names an id whose row does not name it back,
+    or None. In level order v sits in w's row at entry i for a
+    level-(i + 1) partner and among the first three for a block neighbour,
+    so those entries are tested first, a level's column at a time, and only
+    the rows of the nodes they miss are scanned; when a row has another
+    length or an id out of the graph, every row is."""
+    size = len(rows)
+    suspects = range(size)
+    if n >= 3 and size and set(map(len, rows)) == {n}:
+        cols = list(zip(*rows))
+        if min(map(min, cols)) >= 0 and max(map(max, cols)) < size:
+            ids = list(suspects)
+            suspects = {v for v, (a, b, c) in enumerate(zip(*cols[:3]))
+                        if v not in rows[a][:3] or v not in rows[b][:3] or v not in rows[c][:3]}
+            for col in cols[3:]:
+                back = list(map(col.__getitem__, col))
+                if back != ids:
+                    suspects.update(compress(ids, map(ne, back, ids)))
+    row_of = dict(enumerate(rows))  # an entry that is no node names no row
+    return min((v for v in suspects if not all(v in row_of.get(w, ()) for w in rows[v])),
+               default=None)
+
+
 def check_shape(g: ThlnGraph) -> ShapeReport:
-    """Check the graph's shape in one pass over its rows: 2^n rows of n
-    entries, each entry a node whose row names the row's node back, each row
-    in level order (three other nodes of its 8-node block ascending, then at
-    entry i a node first differing from it in bit i) and each 8-node block
-    connected. By induction every level of dimension d is then d-regular and
-    connected, its halves joined by a perfect matching (the loader checks a
-    file's own). A failing check of the rows names the first node it fails
-    at, in a loaded graph's file ids. Never raises; failures are carried in
-    the report."""
+    """Check the graph's shape over its rows: 2^n rows of n entries, each
+    entry a node whose row names the row's node back, each row in level order
+    (three other nodes of its 8-node block ascending, then at entry i a node
+    first differing from it in bit i) and each 8-node block connected. By
+    induction every level of dimension d is then d-regular and connected, its
+    halves joined by a perfect matching (the loader checks a file's own). A
+    failing check of the rows names the first node it fails at, in a loaded
+    graph's file ids. Never raises; failures are carried in the report."""
     n, rows = g.dimension, g.adjacency
     size = len(rows)
     n_nodes = 1 << n if n >= 0 else 0  # a negative dimension fails node-count
-    row_of = dict(enumerate(rows))  # an entry that is no node names no row
     first: dict[str, int] = {}  # check name -> the first node it fails at
     for v, row in enumerate(rows):
         if len(row) != n:
@@ -443,10 +468,11 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
                   and row[0] >> 3 == row[2] >> 3 == v >> 3
                   and all((v ^ w).bit_length() == d for d, w in enumerate(row[3:], 4))):
             first.setdefault("level-order", v)
-        if not all(v in row_of.get(w, ()) for w in row):
-            first.setdefault("symmetry", v)
         if not v & 7 and not _is_connected(rows, range(v, min(v + 8, size))):
             first.setdefault("blocks-connected", v)
+    one_way = _first_one_way(rows, n)
+    if one_way is not None:
+        first["symmetry"] = one_way
 
     def at_node(name: str, rule: str) -> ShapeCheck:
         v = first.get(name)

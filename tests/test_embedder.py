@@ -986,90 +986,90 @@ def pinned_instances(graph8, graph9, join):
 #: each instance, in order. The construction is deterministic, so any change
 #: in a path, a case label or a trace record moves these digests.
 _PINNED_RESULTS = {
-    "1-spread": "7afcb1e346490d67",
-    "1.1.2-n10": "0a4c4e5ce87065db",
-    "2.1": "6785d417c3a2184c",
-    "2.1.1": "7234afa40ed3468e",
-    "2.1.2.1": "49ea84cbf8ab48bc",
-    "2.1.2.1-z1": "36e83e6f0214c205",
-    "2.1.2.2": "1159ff8f3d4c9bd3",
-    "2.1.3": "190b8284dee35225",
-    "2.1.3-x1-y1": "77e411b604ee60a0",
-    "2.2": "6ce8f8e6310c5731",
-    "2.3": "d3af2c011ceb7b06",
-    "2.3.2": "ec5acc324f55b3d8",
-    "3.1.1": "5095c60b3033905e",
-    "3.1.1.1-d1": "b1178f3c04f2c6a2",
-    "3.1.1.2": "1a89f3d27914f96c",
-    "3.1.1.2-d2-direct": "a4cf25c24c1d8ae3",
-    "3.1.2": "04c7d05ebef43523",
-    "3.1.2-agent": "3b13bb2d4e332306",
-    "3.2": "7e07d4ce73e4741a",
-    "3.3.1": "f742f310cc2d0aa1",
-    "3.3.1-blocked": "2e1a1056e1dd7199",
-    "3.3.2": "089ff7334db25990",
-    "3.3.2-partner-end": "03c7041a5d4747da",
-    "3.3.2-agent": "b8813fd21cc435e8",
-    "4.1": "963027f629ded363",
-    "4.1.1": "d185c1f906ed5eaf",
-    "4.1.2": "5c9318ffa3596fc9",
-    "4.1.2-far-end": "30fce0026c263d28",
-    "4.2": "6858bc1c55f74a67",
-    "4.2.2": "11d629aa87c61b96",
-    "4.2.3": "052ba974551365e8",
-    "4.3": "38168bd7ef46c869",
-    "4.3.2-vend": "6dfb0582757021e2",
-    "4.3.2-wend": "7c59b4c1539b4a12",
-    "4.3.3": "305b241c2e5df215",
-    "4.3.3.1": "afa8e7f3b5a4a5ea",
-    "4.3.3.1-uend-1chord": "277428b7b8262e7c",
-    "4.3.3.1-z": "fadae7b745eadb65",
-    "4.3.3.2": "2cdf69ab1f2047e8",
-    "5.1-n8": "c3ec57ba503b25ec",
-    "5.1.1": "3ff8908fcffe3110",
-    "5.1.1-d1": "39de7ebd55ac5ea9",
-    "5.1.1-d2": "248cf894d882220d",
-    "5.1.2": "ebf986da664dd7b6",
-    "5.2": "3388aa4e7ecc0451",
-    "5.2-both-ends": "bd3d23cce346eb5d",
-    "5.3.1": "b625f2dbbb586053",
-    "5.3.1-uend-0": "8c20759cb9b99e1f",
-    "5.3.1-vend": "7d9335dfb5bac2e5",
-    "5.3.1-wend": "309c681a4cfc8869",
-    "5.3.1.1-uend-1": "88962bbce7a25c71",
-    "5.3.1.1-uend-1miss": "4e3883327cb2ab68",
-    "5.3.1.2-uend-2": "05771eaa2b26303f",
-    "5.3.2": "ff83af4658c0e17c",
-    "base-n7": "9d9d843d434ec401",
-    "chain-n10": "925c41f14a829164",
-    "crossed-n10-0": "2be2aacb165b23db",
-    "crossed-n10-1": "79c43a2d74618f6f",
-    "crossed-n9-0": "94b50f59387395ef",
-    "crossed-n9-1": "a265f5daa65e82f4",
-    "deterministic-n8": "9c6d7b947cd58b84",
-    "locally-twisted-n10-0": "e9aae22dde4001a0",
-    "locally-twisted-n10-1": "a3ea4a1b8c92f3cd",
-    "locally-twisted-n9-0": "6af479fc4c9417d1",
-    "locally-twisted-n9-1": "85389864b01d91c6",
-    "mobius0-n10-0": "7f2baa604cb38a2f",
-    "mobius0-n10-1": "ad2d56d3513b0062",
-    "mobius0-n9-0": "4707a29f79acad7a",
-    "mobius0-n9-1": "e08ab773dbfd595a",
-    "mobius1-n10-0": "e58f8a2530fd383f",
-    "mobius1-n10-1": "d4fa8201d6479003",
-    "mobius1-n9-0": "e672f5829f655aa4",
-    "mobius1-n9-1": "d85d7666f7cb0c3c",
-    "random-trials-n8": "e720d1b02cc6c931",
-    "split-n10-case1-1": "619e71021e4a1676",
-    "split-n10-case1-2": "47e69eef18f18594",
-    "split-n10-case2-1": "da613a43a3ad5b48",
-    "split-n10-case2-2": "9d2099df50747363",
-    "split-n10-case3-1": "676f64d7896fdf27",
-    "split-n10-case3-2": "9c8a966b1f3a4869",
-    "split-n10-case4-1": "a545e9165b0e01b8",
-    "split-n10-case4-2": "e516b416eace258b",
-    "split-n10-case5-1": "85e8da090726312a",
-    "split-n10-case5-2": "f5e74217daf55a1f",
+    "1-spread": "d2faa09cfd22975c",
+    "1.1.2-n10": "884a9235a4f30cfd",
+    "2.1": "a97d3788abb3cc77",
+    "2.1.1": "bcbc11ba0e6bb6d2",
+    "2.1.2.1": "71665c8543fe0020",
+    "2.1.2.1-z1": "27c3f678c90b7cb2",
+    "2.1.2.2": "7064bdd64647bf72",
+    "2.1.3": "6df9af992cbc3cae",
+    "2.1.3-x1-y1": "23fb34ffb2c6f29a",
+    "2.2": "45bd964d185a1a13",
+    "2.3": "5a704279ae77ab08",
+    "2.3.2": "8891fb5a1b1c50ed",
+    "3.1.1": "7d17d6911fe5615d",
+    "3.1.1.1-d1": "d3fc139b338ad21a",
+    "3.1.1.2": "ff5f4e5d18c4d432",
+    "3.1.1.2-d2-direct": "a81fbcaed881e8f8",
+    "3.1.2": "244bf13d74dbe193",
+    "3.1.2-agent": "f8b34dde4ae933d6",
+    "3.2": "c063af94fb017bee",
+    "3.3.1": "272c64303fad0376",
+    "3.3.1-blocked": "434c9e44368c64c3",
+    "3.3.2": "5dbb8c9229ebb1a7",
+    "3.3.2-partner-end": "d6a42bcc5f64a4d2",
+    "3.3.2-agent": "e300d946172284dc",
+    "4.1": "58ca4d15951dcc92",
+    "4.1.1": "2657f16c3d514e56",
+    "4.1.2": "36ef089203d2b03b",
+    "4.1.2-far-end": "1fd5f667f27a0391",
+    "4.2": "a9976a25b6564a79",
+    "4.2.2": "7856ffbf909c13a0",
+    "4.2.3": "3c56f28caa6138d3",
+    "4.3": "29376b65fbb8be03",
+    "4.3.2-vend": "af40e9690293ba72",
+    "4.3.2-wend": "c9e77f985955d205",
+    "4.3.3": "cc0c491a6984c080",
+    "4.3.3.1": "7cd9b44b63fd0df1",
+    "4.3.3.1-uend-1chord": "0207fb326c95fdf3",
+    "4.3.3.1-z": "7cb3369822cd0215",
+    "4.3.3.2": "5df2032494f74060",
+    "5.1-n8": "5d2d27614c239ddb",
+    "5.1.1": "e0f7c79b33700ec0",
+    "5.1.1-d1": "0cc7875a04e277a5",
+    "5.1.1-d2": "a1dcc37c218c6885",
+    "5.1.2": "b0dadf7955e209eb",
+    "5.2": "bee4ccd4b1d2a73e",
+    "5.2-both-ends": "f39ec06483d2f5a1",
+    "5.3.1": "651da14420cfbc71",
+    "5.3.1-uend-0": "2194c69f6e22f4a7",
+    "5.3.1-vend": "902e7b687628355d",
+    "5.3.1-wend": "0a4bc2c746918b6b",
+    "5.3.1.1-uend-1": "7659f6713cebff06",
+    "5.3.1.1-uend-1miss": "3e514a0af7904b75",
+    "5.3.1.2-uend-2": "83042bbe24b397c2",
+    "5.3.2": "c1cf30b78f316605",
+    "base-n7": "d064407b99220f7f",
+    "chain-n10": "4e08a456a76b7060",
+    "crossed-n10-0": "2ea3d0d89be567fc",
+    "crossed-n10-1": "be8ea63b244066e2",
+    "crossed-n9-0": "510ecc35bbb7e2b8",
+    "crossed-n9-1": "3d06bb5e61d030d2",
+    "deterministic-n8": "ba08d6edb4a03dd4",
+    "locally-twisted-n10-0": "061ed06638c8568d",
+    "locally-twisted-n10-1": "5dde67d96bbebfd7",
+    "locally-twisted-n9-0": "c226276bde42f53c",
+    "locally-twisted-n9-1": "5ee59acffb8e358e",
+    "mobius0-n10-0": "c5a34603df210de1",
+    "mobius0-n10-1": "bd541a6950d23bd3",
+    "mobius0-n9-0": "1083964c792fb8d7",
+    "mobius0-n9-1": "989a1c5d39b828ee",
+    "mobius1-n10-0": "e0dbb840e50ab304",
+    "mobius1-n10-1": "e45c2d2e64f47888",
+    "mobius1-n9-0": "16c3db77db62af9a",
+    "mobius1-n9-1": "e0cbfe6799abb52b",
+    "random-trials-n8": "0c5dd4ed887aa2f5",
+    "split-n10-case1-1": "4fcc7468deb5f471",
+    "split-n10-case1-2": "4e0366c27e9308f9",
+    "split-n10-case2-1": "97c200d578dd5660",
+    "split-n10-case2-2": "cb9c20f0df1f8ff9",
+    "split-n10-case3-1": "dbb0de9cc07ee064",
+    "split-n10-case3-2": "4a5f3f5bc1a9a672",
+    "split-n10-case4-1": "7f5345c45f50dacb",
+    "split-n10-case4-2": "8c1d04b17e67ce08",
+    "split-n10-case5-1": "c2766b1cf188740e",
+    "split-n10-case5-2": "055935aa7cb8fee2",
 }
 
 
@@ -1128,9 +1128,9 @@ def _relabelled(g, seed):
 #: sha256 prefixes of ``EmbedResult.to_json_obj()`` on the relabelled graph,
 #: renumbered to positions, with faults and endpoints drawn in positions.
 _RELABELLED_RESULTS = {
-    "uniform": "b04708ad59975595",
-    "concentrated-2": "8158b3811344b926",
-    "concentrated-4": "ccf95aeccaa095cc",
+    "uniform": "858deabaf2221957",
+    "concentrated-2": "e23ca2d65d506e8a",
+    "concentrated-4": "1074215a1da77d84",
 }
 
 

@@ -470,43 +470,43 @@ def _pinned_call(service, n, faults, seed, budget=None, starved=False):
 #: in it, the scale of the embedder's cases 2-5.
 _PINNED_SEARCH_TREES = {
     "path-n4-found": ((ham_path, 4, 3, 0),
-        ("found", 31, 0, 17, 4, None, "d63c987d15c44b08")),
+        ("found", 31, 0, 17, 1, None, "d63c987d15c44b08")),
     "path-n4-absent": ((ham_path, 4, 4, 8),
-        ("proven-absent", 226, 2, 215, 28, None, None)),
+        ("proven-absent", 226, 2, 215, 22, None, None)),
     "path-n7-reversed-slice": ((ham_path, 7, 5, 90),
-        ("found", 392, 1, 153, 26, None, "d9e933071d4c6c90")),
+        ("found", 394, 1, 155, 2, None, "d9e933071d4c6c90")),
     "path-n7-budget-in-slice-2": ((ham_path, 7, 5, 90, _first_slice_plus(50)),
-        ("budget-exhausted", 304, 1, 141, 23, None, None)),
+        ("budget-exhausted", 304, 1, 141, 2, None, None)),
     "cycle-n4-found": ((ham_cycle, 4, 2, 0),
-        ("found", 25, 0, 10, 2, None, "3bcffaa4b8b0968e")),
+        ("found", 25, 0, 10, 0, None, "3bcffaa4b8b0968e")),
     "cycle-n4-absent": ((ham_cycle, 4, 3, 2136),
-        ("proven-absent", 517, 4, 494, 89, None, None)),
+        ("proven-absent", 517, 4, 494, 78, None, None)),
     "cycle-n7-budget-in-slice-2": ((ham_cycle, 7, 5, 135, _first_slice_plus(200)),
-        ("budget-exhausted", 454, 1, 222, 35, None, None)),
+        ("budget-exhausted", 454, 1, 219, 1, None, None)),
     "cycle-n7-salted-restart": ((ham_cycle, 7, 5, 135),
-        ("found", 491, 1, 246, 42, None, "c97799e04c2dfdd6")),
+        ("found", 491, 1, 243, 1, None, "c97799e04c2dfdd6")),
     "near-n4-full": ((near_ham_cycle, 4, 2, 0),
-        ("found", 25, 0, 10, 2, None, "3bcffaa4b8b0968e")),
+        ("found", 25, 0, 10, 0, None, "3bcffaa4b8b0968e")),
     "near-n4-degree-below-two": ((near_ham_cycle, 4, 3, 26),
-        ("found", 15, 0, 2, 2, 14, "df6a42f59d8cb0c1")),
+        ("found", 15, 0, 2, 0, 14, "df6a42f59d8cb0c1")),
     "near-n4-full-absent-then-missed": ((near_ham_cycle, 4, 3, 2136),
-        ("found", 529, 4, 494, 89, 7, "d8ff739d4c339489")),
+        ("found", 529, 4, 494, 78, 7, "d8ff739d4c339489")),
     "near-n4-absent": ((near_ham_cycle, 4, 4, 342),
-        ("proven-absent", 191, 0, 177, 20, None, None)),
+        ("proven-absent", 191, 0, 177, 11, None, None)),
     "near-n7-full-restart": ((near_ham_cycle, 7, 5, 135),
-        ("found", 491, 1, 246, 42, None, "c97799e04c2dfdd6")),
+        ("found", 491, 1, 243, 1, None, "c97799e04c2dfdd6")),
     "two-n4-found": ((two_disjoint_spanning_paths, 4, 2, 0),
-        ("found", 53, 0, 37, 6, None, "8bbcea9a66be0718")),
+        ("found", 53, 0, 37, 4, None, "8bbcea9a66be0718")),
     "two-n4-absent": ((two_disjoint_spanning_paths, 4, 1, 171),
-        ("proven-absent", 2765, 8, 2702, 498, None, None)),
+        ("proven-absent", 2767, 8, 2707, 466, None, None)),
     "two-n7-reversed-slice": ((two_disjoint_spanning_paths, 7, 1, 24),
-        ("found", 402, 1, 159, 31, None, "1b26c53340bdc97f")),
+        ("found", 402, 1, 159, 3, None, "1b26c53340bdc97f")),
     "cycle-n10-half1": ((ham_cycle, 10, 9, 0),
-        ("found", 582, 0, 72, 16, None, "d1782a8ad05877e9")),
+        ("found", 593, 0, 83, 0, None, "d1782a8ad05877e9")),
     "near-n10-half1-starved": ((near_ham_cycle, 10, 9, 0, None, True),
-        ("found", 521, 0, 11, 5, 394, "136b25ae42643b5c")),
+        ("found", 521, 0, 11, 0, 394, "136b25ae42643b5c")),
     "two-n10-half1": ((two_disjoint_spanning_paths, 10, 9, 2),
-        ("found", 840, 0, 331, 44, None, "3f83c036b7aad316")),
+        ("found", 840, 0, 331, 0, None, "3f83c036b7aad316")),
 }
 
 
@@ -575,11 +575,28 @@ def test_search_counters(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SEARCH_TREES))
-def test_cut_test_runs_only_where_the_search_turns_back(name):
-    # the cut test runs only on the first expansion after a backtrack, never
-    # at an attempt's root, so a call tests at most once per backtrack
-    out = _pinned_outcome(name)
-    assert 0 < out.cut_tests <= out.backtracks
+def test_cut_test_runs_only_where_the_search_turns_back(monkeypatch, name):
+    # the cut test is due at the first expansion after each backtrack from an
+    # attempt's |V|-th on: an attempt with b backtracks runs none when b < |V|
+    # and at most b - |V| + 1 otherwise, and never one at its root. Counted
+    # per attempt, off the counters each attempt adds to the call's state
+    real, attempts = oracle._dfs_cover, []
+
+    def counted(rows, ids, s, ends, ends_last, state, *rest):
+        backtracks, cut_tests = state.backtracks, state.cut_tests
+        answer = real(rows, ids, s, ends, ends_last, state, *rest)
+        attempts.append((len(rows), state.backtracks - backtracks, state.cut_tests - cut_tests))
+        return answer
+
+    monkeypatch.setattr(oracle, "_dfs_cover", counted)
+    args, expected = _PINNED_SEARCH_TREES[name]
+    out = _pinned_call(*args)
+    assert _search_tree_fingerprint(out) == expected
+    assert len(attempts) > out.restarts
+    for size, backtracks, cut_tests in attempts:
+        assert cut_tests <= max(0, backtracks - size + 1)
+    # a proof of absence backtracks through every attempt's whole tree
+    assert out.cut_tests > 0 or out.status is not SearchStatus.PROVEN_ABSENT
 
 
 def test_a_forward_run_runs_no_cut_test():
@@ -592,10 +609,10 @@ def test_a_forward_run_runs_no_cut_test():
 
 
 def test_cut_tests_are_few_on_a_forward_run():
-    # a 512-node covering cycle found with few backtracks: almost every
+    # a 512-node covering cycle found with fewer backtracks than nodes: every
     # expansion runs only the end and degree checks
     out = _pinned_outcome("cycle-n10-half1")
-    assert out.cut_tests * 10 < out.expansions
+    assert out.cut_tests == 0 < out.backtracks
 
 
 def test_trace_records_carry_the_search_counters(graph8):
@@ -608,9 +625,10 @@ def test_trace_records_carry_the_search_counters(graph8):
     for rec in searches:
         assert list(rec)[:6] == ["service", "status", "expansions", "restarts", "backtracks",
                                  "cut_tests"]
-        # one cut test at most per backtrack: none runs at the root
+        # one attempt each, which backtracks fewer times than its half keeps
+        # nodes (at least 128 - 6), so the cut test never comes due
         assert rec["restarts"] == 0 and 0 < rec["backtracks"] < rec["expansions"]
-        assert 0 < rec["cut_tests"] <= rec["backtracks"]
+        assert rec["backtracks"] < 128 - len(f) and rec["cut_tests"] == 0
 
 
 def test_degree_check_misses_no_prune(monkeypatch):
@@ -634,6 +652,24 @@ def test_degree_check_misses_no_prune(monkeypatch):
                  "near-n4-degree-below-two", "two-n4-absent"):
         _pinned_call(*_PINNED_SEARCH_TREES[name][0])
     assert len(seen) > 100
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_a_cut_vertex_is_proven_to_block_every_covering_path(seed):
+    # every neighbour of block 0 outside it is faulty but the lowest, which
+    # is then a cut vertex of the 97-node view: no covering cycle exists, nor
+    # a covering path between two nodes outside the block. The degree check
+    # does not see this, and a search without the cut test runs out of this
+    # budget; with the test due from an attempt's |V|-th backtrack on, the
+    # proofs take about 7 |V| expansions
+    g = make_preset(VariantSpec.random(seed), 7)
+    cut, *faulty = sorted({w for v in range(8) for w in g.neighbors(v) if w >= 8})
+    view = surviving_view(g, FaultSet.of(nodes=faulty))
+    s, t = view.nodes[-2:]
+    assert view.has_node(cut) and min(s, t) >= 8 and len(view) == 97
+    budget = SearchBudget(20 * len(view))
+    for out in (ham_path(view, s, t, budget), ham_cycle(view, budget)):
+        assert out.status is SearchStatus.PROVEN_ABSENT and out.cut_tests > 0
 
 
 # ----------------------------------------------------------------------

@@ -402,8 +402,17 @@ def _negative_id(rows):
 def test_check_shape_fails_malformed_rows_without_raising(graph, failing):
     # the shape check is the one place a graph's rows are checked: an id out
     # of the graph fails it, never wraps or raises
-    rep = check_shape(graph())
+    g = graph()
+    rep = check_shape(g)
     assert [c.name for c in rep.failures] == failing
+    # symmetry fails first at the first node whose row names an id whose row
+    # does not name it back
+    rows = g.adjacency
+    one_way = next((v for v, row in enumerate(rows)
+                    if any(w not in range(len(rows)) or v not in rows[w] for w in row)), None)
+    symmetry = rep.checks[3]
+    assert symmetry.name == "root: symmetry" and symmetry.passed == (one_way is None)
+    assert one_way is None or symmetry.detail.endswith(f"first fails at node {one_way}")
 
 
 def test_shape_check_names_the_failing_node_in_the_files_ids():
