@@ -7,10 +7,15 @@ Cells: the random variant at n = 8..16 and the crossed, mobius0, mobius1 and
 locally-twisted variants at n = 8..12 (both capped by ``--max-n``). Fault
 placements per cell:
 
-- ``uniform``: 2n - 10 faults drawn over all nodes and links by
-  ``thln.faults.sample_faults``, the sampler ``thln stress`` uses;
+- ``uniform``: 2n - 10 faults drawn over all nodes and links;
 - ``concentrated-2`` / ``concentrated-4``: 2k - 9 / 2k - 8 faults (k = n - 1)
-  drawn inside top half 1, which select top cases 2 and 4.
+  drawn over the nodes and links of top half 1, which select top cases 2
+  and 4.
+
+Both draws are ``thln.faults.sample_faults``, the sampler ``thln stress``
+uses, over the whole graph or over half 1, and the endpoints are
+``thln.faults.draw_endpoints``, the stress trial's redraw until the
+neighbor condition holds.
 
 Each cell runs three fixed seeds; the seed fixes the random variant's graph,
 the faults and the endpoints. A cell keeps its deterministic part (top case,
@@ -36,7 +41,8 @@ Every path is checked with ``validate_path``. The point replaces any earlier
 point of the same label, so points of other code sit side by side;
 ``--src`` runs the ``thln`` package of another checkout's ``src/`` (its
 ``cut_tests``, ``restarts`` and ``backtracks`` read null when that code does
-not count them).
+not count them). That checkout needs ``sample_faults`` with a ``scope`` and
+``draw_endpoints``; the cells of older code are already in the record.
 """
 from __future__ import annotations
 
@@ -141,23 +147,10 @@ def _instance(thln, variant: str, n: int, placement: str, seed: int, graphs: dic
         if (variant, n) not in graphs:
             graphs[variant, n] = _build(thln, spec, n, clock)
         g, builds = graphs[variant, n]
-    count = _fault_count(placement, n)
-    if placement == "uniform":
-        f = thln.faults.sample_faults(g, count, rng)
-    else:
-        h1 = g.decomposition.half1_set
-        elements = [("node", v) for v in g.decomposition.half1]
-        elements += [("edge", e) for e in g.edges if e[0] in h1 and e[1] in h1]
-        picked = rng.sample(elements, count)
-        f = thln.FaultSet.of(
-            nodes=[p for kind, p in picked if kind == "node"],
-            edges=[p for kind, p in picked if kind == "edge"],
-        )
-    view = thln.surviving_view(g, f)
-    while True:
-        s, t = rng.sample(view.nodes, 2)
-        if thln.neighbor_condition(view, s, t):
-            return spec, g, builds, f, s, t
+    scope = None if placement == "uniform" else g.decomposition.half1
+    f = thln.faults.sample_faults(g, _fault_count(placement, n), rng, scope)
+    s, t = thln.faults.draw_endpoints(thln.surviving_view(g, f), rng)
+    return spec, g, builds, f, s, t
 
 
 def _run(thln, g, f, s: int, t: int, clock) -> tuple[dict, list[float]]:

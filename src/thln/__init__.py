@@ -17,7 +17,6 @@ from .errors import (
     MalformedGraph,
     NoCandidate,
     NoDecomposition,
-    NotABijection,
     OracleBudgetExhausted,
     PathFault,
     PreconditionViolated,

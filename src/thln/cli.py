@@ -36,7 +36,7 @@ from .errors import (
     ThlnError,
     UnknownNode,
 )
-from .faults import FaultSet, neighbor_condition, sample_faults, surviving_view
+from .faults import FaultSet, draw_endpoints, sample_faults, surviving_view
 from .oracle import (
     SearchBudget,
     ham_cycle,
@@ -304,15 +304,10 @@ def run_stress_trial(n: int, fault_count: int, seed: int,
     independently validate. Deterministic in its arguments."""
     rng = random.Random(seed)
     g, f, view = _random_instance(n, fault_count, rng)
-    s = t = None
-    # out of contract every node may be faulty: then no pair is drawn at all
-    for _ in range(1000 if len(view) >= 2 else 0):
-        cand_s, cand_t = rng.sample(view.nodes, 2)
-        if neighbor_condition(view, cand_s, cand_t):
-            s, t = cand_s, cand_t
-            break
-    if s is None:
+    pair = draw_endpoints(view, rng)
+    if pair is None:
         return {"ok": False, "error": "no endpoint pair met the neighbor condition"}
+    s, t = pair
 
     started = time.perf_counter()
     try:

@@ -47,10 +47,6 @@ class MalformedGraph(ThlnError):
     parsed into a well-formed graph."""
 
 
-class NotABijection(ThlnError):
-    """A preset's level matching fails to map the first half onto the second one-to-one."""
-
-
 class NoDecomposition(ThlnError):
     """The operation needs a two-half decomposition but the graph is a base graph."""
 

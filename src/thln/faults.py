@@ -1,5 +1,5 @@
-"""Fault sets, fault sampling, the surviving subgraph view, and the fault
-split across the top decomposition level.
+"""Fault sets, the draw of faults over a level and of endpoints, the surviving
+subgraph view, and the fault split across the top decomposition level.
 
 A fault set holds failed nodes and failed edges. The surviving view is the
 graph, or one level of it, with faulty nodes removed and an edge present only
@@ -271,10 +271,15 @@ class SurvivingView:
         return min(pairs, default=(None, None))
 
 
-def sample_faults(g: ThlnGraph, count: int, rng: random.Random) -> FaultSet:
-    """``count`` distinct faults drawn uniformly from the nodes and edges of
-    ``g`` by one ``rng.sample`` call (no draw at all when ``count`` is 0)."""
-    elements = [("node", v) for v in g.nodes] + [("edge", e) for e in g.edges]
+def sample_faults(g: ThlnGraph, count: int, rng: random.Random,
+                  scope: Optional[range] = None) -> FaultSet:
+    """``count`` distinct faults drawn uniformly by one ``rng.sample`` call (none
+    when ``count`` is 0) from the level ``scope`` (a view's; default the whole
+    graph): its nodes ascending, then each link (u, w), u < w, in row order."""
+    view = SurvivingView(g, FaultSet.empty(), scope)
+    nodes = view.nodes
+    elements = [("node", v) for v in nodes]
+    elements += [("edge", (u, w)) for u, row in zip(nodes, view.rows()) for w in row if u < w]
     picked = rng.sample(elements, count) if count else []
     return FaultSet.of(
         nodes=(p for k, p in picked if k == "node"),
@@ -334,3 +339,14 @@ def neighbor_condition(view: SurvivingView, s: int, t: int) -> bool:
     s_ok = any(w != t for w in view.neighbors(s))
     t_ok = any(w != s for w in view.neighbors(t))
     return s_ok and t_ok
+
+
+def draw_endpoints(view: SurvivingView, rng: random.Random) -> Optional[tuple[int, int]]:
+    """A pair ``rng.sample(view.nodes, 2)``, redrawn until it meets the
+    neighbor condition; None after 1000 failed draws, or at once, with no
+    draw, on a view of fewer than two nodes (possible out of contract)."""
+    for _ in range(1000 if len(view) >= 2 else 0):
+        s, t = rng.sample(view.nodes, 2)
+        if neighbor_condition(view, s, t):
+            return s, t
+    return None

@@ -40,7 +40,6 @@ from .errors import (
     MalformedBase,
     MalformedGraph,
     NoDecomposition,
-    NotABijection,
     UnknownNode,
     UnsupportedDimension,
 )
@@ -183,8 +182,9 @@ class ThlnGraph:
     per id, so a graph holds 2^n ints however many rows name each.
     ``neighbors`` is a row ascending. ``edges`` (every ``(u, v)`` with
     ``u < v``, ascending for rows in level order) is rebuilt from the rows
-    on each access. ``decomposition`` derives the top level from the ids on
-    each access (None for a dimension-3 base graph). ``file_ids`` is a loaded
+    on each access; besides tests, only graph file I/O and the benchmark's
+    own draws read it. ``decomposition`` derives the top level from the ids
+    on each access (None for a dimension-3 base graph). ``file_ids`` is a loaded
     file's own id at each position, or None where ids are the file's; only
     graph file I/O and the command line read it.
     """
@@ -277,15 +277,6 @@ def make_base(spec: VariantSpec) -> ThlnGraph:
     raise ValueError(f"make_base requires a base3 kind, got {spec.kind!r}")
 
 
-def _bijection(phi: list[int]) -> list[int]:
-    """``phi`` itself, once it is checked to map 0..len-1 onto 0..len-1."""
-    if sorted(phi) != list(range(len(phi))):
-        raise NotABijection(
-            "matching must map the first half's nodes onto the second half's nodes"
-        )
-    return phi
-
-
 def _crossed_matching(m_bits: int) -> list[int]:
     # Pairs of bits from the bottom; within each pair a set low bit flips the
     # high bit. An odd leftover top bit is kept as is.
@@ -345,10 +336,10 @@ def make_preset(spec: VariantSpec, n: int) -> ThlnGraph:
     each 8-node base block, then each level's matching, in the recursive
     definition's order, lower sub-level, upper sub-level, then the level.
     The blocks reuse the rows of the built-in bases, validated once, at
-    import, and each matching is checked to be a bijection. The random kind draws each
-    level's matching, one ``shuffle`` of the half's indices, from a single
-    generator seeded with ``spec.seed`` in that order (left half first,
-    depth first), so equal seeds give identical graphs.
+    import. Each matching is a bijection by construction: an involution of
+    the half's indices, or the random kind's one ``shuffle`` of them, drawn
+    from a single generator seeded with ``spec.seed`` in that order (left
+    half first, depth first), so equal seeds give identical graphs.
     """
     if n < 3:
         raise UnsupportedDimension(f"dimension must be at least 3, got {n}")
@@ -361,7 +352,7 @@ def make_preset(spec: VariantSpec, n: int) -> ThlnGraph:
         # half (bit d of its offset is set); the top level's kind is the spec's
         top = int(spec.kind == "mobius1") << n
         bases = [_MOEBIUS0_BASE.adjacency, _MOEBIUS1_BASE.adjacency]
-        matchings = {(d, kind): _bijection(_moebius_matching(d - 1, kind))
+        matchings = {(d, kind): _moebius_matching(d - 1, kind)
                      for d in range(4, n + 1) for kind in (0, 1)}
         return _build_one_pass(n, lambda off: bases[(top | off) >> 3 & 1],
                                lambda d, off: matchings[d, (top | off) >> d & 1])
@@ -372,11 +363,11 @@ def make_preset(spec: VariantSpec, n: int) -> ThlnGraph:
         def shuffled(d: int, _off: int) -> list[int]:
             perm = list(range(1 << (d - 1)))
             rng.shuffle(perm)
-            return _bijection(perm)
+            return perm
 
         return _build_one_pass(n, lambda _off: base, shuffled)
     matching = {"crossed": _crossed_matching, "locally-twisted": _locally_twisted_matching}[spec.kind]
-    matchings = {d: _bijection(matching(d - 1)) for d in range(4, n + 1)}
+    matchings = {d: matching(d - 1) for d in range(4, n + 1)}
     return _build_one_pass(n, lambda _off: base, lambda d, _off: matchings[d])
 
 

@@ -3,6 +3,10 @@ import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_scale.py"
+RECORD = Path(__file__).resolve().parent.parent / "out" / "BENCH_scale.json"
+#: The committed point whose instances and search trees the script must
+#: reproduce: a change that moves either records a new point and names it here.
+PINNED_POINT = "deferred-cut-test"
 
 
 def _load():
@@ -10,6 +14,11 @@ def _load():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _runs(point):
+    """(variant, n, placement) -> the deterministic runs of that cell."""
+    return {(c["variant"], c["n"], c["placement"]): c["deterministic"] for c in point["cells"]}
 
 
 def test_scale_record_is_deterministic_apart_from_wall_times(tmp_path):
@@ -25,6 +34,8 @@ def test_scale_record_is_deterministic_apart_from_wall_times(tmp_path):
     assert points[0]["cells"]
     first, again = ([c["deterministic"] for c in p["cells"]] for p in points)
     assert first == again
+    pinned = next(p for p in json.loads(RECORD.read_text())["points"] if p["label"] == PINNED_POINT)
+    assert _runs(points[0]) == {key: runs for key, runs in _runs(pinned).items() if key[1] == 8}
     cells = points[0]["cells"]
     assert {(c["variant"], c["placement"]) for c in cells} == {
         (v, p) for v in ("random",) + bench.NAMED for p in bench.PLACEMENTS

@@ -234,6 +234,24 @@ def test_embed_path_failing_validation_exits_1(instance, tmp_path, capsys, monke
     assert result["reason"].startswith("self-check failed")
 
 
+def test_embed_path_that_leaves_nodes_out_exits_1(instance, tmp_path, capsys, monkeypatch):
+    # every step of the produced path is sound, so the self-check's finding
+    # is the whole sequence's: it covers too few surviving nodes
+    gpath, fpath = instance
+    g, f = graph_from_json(gpath.read_text()), FaultSet.from_json(fpath.read_text())
+    real = cli.embed(g, f, 5, 200)
+    prefix = real.path[:-2]
+    monkeypatch.setattr(cli, "embed", lambda *a, **k: dataclasses.replace(real, path=prefix))
+    out = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "embed", "--graph", str(gpath), "--faults", str(fpath),
+                           "-s", "5", "-t", str(prefix[-1]), "-o", str(out))
+    assert code == 1
+    assert err == "error: produced path failed independent validation\n"
+    alive = g.num_nodes - len(f.nodes)
+    assert json.loads(out.read_text())["reason"] == (
+        f"self-check failed: covers {len(prefix)} of {alive} surviving nodes")
+
+
 def test_embed_faulty_endpoint_exits_3(instance, capsys):
     gpath, fpath = instance
     code, out, _ = run_cli(capsys, "embed", "--graph", str(gpath), "--faults",

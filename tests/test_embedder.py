@@ -31,7 +31,7 @@ from thln import (
 )
 from thln import cli, embedder
 from thln.embedder import _Ctx, _Runtime, _canon_cycle, _cut_cycle, _select_restorable_fault
-from thln.faults import SurvivingView, partition, sample_faults
+from thln.faults import SurvivingView, draw_endpoints, partition, sample_faults
 from thln.oracle import SearchStatus, ham_cycle, near_ham_cycle
 
 
@@ -107,12 +107,7 @@ def test_budget_exhaustion_surfaces_with_trace():
 
 def test_embed_is_deterministic(graph8):
     f = sample_faults(graph8, 6, random.Random(5))
-    view = surviving_view(graph8, f)
-    rng = random.Random(6)
-    while True:
-        s, t = rng.sample(view.nodes, 2)
-        if neighbor_condition(view, s, t):
-            break
+    s, t = draw_endpoints(surviving_view(graph8, f), random.Random(6))
     a = embed(graph8, f, s, t)
     b = embed(graph8, f, s, t)
     assert a.path == b.path
@@ -124,10 +119,7 @@ def test_random_trials_validate_with_consistent_traces(graph8):
     seen = set()
     for _ in range(25):
         f = sample_faults(graph8, rng.randrange(0, 7), rng)
-        view = surviving_view(graph8, f)
-        s, t = None, None
-        while s is None or not neighbor_condition(view, s, t):
-            s, t = rng.sample(view.nodes, 2)
+        s, t = draw_endpoints(surviving_view(graph8, f), rng)
         res = embed_and_check(graph8, f, s, t)
         top = res.trace.records[0]
         seen.add(top["case"][0] if top["case"] != "base" else "1")
@@ -521,10 +513,7 @@ def uniform_instance(g, seed):
     """2n-10 uniform faults and endpoints drawn as ``thln stress`` draws them."""
     rng = random.Random(seed)
     f = sample_faults(g, 2 * g.dimension - 10, rng)
-    view = surviving_view(g, f)
-    s, t = None, None
-    while s is None or not neighbor_condition(view, s, t):
-        s, t = rng.sample(view.nodes, 2)
+    s, t = draw_endpoints(surviving_view(g, f), rng)
     return f, s, t
 
 
@@ -824,23 +813,22 @@ def _split_instance(case, seed):
     g = make_preset(VariantSpec.random(seed), 10)
     d = g.decomposition
     rng = random.Random(100 * case + seed)
-    if case == 1:
-        f = sample_faults(g, 10, rng)
+    count = {1: 10, 2: 9, 3: 9, 4: 10, 5: 10}[case]
+    if case in (1, 2, 4):
+        f = sample_faults(g, count, rng, None if case == 1 else d.half1)
     else:
         h1 = d.half1_set
         elements = [("node", v) for v in d.half1]
         elements += [("edge", e) for e in g.edges if e[0] in h1 and e[1] in h1]
-        cut = []
-        if case in (3, 5):
-            q = rng.choice(d.half1)
-            intra = [w for w in g.neighbors(q) if w in h1]
-            cut = [(q, w) for w in intra[:-1]]
-            elements = [
-                x for x in elements
-                if x not in (("node", q), ("node", intra[-1]))
-                and not (x[0] == "edge" and q in x[1])
-            ]
-        picked = rng.sample(elements, {2: 9, 3: 9, 4: 10, 5: 10}[case] - len(cut))
+        q = rng.choice(d.half1)
+        intra = [w for w in g.neighbors(q) if w in h1]
+        cut = [(q, w) for w in intra[:-1]]
+        elements = [
+            x for x in elements
+            if x not in (("node", q), ("node", intra[-1]))
+            and not (x[0] == "edge" and q in x[1])
+        ]
+        picked = rng.sample(elements, count - len(cut))
         f = FaultSet.of(
             nodes=[p for kind, p in picked if kind == "node"],
             edges=[p for kind, p in picked if kind == "edge"] + cut,
@@ -876,12 +864,7 @@ def pinned_instances(graph8, graph9, join):
     p5 = _case5_path(g9, f5)
     h2_end = next(v for v in range(128, 256) if v not in (cp8(p4[0]), cp8(p4[-1])))
     f6 = sample_faults(g8, 6, random.Random(5))
-    view6 = surviving_view(g8, f6)
-    rng = random.Random(6)
-    while True:
-        s6, t6 = rng.sample(view6.nodes, 2)
-        if neighbor_condition(view6, s6, t6):
-            break
+    s6, t6 = draw_endpoints(surviving_view(g8, f6), random.Random(6))
     one = {
         "base-n7": (make_preset(VariantSpec.random(1), 7), FaultSet.empty(), 3, 99),
         "deterministic-n8": (g8, f6, s6, t6),
@@ -973,10 +956,7 @@ def pinned_instances(graph8, graph9, join):
     trials = []
     for _ in range(25):
         f = sample_faults(g8, rng.randrange(0, 7), rng)
-        view = surviving_view(g8, f)
-        s, t = None, None
-        while s is None or not neighbor_condition(view, s, t):
-            s, t = rng.sample(view.nodes, 2)
+        s, t = draw_endpoints(surviving_view(g8, f), rng)
         trials.append((g8, f, s, t))
     out["random-trials-n8"] = trials
     return out
@@ -1147,21 +1127,9 @@ def test_relabelled_graph_is_solved_through_its_file_decomposition():
     assert sorted([ids[u], ids[cross_partner(g, u)]] for u in d.half1) == root["matching"]
     for placement, count in (("uniform", 6), ("concentrated-2", 5), ("concentrated-4", 6)):
         rng = random.Random(f"relabelled/{placement}")
-        if placement == "uniform":
-            f = sample_faults(g, count, rng)
-        else:
-            h1 = d.half1
-            elements = [("node", v) for v in h1]
-            elements += [("edge", e) for e in g.edges if e[0] in h1 and e[1] in h1]
-            picked = rng.sample(elements, count)
-            f = FaultSet.of(nodes=[p for k, p in picked if k == "node"],
-                            edges=[p for k, p in picked if k == "edge"])
+        f = sample_faults(g, count, rng, None if placement == "uniform" else d.half1)
         assert sum(partition(g, f).counts) == len(f)
-        view = surviving_view(g, f)
-        while True:
-            s, t = rng.sample(view.nodes, 2)
-            if neighbor_condition(view, s, t):
-                break
+        s, t = draw_endpoints(surviving_view(g, f), rng)
         res = embed_and_check(g, f, s, t)
         body = json.dumps(res.to_json_obj(), sort_keys=True)
         assert hashlib.sha256(body.encode()).hexdigest()[:16] == _RELABELLED_RESULTS[placement]

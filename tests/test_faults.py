@@ -24,7 +24,7 @@ from thln import (
 )
 from thln.cli import main
 from thln.errors import ThlnError
-from thln.faults import partition_decomposition, sample_faults
+from thln.faults import draw_endpoints, partition_decomposition, sample_faults
 from thln.topology import check_shape, graph_from_json, graph_to_json_obj
 from thln.validate import validate_path
 
@@ -238,6 +238,8 @@ def test_view_scope_must_be_a_level(graph4, scope):
     # step-2 scope would give all 16 nodes and the descending one none
     with pytest.raises(ValueError, match="level"):
         SurvivingView(graph4, FaultSet.empty(), scope=scope)
+    with pytest.raises(ValueError, match="level"):  # the sampler takes a view's scope
+        sample_faults(graph4, 1, random.Random(0), scope)
 
 
 def _view_by_definition(g, f, scope):
@@ -527,3 +529,84 @@ def test_neighbor_condition_needs_distinct_endpoints(graph4):
 
 def test_the_empty_path_is_a_path_of_every_view(graph4):
     assert SurvivingView(graph4, FaultSet.of(nodes=[1, 2])).is_path(())
+
+
+# ----------------------------------------------------------------------
+# instance draws: faults over a level, then endpoints
+
+
+def _elements_by_definition(g, scope):
+    """What a draw over ``scope`` (None: the whole graph) picks from: the
+    level's nodes ascending, then every link of ``g.edges`` inside it."""
+    level = g.nodes if scope is None else scope
+    return ([("node", v) for v in level]
+            + [("edge", e) for e in g.edges if e[0] in level and e[1] in level])
+
+
+def _draw_by_definition(elements, count, rng):
+    picked = rng.sample(elements, count) if count else []
+    return FaultSet.of(nodes=[p for k, p in picked if k == "node"],
+                       edges=[p for k, p in picked if k == "edge"])
+
+
+@pytest.mark.parametrize("kind", ["crossed", "locally-twisted", "mobius0", "mobius1", "random"])
+def test_level_draw_matches_the_draw_over_listed_elements(kind):
+    # the whole graph, both halves and one dimension-7 block, with no
+    # count, one fault, the contract's 2n - 10, one past it, and 40
+    for n in range(7, 13):
+        for seed in (1, 2, 3):
+            g = make_preset(VariantSpec.random(seed) if kind == "random" else VariantSpec(kind), n)
+            d = g.decomposition
+            for scope in (None, d.half1, d.half2, range(g.num_nodes - 128, g.num_nodes)):
+                elements = _elements_by_definition(g, scope)
+                for count in (0, 1, 2 * n - 10, 2 * n - 9, 40):
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    got = sample_faults(g, count, rng, scope)
+                    assert got == _draw_by_definition(elements, count, ref), (n, seed, scope, count)
+                    assert rng.getstate() == ref.getstate()
+
+
+def _pair_by_definition(view, rng):
+    """The stress trial's redraw: at most 1000 draws, none below two nodes."""
+    for _ in range(1000 if len(view) >= 2 else 0):
+        s, t = rng.sample(view.nodes, 2)
+        if neighbor_condition(view, s, t):
+            return s, t
+    return None
+
+
+@pytest.mark.parametrize("alive", [(), (5,)], ids=["no-node", "one-node"])
+def test_draw_endpoints_draws_nothing_from_a_view_under_two_nodes(graph4, alive):
+    view = surviving_view(graph4, FaultSet.of(nodes=set(graph4.nodes) - set(alive)))
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert draw_endpoints(view, rng) is None
+    assert rng.getstate() == state
+
+
+def test_draw_endpoints_gives_up_after_1000_draws(graph4):
+    # two adjacent survivors, each with only the other as neighbour
+    u, w = 0, graph4.adjacency[0][0]
+    view = surviving_view(graph4, FaultSet.of(nodes=set(graph4.nodes) - {u, w}))
+    assert view.neighbors(u) == (w,) and view.neighbors(w) == (u,)
+    rng, ref = random.Random(1), random.Random(1)
+    assert draw_endpoints(view, rng) is None
+    for _ in range(1000):
+        ref.sample(view.nodes, 2)
+    assert rng.getstate() == ref.getstate()
+
+
+def test_draw_endpoints_returns_the_pair_the_redraw_loop_draws(graph4):
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        keep = rng.sample(range(16), rng.randrange(4, 9))
+        view = surviving_view(graph4, FaultSet.of(nodes=set(range(16)) - set(keep)))
+        ref, first = random.Random(), random.Random()
+        ref.setstate(rng.getstate())
+        first.setstate(rng.getstate())
+        want = _pair_by_definition(view, ref)
+        assert draw_endpoints(view, rng) == want
+        assert rng.getstate() == ref.getstate()
+        seen.add(want == tuple(first.sample(view.nodes, 2)) if want else None)
+    assert seen >= {True, False}  # pairs met at the first draw and after redraws

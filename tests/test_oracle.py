@@ -421,11 +421,12 @@ def _half1_drawn(faults, seed, picks, starved):
     graph = _pinned_graph(10)
     h1 = graph.decomposition.half1
     rng = random.Random(seed)
-    elements = [("node", v) for v in sorted(h1)]
-    elements += [("edge", e) for e in graph.edges if e[0] in h1 and e[1] in h1]
-    cut = []
-    if starved:
-        q = rng.choice(sorted(h1))
+    if not starved:
+        f = sample_faults(graph, faults, rng, h1)
+    else:
+        elements = [("node", v) for v in h1]
+        elements += [("edge", e) for e in graph.edges if e[0] in h1 and e[1] in h1]
+        q = rng.choice(h1)
         intra = [w for w in graph.neighbors(q) if w in h1]
         cut = [(q, w) for w in intra[:-1]]
         elements = [
@@ -433,11 +434,11 @@ def _half1_drawn(faults, seed, picks, starved):
             if x != ("node", q) and x != ("node", intra[-1])
             and not (x[0] == "edge" and q in x[1])
         ]
-    picked = rng.sample(elements, faults - len(cut))
-    f = FaultSet.of(
-        nodes=[p for k, p in picked if k == "node"],
-        edges=[p for k, p in picked if k == "edge"] + cut,
-    )
+        picked = rng.sample(elements, faults - len(cut))
+        f = FaultSet.of(
+            nodes=[p for k, p in picked if k == "node"],
+            edges=[p for k, p in picked if k == "edge"] + cut,
+        )
     view = SurvivingView(graph, f, scope=h1)
     return view, rng.sample(view.nodes, picks)
 

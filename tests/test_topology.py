@@ -15,7 +15,6 @@ from thln import (
     MalformedBase,
     MalformedGraph,
     NoDecomposition,
-    NotABijection,
     SurvivingView,
     UnknownNode,
     UnsupportedDimension,
@@ -31,7 +30,7 @@ from thln import (
     validate_path,
 )
 from thln.errors import ThlnError
-from thln.topology import ThlnGraph, _bijection, _level_rows, graph_to_json_obj
+from thln.topology import ThlnGraph, _level_rows, graph_to_json_obj
 
 Q3_EDGES = [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
 
@@ -117,11 +116,6 @@ def test_make_base_rejects_a_non_base_kind():
 def test_variant_spec_rejections(kind, message):
     with pytest.raises(ValueError, match=message):
         VariantSpec(kind)
-
-
-def test_a_matching_that_is_no_bijection_is_rejected():
-    with pytest.raises(NotABijection):
-        _bijection([0, 0, 1, 2])
 
 
 def test_mobius0_joins_its_top_level_by_the_identity():
