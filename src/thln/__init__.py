@@ -30,7 +30,6 @@ from .faults import (
     FaultSet,
     SurvivingView,
     neighbor_condition,
-    partition,
     surviving_view,
 )
 from .oracle import (
@@ -50,7 +49,6 @@ from .topology import (
     ThlnGraph,
     VariantSpec,
     check_shape,
-    cross_partner,
     graph_from_json,
     graph_to_dot,
     graph_to_json,

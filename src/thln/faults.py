@@ -20,7 +20,6 @@ from typing import Container, Iterable, Optional, Sequence
 from .errors import (
     FaultyEndpoint,
     ForeignFault,
-    NoDecomposition,
     PreconditionViolated,
 )
 from .topology import DecompositionNode, Edge, ThlnGraph, _norm_edge
@@ -121,10 +120,12 @@ class SurvivingView:
     ``nodes``, built when first asked for and then kept, lists the nodes in
     ascending order.
 
-    The view keeps its fault set (``faults``), not its graph or scope. To
-    leave nodes out of a view, add them to its faults as node faults: the
-    view of a scope under ``F + X`` is the view of that scope under ``F``
-    with exactly the nodes of X and their edges removed.
+    The view keeps its fault set (``faults``), not its graph or scope, and
+    its graph's ``shape_ok`` flag: on a graph that passes ``check_shape``
+    every row names only nodes of the view, which search then need not
+    check. To leave nodes out of a view, add them to its faults as node
+    faults: the view of a scope under ``F + X`` is the view of that scope
+    under ``F`` with exactly the nodes of X and their edges removed.
 
     Building one costs O(faults x degree), and so does deriving the views of
     a level's two halves by :meth:`halves`, which splits the dead set and the
@@ -132,7 +133,7 @@ class SurvivingView:
     faults alone; ``nodes``, ``node_set`` and ``rows`` cost O(range).
     """
 
-    __slots__ = ("faults", "_adj", "_lo", "_hi", "_d", "_dead", "_touched", "_nodes")
+    __slots__ = ("faults", "shape_ok", "_adj", "_lo", "_hi", "_d", "_dead", "_touched", "_nodes")
 
     def __init__(
         self,
@@ -161,10 +162,11 @@ class SurvivingView:
             gone.setdefault(w, set()).add(u)
         touched = {v: tuple(filterfalse(lost.__contains__, adj[v][:d]))
                    for v, lost in gone.items() if lo <= v < hi and v not in dead}
-        self._fill(faults, adj, lo, hi, d, dead, touched)
+        self._fill(faults, graph.shape_ok, adj, lo, hi, d, dead, touched)
 
-    def _fill(self, faults, adj, lo, hi, d, dead, touched) -> "SurvivingView":
+    def _fill(self, faults, shape_ok, adj, lo, hi, d, dead, touched) -> "SurvivingView":
         self.faults = faults
+        self.shape_ok = shape_ok
         self._adj = adj
         self._lo, self._hi, self._d = lo, hi, d
         self._dead = dead
@@ -190,8 +192,9 @@ class SurvivingView:
             (low if side else high)[v] = row[:-1] if row and (row[-1] < mid) != side else row
         cls = type(self)
         return (
-            cls.__new__(cls)._fill(f_low, self._adj, self._lo, mid, d, low_dead, low),
-            cls.__new__(cls)._fill(f_high, self._adj, mid, self._hi, d, self._dead - low_dead, high),
+            cls.__new__(cls)._fill(f_low, self.shape_ok, self._adj, self._lo, mid, d, low_dead, low),
+            cls.__new__(cls)._fill(f_high, self.shape_ok, self._adj, mid, self._hi, d,
+                                   self._dead - low_dead, high),
         )
 
     @property
@@ -315,14 +318,6 @@ def partition_decomposition(decomp: DecompositionNode, f: FaultSet) -> FaultPart
     h1, h2 = decomp.half1, decomp.half2
     cross = frozenset((u, v) for u, v in f.edges if u in h1 and v in h2)  # u < v
     return FaultPartition(f.restricted(h1), f.restricted(h2), cross)
-
-
-def partition(g: ThlnGraph, f: FaultSet) -> FaultPartition:
-    """Split ``f`` into half-1 faults, half-2 faults, and cross-edge faults."""
-    if g.decomposition is None:
-        raise NoDecomposition("cannot partition faults without a decomposition")
-    f.validate_against(g)
-    return partition_decomposition(g.decomposition, f)
 
 
 def neighbor_condition(view: SurvivingView, s: int, t: int) -> bool:

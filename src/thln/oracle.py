@@ -1,23 +1,27 @@
 """Budgeted exact search for covering paths and cycles on surviving views.
 
 Every service runs one search core, ``_dfs_cover``: a deterministic
-depth-first backtracking search, on local node indices, for a path from a
-start node through every node that stops on a node of a given set of ends. A
-covering path has the single end t, entered only last; a covering cycle may
-stop on any neighbour of its anchor; two disjoint covering paths are one
-covering path through a helper node. Each attempt keeps, for every node, its
-number of unvisited neighbours (``rdeg``), updated in O(degree) per visit and
-backtrack. Every expansion prunes unless an end is left and at most one
-unvisited node has degree one counting the head (such nodes have rdeg <= 1,
-a set kept apart) and that node is an end. This degree check costs
-O(|low set|) and is the per-expansion prune. An attempt is one loop: it
-steps to the next head (visiting the best successor left, backtracking over
-every path node that has none) and expands it. The visit's walk over the
-head's row, which updates rdeg, also builds the head's successor keys; the
-expansion only drops the end's key (a path enters its end last) and the
-gated helper's. An attempt's expansion, backtrack and cut-test counts stay
-in locals and are written back to the call's budget state once, when it
-ends.
+depth-first backtracking search for a path from a start node through every
+node that stops on a node of a given set of ends. A covering path has the
+single end t, entered only last; a covering cycle may stop on any neighbour
+of its anchor; two disjoint covering paths are one covering path through a
+helper node. The search reads the view's rows as the view gives them, as
+ids, and keeps its per-node arrays by local index, the id less ``base``, the
+view's lowest id; a slot of that range that is no node stays empty, and the
+helper takes the slot past it. Each attempt keeps, for every unvisited node,
+its number of unvisited neighbours (``rdeg``), updated in O(degree) per
+visit and backtrack; a visited node's count waits, and is right again when
+the node is popped, as every node visited after it has been popped first.
+Every expansion prunes unless an end is left and at most one unvisited node
+has degree one counting the head (such nodes have rdeg <= 1, a set kept
+apart) and that node is an end. This degree check costs O(|low set|) and is
+the per-expansion prune. An attempt is one loop: it steps to the next head
+(visiting the best successor left, backtracking over every path node that
+has none) and expands it. The visit's walk over the head's row, which
+updates rdeg, also builds the head's successor keys; the expansion only
+drops the end's key (a path enters its end last) and the gated helper's. An
+attempt's expansion, backtrack and cut-test counts stay in locals and are
+written back to the call's budget state once, when it ends.
 
 The cut test, one O(V) Hopcroft-Tarjan articulation pass, prunes when the
 head and the unvisited nodes form a disconnected region, or a node of it
@@ -40,11 +44,11 @@ a search that has no answer, and a forward run that finds its path runs no
 cut test at all.
 
 Successors are tried lowest rdeg first, ties broken by a salted bijection of
-the node id (one integer key, rdeg * |V| + the node's rank under that
-bijection), so identical inputs always explore the identical tree. Salt 0's
-bijection is the id itself, and a view lists its ids in ascending order, so
-the ranks of an attempt at salt 0 are the index order (the two-path helper
-first) and need no sort.
+the node id (one integer key, rdeg * the slot count + the node's rank under
+that bijection), so identical inputs always explore the identical tree.
+Salt 0's bijection is the id itself, and slots ascend with ids, so the ranks
+of an attempt at salt 0 are the slots themselves (the two-path helper first)
+and need no sort; a salted attempt ranks the same slots by a sorted list.
 
 Attempts run in restart slices sized to the view (Luby, Sinclair and
 Zuckerman 1993; Gomes, Selman and Kautz 1998): slice i of a search over |V|
@@ -63,11 +67,16 @@ after the first), ``backtracks`` (nodes popped off the path) and
 ``cut_tests`` (articulation passes run).
 
 A search reads its view through a small protocol: ``nodes`` (the ids in
-ascending order), ``rows()`` (every node's neighbours, in ``nodes`` order,
-read once per call by ``_snapshot``; in level order, which no search
-depends on: successors go by key), ``has_node`` for the endpoints, and
-``min_degree_witness`` (``near_ham_cycle``); the enumerator reads
-``neighbors`` node by node.
+ascending order), ``rows()`` (a new list of every node's neighbours, in
+``nodes`` order, read once per call by ``_snapshot``; in level order, which
+no search depends on: successors go by key), ``has_node`` for the
+endpoints, and ``min_degree_witness`` (``near_ham_cycle``); the enumerator
+reads ``neighbors`` node by node. Rows must name only nodes of the view: an
+id outside the range would index past the arrays or alias another slot. A
+``SurvivingView`` of a graph marked ``shape_ok`` (built by ``make_preset``,
+or passed by ``check_shape``) holds to that by the graph's level order and
+symmetry; any other view's rows are checked once per call, and a row that
+names no node of the view raises MalformedGraph.
 
 ``enumerate_ham_path_exists`` is a tiny, prune-free enumerator kept
 deliberately independent of the main engine; tests use it as ground truth.
@@ -76,13 +85,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import chain, compress
+from typing import Callable, NamedTuple, Optional
 
 from .errors import MalformedGraph, PreconditionViolated, TooLarge
+from .faults import SurvivingView
 
 DEFAULT_MAX_EXPANSIONS = 5_000_000
 
-_VIRTUAL = -1  # helper node used by the two-path reduction; never a real id
+_VIRTUAL = -1  # the two-path helper's id in the tie-break; never a real id
 
 
 @dataclass(frozen=True)
@@ -139,23 +150,50 @@ class _BudgetState:
                              backtracks=self.backtracks, cut_tests=self.cut_tests, **found)
 
 
-def _snapshot(view) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """The view's nodes (``ids``, index order) and one row of neighbour
-    indices per node. A view lists its nodes in ascending id order, so index
-    order is id order, which ``_ranks`` relies on for salt 0."""
+class _Table(NamedTuple):
+    """What a search reads of a view. Node ``v``'s slot is its local index
+    ``v - base``: ``rows[v - base]`` is its row of neighbour ids, as the
+    view gives it, and ``live[v - base]`` is 1. A slot of the range that is
+    no node (a dead id, or a node a one-short cycle drops) holds an empty
+    row and a 0. ``ids`` are the nodes in ascending order; the two-path
+    helper follows them as ``_VIRTUAL``, in the slot past the range."""
+
+    rows: list[tuple[int, ...]]
+    live: bytearray
+    ids: tuple[int, ...]
+    base: int
+
+
+def _snapshot(view) -> _Table:
+    """The view's rows and nodes by local index, its lowest id as ``base``.
+
+    A ``SurvivingView`` of a graph marked ``shape_ok`` names only its nodes
+    in its rows; any other view's rows are checked here, once per call, so
+    that a row naming an id outside the range, which would index past a
+    slot or alias another, or a dead id, raises MalformedGraph."""
     ids = tuple(view.nodes)
-    index = dict(zip(ids, range(len(ids))))
-    at = index.__getitem__
-    try:
-        return ids, [tuple(map(at, row)) for row in view.rows()]
-    except KeyError as exc:  # rows out of level order: the graph fails check_shape
-        raise MalformedGraph(f"node {exc.args[0]} is in a row of the view, not in the view") from exc
+    rows = view.rows()
+    if not (isinstance(view, SurvivingView) and view.shape_ok):
+        known = set(ids)
+        if not known.issuperset(chain.from_iterable(rows)):
+            bad = next(w for row in rows for w in row if w not in known)
+            raise MalformedGraph(f"node {bad} is in a row of the view, not in the view")
+    base = ids[0] if ids else 0
+    span = ids[-1] - base + 1 if ids else 0
+    if span == len(ids):
+        return _Table(rows, bytearray(b"\x01") * span, ids, base)
+    table, live = [()] * span, bytearray(span)
+    for v, row in zip(ids, rows):
+        table[v - base] = row
+        live[v - base] = 1
+    return _Table(table, live, ids, base)
 
 
-def _cut_prune(rows, head: int, remaining: bytearray, count: int, is_end) -> bool:
+def _cut_prune(rows, base: int, head: int, remaining: bytearray, count: int, is_end) -> bool:
     """Structural infeasibility test for continuing a covering path.
 
-    Works on the region H = {head} | remaining (``count`` nodes remaining).
+    Works on the region H = {head} | remaining (``count`` nodes remaining),
+    by local index: ``rows`` name ids, slot ``id - base``.
     Returns True (prune) when H is disconnected, or when a node of H leaves
     two pieces hanging (components of H minus it that miss the head; for the
     head, the components of remaining) or one holding no end: the
@@ -176,6 +214,7 @@ def _cut_prune(rows, head: int, remaining: bytearray, count: int, is_end) -> boo
     stack = []
     while True:
         for w in it:
+            w -= base
             d = disc[w]
             if d:
                 if d < lv:
@@ -201,7 +240,7 @@ def _cut_prune(rows, head: int, remaining: bytearray, count: int, is_end) -> boo
             v, lv = p, lp
 
 
-#: Restart schedule (see the module docstring); |V| is ``len(rows)``, the
+#: Restart schedule (see the module docstring); |V| is ``len(ids)``, the
 #: two-path helper included. A forward run takes |V| - 1 expansions, so it
 #: fits in the first slice; the floor lets most searches on views of fewer
 #: than 32 nodes finish in one slice too (9 in 10 on seeded n = 4 views).
@@ -225,20 +264,22 @@ def _tie(salt: int, c: int) -> int:
     return ((c + 0x9E3779B9 * salt) * 2654435761) & 0xFFFFFFFF
 
 
-def _ranks(ids: tuple[int, ...], salt: int) -> tuple[list[int], list[int]]:
-    """Each index's position in the salted tie-break order of the ids, and
-    the indices in that order.
+def _ranks(ids: tuple[int, ...], base: int, size: int, salt: int) -> tuple[list[int], list[int]]:
+    """A rank for each of ``size`` slots, below ``size`` and ordered as the
+    salted tie-break orders the ids, and the slots by rank.
 
-    Salt 0 ranks by the id itself, and ids ascend in index order (see
-    ``_snapshot``) but for a trailing two-path helper, ``_VIRTUAL``, which
-    ranks first; so that order needs no sort."""
-    size = len(ids)
+    Salt 0 ranks by the id itself, and slots ascend with ids but for a
+    trailing two-path helper, ``_VIRTUAL`` in slot -1, which ranks first; so
+    that order is the slot itself and needs no sort. A salted order ranks
+    the nodes 0..|V| - 1; a slot that is no node has no successor key, so
+    its rank is never read."""
     if salt == 0:
-        if ids and ids[-1] == _VIRTUAL:
-            return [*range(1, size), 0], [size - 1, *range(size - 1)]
+        if ids[-1] == _VIRTUAL:
+            return [*range(1, size), 0], [-1, *range(size - 1)]
         identity = list(range(size))  # its own inverse
         return identity, identity
-    by_rank = sorted(range(size), key=lambda c: _tie(salt, ids[c]))
+    by_rank = [-1 if c == _VIRTUAL else c - base
+               for c in sorted(ids, key=lambda c: _tie(salt, c))]
     rank = [0] * size
     for k, c in enumerate(by_rank):
         rank[c] = k
@@ -246,30 +287,33 @@ def _ranks(ids: tuple[int, ...], salt: int) -> tuple[list[int], list[int]]:
 
 
 def _dfs_cover(
-    rows: list[tuple[int, ...]], ids: tuple[int, ...], s: int, ends: tuple[int, ...],
-    ends_last: bool, state: _BudgetState, cap: Optional[int], salt: int,
-    gate: Optional[tuple[int, int]] = None,
+    table: _Table, s: int, ends: tuple[int, ...], ends_last: bool, state: _BudgetState,
+    cap: Optional[int], salt: int, gate: Optional[tuple[int, int]] = None,
 ) -> tuple[SearchStatus, Optional[tuple[int, ...]], bool]:
-    """One search attempt for a path from index s through every node that
-    stops on a node of ``ends``; with ``ends_last`` the ends are entered only
-    last. ``gate = (h, src)`` lets the path enter h only from src.
+    """One search attempt for a path from slot s through every node that
+    stops on a node of ``ends`` (slots); with ``ends_last`` the ends are
+    entered only last. ``gate = (h, src)`` lets the path enter slot h only
+    from slot src.
 
     Returns (status, path of ids, cap_hit); ``cap_hit`` means this attempt
     was cut off by its slice of the schedule, not by the overall budget.
     """
-    size = len(rows)
-    remaining = bytearray(b"\x01") * size
+    rows, live, ids, base = table
+    size = len(rows)  # slots
+    remaining = live[:]
     is_end = bytearray(size)
     for e in ends:
         is_end[e] = 1
     ends_left = sum(is_end)
-    count = size  # unvisited nodes
-    rdeg = list(map(len, rows))  # unvisited neighbours, kept for every node
-    low = {u for u in range(size) if rdeg[u] <= 1}  # unvisited with rdeg <= 1
-    rank, by_rank = _ranks(ids, salt)  # a successor's key is rdeg * size + rank
+    order = count = len(ids)  # |V|; unvisited nodes
+    rdeg = list(map(len, rows))  # unvisited neighbours, kept for unvisited nodes
+    # unvisited with rdeg <= 1 (never the helper here: both its ends live)
+    low = {u for u in range(size) if rdeg[u] <= 1 and live[u]}
+    rank, by_rank = _ranks(ids, base, size, salt)  # a successor's key is rdeg * size + rank
     last = ends[0] if ends_last else -1  # an ends-last path has one end
+    last_id = last + base  # read only when ends_last
     banned, src = gate if gate is not None else (-1, -1)
-    gated = frozenset(rows[banned]) - {src} if gate is not None else frozenset()
+    gated = frozenset(w - base for w in rows[banned]) - {src} if gate is not None else frozenset()
     spent, backtracks, cut_tests = state.spent, 0, 0
     stop = state.limit if cap is None else min(state.limit, spent + cap)
     path: list[int] = []
@@ -277,7 +321,7 @@ def _dfs_cover(
     # entry whose one successor is s
     stack = [[rank[s]]]
     # the cut test is due at the first expansion after each backtrack from
-    # the attempt's size-th on, never at the root: there it could prune only
+    # the attempt's |V|-th on, never at the root: there it could prune only
     # a search with no covering path
     cut_due = False
     status = None
@@ -295,9 +339,10 @@ def _dfs_cover(
                 low.discard(v)
                 keys = []  # v's successor keys, built while its row is walked
                 for w in rows[v]:
-                    d = rdeg[w] - 1
-                    rdeg[w] = d
-                    if remaining[w]:
+                    w -= base
+                    if remaining[w]:  # a visited node's rdeg waits for its pop
+                        d = rdeg[w] - 1
+                        rdeg[w] = d
                         keys.append(d * size + rank[w])
                         if d == 1:
                             low.add(w)
@@ -318,13 +363,15 @@ def _dfs_cover(
             count += 1
             ends_left += is_end[c]
             for w in rows[c]:
-                d = rdeg[w] + 1
-                rdeg[w] = d
-                if d == 2 and remaining[w]:
-                    low.discard(w)
+                w -= base
+                if remaining[w]:
+                    d = rdeg[w] + 1
+                    rdeg[w] = d
+                    if d == 2:
+                        low.discard(w)
             if rdeg[c] <= 1:
                 low.add(c)
-            cut_due = backtracks >= size
+            cut_due = backtracks >= order
         if status is not None:
             break
         # expand v, the head: prune checks, then order its successor keys
@@ -337,7 +384,7 @@ def _dfs_cover(
         else:
             stuck = False
             for u in low:  # degree rdeg[u] + [u adjacent to v] <= 1 needs rdeg <= 1
-                d = rdeg[u] + (v in rows[u])
+                d = rdeg[u] + (v + base in rows[u])
                 if d == 0 or d == 1 and (stuck or not is_end[u]):
                     keys = []
                     break
@@ -346,11 +393,11 @@ def _dfs_cover(
                 if cut_due:
                     cut_due = False
                     cut_tests += 1
-                    if _cut_prune(rows, v, remaining, count, is_end):
+                    if _cut_prune(rows, base, v, remaining, count, is_end):
                         keys = []
                 # the end is entered only last (it is unvisited: ends_left),
                 # and the gated helper only from src
-                if keys and ends_last and count > 1 and last in rows[v]:
+                if keys and ends_last and count > 1 and last_id in rows[v]:
                     keys.remove(rdeg[last] * size + rank[last])
                 if keys and v in gated and remaining[banned]:
                     keys.remove(rdeg[banned] * size + rank[banned])
@@ -361,7 +408,7 @@ def _dfs_cover(
     state.backtracks += backtracks
     state.cut_tests += cut_tests
     if status is SearchStatus.FOUND:
-        return status, tuple(ids[i] for i in path), False
+        return status, tuple(map(base.__add__, path)), False
     return status, None, status is SearchStatus.BUDGET_EXHAUSTED and not state.exhausted
 
 
@@ -383,32 +430,36 @@ def _engine(attempt: Callable[[Optional[int], int], tuple], size: int, state: _B
         state.restarts += 1
 
 
-def _path_engine(rows, ids, s: int, t: int, state: _BudgetState, gate=None, gate_rev=None) -> _Answer:
-    """Covering-path search from index s to index t; slices alternate
-    forward and reversed endpoints (``gate_rev`` gates the reversed ones),
-    with a fresh tie-break salt every second slice."""
+def _path_engine(table: _Table, s: int, t: int, state: _BudgetState, gate=None,
+                 gate_rev=None) -> _Answer:
+    """Covering-path search from slot s to slot t; slices alternate forward
+    and reversed endpoints (``gate_rev`` gates the reversed ones), with a
+    fresh tie-break salt every second slice."""
 
     def attempt(cap, phase):
         rev = phase % 2 == 1
         a, b, g = (t, s, gate_rev) if rev else (s, t, gate)
-        status, path, cap_hit = _dfs_cover(rows, ids, a, (b,), True, state, cap, phase // 2, g)
+        status, path, cap_hit = _dfs_cover(table, a, (b,), True, state, cap, phase // 2, g)
         return status, path[::-1] if rev and path else path, cap_hit
 
-    return _engine(attempt, len(rows), state)
+    return _engine(attempt, len(table.ids), state)
 
 
-def _cycle_engine(rows, ids, state: _BudgetState) -> _Answer:
+def _cycle_engine(table: _Table, state: _BudgetState) -> _Answer:
     """Covering-cycle search: a covering path from the most constrained node
     (lowest degree, then lowest id, so that both forced edges of a degree-2
     node bind early) that stops on one of its neighbours. Every slice uses a
     fresh tie-break salt."""
-    if len(rows) < 3:
+    rows, live, ids, base = table
+    if len(ids) < 3:
         return SearchStatus.PROVEN_ABSENT, None
     degrees = list(map(len, rows))
-    v0 = degrees.index(min(degrees))  # the first of lowest degree: ids ascend
+    # the first node of lowest degree: slots ascend with ids
+    v0 = min(compress(range(len(rows)), live), key=degrees.__getitem__)
+    ends = tuple(w - base for w in rows[v0])
     return _engine(
-        lambda cap, phase: _dfs_cover(rows, ids, v0, rows[v0], False, state, cap, phase),
-        len(rows), state,
+        lambda cap, phase: _dfs_cover(table, v0, ends, False, state, cap, phase),
+        len(ids), state,
     )
 
 
@@ -423,17 +474,17 @@ def ham_path(view, s: int, t: int, budget: Optional[SearchBudget] = None) -> Sea
     if s == t:
         raise PreconditionViolated("endpoints must be distinct")
     _require_alive(view, s, t)
-    ids, rows = _snapshot(view)
+    table = _snapshot(view)
     state = _BudgetState(budget)
-    status, path = _path_engine(rows, ids, ids.index(s), ids.index(t), state)
+    status, path = _path_engine(table, s - table.base, t - table.base, state)
     return state.outcome(status, path=path)
 
 
 def ham_cycle(view, budget: Optional[SearchBudget] = None) -> SearchOutcome:
     """Search for a cycle visiting every surviving node exactly once."""
-    ids, rows = _snapshot(view)
+    table = _snapshot(view)
     state = _BudgetState(budget)
-    status, path = _cycle_engine(rows, ids, state)
+    status, path = _cycle_engine(table, state)
     return state.outcome(status, path=path)
 
 
@@ -445,29 +496,30 @@ def near_ham_cycle(view, budget: Optional[SearchBudget] = None) -> SearchOutcome
     the search tries cycles missing exactly one node, preferring to drop the
     minimum-degree witness, then the remaining nodes in view order.
     """
-    ids, rows = _snapshot(view)
+    table = _snapshot(view)
+    rows, live, ids, base = table
     state = _BudgetState(budget)
     if not ids:
         return state.outcome(SearchStatus.PROVEN_ABSENT)
     delta, witness = view.min_degree_witness()
     if delta is not None and delta >= 2:
-        status, path = _cycle_engine(rows, ids, state)
+        status, path = _cycle_engine(table, state)
         if status is not SearchStatus.PROVEN_ABSENT:
             return state.outcome(status, path=path)
     first = ids.index(witness)
-    for m in [first] + [i for i in range(len(ids)) if i != first]:
+    for k in [first] + [k for k in range(len(ids)) if k != first]:
         if state.exhausted:
             return state.outcome(SearchStatus.BUDGET_EXHAUSTED)
-        # drop m: indices above it shift down by one, and m (now -1) leaves
-        # the rows of its neighbours
-        shift = [*range(m), -1, *range(m, len(ids) - 1)]
-        sub = [tuple(map(shift.__getitem__, r)) for r in rows]
-        for i in rows[m]:
-            sub[i] = tuple(x for x in sub[i] if x >= 0)
-        del sub[m]
-        status, path = _cycle_engine(sub, ids[:m] + ids[m + 1 :], state)
+        # drop m: its slot empties, and m leaves the rows of its neighbours
+        m = ids[k]
+        i = m - base
+        sub, kept = rows[:], live[:]
+        for w in rows[i]:
+            sub[w - base] = tuple(x for x in rows[w - base] if x != m)
+        sub[i], kept[i] = (), 0
+        status, path = _cycle_engine(_Table(sub, kept, ids[:k] + ids[k + 1:], base), state)
         if status is SearchStatus.FOUND:
-            return state.outcome(status, path=path, missed=ids[m])
+            return state.outcome(status, path=path, missed=m)
         if status is SearchStatus.BUDGET_EXHAUSTED:
             return state.outcome(status)
     return state.outcome(SearchStatus.PROVEN_ABSENT)
@@ -480,26 +532,29 @@ def two_disjoint_spanning_paths(
     surviving node.
 
     Implemented as a single covering-path search from x1 to y2 through a
-    helper node (index N, id ``_VIRTUAL``) wedged between y1 and x2; the
-    helper may only be entered from y1, which pins the segment pairing.
+    helper node wedged between y1 and x2; the helper may only be entered
+    from y1, which pins the segment pairing. It takes the slot past the
+    range, slot -1, so rows and the path name it ``base - 1``, and it ranks
+    as ``_VIRTUAL``.
     """
     endpoints = (x1, y1, x2, y2)
     if len(set(endpoints)) != 4:
         raise PreconditionViolated("the four endpoints must be distinct")
     _require_alive(view, *endpoints)
-    ids, rows = _snapshot(view)
-    a, b, c, d = (ids.index(v) for v in endpoints)
-    helper = len(ids)
+    rows, live, ids, base = _snapshot(view)
+    a, b, c, d = (v - base for v in endpoints)
+    helper = base - 1
     rows[b] += (helper,)
     rows[c] += (helper,)
-    rows.append((b, c))
+    rows.append((y1, x2))
+    live.append(1)
     state = _BudgetState(budget)
     status, path = _path_engine(
-        rows, ids + (_VIRTUAL,), a, d, state, gate=(helper, b), gate_rev=(helper, c)
+        _Table(rows, live, ids + (_VIRTUAL,), base), a, d, state, gate=(-1, b), gate_rev=(-1, c)
     )
     if status is not SearchStatus.FOUND:
         return state.outcome(status)
-    cut = path.index(_VIRTUAL)
+    cut = path.index(helper)
     return state.outcome(status, paths=(path[:cut], path[cut + 1 :]))
 
 

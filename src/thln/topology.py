@@ -39,7 +39,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     MalformedBase,
     MalformedGraph,
-    NoDecomposition,
     UnknownNode,
     UnsupportedDimension,
 )
@@ -186,12 +185,16 @@ class ThlnGraph:
     own draws read it. ``decomposition`` derives the top level from the ids
     on each access (None for a dimension-3 base graph). ``file_ids`` is a loaded
     file's own id at each position, or None where ids are the file's; only
-    graph file I/O and the command line read it.
+    graph file I/O and the command line read it. ``shape_ok`` is True once
+    the graph is known to pass ``check_shape``: :func:`make_preset` builds it
+    so, and ``check_shape`` sets it on a pass. Then every level's view names
+    only nodes of its level in its rows, and search skips checking them.
     """
 
     dimension: int
     adjacency: tuple[tuple[int, ...], ...]
     file_ids: Optional[tuple[int, ...]] = field(default=None, repr=False)
+    shape_ok: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "adjacency", tuple(map(tuple, self.adjacency)))
@@ -326,7 +329,9 @@ def _build_one_pass(n: int, base_at, matching_at) -> ThlnGraph:
                 row.append(upper[w])
             for u, w in zip(ids[lo:mid], phi):
                 rows[mid + w].append(u)
-    return ThlnGraph(n, rows)
+    g = ThlnGraph(n, rows)
+    object.__setattr__(g, "shape_ok", True)  # level order and symmetry by construction
+    return g
 
 
 def make_preset(spec: VariantSpec, n: int) -> ThlnGraph:
@@ -369,13 +374,6 @@ def make_preset(spec: VariantSpec, n: int) -> ThlnGraph:
     matching = {"crossed": _crossed_matching, "locally-twisted": _locally_twisted_matching}[spec.kind]
     matchings = {d: matching(d - 1) for d in range(4, n + 1)}
     return _build_one_pass(n, lambda _off: base, lambda d, _off: matchings[d])
-
-
-def cross_partner(g: ThlnGraph, v: int) -> int:
-    """The unique node matched with ``v`` across the top-level cut."""
-    if g.decomposition is None:
-        raise NoDecomposition("dimension-3 base graphs have no cross matching")
-    return g.decomposition.partner(v)
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +445,8 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
     induction every level of dimension d is then d-regular and connected, its
     halves joined by a perfect matching (the loader checks a file's own). A
     failing check of the rows names the first node it fails at, in a loaded
-    graph's file ids. Never raises; failures are carried in the report."""
+    graph's file ids. Never raises; failures are carried in the report, and
+    a graph that passes is marked ``shape_ok``."""
     n, rows = g.dimension, g.adjacency
     size = len(rows)
     n_nodes = 1 << n if n >= 0 else 0  # a negative dimension fails node-count
@@ -471,7 +470,7 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
                           f"{rule}; first fails at node {(g.file_ids or range(size))[v]}")
 
     degrees = sum(map(len, rows))
-    return ShapeReport((
+    report = ShapeReport((
         ShapeCheck("root: node-count", n >= 0 and size == n_nodes,
                    f"expected {n_nodes}, got {size}"),
         at_node("regularity", f"every node needs degree {n}"),
@@ -481,6 +480,9 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
         at_node("level-order", "every row lists its 8-node block, then a partner per level"),
         at_node("blocks-connected", "every 8-node block is connected"),
     ))
+    if report.ok:
+        object.__setattr__(g, "shape_ok", True)
+    return report
 
 
 #: The built-in bases, each judged by :func:`check_shape` once, here, at

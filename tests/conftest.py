@@ -7,8 +7,16 @@ if str(SRC) not in sys.path:
 
 import pytest
 
-from thln import VariantSpec, make_preset
+from thln import NoDecomposition, VariantSpec, make_preset
 from thln.topology import ThlnGraph
+
+
+def cross_partner(g, v):
+    """The reference partner: the node matched with ``v`` across the top
+    level's cut, read off the decomposition the embedder reads."""
+    if g.decomposition is None:
+        raise NoDecomposition("dimension-3 base graphs have no cross matching")
+    return g.decomposition.partner(v)
 
 
 def _join(g1, g2, matching):

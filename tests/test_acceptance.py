@@ -18,7 +18,6 @@ from thln import (
     SearchBudget,
     SearchStatus,
     VariantSpec,
-    cross_partner,
     embed,
     enumerate_ham_path_exists,
     ham_cycle,
@@ -32,6 +31,8 @@ from thln import (
 from thln.cli import RunConfig, _dump, _stress_csv, main, run_stress
 from thln.embedder import _canon_cycle
 from thln.faults import SurvivingView, sample_faults
+
+from conftest import cross_partner
 
 #: committed by ``scripts/stress_campaign.py`` from criterion 6's configuration
 STRESS_N8 = Path(__file__).resolve().parent.parent / "out" / "stress_n8.json"

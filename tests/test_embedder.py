@@ -18,7 +18,6 @@ from thln import (
     SearchBudget,
     VariantSpec,
     check_shape,
-    cross_partner,
     embed,
     graph_from_json,
     graph_to_json,
@@ -31,8 +30,10 @@ from thln import (
 )
 from thln import cli, embedder
 from thln.embedder import _Ctx, _Runtime, _canon_cycle, _cut_cycle, _select_restorable_fault
-from thln.faults import SurvivingView, draw_endpoints, partition, sample_faults
+from thln.faults import SurvivingView, draw_endpoints, partition_decomposition, sample_faults
 from thln.oracle import SearchStatus, ham_cycle, near_ham_cycle
+
+from conftest import cross_partner
 
 
 def embed_and_check(g, f, s, t, **kw):
@@ -1128,7 +1129,7 @@ def test_relabelled_graph_is_solved_through_its_file_decomposition():
     for placement, count in (("uniform", 6), ("concentrated-2", 5), ("concentrated-4", 6)):
         rng = random.Random(f"relabelled/{placement}")
         f = sample_faults(g, count, rng, None if placement == "uniform" else d.half1)
-        assert sum(partition(g, f).counts) == len(f)
+        assert sum(partition_decomposition(d, f).counts) == len(f)
         s, t = draw_endpoints(surviving_view(g, f), rng)
         res = embed_and_check(g, f, s, t)
         body = json.dumps(res.to_json_obj(), sort_keys=True)

@@ -9,17 +9,13 @@ from thln import (
     FaultSet,
     FaultyEndpoint,
     ForeignFault,
-    NoDecomposition,
     PreconditionViolated,
     SurvivingView,
     ThlnGraph,
     VariantSpec,
-    cross_partner,
     embed,
-    make_base,
     make_preset,
     neighbor_condition,
-    partition,
     surviving_view,
 )
 from thln.cli import main
@@ -27,6 +23,8 @@ from thln.errors import ThlnError
 from thln.faults import draw_endpoints, partition_decomposition, sample_faults
 from thln.topology import check_shape, graph_from_json, graph_to_json_obj
 from thln.validate import validate_path
+
+from conftest import cross_partner
 
 
 def test_empty_faults_view_equals_graph(graph4):
@@ -100,26 +98,20 @@ def test_partition_example_three_dead_cross_edges(graph4):
     x2 = cross_partner(graph4, x1)
     assert cross_partner(graph4, b) not in (a, x1)
     f = FaultSet.of(nodes=[a, b], edges=[(x1, x2)])
-    part = partition(graph4, f)
+    part = partition_decomposition(d, f)
     assert part.counts == (1, 1, 1)
     assert part.fc_direct == {(x1, x2)}
 
 
 def test_partition_empty_and_intra_edge(graph4):
-    part = partition(graph4, FaultSet.empty())
-    assert part.counts == (0, 0, 0) and part.fc_direct == frozenset()
     d = graph4.decomposition
+    part = partition_decomposition(d, FaultSet.empty())
+    assert part.counts == (0, 0, 0) and part.fc_direct == frozenset()
     h1 = set(d.half1)
     edge = next(e for e in graph4.edges if e[0] in h1 and e[1] in h1)
-    part = partition(graph4, FaultSet.of(edges=[edge]))
+    part = partition_decomposition(d, FaultSet.of(edges=[edge]))
     assert part.counts == (1, 0, 0)
     assert part.fc_direct == frozenset()
-
-
-def test_partition_needs_decomposition():
-    base = make_base(VariantSpec("base3-default"))
-    with pytest.raises(NoDecomposition):
-        partition(base, FaultSet.empty())
 
 
 def test_count_identity_and_effective_cross_brute_force():
@@ -128,7 +120,7 @@ def test_count_identity_and_effective_cross_brute_force():
     rng = random.Random(0)
     for _ in range(10_000):
         f = sample_faults(g, rng.randrange(0, 9), rng)
-        part = partition(g, f)
+        part = partition_decomposition(g.decomposition, f)
         assert len(f) == sum(part.counts)
 
 

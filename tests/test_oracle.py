@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from thln import (
     FaultSet,
+    MalformedGraph,
     PreconditionViolated,
     SearchBudget,
     SearchStatus,
@@ -28,6 +29,7 @@ from thln import (
 )
 from thln import oracle
 from thln.faults import sample_faults
+from thln.topology import ThlnGraph
 
 
 class FakeView:
@@ -346,8 +348,8 @@ def test_restart_schedule_depends_on_the_view_size_only(monkeypatch):
     # two-path search counts its helper node), whatever the view holds
     seen = []
 
-    def give_up(rows, ids, s, ends, ends_last, state, cap, salt, gate=None):
-        seen.append((len(rows), cap))
+    def give_up(table, s, ends, ends_last, state, cap, salt, gate=None):
+        seen.append((len(table.ids), cap))
         state.spent = state.limit if cap is None else min(state.limit, state.spent + cap)
         return SearchStatus.BUDGET_EXHAUSTED, None, not state.exhausted
 
@@ -373,27 +375,93 @@ def test_a_forward_run_stays_in_the_first_slice():
 
 
 def test_rank_keys_order_successors_by_degree_then_tie_break():
-    # the search sorts successors as rdeg * size + rank and maps each key back
-    # through the rank order; on half 2 the ids are not 0..N-1, and the
-    # two-path helper's id is negative
-    g = _pinned_graph(7)
+    # the search sorts successors as rdeg * size + rank, size the slot
+    # count, and maps each key back through the rank order to a slot, id -
+    # base; on half 2 the ids are not 0..N-1, the lowest id here is dead and
+    # so is another slot, and the two-path helper takes slot -1 and ranks as
+    # its negative id
     rng = random.Random(13)
-    view = SurvivingView(g, sample_faults(g, 3, rng), scope=g.decomposition.half2)
-    ids, rows = oracle._snapshot(view)
-    assert min(ids) == 64
-    assert list(ids) == sorted(ids)  # salt 0 ranks by index order on this
-    for ids in (ids, ids + (oracle._VIRTUAL,)):
-        size = len(ids)
+    view, _ = _half2_drawn(3, 2, 0, False)
+    table = oracle._snapshot(view)
+    base = table.base
+    assert base == min(view.nodes) == 65 and len(table.rows) > len(table.ids)
+    for ids, size in ((table.ids, len(table.rows)),
+                      (table.ids + (oracle._VIRTUAL,), len(table.rows) + 1)):
+        slot = {v: -1 if v == oracle._VIRTUAL else v - base for v in ids}
         for salt in range(4):
-            rank, by_rank = oracle._ranks(ids, salt)
-            assert sorted(rank) == list(range(size))
+            rank, by_rank = oracle._ranks(ids, base, size, salt)
+            ranks = sorted(rank[c] for c in slot.values())
+            assert len(set(ranks)) == len(ids) and 0 <= ranks[0] and ranks[-1] < size
             for _ in range(200):
-                cands = rng.sample(range(size), rng.randrange(1, 8))
-                rdeg = {c: rng.randrange(8) for c in cands}
-                keys = sorted((rdeg[c] * size + rank[c] for c in cands), reverse=True)
-                expected = sorted(cands, key=lambda c: (rdeg[c], oracle._tie(salt, ids[c])),
+                cands = rng.sample(ids, rng.randrange(1, 8))
+                rdeg = {v: rng.randrange(8) for v in cands}
+                keys = sorted((rdeg[v] * size + rank[slot[v]] for v in cands), reverse=True)
+                expected = sorted(cands, key=lambda v: (rdeg[v], oracle._tie(salt, v)),
                                   reverse=True)
-                assert [by_rank[k % size] for k in keys] == expected
+                assert [by_rank[k % size] for k in keys] == [slot[v] for v in expected]
+
+
+# ----------------------------------------------------------------------
+# rows that name no node of the view
+
+
+class _RowsView(FakeView):
+    """A view that lists ``nodes`` and gives the rows ``rows``, as they are."""
+
+    def __init__(self, nodes, rows):
+        self._adj = dict(zip(nodes, map(tuple, rows)))
+
+
+def _ring_rows(nodes):
+    return [sorted({nodes[i - 1], nodes[(i + 1) % len(nodes)]}) for i in range(len(nodes))]
+
+
+def _malformed_fake_views():
+    """Rings on ids 10..17 with one entry in node 12's row that is no node
+    of the view: an id below the lowest, above the highest, or a dead id
+    (14) of the range."""
+    full = tuple(range(10, 18))
+    holed = tuple(v for v in full if v != 14)
+    for nodes, extra in ((full, 5), (full, 30), (holed, 14)):
+        rows = _ring_rows(nodes)
+        rows[nodes.index(12)].append(extra)
+        yield pytest.param(_RowsView(nodes, rows), id=f"fake-{extra}")
+
+
+def _malformed_level_views():
+    """Views of graphs that fail ``check_shape``, built from the n = 8
+    graph. Node 100's level-7 and level-8 partners swapped put a half-2 id
+    into its half-1 row (above the range), and node 200's the same way a
+    half-1 id into its half-2 row (below the range). Node 100's level-4
+    partner replaced by a node x of its level-4 block that does not name it
+    back leaves x, once dead, in 100's row (a dead id of the range)."""
+    g = make_preset(VariantSpec.random(1), 8)
+    d = g.decomposition
+    swapped = [list(row) for row in g.adjacency]
+    for v in (100, 200):
+        swapped[v][6:8] = swapped[v][7:5:-1]
+    h = ThlnGraph(8, swapped)
+    yield pytest.param(SurvivingView(h, FaultSet.empty(), scope=d.half1), id="swapped-half1")
+    yield pytest.param(SurvivingView(h, FaultSet.empty(), scope=d.half2), id="swapped-half2")
+    one_way = [list(row) for row in g.adjacency]
+    x = next(x for x in range(96, 112) if x != 100 and x not in g.adjacency[100])
+    one_way[100][3] = x
+    h = ThlnGraph(8, one_way)
+    yield pytest.param(SurvivingView(h, FaultSet.of(nodes=[x]), scope=d.half1),
+                       id="one-way-dead")
+
+
+@pytest.mark.parametrize("view", [*_malformed_fake_views(), *_malformed_level_views()])
+def test_rows_that_name_no_node_of_the_view_raise_malformed_graph(view):
+    # a row naming an id below the view's lowest, above its highest, or dead
+    # in its range: every service raises MalformedGraph, never IndexError,
+    # and never returns a path
+    a, b, c, e = view.nodes[:4]
+    for call in (lambda: ham_path(view, a, b), lambda: ham_cycle(view),
+                 lambda: near_ham_cycle(view),
+                 lambda: two_disjoint_spanning_paths(view, a, b, c, e)):
+        with pytest.raises(MalformedGraph, match="is in a row of the view, not in the view"):
+            call()
 
 
 # ----------------------------------------------------------------------
@@ -443,15 +511,35 @@ def _half1_drawn(faults, seed, picks, starved):
     return view, rng.sample(view.nodes, picks)
 
 
+def _half2_drawn(faults, seed, picks, starved):
+    """Seeded instance on half 2 of the dimension-7 graph, ids 64..127, whose
+    lowest node 64 is dead: ``faults`` faults drawn inside the half, then node
+    64, then ``picks`` distinct survivors. A starved node 65 keeps one in-half
+    edge."""
+    graph = _pinned_graph(7)
+    h2 = graph.decomposition.half2
+    rng = random.Random(seed)
+    f = sample_faults(graph, faults, rng, h2)
+    cut = [(65, w) for w in graph.neighbors(65) if w in h2][:-1] if starved else []
+    f = FaultSet.of(f.nodes | {64}, sorted(f.edges) + cut)
+    view = SurvivingView(graph, f, scope=h2)
+    return view, rng.sample(view.nodes, picks)
+
+
 def _first_slice_plus(extra):
     """Budget of ``extra`` expansions past the first slice of a search over
     ``size`` nodes (a two-path search counts its helper node)."""
     return lambda size: oracle._slice_cap(size, 0) + extra
 
 
-def _pinned_call(service, n, faults, seed, budget=None, starved=False):
+def _pinned_call(service, n, faults, seed, budget=None, draw=None):
+    """``draw``: None for uniform faults over the whole graph (half 1 at
+    n = 10), "half2" for ``_half2_drawn``; a "starved" suffix starves a node."""
     picks = {ham_path: 2, two_disjoint_spanning_paths: 4}.get(service, 0)
-    if n == 10:
+    starved = (draw or "").endswith("starved")
+    if (draw or "").startswith("half2"):
+        view, ends = _half2_drawn(faults, seed, picks, starved)
+    elif n == 10:
         view, ends = _half1_drawn(faults, seed, picks, starved)
     else:
         view, ends = _drawn(n, faults, seed, picks)
@@ -469,6 +557,10 @@ def _pinned_call(service, n, faults, seed, budget=None, starved=False):
 #: salted restart.
 #: The n = 10 cases search 508-512-node views of half 1 with 2k - 9 = 9 faults
 #: in it, the scale of the embedder's cases 2-5.
+#: The half-2 cases search views whose ids start at 64 and whose lowest id
+#: is dead; each restarts with a salt of at least 1 (the path and the pair
+#: in their third slice or later), and the one-short cycle drops its
+#: starved node.
 _PINNED_SEARCH_TREES = {
     "path-n4-found": ((ham_path, 4, 3, 0),
         ("found", 31, 0, 17, 1, None, "d63c987d15c44b08")),
@@ -504,10 +596,18 @@ _PINNED_SEARCH_TREES = {
         ("found", 402, 1, 159, 3, None, "1b26c53340bdc97f")),
     "cycle-n10-half1": ((ham_cycle, 10, 9, 0),
         ("found", 593, 0, 83, 0, None, "d1782a8ad05877e9")),
-    "near-n10-half1-starved": ((near_ham_cycle, 10, 9, 0, None, True),
+    "near-n10-half1-starved": ((near_ham_cycle, 10, 9, 0, None, "starved"),
         ("found", 521, 0, 11, 0, 394, "136b25ae42643b5c")),
     "two-n10-half1": ((two_disjoint_spanning_paths, 10, 9, 2),
         ("found", 840, 0, 331, 0, None, "3f83c036b7aad316")),
+    "path-n7-half2-salted": ((ham_path, 7, 3, 25, None, "half2"),
+        ("found", 312, 2, 147, 3, None, "815d5a27d9a8cb04")),
+    "cycle-n7-half2-salted": ((ham_cycle, 7, 3, 44, None, "half2"),
+        ("found", 319, 2, 155, 5, None, "84fc72172ceee8d3")),
+    "near-n7-half2-starved": ((near_ham_cycle, 7, 2, 32, None, "half2-starved"),
+        ("found", 187, 1, 73, 1, 65, "8181754ff89e0075")),
+    "two-n7-half2-salted": ((two_disjoint_spanning_paths, 7, 3, 40, None, "half2"),
+        ("found", 572, 3, 347, 23, None, "6df3ed9080a7db02")),
 }
 
 
@@ -583,10 +683,11 @@ def test_cut_test_runs_only_where_the_search_turns_back(monkeypatch, name):
     # per attempt, off the counters each attempt adds to the call's state
     real, attempts = oracle._dfs_cover, []
 
-    def counted(rows, ids, s, ends, ends_last, state, *rest):
+    def counted(table, s, ends, ends_last, state, *rest):
         backtracks, cut_tests = state.backtracks, state.cut_tests
-        answer = real(rows, ids, s, ends, ends_last, state, *rest)
-        attempts.append((len(rows), state.backtracks - backtracks, state.cut_tests - cut_tests))
+        answer = real(table, s, ends, ends_last, state, *rest)
+        attempts.append((len(table.ids), state.backtracks - backtracks,
+                         state.cut_tests - cut_tests))
         return answer
 
     monkeypatch.setattr(oracle, "_dfs_cover", counted)
@@ -639,18 +740,20 @@ def test_degree_check_misses_no_prune(monkeypatch):
     # degree 1 (counting the head), which is an end
     real, seen = oracle._cut_prune, []
 
-    def recount_then_cut(rows, head, remaining, count, is_end):
+    def recount_then_cut(rows, base, head, remaining, count, is_end):
+        # rows name ids, slot id - base; the helper's slot -1 is named base - 1
         region = [u for u in range(len(rows)) if remaining[u]]
-        degree = {u: sum(remaining[w] for w in rows[u]) + (head in rows[u]) for u in region}
+        degree = {u: sum(remaining[w - base] for w in rows[u]) + (head + base in rows[u])
+                  for u in region}
         ones = [u for u in region if degree[u] == 1]
         assert 0 not in degree.values()
         assert len(ones) <= 1 and all(is_end[u] for u in ones)
         seen.append(head)
-        return real(rows, head, remaining, count, is_end)
+        return real(rows, base, head, remaining, count, is_end)
 
     monkeypatch.setattr(oracle, "_cut_prune", recount_then_cut)
     for name in ("path-n4-absent", "cycle-n4-absent", "near-n4-absent",
-                 "near-n4-degree-below-two", "two-n4-absent"):
+                 "near-n4-degree-below-two", "two-n4-absent", "two-n7-half2-salted"):
         _pinned_call(*_PINNED_SEARCH_TREES[name][0])
     assert len(seen) > 100
 
@@ -678,17 +781,17 @@ def test_a_cut_vertex_is_proven_to_block_every_covering_path(seed):
 
 
 def _cut(edges, head, ends, visited=()):
-    """``_cut_prune`` on a hand-built graph: the region is every node but
-    the head and ``visited``; ``ends`` are the nodes a path may stop on."""
-    ids, rows = oracle._snapshot(FakeView(edges))
-    at = {v: i for i, v in enumerate(ids)}
-    remaining = bytearray(len(ids))
+    """``_cut_prune`` on a hand-built graph, its ids shifted by 40: the
+    region is every node but the head and ``visited``; ``ends`` are the
+    nodes a path may stop on."""
+    rows, live, ids, base = oracle._snapshot(FakeView([(u + 40, v + 40) for u, v in edges]))
+    remaining = bytearray(len(rows))
     for v in ids:
-        remaining[at[v]] = v != head and v not in visited
-    is_end = bytearray(len(ids))
+        remaining[v - base] = v - 40 != head and v - 40 not in visited
+    is_end = bytearray(len(rows))
     for v in ends:
-        is_end[at[v]] = 1
-    return oracle._cut_prune(rows, at[head], remaining, sum(remaining), is_end)
+        is_end[v + 40 - base] = 1
+    return oracle._cut_prune(rows, base, head + 40 - base, remaining, sum(remaining), is_end)
 
 
 def test_cut_test_keeps_a_region_without_cut_nodes():
@@ -757,22 +860,22 @@ def _cut_reference(adj, head, region, ends):
     return False
 
 
-def _cuts_along(rows, path, ends):
-    """``_cut_prune`` at every prefix of ``path`` (indices), the root's one
-    node included, with ``ends`` the nodes the path may stop on."""
-    remaining = bytearray(b"\x01") * len(rows)
-    is_end = bytearray(len(rows))
+def _cuts_along(table, path, ends):
+    """``_cut_prune`` at every prefix of ``path`` (slots), the root's one
+    node included, with ``ends`` (slots) the nodes the path may stop on."""
+    remaining = table.live[:]
+    is_end = bytearray(len(table.rows))
     for e in ends:
         is_end[e] = 1
-    count = len(rows)
+    count = len(table.ids)
     for v in path:
         remaining[v] = 0
         count -= 1
-        yield oracle._cut_prune(rows, v, remaining, count, is_end)
+        yield oracle._cut_prune(table.rows, table.base, v, remaining, count, is_end)
 
 
 class _Region:
-    """The view on ``rows``'s indices that keeps the nodes of ``region``."""
+    """The view on ``rows``'s slots that keeps the nodes of ``region``."""
 
     def __init__(self, rows, region):
         self.nodes = tuple(sorted(region))
@@ -786,7 +889,7 @@ class _Region:
 
 
 def _simple_paths(rows, s, t):
-    """Every simple path from index s that enters index t only last."""
+    """Every simple path from slot s that enters slot t only last."""
     path, on = [s], {s, t}
 
     def grow():
@@ -820,18 +923,19 @@ def test_cut_test_never_prunes_a_prefix_of_a_covering_path(n):
             continue
         # the view as faults of the whole graph, for the validator
         outside = FaultSet.of(nodes=[v for v in g.nodes if not view.has_node(v)], edges=f.edges)
-        ids, rows = oracle._snapshot(view)
-        at = dict(zip(ids, range(len(ids))))
+        # the search's own table: rows of ids by slot, id - base
+        table = oracle._snapshot(view)
+        rows, live, ids, base = table
         answers = []
         s, t = rng.sample(view.nodes, 2)
         out = ham_path(view, s, t)
         if out.found:
             assert validate_path(g, outside, s, t, out.path).is_hamiltonian
-            answers.append((rows, [at[v] for v in out.path], (at[t],)))
+            answers.append((table, out.path, (t,)))
         out = ham_cycle(view)
         if out.found:
             assert validate_cycle(g, outside, out.path).is_hamiltonian
-            answers.append((rows, [at[v] for v in out.path], rows[at[out.path[0]]]))
+            answers.append((table, out.path, rows[out.path[0] - base]))
         x1, y1, x2, y2 = rng.sample(view.nodes, 4)
         out = two_disjoint_spanning_paths(view, x1, y1, x2, y2)
         if out.found:
@@ -839,23 +943,26 @@ def test_cut_test_never_prunes_a_prefix_of_a_covering_path(n):
             for (a, b, p), other in (((x1, y1, p1), p2), ((x2, y2, p2), p1)):
                 rest = FaultSet.of(nodes=outside.nodes | set(other), edges=f.edges)
                 assert validate_path(g, rest, a, b, p).is_hamiltonian
-            helper = len(ids)
+            # the helper takes slot -1, past the range, named base - 1
+            helper = base - 1
             two = rows[:]
-            two[at[y1]] += (helper,)
-            two[at[x2]] += (helper,)
-            two.append((at[y1], at[x2]))
-            answers.append((two, [at[v] for v in p1] + [helper] + [at[v] for v in p2],
-                            (at[y2],)))
-        for rows_, path, ends in answers:
-            assert not any(_cuts_along(rows_, path, ends)), (ids, path)
+            two[y1 - base] += (helper,)
+            two[x2 - base] += (helper,)
+            two.append((y1, x2))
+            answers.append((oracle._Table(two, live + b"\x01", ids + (oracle._VIRTUAL,), base),
+                            p1 + (helper,) + p2, (y2,)))
+        for table_, path, ends in answers:
+            slots = [v - base for v in path]
+            assert not any(_cuts_along(table_, slots, [v - base for v in ends])), (ids, path)
             prefixes += len(path)
         if len(view) <= 12:
-            size = len(rows)
-            for path in _simple_paths(rows, at[s], at[t]):
-                *_, cut = _cuts_along(rows, path, (at[t],))
+            local = [tuple(w - base for w in row) for row in rows]
+            nodes = {v - base for v in ids}
+            for path in _simple_paths(local, s - base, t - base):
+                *_, cut = _cuts_along(table, path, (t - base,))
                 if cut:
-                    region = _Region(rows, set(range(size)) - set(path[:-1]))
-                    assert not enumerate_ham_path_exists(region, path[-1], at[t]), path
+                    region = _Region(local, nodes - set(path[:-1]))
+                    assert not enumerate_ham_path_exists(region, path[-1], t - base), path
                     enumerated += 1
     assert prefixes > 2000 and (n > 4 or enumerated > 500)
 
@@ -877,9 +984,11 @@ def test_cut_test_matches_its_definition_in_any_dfs_order(seed):
     expected = _cut_reference(adj, head, region, ends)
     remaining = bytearray(v in region for v in range(size))
     is_end = bytearray(v in ends for v in range(size))
+    base = rng.randrange(100)  # rows name ids, slot id - base
     for _ in range(3):
-        rows = [tuple(rng.sample(sorted(adj[v]), len(adj[v]))) for v in range(size)]
-        assert oracle._cut_prune(rows, head, remaining, len(region), is_end) == expected
+        rows = [tuple(w + base for w in rng.sample(sorted(adj[v]), len(adj[v])))
+                for v in range(size)]
+        assert oracle._cut_prune(rows, base, head, remaining, len(region), is_end) == expected
 
 
 def test_a_view_too_small_for_a_cycle_has_none(graph4):

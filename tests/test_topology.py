@@ -20,7 +20,6 @@ from thln import (
     UnsupportedDimension,
     VariantSpec,
     check_shape,
-    cross_partner,
     embed,
     graph_from_json,
     graph_to_dot,
@@ -31,6 +30,8 @@ from thln import (
 )
 from thln.errors import ThlnError
 from thln.topology import ThlnGraph, _level_rows, graph_to_json_obj
+
+from conftest import cross_partner
 
 Q3_EDGES = [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
 
@@ -587,6 +588,29 @@ def test_edge_queries_leave_nothing_on_the_graph():
     finally:
         tracemalloc.stop()
     assert retained < 32 * 1024
+
+
+def test_only_a_graph_known_to_pass_the_shape_check_is_marked_shape_ok():
+    # search trusts the rows of a view only on a graph marked shape_ok: a
+    # preset is built so, a graph built or loaded from rows is marked when
+    # check_shape passes it, never when it fails, and a replaced graph starts
+    # unmarked; a view and the halves it derives carry its graph's mark
+    g = make_preset(VariantSpec.random(1), 6)
+    assert g.shape_ok and make_base(VariantSpec("base3-default")).shape_ok
+    built = ThlnGraph(6, g.adjacency)
+    loaded = graph_from_json(graph_to_json(g))
+    assert built == g and not built.shape_ok and not loaded.shape_ok
+    assert check_shape(built).ok and built.shape_ok
+    assert check_shape(loaded).ok and loaded.shape_ok
+    bad = ThlnGraph(6, [row[::-1] for row in g.adjacency])
+    assert not check_shape(bad).ok and not bad.shape_ok
+    assert not dataclasses.replace(g, adjacency=g.adjacency).shape_ok
+    for graph in (g, bad):
+        view = SurvivingView(graph, FaultSet.of(nodes=[3]))
+        d = graph.decomposition
+        halves = view.halves(FaultSet.of(nodes=[3]), FaultSet.empty())
+        assert [v.shape_ok for v in (view, *halves)] == [graph.shape_ok] * 3
+        assert SurvivingView(graph, FaultSet.empty(), scope=d.half2).shape_ok == graph.shape_ok
 
 
 def test_a_graph_built_with_rows_out_of_level_order_fails_that_check_alone():
