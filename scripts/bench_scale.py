@@ -39,10 +39,9 @@ different host speeds compare. The point records the kernel's raw times
 under ``host_reference``.
 Every path is checked with ``validate_path``. The point replaces any earlier
 point of the same label, so points of other code sit side by side;
-``--src`` runs the ``thln`` package of another checkout's ``src/`` (its
-``cut_tests``, ``restarts`` and ``backtracks`` read null when that code does
-not count them). That checkout needs ``sample_faults`` with a ``scope`` and
-``draw_endpoints``; the cells of older code are already in the record.
+``--src`` runs the ``thln`` package of another checkout's ``src/``. That
+checkout needs ``sample_faults`` with a ``scope`` and ``draw_endpoints``;
+the cells of older code are already in the record.
 """
 from __future__ import annotations
 
@@ -168,9 +167,6 @@ def _run(thln, g, f, s: int, t: int, clock) -> tuple[dict, list[float]]:
         clock.tick()
     labels = res.trace.labels()
     searches = [r for r in res.trace.records if "service" in r]
-    cut = [r.get("cut_tests") for r in searches]
-    restarts = [r.get("restarts") for r in searches]
-    backtracks = [r.get("backtracks") for r in searches]
     return {
         "valid": thln.validate_path(g, f, s, t, res.path).is_valid,
         "top_case": labels[0],
@@ -178,9 +174,9 @@ def _run(thln, g, f, s: int, t: int, clock) -> tuple[dict, list[float]]:
         "labels_sha256": hashlib.sha256(repr(labels).encode()).hexdigest()[:16],
         "searches": len(searches),
         "expansions": sum(r["expansions"] for r in searches),
-        "restarts": None if None in restarts else sum(restarts),
-        "backtracks": None if None in backtracks else sum(backtracks),
-        "cut_tests": None if None in cut else sum(cut),
+        "restarts": sum(r["restarts"] for r in searches),
+        "backtracks": sum(r["backtracks"] for r in searches),
+        "cut_tests": sum(r["cut_tests"] for r in searches),
     }, walls
 
 

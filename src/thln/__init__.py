@@ -16,7 +16,6 @@ from .errors import (
     MalformedBase,
     MalformedGraph,
     NoCandidate,
-    NoDecomposition,
     OracleBudgetExhausted,
     PathFault,
     PreconditionViolated,

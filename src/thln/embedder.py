@@ -816,10 +816,6 @@ def _solve_cover(ctx: _Ctx, major: str):
     elif major == "5":
         fe = next(_canonical_faults(ctx.f1))
     cyc, q1 = ctx.cycle_h1(near=major in ("3", "5"), restore=fe)
-    if major == "3" and q1 is None:
-        raise InternalContradiction(
-            "half 1 at minimum degree <= 1 cannot have a full covering cycle"
-        )
     if fe is None:
         return _dispatch(ctx, _CYCLE_SHAPES, _canon_cycle(cyc), q1, major, ctx.s, ctx.t)
     p1 = _cut_cycle(ctx, cyc, fe)

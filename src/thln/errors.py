@@ -47,10 +47,6 @@ class MalformedGraph(ThlnError):
     parsed into a well-formed graph."""
 
 
-class NoDecomposition(ThlnError):
-    """The operation needs a two-half decomposition but the graph is a base graph."""
-
-
 class UnsupportedDimension(ThlnError):
     """The requested variant is not defined at the requested dimension."""
 

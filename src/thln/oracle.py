@@ -4,7 +4,9 @@ Every service runs one search core, ``_dfs_cover``: a deterministic
 depth-first backtracking search for a path from a start node through every
 node that stops on a node of a given set of ends. A covering path has the
 single end t, entered only last; a covering cycle may stop on any neighbour
-of its anchor; two disjoint covering paths are one covering path through a
+of its anchor (the view's first node of lowest degree), and a one-short
+cycle is a covering cycle of the view without that node when its degree is
+below two; two disjoint covering paths are one covering path through a
 helper node. The search reads the view's rows as the view gives them, as
 ids, and keeps its per-node arrays by local index, the id less ``base``, the
 view's lowest id; a slot of that range that is no node stays empty, and the
@@ -69,14 +71,13 @@ after the first), ``backtracks`` (nodes popped off the path) and
 A search reads its view through a small protocol: ``nodes`` (the ids in
 ascending order), ``rows()`` (a new list of every node's neighbours, in
 ``nodes`` order, read once per call by ``_snapshot``; in level order, which
-no search depends on: successors go by key), ``has_node`` for the
-endpoints, and ``min_degree_witness`` (``near_ham_cycle``); the enumerator
-reads ``neighbors`` node by node. Rows must name only nodes of the view: an
-id outside the range would index past the arrays or alias another slot. A
-``SurvivingView`` of a graph marked ``shape_ok`` (built by ``make_preset``,
-or passed by ``check_shape``) holds to that by the graph's level order and
-symmetry; any other view's rows are checked once per call, and a row that
-names no node of the view raises MalformedGraph.
+no search depends on: successors go by key) and ``has_node`` for the
+endpoints; the enumerator reads ``neighbors`` node by node. Rows must name
+only nodes of the view: an id outside the range would index past the arrays
+or alias another slot. A ``SurvivingView`` of a graph marked ``shape_ok``
+(built by ``make_preset``, or passed by ``check_shape``) holds to that by
+the graph's level order and symmetry; any other view's rows are checked once
+per call, and a row that names no node of the view raises MalformedGraph.
 
 ``enumerate_ham_path_exists`` is a tiny, prune-free enumerator kept
 deliberately independent of the main engine; tests use it as ground truth.
@@ -445,6 +446,13 @@ def _path_engine(table: _Table, s: int, t: int, state: _BudgetState, gate=None,
     return _engine(attempt, len(table.ids), state)
 
 
+def _anchor(table: _Table) -> int:
+    """The slot of the view's first node of lowest degree (slots ascend with
+    ids): a covering cycle's anchor, and the node a one-short cycle misses."""
+    rows = table.rows
+    return min(compress(range(len(rows)), table.live), key=list(map(len, rows)).__getitem__)
+
+
 def _cycle_engine(table: _Table, state: _BudgetState) -> _Answer:
     """Covering-cycle search: a covering path from the most constrained node
     (lowest degree, then lowest id, so that both forced edges of a degree-2
@@ -453,9 +461,7 @@ def _cycle_engine(table: _Table, state: _BudgetState) -> _Answer:
     rows, live, ids, base = table
     if len(ids) < 3:
         return SearchStatus.PROVEN_ABSENT, None
-    degrees = list(map(len, rows))
-    # the first node of lowest degree: slots ascend with ids
-    v0 = min(compress(range(len(rows)), live), key=degrees.__getitem__)
+    v0 = _anchor(table)
     ends = tuple(w - base for w in rows[v0])
     return _engine(
         lambda cap, phase: _dfs_cover(table, v0, ends, False, state, cap, phase),
@@ -489,40 +495,31 @@ def ham_cycle(view, budget: Optional[SearchBudget] = None) -> SearchOutcome:
 
 
 def near_ham_cycle(view, budget: Optional[SearchBudget] = None) -> SearchOutcome:
-    """Cycle covering all surviving nodes, or all but one.
+    """Cycle covering all surviving nodes, or all but the first node of
+    lowest degree.
 
-    With minimum degree at least two a full cycle is attempted first; when
-    that is proven absent (or the minimum degree is below two from the start)
-    the search tries cycles missing exactly one node, preferring to drop the
-    minimum-degree witness, then the remaining nodes in view order.
+    No cycle passes a node of degree at most one, so when the view's minimum
+    degree is below two its first node of that degree is the ``missed`` node:
+    the search is ``ham_cycle`` on the view without it. Otherwise it is
+    ``ham_cycle`` on the view itself.
     """
     table = _snapshot(view)
     rows, live, ids, base = table
     state = _BudgetState(budget)
     if not ids:
         return state.outcome(SearchStatus.PROVEN_ABSENT)
-    delta, witness = view.min_degree_witness()
-    if delta is not None and delta >= 2:
+    q = _anchor(table)
+    if len(rows[q]) >= 2:
         status, path = _cycle_engine(table, state)
-        if status is not SearchStatus.PROVEN_ABSENT:
-            return state.outcome(status, path=path)
-    first = ids.index(witness)
-    for k in [first] + [k for k in range(len(ids)) if k != first]:
-        if state.exhausted:
-            return state.outcome(SearchStatus.BUDGET_EXHAUSTED)
-        # drop m: its slot empties, and m leaves the rows of its neighbours
-        m = ids[k]
-        i = m - base
-        sub, kept = rows[:], live[:]
-        for w in rows[i]:
-            sub[w - base] = tuple(x for x in rows[w - base] if x != m)
-        sub[i], kept[i] = (), 0
-        status, path = _cycle_engine(_Table(sub, kept, ids[:k] + ids[k + 1:], base), state)
-        if status is SearchStatus.FOUND:
-            return state.outcome(status, path=path, missed=m)
-        if status is SearchStatus.BUDGET_EXHAUSTED:
-            return state.outcome(status)
-    return state.outcome(SearchStatus.PROVEN_ABSENT)
+        return state.outcome(status, path=path)
+    # drop q: its slot empties, and its id leaves its neighbour's row
+    m = q + base
+    rows, live = rows[:], live[:]
+    for w in rows[q]:
+        rows[w - base] = tuple(x for x in rows[w - base] if x != m)
+    rows[q], live[q] = (), 0
+    status, path = _cycle_engine(_Table(rows, live, tuple(v for v in ids if v != m), base), state)
+    return state.outcome(status, path=path, missed=m if status is SearchStatus.FOUND else None)
 
 
 def two_disjoint_spanning_paths(

@@ -7,15 +7,15 @@ if str(SRC) not in sys.path:
 
 import pytest
 
-from thln import NoDecomposition, VariantSpec, make_preset
+from thln import VariantSpec, make_preset
 from thln.topology import ThlnGraph
 
 
 def cross_partner(g, v):
     """The reference partner: the node matched with ``v`` across the top
-    level's cut, read off the decomposition the embedder reads."""
-    if g.decomposition is None:
-        raise NoDecomposition("dimension-3 base graphs have no cross matching")
+    level's cut, read off the decomposition the embedder reads. A
+    dimension-3 base graph has no decomposition, so no cross matching."""
+    assert g.decomposition is not None, "dimension-3 base graphs have no cross matching"
     return g.decomposition.partner(v)
 
 

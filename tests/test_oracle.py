@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -54,10 +55,6 @@ class FakeView:
 
     def rows(self):
         return [self._adj[v] for v in self.nodes]
-
-    def min_degree_witness(self):
-        v = min(self.nodes, key=lambda u: (len(self._adj[u]), u))
-        return len(self._adj[v]), v
 
 
 def ring(n):
@@ -192,6 +189,48 @@ def test_large_fault_cycles_dimension7():
         out = near_ham_cycle(view)
         assert out.found and out.missed is None
         done += 1
+
+
+def _starved_halves():
+    """Half views of random-variant graphs at n = 7..10 (halves of dimension
+    k = n - 1) with one node q kept to ``keep`` in-half links, the rest
+    faulty, and max(0, k - 8) node faults drawn in the half away from q and
+    the links it keeps: at keep = 1 and k >= 8 that is 2k - 9 faults, case
+    3's count. Every third instance puts q at the half's lowest id. Yields
+    (view, the view with q as a node fault, q, keep)."""
+    rng = random.Random("starved-halves")
+    for n in range(7, 11):
+        g = make_preset(VariantSpec.random(n), n)
+        k = n - 1
+        for half in (g.decomposition.half1, g.decomposition.half2):
+            for i in range(15):
+                q = half[0] if i % 3 == 0 else rng.choice(half)
+                links = [w for w in g.neighbors(q) if w in half]
+                rng.shuffle(links)
+                keep = (1, 1, 0, 1, 2)[i % 5]
+                others = [v for v in half if v != q and v not in links[:keep]]
+                nodes = rng.sample(others, max(0, k - 8))
+                f = FaultSet.of(nodes=nodes, edges=[(q, w) for w in links[keep:]])
+                yield (SurvivingView(g, f, scope=half),
+                       SurvivingView(g, FaultSet.of([q, *nodes], f.edges), scope=half), q, keep)
+
+
+def test_a_one_short_cycle_leaves_out_the_lowest_degree_node():
+    # no cycle passes a node of degree <= 1: near_ham_cycle searches the view
+    # without its first node of lowest degree, in the same tree as ham_cycle
+    # on the view with that node a node fault (whose lowest id moves up when
+    # the node is the half's lowest), and names it missed. At minimum degree
+    # 2 or more it is ham_cycle itself
+    seen = {0: 0, 1: 0, 2: 0}
+    for view, without, q, keep in _starved_halves():
+        assert view.min_degree_witness() == (keep, q)
+        out = near_ham_cycle(view)
+        if keep < 2:
+            assert out.found and out == dataclasses.replace(ham_cycle(without), missed=q)
+        else:
+            assert out.found and out == ham_cycle(view)
+        seen[keep] += 1
+    assert seen == {0: 24, 1: 72, 2: 24}
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +599,9 @@ def _pinned_call(service, n, faults, seed, budget=None, draw=None):
 #: The half-2 cases search views whose ids start at 64 and whose lowest id
 #: is dead; each restarts with a salt of at least 1 (the path and the pair
 #: in their third slice or later), and the one-short cycle drops its
-#: starved node.
+#: starved node. A one-short search at minimum degree 2 or more is the
+#: covering-cycle search: "near-n4-full-absent-then-missed" explores
+#: "cycle-n4-absent"'s tree.
 _PINNED_SEARCH_TREES = {
     "path-n4-found": ((ham_path, 4, 3, 0),
         ("found", 31, 0, 17, 1, None, "d63c987d15c44b08")),
@@ -583,9 +624,9 @@ _PINNED_SEARCH_TREES = {
     "near-n4-degree-below-two": ((near_ham_cycle, 4, 3, 26),
         ("found", 15, 0, 2, 0, 14, "df6a42f59d8cb0c1")),
     "near-n4-full-absent-then-missed": ((near_ham_cycle, 4, 3, 2136),
-        ("found", 529, 4, 494, 78, 7, "d8ff739d4c339489")),
+        ("proven-absent", 517, 4, 494, 78, None, None)),
     "near-n4-absent": ((near_ham_cycle, 4, 4, 342),
-        ("proven-absent", 191, 0, 177, 11, None, None)),
+        ("proven-absent", 43, 0, 42, 2, None, None)),
     "near-n7-full-restart": ((near_ham_cycle, 7, 5, 135),
         ("found", 491, 1, 243, 1, None, "c97799e04c2dfdd6")),
     "two-n4-found": ((two_disjoint_spanning_paths, 4, 2, 0),
@@ -632,16 +673,18 @@ def test_search_tree_is_pinned(name):
 
 
 def test_near_cycle_budget_runs_out_around_the_one_short_phase():
-    # this search proves the full cycle absent in 517 expansions and finds a
-    # one-short cycle at 529: a budget of 517 is spent when the one-short
-    # phase begins, one of 520 runs out inside it, and 529 gives the
-    # unbounded answer
-    args = _PINNED_SEARCH_TREES["near-n4-full-absent-then-missed"][0]
-    for budget in (517, 520):
-        out = _pinned_call(*args, budget)
+    # this one-short search misses its starved node 65 and finds its cycle
+    # on the 61 other nodes at 187 expansions, in its second slice (the
+    # first ends at 122): a smaller budget runs out at exactly that budget
+    # and names no node missed, and 187 gives the unbounded answer
+    service, n, faults, seed, _, draw = _PINNED_SEARCH_TREES["near-n7-half2-starved"][0]
+    for budget in (1, 122, 123, 186):
+        out = _pinned_call(service, n, faults, seed, budget, draw)
         assert out.status is SearchStatus.BUDGET_EXHAUSTED and out.path is None
-        assert out.expansions == budget
-    assert _pinned_call(*args, 529) == _pinned_outcome("near-n4-full-absent-then-missed")
+        assert out.missed is None and out.expansions == budget
+        assert out.restarts == (budget > 122)
+    assert (_pinned_call(service, n, faults, seed, 187, draw)
+            == _pinned_outcome("near-n7-half2-starved"))
 
 
 def test_search_counters(monkeypatch):
@@ -652,7 +695,8 @@ def test_search_counters(monkeypatch):
     for name in ("path-n4-found", "cycle-n4-found", "near-n4-full",
                  "near-n4-degree-below-two", "two-n4-found", "cycle-n10-half1"):
         assert _pinned_outcome(name).restarts == 0, name
-    # proofs of absence on 16 nodes outgrow the 64-expansion first slice
+    # proofs of absence on 16 nodes outgrow the 64-expansion first slice; a
+    # one-short search at minimum degree 2 is the covering-cycle search
     for name, restarts in (("path-n4-absent", 2), ("cycle-n4-absent", 4),
                            ("near-n4-full-absent-then-missed", 4), ("two-n4-absent", 8)):
         assert _pinned_outcome(name).restarts == restarts, name

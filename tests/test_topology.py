@@ -14,7 +14,6 @@ from thln import (
     FaultSet,
     MalformedBase,
     MalformedGraph,
-    NoDecomposition,
     SurvivingView,
     UnknownNode,
     UnsupportedDimension,
@@ -220,8 +219,7 @@ def test_cross_partner_involution_and_errors():
     for v in g.nodes:
         assert cross_partner(g, cross_partner(g, v)) == v
     base = make_base(VariantSpec("base3-default"))
-    with pytest.raises(NoDecomposition):
-        cross_partner(base, 0)
+    assert base.decomposition is None
 
 
 @pytest.mark.parametrize("v", [-1, 32, 10 ** 6])
