@@ -10,19 +10,14 @@ from .embedder import (
 from .errors import (
     AdjacencyViolated,
     DisjointnessViolated,
-    FaultyEndpoint,
     ForeignFault,
     InternalContradiction,
-    MalformedBase,
     MalformedGraph,
-    NoCandidate,
     OracleBudgetExhausted,
     PathFault,
     PreconditionViolated,
     ThlnError,
-    TooLarge,
     UnknownNode,
-    UnsupportedDimension,
 )
 from .faults import (
     FaultPartition,
@@ -51,7 +46,6 @@ from .topology import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    make_base,
     make_preset,
 )
 from .validate import PathClass, PathStatus, validate_cycle, validate_path

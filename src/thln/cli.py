@@ -4,7 +4,7 @@ Exit codes are the scriptable contract:
 
   0  success (embed: a validating covering or one-short path was produced)
   1  a trial or suite failed validation
-  2  bad configuration or unreadable input
+  2  bad configuration, unreadable input or an unwritable output path
   3  precondition violated (fault bound, faulty endpoint, neighbor condition)
   4  search budget exhausted
 
@@ -569,7 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # each command catches its reads: this is a write
+        _info(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -87,7 +87,6 @@ from .errors import (
     AdjacencyViolated,
     DisjointnessViolated,
     InternalContradiction,
-    NoCandidate,
     OracleBudgetExhausted,
     PathFault,
     PreconditionViolated,
@@ -330,7 +329,7 @@ class _Ctx:
         pairs = self.cross_pairs(path[:-1] if interior else path)
         idx = next((i for i in pairs if i or not interior), None)
         if idx is None:
-            raise NoCandidate(
+            raise InternalContradiction(
                 f"no usable cross pair on a path of {len(path)} nodes at dimension {self.dim}"
             )
         return idx
@@ -491,7 +490,7 @@ def _case1_both_h2(ctx: _Ctx):
     gen = ctx.cross_pairs(p2)
     i1 = next(gen, None)
     if i1 is None:
-        raise NoCandidate("no usable cross pair on the half-2 path")
+        raise InternalContradiction("no usable cross pair on the half-2 path")
     i2 = next((j for j in gen if j >= i1 + 2), None)
     i = next((i for i in (i1, i2) if i is not None
               and all(ctx.h1_view.degree(ctx.partner(x)) >= 2 for x in p2[i : i + 2])), None)

@@ -38,27 +38,15 @@ class _PathError(ThlnError):
 
 # -- topology -----------------------------------------------------------
 
-class MalformedBase(ThlnError):
-    """An 8-node base edge list violates 3-regularity, simplicity, or connectivity."""
-
-
 class MalformedGraph(ThlnError):
     """A graph is not well formed, or a serialized graph document cannot be
     parsed into a well-formed graph."""
-
-
-class UnsupportedDimension(ThlnError):
-    """The requested variant is not defined at the requested dimension."""
 
 
 # -- faults -------------------------------------------------------------
 
 class ForeignFault(ThlnError):
     """A fault set references a node or edge that the host graph does not have."""
-
-
-class FaultyEndpoint(ThlnError):
-    """An endpoint passed to a query is itself faulty (or outside the view)."""
 
 
 # -- search / embedding -------------------------------------------------
@@ -69,10 +57,6 @@ class PreconditionViolated(ThlnError):
 
 class UnknownNode(PreconditionViolated):
     """A caller-supplied node id names no node of the graph."""
-
-
-class TooLarge(ThlnError):
-    """Instance exceeds the hard guard of the exhaustive enumerator."""
 
 
 class OracleBudgetExhausted(ThlnError):
@@ -89,10 +73,6 @@ class InternalContradiction(_PathError):
     This always indicates a bug (or an out-of-contract input), never a normal
     failure mode, and is surfaced loudly instead of being retried.
     """
-
-
-class NoCandidate(InternalContradiction):
-    """No consecutive path edge satisfied the cross-edge selection filters."""
 
 
 class DisjointnessViolated(_PathError):

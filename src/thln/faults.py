@@ -17,11 +17,7 @@ from itertools import filterfalse
 from operator import contains, itemgetter
 from typing import Container, Iterable, Optional, Sequence
 
-from .errors import (
-    FaultyEndpoint,
-    ForeignFault,
-    PreconditionViolated,
-)
+from .errors import ForeignFault, PreconditionViolated
 from .topology import DecompositionNode, Edge, ThlnGraph, _norm_edge
 
 
@@ -320,6 +316,13 @@ def partition_decomposition(decomp: DecompositionNode, f: FaultSet) -> FaultPart
     return FaultPartition(f.restricted(h1), f.restricted(h2), cross)
 
 
+def _require_alive(view, *endpoints: int) -> None:
+    """Raise PreconditionViolated naming the first endpoint not in ``view``."""
+    for v in endpoints:
+        if not view.has_node(v):
+            raise PreconditionViolated(f"endpoint {v} is not in the surviving view")
+
+
 def neighbor_condition(view: SurvivingView, s: int, t: int) -> bool:
     """True iff both endpoints keep a surviving neighbor besides each other.
 
@@ -328,9 +331,7 @@ def neighbor_condition(view: SurvivingView, s: int, t: int) -> bool:
     """
     if s == t:
         raise PreconditionViolated("endpoints must be distinct")
-    for v in (s, t):
-        if not view.has_node(v):
-            raise FaultyEndpoint(f"endpoint {v} is not in the surviving view")
+    _require_alive(view, s, t)
     s_ok = any(w != t for w in view.neighbors(s))
     t_ok = any(w != s for w in view.neighbors(t))
     return s_ok and t_ok

@@ -89,8 +89,8 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Callable, NamedTuple, Optional
 
-from .errors import MalformedGraph, PreconditionViolated, TooLarge
-from .faults import SurvivingView
+from .errors import MalformedGraph, PreconditionViolated
+from .faults import SurvivingView, _require_alive
 
 DEFAULT_MAX_EXPANSIONS = 5_000_000
 
@@ -469,12 +469,6 @@ def _cycle_engine(table: _Table, state: _BudgetState) -> _Answer:
     )
 
 
-def _require_alive(view, *nodes: int) -> None:
-    for v in nodes:
-        if not view.has_node(v):
-            raise PreconditionViolated(f"node {v} is not in the surviving view")
-
-
 def ham_path(view, s: int, t: int, budget: Optional[SearchBudget] = None) -> SearchOutcome:
     """Search for a path visiting every surviving node once, from s to t."""
     if s == t:
@@ -562,7 +556,7 @@ def enumerate_ham_path_exists(view, s: int, t: int) -> bool:
     """
     nodes = tuple(view.nodes)
     if len(nodes) > 12:
-        raise TooLarge(f"enumeration guard admits at most 12 nodes, got {len(nodes)}")
+        raise PreconditionViolated(f"enumeration guard admits at most 12 nodes, got {len(nodes)}")
     if s == t:
         raise PreconditionViolated("endpoints must be distinct")
     _require_alive(view, s, t)

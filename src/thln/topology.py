@@ -24,8 +24,8 @@ table: each 8-node base block, then each level's matching, in the recursive
 definition's order (lower sub-level, upper sub-level, then the level), so the
 random kind draws its matchings in that order. The three built-in 8-node
 bases are judged by :func:`check_shape` once, at import, and every preset
-reuses their rows; every algorithm in this package works on any graph
-passing those checks.
+reuses their rows; any other base comes in as a graph file. Every algorithm
+in this package works on any graph passing those checks.
 """
 from __future__ import annotations
 
@@ -36,12 +36,7 @@ from itertools import compress
 from operator import ne
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    MalformedBase,
-    MalformedGraph,
-    UnknownNode,
-    UnsupportedDimension,
-)
+from .errors import MalformedGraph, PreconditionViolated, UnknownNode
 
 Edge = tuple[int, int]
 
@@ -68,7 +63,6 @@ MOEBIUS1_BASE_EDGES: tuple[Edge, ...] = (
 
 _VARIANT_KINDS = (
     "base3-default",
-    "base3-custom",
     "crossed",
     "mobius0",
     "mobius1",
@@ -85,28 +79,20 @@ def _norm_edge(u: int, v: int) -> Edge:
 class VariantSpec:
     """Which member of the family to build.
 
-    ``kind`` is one of ``base3-default``, ``base3-custom``, ``crossed``,
-    ``mobius0``, ``mobius1``, ``locally-twisted``, ``random``. A kind that
-    carries no data is built as ``VariantSpec(kind)``; the two that do have
-    their own constructors: ``base3_custom(edges)`` takes an explicit 8-node
-    edge list and ``random(seed)`` a seed.
+    ``kind`` is one of ``base3-default`` (dimension 3 only), ``crossed``,
+    ``mobius0``, ``mobius1``, ``locally-twisted``, ``random``; all but
+    ``random(seed)`` are built as ``VariantSpec(kind)``. Any other base
+    comes in as a graph file, through the loader and :func:`check_shape`.
     """
 
     kind: str
-    edges: Optional[tuple[Edge, ...]] = None
     seed: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in _VARIANT_KINDS:
             raise ValueError(f"unknown variant kind {self.kind!r}")
-        if self.kind == "base3-custom" and self.edges is None:
-            raise ValueError("base3-custom requires an edge list")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random variant requires a seed")
-
-    @classmethod
-    def base3_custom(cls, edges: Iterable[Edge]) -> "VariantSpec":
-        return cls("base3-custom", edges=tuple(_norm_edge(u, v) for u, v in edges))
 
     @classmethod
     def random(cls, seed: int) -> "VariantSpec":
@@ -249,35 +235,14 @@ def _level_rows(rows: Iterable[Iterable[int]]) -> list[list[int]]:
 
 
 def _checked_base(edges: Iterable[Edge]) -> ThlnGraph:
-    """The dimension-3 graph of an 8-node edge list, judged by
-    :func:`check_shape`. Raises :class:`MalformedBase` naming the first
-    failing root check; an id outside 0..7 or a repeated pair is caught on
-    the list, before rows exist."""
-    norm = [_norm_edge(u, v) for u, v in edges]
-    for u, v in norm:
-        if not (0 <= u < 8 and 0 <= v < 8):
-            raise MalformedBase(f"edge ({u},{v}) outside nodes 0..7")
-    if len(set(norm)) != len(norm):
-        raise MalformedBase("duplicate edge in base list")
-    g = ThlnGraph(3, _level_rows(_adjacency_from_edges(8, norm)))
+    """The dimension-3 graph of a built-in 8-node edge list, judged by
+    :func:`check_shape`; raises :class:`MalformedGraph` naming the first
+    failing root check."""
+    g = ThlnGraph(3, _level_rows(_adjacency_from_edges(8, edges)))
     failures = check_shape(g).failures
     if failures:
-        raise MalformedBase(f"base graph fails check {failures[0].name}: {failures[0].detail}")
+        raise MalformedGraph(f"base graph fails check {failures[0].name}: {failures[0].detail}")
     return g
-
-
-def make_base(spec: VariantSpec) -> ThlnGraph:
-    """Build a dimension-3 base graph from a base3 variant spec.
-
-    The default base was validated once, at import, and is returned as is.
-    A custom edge list raises :class:`MalformedBase` unless it is a simple,
-    connected, 3-regular graph on nodes 0..7 (see :func:`_checked_base`).
-    """
-    if spec.kind == "base3-default":
-        return _DEFAULT_BASE
-    if spec.kind == "base3-custom":
-        return _checked_base(spec.edges or ())
-    raise ValueError(f"make_base requires a base3 kind, got {spec.kind!r}")
 
 
 def _crossed_matching(m_bits: int) -> list[int]:
@@ -347,11 +312,11 @@ def make_preset(spec: VariantSpec, n: int) -> ThlnGraph:
     half first, depth first), so equal seeds give identical graphs.
     """
     if n < 3:
-        raise UnsupportedDimension(f"dimension must be at least 3, got {n}")
-    if spec.kind in ("base3-default", "base3-custom"):
+        raise PreconditionViolated(f"dimension must be at least 3, got {n}")
+    if spec.kind == "base3-default":
         if n != 3:
-            raise UnsupportedDimension(f"{spec.kind} is only defined at dimension 3")
-        return make_base(spec)
+            raise PreconditionViolated(f"{spec.kind} is only defined at dimension 3")
+        return _DEFAULT_BASE
     if spec.kind in ("mobius0", "mobius1"):
         # a level of dimension d is 1-Moebius when it is its parent's upper
         # half (bit d of its offset is set); the top level's kind is the spec's
@@ -486,7 +451,7 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
 
 
 #: The built-in bases, each judged by :func:`check_shape` once, here, at
-#: import; :func:`make_base` and :func:`make_preset` reuse them.
+#: import; :func:`make_preset` reuses them.
 _DEFAULT_BASE, _MOEBIUS0_BASE, _MOEBIUS1_BASE = map(
     _checked_base, (DEFAULT_BASE_EDGES, MOEBIUS0_BASE_EDGES, MOEBIUS1_BASE_EDGES))
 

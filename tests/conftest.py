@@ -8,7 +8,7 @@ if str(SRC) not in sys.path:
 import pytest
 
 from thln import VariantSpec, make_preset
-from thln.topology import ThlnGraph
+from thln.topology import ThlnGraph, graph_from_json_obj
 
 
 def cross_partner(g, v):
@@ -17,6 +17,12 @@ def cross_partner(g, v):
     dimension-3 base graph has no decomposition, so no cross matching."""
     assert g.decomposition is not None, "dimension-3 base graphs have no cross matching"
     return g.decomposition.partner(v)
+
+
+def base_graph(edges):
+    """The graph of a dimension-3 graph file listing ``edges``: an 8-node
+    base other than the built-in ones comes in through the loader."""
+    return graph_from_json_obj({"dimension": 3, "edges": [list(e) for e in edges]})
 
 
 def _join(g1, g2, matching):

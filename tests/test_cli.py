@@ -143,6 +143,26 @@ def test_embed_happy_path(instance, tmp_path, capsys):
     assert result["trace"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "8", "-o", "{missing}/g.json"],
+    ["export", "--graph", "{graph}", "-o", "{missing}/g.dot"],
+    ["embed", "--graph", "{graph}", "--faults", "{faults}", "-s", "5", "-t", "200",
+     "-o", "{missing}/r.json"],
+    ["stress", "--n", "7", "--faults", "0", "--trials", "0", "-o", "{missing}/r.json"],
+    ["stress", "--n", "7", "--faults", "0", "--trials", "0", "--csv", "{missing}/t.csv"],
+    ["check", "--trials", "0", "-o", "{missing}/c.json"],
+], ids=["generate", "export", "embed", "stress-out", "stress-csv", "check"])
+def test_an_unwritable_output_path_exits_2(instance, tmp_path, capsys, argv):
+    # bad configuration, not a failed trial (exit 1): the error names the path
+    gpath, fpath = instance
+    missing = tmp_path / "missing"
+    code, _, err = run_cli(capsys, *(a.format(graph=gpath, faults=fpath, missing=missing)
+                                     for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err and not missing.exists()
+
+
 def test_embed_too_many_faults_exits_3(instance, tmp_path, capsys):
     gpath, _ = instance
     fpath = tmp_path / "f7.json"

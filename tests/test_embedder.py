@@ -12,7 +12,6 @@ from thln import (
     FaultSet,
     ForeignFault,
     InternalContradiction,
-    NoCandidate,
     OracleBudgetExhausted,
     PreconditionViolated,
     SearchBudget,
@@ -21,7 +20,6 @@ from thln import (
     embed,
     graph_from_json,
     graph_to_json,
-    make_base,
     make_preset,
     neighbor_condition,
     splice,
@@ -33,7 +31,7 @@ from thln.embedder import _Ctx, _Runtime, _canon_cycle, _cut_cycle, _select_rest
 from thln.faults import SurvivingView, draw_endpoints, partition_decomposition, sample_faults
 from thln.oracle import SearchStatus, ham_cycle, near_ham_cycle
 
-from conftest import cross_partner
+from conftest import base_graph, cross_partner
 
 
 def embed_and_check(g, f, s, t, **kw):
@@ -313,7 +311,7 @@ def _triangle_graph8(join):
     """``TRIANGLE_BASE`` joined up to dimension 8, each level's matching one
     shuffle from a single seeded generator, lowest level first. No preset
     holds a triangle, so only such a graph reaches the ``uend-1chord`` shape."""
-    g = make_base(VariantSpec.base3_custom(TRIANGLE_BASE))
+    g = base_graph(TRIANGLE_BASE)
     rng = random.Random(0)
     for d in range(3, 8):
         m = list(range(1 << d))
@@ -785,7 +783,7 @@ def test_select_cross_edge_no_candidate(graph8):
     partner = graph8.decomposition.partner
     u = 0
     f = FaultSet.of(edges=[(u, partner(u)), (1, partner(1))])
-    with pytest.raises(NoCandidate):
+    with pytest.raises(InternalContradiction, match="no usable cross pair"):
         _ctx(graph8, f, 5, 77).first_cross_pair((0, 1))
 
 

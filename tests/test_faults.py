@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 
 from thln import (
     FaultSet,
-    FaultyEndpoint,
     ForeignFault,
     PreconditionViolated,
     SurvivingView,
     ThlnGraph,
     VariantSpec,
     embed,
+    enumerate_ham_path_exists,
+    ham_path,
     make_preset,
     neighbor_condition,
     surviving_view,
+    two_disjoint_spanning_paths,
 )
 from thln.cli import main
 from thln.errors import ThlnError
@@ -160,8 +162,22 @@ def test_neighbor_condition_basics(graph4):
     starved = surviving_view(graph4, FaultSet.of(nodes=others))
     assert not neighbor_condition(starved, s, t)
 
-    with pytest.raises(FaultyEndpoint):
-        neighbor_condition(starved, others[0], t)
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda view, dead: neighbor_condition(view, 0, dead), id="neighbor_condition"),
+    pytest.param(lambda view, dead: ham_path(view, dead, 0), id="ham_path"),
+    pytest.param(lambda view, dead: two_disjoint_spanning_paths(view, 0, 1, 2, dead),
+                 id="two_disjoint_spanning_paths"),
+    pytest.param(lambda view, dead: enumerate_ham_path_exists(view, 0, dead),
+                 id="enumerate_ham_path_exists"),
+])
+def test_a_dead_endpoint_violates_the_precondition_by_name(graph4, call):
+    # one check serves the neighbour condition and the search services: a
+    # faulty endpoint, or one outside the view's level, is named
+    for dead, view in ((5, SurvivingView(graph4, FaultSet.of(nodes=[5]), scope=range(8))),
+                       (9, SurvivingView(graph4, FaultSet.empty(), scope=range(8)))):
+        with pytest.raises(PreconditionViolated, match=f"^endpoint {dead} is not in the"):
+            call(view, dead)
 
 
 def test_neighbor_condition_one_spare_neighbor_each(graph4):

@@ -15,7 +15,6 @@ from thln import (
     SearchBudget,
     SearchStatus,
     SurvivingView,
-    TooLarge,
     VariantSpec,
     embed,
     enumerate_ham_path_exists,
@@ -284,7 +283,7 @@ def test_enumeration_triangle_and_star():
 
 def test_enumeration_guard():
     big = FakeView([(i, i + 1) for i in range(13)])
-    with pytest.raises(TooLarge):
+    with pytest.raises(PreconditionViolated, match="enumeration guard"):
         enumerate_ham_path_exists(big, 0, 13)
 
 
@@ -600,8 +599,8 @@ def _pinned_call(service, n, faults, seed, budget=None, draw=None):
 #: is dead; each restarts with a salt of at least 1 (the path and the pair
 #: in their third slice or later), and the one-short cycle drops its
 #: starved node. A one-short search at minimum degree 2 or more is the
-#: covering-cycle search: "near-n4-full-absent-then-missed" explores
-#: "cycle-n4-absent"'s tree.
+#: covering-cycle search: "near-n4-full-absent" is a plain proof of absence,
+#: "cycle-n4-absent"'s tree, with nothing missed.
 _PINNED_SEARCH_TREES = {
     "path-n4-found": ((ham_path, 4, 3, 0),
         ("found", 31, 0, 17, 1, None, "d63c987d15c44b08")),
@@ -623,7 +622,7 @@ _PINNED_SEARCH_TREES = {
         ("found", 25, 0, 10, 0, None, "3bcffaa4b8b0968e")),
     "near-n4-degree-below-two": ((near_ham_cycle, 4, 3, 26),
         ("found", 15, 0, 2, 0, 14, "df6a42f59d8cb0c1")),
-    "near-n4-full-absent-then-missed": ((near_ham_cycle, 4, 3, 2136),
+    "near-n4-full-absent": ((near_ham_cycle, 4, 3, 2136),
         ("proven-absent", 517, 4, 494, 78, None, None)),
     "near-n4-absent": ((near_ham_cycle, 4, 4, 342),
         ("proven-absent", 43, 0, 42, 2, None, None)),
@@ -672,7 +671,7 @@ def test_search_tree_is_pinned(name):
     assert _search_tree_fingerprint(_pinned_outcome(name)) == expected
 
 
-def test_near_cycle_budget_runs_out_around_the_one_short_phase():
+def test_near_cycle_budget_runs_out_at_exactly_its_value():
     # this one-short search misses its starved node 65 and finds its cycle
     # on the 61 other nodes at 187 expansions, in its second slice (the
     # first ends at 122): a smaller budget runs out at exactly that budget
@@ -698,7 +697,7 @@ def test_search_counters(monkeypatch):
     # proofs of absence on 16 nodes outgrow the 64-expansion first slice; a
     # one-short search at minimum degree 2 is the covering-cycle search
     for name, restarts in (("path-n4-absent", 2), ("cycle-n4-absent", 4),
-                           ("near-n4-full-absent-then-missed", 4), ("two-n4-absent", 8)):
+                           ("near-n4-full-absent", 4), ("two-n4-absent", 8)):
         assert _pinned_outcome(name).restarts == restarts, name
     # when found, the last visit is not expanded; the two-path search's
     # path also holds its helper node

@@ -12,31 +12,29 @@ from hypothesis import strategies as st
 from thln import (
     DEFAULT_BASE_EDGES,
     FaultSet,
-    MalformedBase,
     MalformedGraph,
+    PreconditionViolated,
     SurvivingView,
     UnknownNode,
-    UnsupportedDimension,
     VariantSpec,
     check_shape,
     embed,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    make_base,
     make_preset,
     validate_path,
 )
 from thln.errors import ThlnError
 from thln.topology import ThlnGraph, _level_rows, graph_to_json_obj
 
-from conftest import cross_partner
+from conftest import base_graph, cross_partner
 
 Q3_EDGES = [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
 
 
 def test_default_base_counts():
-    g = make_base(VariantSpec("base3-default"))
+    g = make_preset(VariantSpec("base3-default"), 3)
     assert g.num_nodes == 8
     assert g.num_edges == 12
     assert all(g.degree(v) == 3 for v in g.nodes)
@@ -45,7 +43,7 @@ def test_default_base_counts():
 
 def test_default_base_is_not_bipartite():
     # the default base is genuinely twisted: it contains an odd cycle
-    g = make_base(VariantSpec("base3-default"))
+    g = make_preset(VariantSpec("base3-default"), 3)
     color = {0: 0}
     stack = [0]
     odd_cycle = False
@@ -62,27 +60,24 @@ def test_default_base_is_not_bipartite():
 
 def test_custom_base_degree_violation():
     bad = list(DEFAULT_BASE_EDGES[:11]) + [(0, 3)]  # node 7 drops to degree 2
-    with pytest.raises(MalformedBase):
-        make_base(VariantSpec.base3_custom(bad))
+    assert check_shape(base_graph(bad)).failures[0].name == "root: regularity"
 
 
 def test_custom_base_accepts_binary_cube():
-    g = make_base(VariantSpec.base3_custom(Q3_EDGES))
+    g = base_graph(Q3_EDGES)
+    assert check_shape(g).ok
     assert g.num_nodes == 8
     assert all(g.degree(v) == 3 for v in g.nodes)
 
 
-@pytest.mark.parametrize(
-    "bad,exc",
-    [
-        ([(0, 0)] + Q3_EDGES[:11], MalformedBase),          # self loop
-        (Q3_EDGES[:11] + [(0, 9)], MalformedBase),           # out of range
-        (Q3_EDGES[:11], MalformedBase),                      # wrong count
-    ],
-)
-def test_custom_base_rejections(bad, exc):
-    with pytest.raises(exc):
-        make_base(VariantSpec.base3_custom(bad))
+@pytest.mark.parametrize("bad,message", [
+    pytest.param([(0, 0)] + Q3_EDGES[:11], r"edge \(0,0\) out of range", id="self-loop"),
+    pytest.param(Q3_EDGES[:11] + [(0, 9)], r"edge \(0,9\) out of range", id="out-of-range"),
+])
+def test_custom_base_rejections(bad, message):
+    # the loader turns these lists away before any row is built
+    with pytest.raises(MalformedGraph, match=message):
+        base_graph(bad)
 
 
 #: two 4-cliques: 3-regular with 12 edges, but not connected
@@ -90,27 +85,18 @@ TWO_K4 = [(u, v) for block in (0, 4) for u in range(block, block + 4)
           for v in range(u + 1, block + 4)]
 
 
-@pytest.mark.parametrize("bad,message", [
-    (Q3_EDGES[:11] + [(1, 0)], "duplicate edge in base list"),
-    (TWO_K4, "base graph fails check root: blocks-connected"),
-    ([(0, 0)] + Q3_EDGES[:11], "base graph fails check root: regularity"),
-    (Q3_EDGES[:11], "base graph fails check root: regularity"),
+@pytest.mark.parametrize("bad,check", [
+    pytest.param(TWO_K4, "root: blocks-connected", id="two-k4"),
+    pytest.param(Q3_EDGES[:11], "root: regularity", id="wrong-count"),
 ])
-def test_custom_base_rejection_names_the_failing_check(bad, message):
-    # a repeated pair is caught on the list, before rows exist; every other
-    # rejection names the first failing root check of check_shape
-    with pytest.raises(MalformedBase, match=message):
-        make_base(VariantSpec.base3_custom(bad))
-
-
-def test_make_base_rejects_a_non_base_kind():
-    with pytest.raises(ValueError, match="base3 kind"):
-        make_base(VariantSpec("crossed"))
+def test_custom_base_rejection_names_the_failing_check(bad, check):
+    # the loader reads these lists; check_shape names the first root check
+    # that each fails
+    assert check_shape(base_graph(bad)).failures[0].name == check
 
 
 @pytest.mark.parametrize("kind,message", [
     ("no-such-kind", "unknown variant kind"),
-    ("base3-custom", "requires an edge list"),
     ("random", "requires a seed"),
 ])
 def test_variant_spec_rejections(kind, message):
@@ -208,9 +194,9 @@ def test_named_variants_pass_shape_checks(kind, n):
 
 
 def test_base_kinds_only_at_dimension_3():
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(PreconditionViolated):
         make_preset(VariantSpec("base3-default"), 4)
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(PreconditionViolated):
         make_preset(VariantSpec.random(0), 2)
 
 
@@ -218,7 +204,7 @@ def test_cross_partner_involution_and_errors():
     g = make_preset(VariantSpec.random(4), 5)
     for v in g.nodes:
         assert cross_partner(g, cross_partner(g, v)) == v
-    base = make_base(VariantSpec("base3-default"))
+    base = make_preset(VariantSpec("base3-default"), 3)
     assert base.decomposition is None
 
 
@@ -334,14 +320,14 @@ def _mutants(g, rng):
                 yield _edited(g, drop=[(a, b), (c, e)], add=[(a, c), (b, e)])
 
 
-@pytest.mark.parametrize("kind", ["base3-custom", "crossed", "mobius0", "mobius1",
+@pytest.mark.parametrize("kind", ["loaded-base", "crossed", "mobius0", "mobius1",
                                   "locally-twisted", "random"])
 def test_check_shape_agrees_with_the_definition(kind):
     # every preset and seeded mutants of it, each with its rows in level
     # order and ascending; the report holds the same six checks at every n
     rng = random.Random(kind)
     verdicts = set()
-    graphs = ([make_base(VariantSpec.base3_custom(Q3_EDGES))] if kind == "base3-custom" else
+    graphs = ([base_graph(Q3_EDGES)] if kind == "loaded-base" else
               [make_preset(VariantSpec.random(n) if kind == "random" else VariantSpec(kind), n)
                for n in range(3, 9)])
     for g in graphs:
@@ -594,7 +580,7 @@ def test_only_a_graph_known_to_pass_the_shape_check_is_marked_shape_ok():
     # check_shape passes it, never when it fails, and a replaced graph starts
     # unmarked; a view and the halves it derives carry its graph's mark
     g = make_preset(VariantSpec.random(1), 6)
-    assert g.shape_ok and make_base(VariantSpec("base3-default")).shape_ok
+    assert g.shape_ok and make_preset(VariantSpec("base3-default"), 3).shape_ok
     built = ThlnGraph(6, g.adjacency)
     loaded = graph_from_json(graph_to_json(g))
     assert built == g and not built.shape_ok and not loaded.shape_ok

@@ -8,7 +8,6 @@ from thln import (
     FaultSet,
     PathStatus,
     VariantSpec,
-    make_base,
     make_preset,
     surviving_view,
     validate_cycle,
@@ -55,7 +54,7 @@ def test_dead_edge_reported_with_position(graph4):
 
 
 def test_wrong_endpoints_and_repeats():
-    g = make_base(VariantSpec("base3-default"))
+    g = make_preset(VariantSpec("base3-default"), 3)
     assert validate_path(g, NONE, 0, 5, (1, 3, 5)).status is PathStatus.INVALID
     assert validate_path(g, NONE, 0, 0, (0,)).status is PathStatus.INVALID
     bad = validate_path(g, NONE, 0, 1, (0, 1, 0, 1))
@@ -71,14 +70,14 @@ def test_wrong_endpoints_and_repeats():
     ids=["unknown-id", "faulty-node", "empty", "wrong-last-node"],
 )
 def test_path_verdict_names_the_first_failure(faulty, t, seq, reason, position):
-    g = make_base(VariantSpec("base3-default"))
+    g = make_preset(VariantSpec("base3-default"), 3)
     verdict = validate_path(g, FaultSet.of(nodes=faulty), 0, t, seq)
     assert verdict.status is PathStatus.INVALID
     assert (verdict.reason, verdict.position) == (reason, position)
 
 
 def test_empty_cycle_is_invalid():
-    verdict = validate_cycle(make_base(VariantSpec("base3-default")), NONE, ())
+    verdict = validate_cycle(make_preset(VariantSpec("base3-default"), 3), NONE, ())
     assert verdict.status is PathStatus.INVALID and verdict.reason == "empty sequence"
 
 
