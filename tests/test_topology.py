@@ -26,7 +26,7 @@ from thln import (
     validate_path,
 )
 from thln.errors import ThlnError
-from thln.topology import ThlnGraph, _level_rows, graph_to_json_obj
+from thln.topology import ThlnGraph, _checked_base, _level_rows, graph_to_json_obj
 
 from conftest import base_graph, cross_partner
 
@@ -70,29 +70,45 @@ def test_custom_base_accepts_binary_cube():
     assert all(g.degree(v) == 3 for v in g.nodes)
 
 
-@pytest.mark.parametrize("bad,message", [
-    pytest.param([(0, 0)] + Q3_EDGES[:11], r"edge \(0,0\) out of range", id="self-loop"),
-    pytest.param(Q3_EDGES[:11] + [(0, 9)], r"edge \(0,9\) out of range", id="out-of-range"),
-])
-def test_custom_base_rejections(bad, message):
-    # the loader turns these lists away before any row is built
-    with pytest.raises(MalformedGraph, match=message):
-        base_graph(bad)
-
-
 #: two 4-cliques: 3-regular with 12 edges, but not connected
 TWO_K4 = [(u, v) for block in (0, 4) for u in range(block, block + 4)
           for v in range(u + 1, block + 4)]
 
 
-@pytest.mark.parametrize("bad,check", [
-    pytest.param(TWO_K4, "root: blocks-connected", id="two-k4"),
-    pytest.param(Q3_EDGES[:11], "root: regularity", id="wrong-count"),
+# the ids keep the names these cases had before MalformedBase was folded
+# into MalformedGraph
+@pytest.mark.parametrize("bad,loader_error,failing_check", [
+    pytest.param([(0, 0)] + Q3_EDGES[:11], r"edge \(0,0\) out of range", None,
+                 id="bad0-MalformedBase"),
+    pytest.param(Q3_EDGES[:11] + [(0, 9)], r"edge \(0,9\) out of range", None,
+                 id="bad1-MalformedBase"),
+    pytest.param(Q3_EDGES[:11], None, "root: regularity", id="bad2-MalformedBase"),
+    pytest.param(TWO_K4, None, "root: blocks-connected", id="two-k4"),
 ])
-def test_custom_base_rejection_names_the_failing_check(bad, check):
-    # the loader reads these lists; check_shape names the first root check
-    # that each fails
-    assert check_shape(base_graph(bad)).failures[0].name == check
+def test_custom_base_rejections(bad, loader_error, failing_check):
+    # a list that is no base is turned away on the graph-file route: the
+    # loader rejects what it cannot read before any row is built, and
+    # check_shape names the first root check that a list it reads fails
+    if loader_error is not None:
+        with pytest.raises(MalformedGraph, match=loader_error):
+            base_graph(bad)
+    else:
+        assert check_shape(base_graph(bad)).failures[0].name == failing_check
+
+
+@pytest.mark.parametrize("bad,message", [
+    pytest.param(TWO_K4, "base graph fails check root: blocks-connected",
+                 id="bad1-base graph fails check root: blocks-connected"),
+    pytest.param([(0, 0)] + Q3_EDGES[:11], "base graph fails check root: regularity",
+                 id="bad2-base graph fails check root: regularity"),
+    pytest.param(Q3_EDGES[:11], "base graph fails check root: regularity",
+                 id="bad3-base graph fails check root: regularity"),
+])
+def test_custom_base_rejection_names_the_failing_check(bad, message):
+    # the guard on the built-in lists names the first failing root check of
+    # check_shape
+    with pytest.raises(MalformedGraph, match=message):
+        _checked_base(bad)
 
 
 @pytest.mark.parametrize("kind,message", [
