@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import statistics
 import sys
@@ -123,6 +124,19 @@ def _write(path: Optional[str], text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _check_writable(path: Optional[str]) -> None:
+    """Raise OSError now, not after the work, when ``path`` cannot be
+    written. It is opened to append, which changes no content, and a file
+    that open created is removed again."""
+    if path is None or path == "-":
+        return
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _random_instance(n: int, fault_count: int, rng: random.Random):
@@ -405,6 +419,9 @@ def cmd_stress(args) -> int:
     except (PreconditionViolated, ValueError) as exc:
         _info(f"error: {exc}")
         return 2
+    # an unwritable output exits 2 (through ``main``) before the first trial
+    _check_writable(args.out)
+    _check_writable(args.csv)
     report, elapsed = run_stress(cfg)
     _write(args.out, _dump(report))
     if args.csv:

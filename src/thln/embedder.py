@@ -30,15 +30,24 @@ partner or a half-1 neighbor. Labels appear in traces and are stable.
 Every "choose any" step picks the first candidate in canonical order (path
 order, then node index), so runs are reproducible. Choices the construction
 guarantees but cannot find raise InternalContradiction instead of being
-patched around. At dimension 7 the level is solved directly by exact search,
-which the fault bound (at most 4) keeps feasible.
+patched around. At dimension 7 a level that holds faults is solved directly
+by exact search, which the fault bound (at most 4) keeps feasible.
 
-A covering path of half 2 (no node excluded) is the theorem's own instance
-one dimension down whenever f2 <= 2k-10 and its endpoints meet the neighbor
-condition, so for k >= 8 it is solved as a level of its own; when that level
-comes back one short, exact search over the half runs instead. At k = 7 the
-level would be the same single search, so half 2 is searched directly.
-A chain of case-1 levels therefore bottoms out in dimension-7 searches.
+A level or half that holds no fault (``SurvivingView.intact``) is not
+searched: ``topology.covering_path`` writes its covering path down by halves
+from the 8-node blocks' tables. A level given to the solver intact is
+labelled ``base`` at dimension 7 and ``intact`` above, and has no case or
+fault split. Only where the graph's tables cannot write the path (a graph
+not known to pass ``check_shape``, or a base with no path for a pair asked
+of it) is the level solved as if it held faults.
+
+A covering path of half 2 (no node excluded) that holds faults is the
+theorem's own instance one dimension down whenever f2 <= 2k-10 and its
+endpoints meet the neighbor condition, so for k >= 8 it is solved as a level
+of its own; when that level comes back one short, exact search over the
+half runs instead. At k = 7 the level would be the same single search, so
+half 2 is searched directly. A chain of case-1 levels therefore bottoms out
+in dimension-7 searches on views that hold faults.
 
 A level's inputs are its surviving view and its decomposition node, whose
 dimension is the level's: the root gets the view ``embed`` validated, every
@@ -63,8 +72,12 @@ records it and raises when a guaranteed answer is missing.
 The trace holds one record per level, in solve order: ``id`` (that order),
 ``parent`` (the calling level's ``id``, None at the root) and ``half`` (the
 half of the parent it covers, None at the root). Search records carry the
-``level`` that issued them; a half-2 search run because the recursion came
-back one short carries ``fallback: True``.
+``level`` that issued them, the ``half`` they cover (0 for the level
+itself) and its ``dim``; a half-2 search run because the recursion came
+back one short carries ``fallback: True``. A path written by
+``covering_path`` leaves one record of its own, ``built: True`` with the
+same ``level``, ``half`` and ``dim``, and no ``service`` key or search
+counters, so tallies of search records count searches alone.
 
 ``splice`` only concatenates, and a level checks only its path's endpoints
 and its length against its view: one node short names the missed node, by
@@ -100,7 +113,7 @@ from .faults import (
     surviving_view,
 )
 from .oracle import SearchBudget, SearchStatus
-from .topology import DecompositionNode, ThlnGraph
+from .topology import DecompositionNode, ThlnGraph, covering_path
 
 PathSeq = tuple[int, ...]
 
@@ -213,6 +226,17 @@ class _Runtime:
             )
         return out
 
+    def build(self, view: SurvivingView, lo: int, d: int, s: int, t: int,
+              level: int, half: int) -> Optional[PathSeq]:
+        """The covering path from s to t of ``view``, the level of dimension
+        d at ``lo``, written by ``covering_path`` when the view is intact,
+        and its trace record; None when it is not intact or the tables
+        cannot write it."""
+        path = covering_path(self.graph, lo, d, s, t) if view.intact() else None
+        if path is not None:
+            self.trace.append({"built": True, "level": level, "half": half, "dim": d})
+        return path
+
 
 class _Ctx:
     """Per-level working state: halves ordered by fault count, each with its
@@ -270,17 +294,20 @@ class _Ctx:
         return SurvivingView(self.rt.graph, f, scope=self.h2)
 
     def ham_path_h2(self, a: int, b: int, exclude: Iterable[int] = ()) -> PathSeq:
+        """A covering path of half 2 less ``exclude`` from a to b: built when
+        half 2 is intact, else by recursion where the bound allows, else by
+        search."""
         extra = {}
-        if (
-            not exclude
-            and self.k >= 8
-            and len(self.f2) <= 2 * self.k - 10
-            and neighbor_condition(self.h2_view, a, b)
-        ):
-            path, missed = self.recurse(a, b, half=2)
-            if missed is None:
+        if not exclude:
+            path = self.rt.build(self.h2_view, self.h2.start, self.k, a, b, self.id, 2)
+            if path is not None:
                 return path
-            extra["fallback"] = True
+            if (self.k >= 8 and len(self.f2) <= 2 * self.k - 10
+                    and neighbor_condition(self.h2_view, a, b)):
+                path, missed = self.recurse(a, b, half=2)
+                if missed is None:
+                    return path
+                extra["fallback"] = True
         out = oracle.ham_path(self._h2_view_without(exclude), a, b, self.rt.budget)
         return self._traced("ham_path", out, "half-2 covering path", 2, **extra).path
 
@@ -884,13 +911,16 @@ def _solve_level(rt: _Runtime, view: SurvivingView, decomp: DecompositionNode, s
             f"level at dimension {dim} received endpoints violating the neighbor condition"
         )
 
-    if dim == 7:
+    path = rt.build(view, decomp.base, dim, s, t, level_id, 0)
+    if path is not None:
+        rec.update(case="base" if dim == 7 else "intact")
+    elif dim == 7:
         # at most 4 faults keep the dimension-7 base covered by paths
         out = oracle.ham_path(view, s, t, rt.budget)
         path = rt.traced(
             "ham_path", out, "base covering path", 7, level=level_id, half=0, dim=7
         ).path
-        rec.update(case="base", missed=None)
+        rec.update(case="base")
     else:
         ctx = _Ctx(rt, view, decomp, s, t, level_id)
         k = ctx.k

@@ -126,7 +126,8 @@ class SurvivingView:
     Building one costs O(faults x degree), and so does deriving the views of
     a level's two halves by :meth:`halves`, which splits the dead set and the
     touched rows at the cut. ``len`` and ``min_degree_witness`` read the
-    faults alone; ``nodes``, ``node_set`` and ``rows`` cost O(range).
+    faults alone, and ``intact`` the touched rows; ``nodes``, ``node_set``
+    and ``rows`` cost O(range).
     """
 
     __slots__ = ("faults", "shape_ok", "_adj", "_lo", "_hi", "_d", "_dead", "_touched", "_nodes")
@@ -253,6 +254,14 @@ class SurvivingView:
         for v, row in self._touched.items():
             rows[v] = row
         return all(map(contains, map(rows.__getitem__, path[:-1]), path[1:]))
+
+    def intact(self) -> bool:
+        """True iff the view is its whole level: no dead node, and no
+        touched row shorter than the level's dimension (a fault outside the
+        level, or on a cross edge of the level above, touches a row without
+        cutting its share)."""
+        d = self._d
+        return not self._dead and all(len(row) == d for row in self._touched.values())
 
     def min_degree_witness(self) -> tuple[Optional[int], Optional[int]]:
         """(minimum degree, lowest-index node attaining it); (None, None) if empty.

@@ -26,19 +26,34 @@ random kind draws its matchings in that order. The three built-in 8-node
 bases are judged by :func:`check_shape` once, at import, and every preset
 reuses their rows; any other base comes in as a graph file. Every algorithm
 in this package works on any graph passing those checks.
+
+Every 8-node block of a graph known to pass the checks has a table of
+covering paths: for each ordered pair of its nodes, the first Hamiltonian
+path between them in depth-first order over ascending neighbours, or None
+when the block has none (a bipartite base, for one). The blocks of one
+graph that have the same rows share one table: every block of a random,
+crossed or locally-twisted preset shares the default base's, and Moebius
+blocks use one of two.
+:func:`make_preset` records each block's table as it writes the block, and
+a passing :func:`check_shape` records the tables of a loaded or directly
+built graph. :func:`covering_path` reads them to write down a covering path
+of any fault-free level by halves, without search.
 """
 from __future__ import annotations
 
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import ne
+from itertools import chain, compress, repeat
+from operator import and_, itemgetter, ne
 from typing import Iterable, Optional, Sequence
 
 from .errors import MalformedGraph, PreconditionViolated, UnknownNode
 
 Edge = tuple[int, int]
+#: An 8-node block's covering paths in its local ids (id & 7): entry
+#: ``a << 3 | b`` is a path from a to b through all 8 nodes, or None.
+BlockTable = tuple[Optional[tuple[int, ...]], ...]
 
 #: Default 8-node base: the twisted 3-cube (two 4-cycles under a crossed
 #: matching). This is simultaneously the dimension-3 crossed cube and the
@@ -156,7 +171,7 @@ class DecompositionNode:
         return row[self.dim - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThlnGraph:
     """Immutable network: adjacency indexed by node id, ids being positions.
 
@@ -175,12 +190,17 @@ class ThlnGraph:
     the graph is known to pass ``check_shape``: :func:`make_preset` builds it
     so, and ``check_shape`` sets it on a pass. Then every level's view names
     only nodes of its level in its rows, and search skips checking them.
+    ``block_tables`` is set with it: entry i is the covering-path table of
+    the 8-node block at ids 8i..8i + 7 (see :func:`covering_path`), one
+    reference per block to a table its base shares.
     """
 
     dimension: int
     adjacency: tuple[tuple[int, ...], ...]
     file_ids: Optional[tuple[int, ...]] = field(default=None, repr=False)
     shape_ok: bool = field(default=False, init=False, repr=False, compare=False)
+    block_tables: Optional[tuple[BlockTable, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "adjacency", tuple(map(tuple, self.adjacency)))
@@ -274,16 +294,19 @@ def _build_one_pass(n: int, base_at, matching_at) -> ThlnGraph:
 
     Levels are visited in the recursive definition's order: the lower
     sub-level, the upper sub-level, then the level's own matching (so rows
-    come out in level order). Each
-    8-node block is written from ``base_at(offset)`` (validated rows); the
+    come out in level order). Each 8-node block is written from the rows of
+    ``base_at(offset)``, a built-in base graph, and takes its table; the
     level of dimension d at ``offset`` is joined by ``matching_at(d,
     offset)``, which maps each half-1 index to a half-2 index. Every entry
     is an element of one ``ids`` list, so the rows hold one int per id."""
     ids = list(range(1 << n))
     rows: list[list[int]] = []
+    tables: list[BlockTable] = []
     for off in range(0, 1 << n, 8):
         block = ids[off:off + 8]
-        rows += [[block[w] for w in row] for row in base_at(off)]
+        base = base_at(off)
+        rows += [[block[w] for w in row] for row in base.adjacency]
+        tables += base.block_tables
         d, lo = 3, off
         while d < n and lo & (1 << d):  # an upper half ends here: its parent is whole
             d, lo = d + 1, lo - (1 << d)
@@ -296,6 +319,7 @@ def _build_one_pass(n: int, base_at, matching_at) -> ThlnGraph:
                 rows[mid + w].append(u)
     g = ThlnGraph(n, rows)
     object.__setattr__(g, "shape_ok", True)  # level order and symmetry by construction
+    object.__setattr__(g, "block_tables", tuple(tables))
     return g
 
 
@@ -321,12 +345,12 @@ def make_preset(spec: VariantSpec, n: int) -> ThlnGraph:
         # a level of dimension d is 1-Moebius when it is its parent's upper
         # half (bit d of its offset is set); the top level's kind is the spec's
         top = int(spec.kind == "mobius1") << n
-        bases = [_MOEBIUS0_BASE.adjacency, _MOEBIUS1_BASE.adjacency]
+        bases = [_MOEBIUS0_BASE, _MOEBIUS1_BASE]
         matchings = {(d, kind): _moebius_matching(d - 1, kind)
                      for d in range(4, n + 1) for kind in (0, 1)}
         return _build_one_pass(n, lambda off: bases[(top | off) >> 3 & 1],
                                lambda d, off: matchings[d, (top | off) >> d & 1])
-    base = _DEFAULT_BASE.adjacency
+    base = _DEFAULT_BASE
     if spec.kind == "random":
         rng = random.Random(spec.seed)
 
@@ -411,7 +435,7 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
     halves joined by a perfect matching (the loader checks a file's own). A
     failing check of the rows names the first node it fails at, in a loaded
     graph's file ids. Never raises; failures are carried in the report, and
-    a graph that passes is marked ``shape_ok``."""
+    a graph that passes is marked ``shape_ok`` and given its block tables."""
     n, rows = g.dimension, g.adjacency
     size = len(rows)
     n_nodes = 1 << n if n >= 0 else 0  # a negative dimension fails node-count
@@ -447,7 +471,83 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
     ))
     if report.ok:
         object.__setattr__(g, "shape_ok", True)
+        # each row's block neighbours in local ids, 24 to a block
+        local = list(map(and_, chain.from_iterable(map(itemgetter(0, 1, 2), rows)), repeat(7)))
+        memo: dict[tuple[int, ...], BlockTable] = {}
+        object.__setattr__(g, "block_tables", tuple(_block_table(tuple(local[i:i + 24]), memo)
+                                                    for i in range(0, len(local), 24)))
     return report
+
+
+def _block_table(key: tuple[int, ...], memo: dict[tuple[int, ...], BlockTable]) -> BlockTable:
+    """The table of an 8-node block whose nodes' block neighbours, in local
+    ids, are ``key``'s entries three at a time; ``memo`` holds the tables
+    made so far, by key, for blocks to share."""
+    table = memo.get(key)
+    if table is None:
+        nbrs = [key[i:i + 3] for i in range(0, 24, 3)]
+        paths: list[Optional[tuple[int, ...]]] = [None] * 64
+
+        def walk(path: list[int], seen: int) -> None:
+            v = path[-1]
+            if len(path) == 8:
+                i = path[0] << 3 | v
+                if paths[i] is None:
+                    paths[i] = tuple(path)
+                return
+            for w in nbrs[v]:
+                if not seen >> w & 1:
+                    path.append(w)
+                    walk(path, seen | 1 << w)
+                    path.pop()
+
+        for a in range(8):
+            walk([a], 1 << a)
+        table = memo[key] = tuple(paths)
+    return table
+
+
+def covering_path(g: ThlnGraph, lo: int, d: int, s: int, t: int) -> Optional[tuple[int, ...]]:
+    """A path from s to t through every node of the level of dimension d at
+    ``lo`` (distinct nodes of it), over the graph's edges, written by halves
+    from the block tables; None when ``g`` has no tables (it is not known to
+    pass ``check_shape``) or a block's table has no path for a pair asked of
+    it. No fault is read: the caller holds a fault-free level.
+
+    - d = 3: the block's table entry.
+    - s and t in different halves: P(s -> u) in s's half, then P(partner(u)
+      -> t), u the lowest node of s's half other than s whose partner is not
+      t.
+    - s and t in one half: P(s -> t) in it, with its first edge (s, b)
+      detoured through the other half as s, P(partner(s) -> partner(b)), b.
+
+    Each level costs O(2^d) list work, about d * 2^d in all."""
+    tables = g.block_tables
+    if tables is None:
+        return None
+    rows = g.adjacency
+
+    def cover(lo: int, d: int, s: int, t: int) -> Optional[list[int]]:
+        if d == 3:
+            local = tables[lo >> 3][(s & 7) << 3 | t & 7]
+            return None if local is None else [lo | x for x in local]
+        half = 1 << (d - 1)
+        mine, other = (lo, lo + half) if s < lo + half else (lo + half, lo)
+        if t >> (d - 1) != s >> (d - 1):
+            u = mine
+            while u == s or rows[u][d - 1] == t:
+                u += 1
+            head = cover(mine, d - 1, s, u)
+            tail = None if head is None else cover(other, d - 1, rows[u][d - 1], t)
+            return None if tail is None else head + tail
+        inner = cover(mine, d - 1, s, t)
+        if inner is None:
+            return None
+        detour = cover(other, d - 1, rows[s][d - 1], rows[inner[1]][d - 1])
+        return None if detour is None else [s, *detour, *inner[1:]]
+
+    path = cover(lo, d, s, t)
+    return None if path is None else tuple(path)
 
 
 #: The built-in bases, each judged by :func:`check_shape` once, here, at
@@ -558,7 +658,8 @@ def _read_level(obj, nodes: set[int], dim: int, name: str,
 
 def graph_from_json_obj(obj: dict) -> ThlnGraph:
     """Raises MalformedGraph unless ids and the dimension are JSON integers
-    (no string, float or boolean is coerced), the graph is well formed and
+    (no string, float or boolean is coerced), no edge is listed twice (in
+    either order), the graph is well formed and
     its decomposition tree agrees with its edges. Nodes are renumbered to the
     positions that tree gives, keeping the file's ids as ``file_ids``."""
     dim, raw_edges = _json_fields(obj, "graph object", "dimension", "edges")
@@ -577,6 +678,13 @@ def graph_from_json_obj(obj: dict) -> ThlnGraph:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise MalformedGraph(f"edge ({u},{v}) out of range for dimension {dim}")
     adjacency = _adjacency_from_edges(n, raw_edges)
+    if sum(map(len, adjacency)) != 2 * len(raw_edges):  # the rows' sets folded a repeat
+        seen: set[Edge] = set()
+        for u, v in raw_edges:
+            e = _norm_edge(u, v)
+            if e in seen:
+                raise MalformedGraph(f"edge ({e[0]},{e[1]}) is listed twice")
+            seen.add(e)
     ids = list(range(n))  # one int per id
     order: list[int] = []
     _read_level(obj.get("decomposition"), set(ids), dim, "root", adjacency, order)

@@ -6,7 +6,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_scale.py"
 RECORD = Path(__file__).resolve().parent.parent / "out" / "BENCH_scale.json"
 #: The committed point whose instances and search trees the script must
 #: reproduce: a change that moves either records a new point and names it here.
-PINNED_POINT = "deferred-cut-test"
+PINNED_POINT = "intact-built"
 
 
 def _load():

@@ -148,12 +148,17 @@ def test_embed_happy_path(instance, tmp_path, capsys):
     ["export", "--graph", "{graph}", "-o", "{missing}/g.dot"],
     ["embed", "--graph", "{graph}", "--faults", "{faults}", "-s", "5", "-t", "200",
      "-o", "{missing}/r.json"],
-    ["stress", "--n", "7", "--faults", "0", "--trials", "0", "-o", "{missing}/r.json"],
-    ["stress", "--n", "7", "--faults", "0", "--trials", "0", "--csv", "{missing}/t.csv"],
+    ["stress", "--n", "7", "--faults", "0", "--trials", "1", "-o", "{missing}/r.json"],
+    ["stress", "--n", "7", "--faults", "0", "--trials", "1", "--csv", "{missing}/t.csv"],
     ["check", "--trials", "0", "-o", "{missing}/c.json"],
 ], ids=["generate", "export", "embed", "stress-out", "stress-csv", "check"])
-def test_an_unwritable_output_path_exits_2(instance, tmp_path, capsys, argv):
-    # bad configuration, not a failed trial (exit 1): the error names the path
+def test_an_unwritable_output_path_exits_2(instance, tmp_path, capsys, monkeypatch, argv):
+    # bad configuration, not a failed trial (exit 1): the error names the
+    # path, and stress finds it before its first trial runs
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_stress_trial", no_trial)
     gpath, fpath = instance
     missing = tmp_path / "missing"
     code, _, err = run_cli(capsys, *(a.format(graph=gpath, faults=fpath, missing=missing)
@@ -356,6 +361,27 @@ def test_embed_graph_file_the_loader_rejects_exits_2(instance, capsys):
                              "-s", "5", "-t", "200")
     assert code == 2
     assert (out, err) == ("", "error: children must be absent or a pair\n")
+
+
+def test_a_graph_file_listing_an_edge_twice_exits_2(tmp_path, capsys):
+    # the 8-node cube's 12 edges and one of them again, reversed
+    gpath = tmp_path / "twice.json"
+    edges = [[u, u ^ 1 << b] for u in range(8) for b in range(3) if u < u ^ 1 << b]
+    gpath.write_text(json.dumps({"dimension": 3, "edges": edges + [[1, 0]]}))
+    for argv in (["check", "--graph", str(gpath)],
+                 ["export", "--graph", str(gpath), "-o", str(tmp_path / "g.dot")]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: edge (0,1) is listed twice\n")
+    assert not (tmp_path / "g.dot").exists()
+
+
+def test_a_stress_output_that_is_writable_is_left_as_it_was(tmp_path, capsys):
+    # the early check opens each output to append and removes a file it
+    # created, so a failing --csv leaves no empty report behind
+    out = tmp_path / "r.json"
+    code, _, err = run_cli(capsys, "stress", "--n", "7", "--faults", "0", "--trials", "1",
+                           "-o", str(out), "--csv", str(tmp_path / "missing" / "t.csv"))
+    assert code == 2 and "missing" in err and not out.exists()
 
 
 def test_embed_missing_file_exits_2(instance, capsys, tmp_path):

@@ -64,6 +64,28 @@ def test_dimension7_no_faults_is_hamiltonian():
     assert res.trace.labels() == ("base",)
 
 
+def test_a_fault_free_embed_is_one_intact_level_built_without_search(graph9):
+    # the root holds no fault, so its covering path is written from the
+    # block tables: one level labelled intact, one built record, no search
+    for s, t in ((0, 5), (3, 300), (511, 256)):
+        res = embed_and_check(graph9, FaultSet.empty(), s, t)
+        assert res.hamiltonian and res.trace.labels() == ("intact",)
+        level, built = res.trace.records
+        assert level == {"dim": 9, "id": 0, "parent": None, "half": None, "case": "intact",
+                         "missed": None}
+        assert built == {"built": True, "level": 0, "half": 0, "dim": 9}
+
+
+def test_an_intact_half_2_is_built_where_it_was_recursed(graph9):
+    # a fault in half 1 only: the top level is case 1 and its half 2, which
+    # a search or a level of its own would have covered, is built
+    res = embed_and_check(graph9, FaultSet.of(nodes=[100]), 0, 300)
+    top = res.trace.records[0]
+    assert top["case"].startswith("1.") and (top["f1"], top["f2"]) == (1, 0)
+    assert {"built": True, "level": 0, "half": 2, "dim": 8} in res.trace.records
+    assert [r["half"] for r in levels_of(res) if r["parent"] == 0] == [1]
+
+
 def test_fault_bound_enforced(graph8):
     f = sample_faults(graph8, 7, random.Random(0))  # 2n-9 at n=8
     with pytest.raises(PreconditionViolated):
@@ -98,10 +120,12 @@ def test_neighbor_condition_rejected_at_n9(graph9):
 
 
 def test_budget_exhaustion_surfaces_with_trace():
+    # one fault keeps the dimension-7 level from being built, so it is searched
     g = make_preset(VariantSpec.random(1), 7)
     with pytest.raises(OracleBudgetExhausted) as err:
-        embed(g, FaultSet.empty(), 3, 99, SearchBudget(5))
+        embed(g, FaultSet.of(nodes=[0]), 3, 99, SearchBudget(5))
     assert err.value.trace is not None
+    assert err.value.trace.records[-1]["service"] == "ham_path"
 
 
 def test_embed_is_deterministic(graph8):
@@ -121,6 +145,9 @@ def test_random_trials_validate_with_consistent_traces(graph8):
         s, t = draw_endpoints(surviving_view(graph8, f), rng)
         res = embed_and_check(graph8, f, s, t)
         top = res.trace.records[0]
+        if top["case"] == "intact":  # no fault: the root is built, with no split
+            assert not f and "f1" not in top
+            continue
         seen.add(top["case"][0] if top["case"] != "base" else "1")
         # the recorded dispatch must match independently measured quantities
         part_counts = sorted(
@@ -520,14 +547,27 @@ def levels_of(res):
     return [r for r in res.trace.records if "case" in r]
 
 
-def test_case1_chain_at_n10_searches_only_dimension7_views():
+def test_case1_chain_at_n10_searches_only_dimension7_views(monkeypatch):
+    # every search runs on a dimension-7 view that holds a fault: half 2
+    # recursed, and an intact half or level was built instead
+    views = []
+    search = embedder.oracle.ham_path
+
+    def recorded(view, a, b, budget=None):
+        views.append(view)
+        return search(view, a, b, budget)
+
+    monkeypatch.setattr(embedder.oracle, "ham_path", recorded)
     g = make_preset(VariantSpec.random(0), 10)
     res = embed_and_check(g, *uniform_instance(g, 0))
     assert all(r["case"] == "base" or r["case"].startswith("1.") for r in levels_of(res))
     searches = [r for r in res.trace.records if "service" in r]
-    # no search runs on a 256- or 512-node half: half 2 recursed as well
-    assert len(searches) == 8
+    assert len(searches) == len(views) == 3
     assert all(r["service"] == "ham_path" and r["dim"] == 7 for r in searches)
+    assert all(len(v.nodes) <= 128 and max(v.nodes) - min(v.nodes) < 128 and not v.intact()
+               for v in views)
+    built = [r for r in res.trace.records if "built" in r]
+    assert len(built) == 3 and all(r.keys() == {"built", "level", "half", "dim"} for r in built)
 
 
 def test_level_tree_rebuilds_from_the_trace_at_n10():
@@ -545,15 +585,21 @@ def test_level_tree_rebuilds_from_the_trace_at_n10():
     root = levels[0]
     assert root["parent"] is None and root["half"] is None
     assert res.trace.top_case() == res.trace.labels()[0] == root["case"]
-    # both halves recurse above dimension 8; at 8 half 2 is one search
-    expected = {10: {1, 2}, 9: {1, 2}, 8: {1}, 7: set()}
-    assert all(set(children[r["id"]]) == expected[r["dim"]] for r in levels)
-    assert [r["dim"] for r in levels].count(7) == 4
-    # one search per level at the bottom: a base level searches itself, a
-    # dimension-8 level its half 2
+    # half 1 recurses above dimension 7, and half 2 where it holds a fault
+    assert {r["id"]: set(children[r["id"]]) for r in levels} == {
+        0: {1, 2}, 1: {1}, 2: {1}, 3: set(), 4: {1}, 5: {1}, 6: set()}
+    # every level covers itself (half 0) at dimension 7 and both halves
+    # above, each half once: by a level, a search or a built path
+    covers = {r["id"]: list(children[r["id"]]) for r in levels}
+    for r in res.trace.records:
+        if "service" in r or "built" in r:
+            covers[r["level"]].append(r["half"])
+    assert all(sorted(covers[r["id"]]) == ([0] if r["dim"] == 7 else [1, 2]) for r in levels)
+    # a base level searches itself, a dimension-8 level its half 2
     searches = [r for r in res.trace.records if "service" in r]
-    assert sorted(r["level"] for r in searches) == [r["id"] for r in levels if r["dim"] <= 8]
     assert all((by_id[r["level"]]["dim"], r["half"]) in ((7, 0), (8, 2)) for r in searches)
+    assert all(r["dim"] == by_id[r["level"]]["dim"] - (r["half"] > 0)
+               for r in res.trace.records if "built" in r)
 
 
 def test_half2_falls_back_to_search_when_the_recursion_is_one_short(monkeypatch):
@@ -609,11 +655,16 @@ def test_splice_only_concatenates_and_rejects_empty_segments():
         splice([(0, 1), ()])
 
 
+#: one fault in the first dimension-7 block, so that block is the one level
+#: below the root that is searched, not built
+_LEAF_FAULT = FaultSet.of(nodes=[100])
+
+
 def test_a_bad_step_made_below_the_root_is_caught(graph9, monkeypatch):
-    # the first search of this instance is the dimension-7 base search two
-    # levels down (case 1.1.1 at dimensions 9 and 8); it returns its path with
-    # two interior nodes swapped, so the node set and the endpoints still
-    # pass that level's checks but one step is not an edge
+    # the first search of this instance is the dimension-7 base search of
+    # the faulty leaf two levels down (case 1.1.1 at dimensions 9 and 8); it
+    # returns its path with two interior nodes swapped, so the node set and
+    # the endpoints still pass that level's checks but one step is not an edge
     s, t = 0, 5  # both inside half 1 of half 1
     calls = []
     search = embedder.oracle.ham_path
@@ -630,8 +681,8 @@ def test_a_bad_step_made_below_the_root_is_caught(graph9, monkeypatch):
 
     monkeypatch.setattr(embedder.oracle, "ham_path", corrupted)
     with pytest.raises(AdjacencyViolated):
-        embed(graph9, FaultSet.empty(), s, t)
-    assert calls[0] == 128
+        embed(graph9, _LEAF_FAULT, s, t)
+    assert calls[0] == 127
 
 
 def _repeat(path, j, partner):
@@ -659,9 +710,9 @@ def _two_short(path, j, partner):
 )
 def test_a_bad_path_returned_below_the_root_is_caught(graph9, monkeypatch, mutate, raised):
     # levels check only their ends and length, and the root checks the
-    # nodes and steps once: the first dimension-7 level (case 1.1.1 at
-    # dimensions 9 and 8 above it, so its path keeps its orientation in the
-    # result) hands its caller a corrupted path
+    # nodes and steps once: the first dimension-7 level, the faulty leaf
+    # (case 1.1.1 at dimensions 9 and 8 above it, so its path keeps its
+    # orientation in the result), hands its caller a corrupted path
     real = embedder._solve_level
     mutated = []
 
@@ -675,7 +726,7 @@ def test_a_bad_path_returned_below_the_root_is_caught(graph9, monkeypatch, mutat
 
     monkeypatch.setattr(embedder, "_solve_level", mutant)
     with pytest.raises(raised):
-        embed(graph9, FaultSet.empty(), 0, 5)
+        embed(graph9, _LEAF_FAULT, 0, 5)
     assert mutated and mutated[0] is not None
 
 
@@ -966,31 +1017,31 @@ def pinned_instances(graph8, graph9, join):
 #: in a path, a case label or a trace record moves these digests.
 _PINNED_RESULTS = {
     "1-spread": "d2faa09cfd22975c",
-    "1.1.2-n10": "884a9235a4f30cfd",
+    "1.1.2-n10": "dcdf19937f8634c0",
     "2.1": "a97d3788abb3cc77",
     "2.1.1": "bcbc11ba0e6bb6d2",
     "2.1.2.1": "71665c8543fe0020",
-    "2.1.2.1-z1": "27c3f678c90b7cb2",
-    "2.1.2.2": "7064bdd64647bf72",
+    "2.1.2.1-z1": "a2b67cfebc1f3aea",
+    "2.1.2.2": "384c237d8107a302",
     "2.1.3": "6df9af992cbc3cae",
-    "2.1.3-x1-y1": "23fb34ffb2c6f29a",
+    "2.1.3-x1-y1": "21d37a8f3685a02b",
     "2.2": "45bd964d185a1a13",
     "2.3": "5a704279ae77ab08",
     "2.3.2": "8891fb5a1b1c50ed",
-    "3.1.1": "7d17d6911fe5615d",
-    "3.1.1.1-d1": "d3fc139b338ad21a",
-    "3.1.1.2": "ff5f4e5d18c4d432",
-    "3.1.1.2-d2-direct": "a81fbcaed881e8f8",
-    "3.1.2": "244bf13d74dbe193",
-    "3.1.2-agent": "f8b34dde4ae933d6",
+    "3.1.1": "182f16146ec08914",
+    "3.1.1.1-d1": "174203dbb0e54c4d",
+    "3.1.1.2": "c95dd7a4cda29ccb",
+    "3.1.1.2-d2-direct": "10ad49d07c7486a4",
+    "3.1.2": "028a5081d37664ef",
+    "3.1.2-agent": "fe58681339c807e6",
     "3.2": "c063af94fb017bee",
-    "3.3.1": "272c64303fad0376",
+    "3.3.1": "22d883ab692cab23",
     "3.3.1-blocked": "434c9e44368c64c3",
     "3.3.2": "5dbb8c9229ebb1a7",
-    "3.3.2-partner-end": "d6a42bcc5f64a4d2",
-    "3.3.2-agent": "e300d946172284dc",
+    "3.3.2-partner-end": "12ad52a4c27b3a80",
+    "3.3.2-agent": "7cca6921e4d474a3",
     "4.1": "58ca4d15951dcc92",
-    "4.1.1": "2657f16c3d514e56",
+    "4.1.1": "34b485666c3e66d7",
     "4.1.2": "36ef089203d2b03b",
     "4.1.2-far-end": "1fd5f667f27a0391",
     "4.2": "a9976a25b6564a79",
@@ -999,52 +1050,52 @@ _PINNED_RESULTS = {
     "4.3": "29376b65fbb8be03",
     "4.3.2-vend": "af40e9690293ba72",
     "4.3.2-wend": "c9e77f985955d205",
-    "4.3.3": "cc0c491a6984c080",
+    "4.3.3": "a106284958011a66",
     "4.3.3.1": "7cd9b44b63fd0df1",
     "4.3.3.1-uend-1chord": "0207fb326c95fdf3",
     "4.3.3.1-z": "7cb3369822cd0215",
     "4.3.3.2": "5df2032494f74060",
     "5.1-n8": "5d2d27614c239ddb",
     "5.1.1": "e0f7c79b33700ec0",
-    "5.1.1-d1": "0cc7875a04e277a5",
+    "5.1.1-d1": "8055d00cc325c4d5",
     "5.1.1-d2": "a1dcc37c218c6885",
     "5.1.2": "b0dadf7955e209eb",
     "5.2": "bee4ccd4b1d2a73e",
     "5.2-both-ends": "f39ec06483d2f5a1",
     "5.3.1": "651da14420cfbc71",
-    "5.3.1-uend-0": "2194c69f6e22f4a7",
+    "5.3.1-uend-0": "79f4f5ad891ccdf0",
     "5.3.1-vend": "902e7b687628355d",
     "5.3.1-wend": "0a4bc2c746918b6b",
     "5.3.1.1-uend-1": "7659f6713cebff06",
-    "5.3.1.1-uend-1miss": "3e514a0af7904b75",
+    "5.3.1.1-uend-1miss": "bee34ab5c9b25972",
     "5.3.1.2-uend-2": "83042bbe24b397c2",
     "5.3.2": "c1cf30b78f316605",
-    "base-n7": "d064407b99220f7f",
-    "chain-n10": "4e08a456a76b7060",
-    "crossed-n10-0": "2ea3d0d89be567fc",
-    "crossed-n10-1": "be8ea63b244066e2",
-    "crossed-n9-0": "510ecc35bbb7e2b8",
-    "crossed-n9-1": "3d06bb5e61d030d2",
+    "base-n7": "ba844f3a42f2c806",
+    "chain-n10": "15528742c00da580",
+    "crossed-n10-0": "344f86393046ed8d",
+    "crossed-n10-1": "f2b567750ddfb7b5",
+    "crossed-n9-0": "38146eb4faa72392",
+    "crossed-n9-1": "1fd5f10719efd057",
     "deterministic-n8": "ba08d6edb4a03dd4",
-    "locally-twisted-n10-0": "061ed06638c8568d",
-    "locally-twisted-n10-1": "5dde67d96bbebfd7",
-    "locally-twisted-n9-0": "c226276bde42f53c",
-    "locally-twisted-n9-1": "5ee59acffb8e358e",
-    "mobius0-n10-0": "c5a34603df210de1",
-    "mobius0-n10-1": "bd541a6950d23bd3",
-    "mobius0-n9-0": "1083964c792fb8d7",
-    "mobius0-n9-1": "989a1c5d39b828ee",
-    "mobius1-n10-0": "e0dbb840e50ab304",
-    "mobius1-n10-1": "e45c2d2e64f47888",
-    "mobius1-n9-0": "16c3db77db62af9a",
-    "mobius1-n9-1": "e0cbfe6799abb52b",
-    "random-trials-n8": "0c5dd4ed887aa2f5",
-    "split-n10-case1-1": "4fcc7468deb5f471",
-    "split-n10-case1-2": "4e0366c27e9308f9",
-    "split-n10-case2-1": "97c200d578dd5660",
-    "split-n10-case2-2": "cb9c20f0df1f8ff9",
-    "split-n10-case3-1": "dbb0de9cc07ee064",
-    "split-n10-case3-2": "4a5f3f5bc1a9a672",
+    "locally-twisted-n10-0": "8c070aefdbd4fd3f",
+    "locally-twisted-n10-1": "f908830f63b549db",
+    "locally-twisted-n9-0": "c61c7a5d6e0589dd",
+    "locally-twisted-n9-1": "d59e88c7fa5e57b7",
+    "mobius0-n10-0": "ab393934dfde8f06",
+    "mobius0-n10-1": "1606710a8b044524",
+    "mobius0-n9-0": "ef206e8e16fc3c51",
+    "mobius0-n9-1": "c604cb93446c6dc3",
+    "mobius1-n10-0": "5de4c797e5d5d5ac",
+    "mobius1-n10-1": "3041ca1baefbbb95",
+    "mobius1-n9-0": "b230fd7e07308808",
+    "mobius1-n9-1": "674612daddb42a09",
+    "random-trials-n8": "b4fb05805347beb1",
+    "split-n10-case1-1": "3c26302c60e7ff47",
+    "split-n10-case1-2": "1ac8a0764bd10063",
+    "split-n10-case2-1": "ae9d14194523b88b",
+    "split-n10-case2-2": "63af85fa1487558a",
+    "split-n10-case3-1": "62d73346b06b0c08",
+    "split-n10-case3-2": "4c457d9e2706d55f",
     "split-n10-case4-1": "7f5345c45f50dacb",
     "split-n10-case4-2": "8c1d04b17e67ce08",
     "split-n10-case5-1": "c2766b1cf188740e",
@@ -1108,7 +1159,7 @@ def _relabelled(g, seed):
 #: renumbered to positions, with faults and endpoints drawn in positions.
 _RELABELLED_RESULTS = {
     "uniform": "858deabaf2221957",
-    "concentrated-2": "e23ca2d65d506e8a",
+    "concentrated-2": "039a5accc502f515",
     "concentrated-4": "1074215a1da77d84",
 }
 
@@ -1138,7 +1189,7 @@ def test_relabelled_graph_is_solved_through_its_file_decomposition():
 #: pairs), and the fields that do not; every field a trace records is in one
 _TRACE_NODE_KEYS = {"agent", "cross", "ends", "fe", "missed", "q1", "starved"}
 _TRACE_OTHER_KEYS = {
-    "backtracks", "case", "cut_tests", "delta1", "dim", "expansions", "f1", "f2", "fallback",
+    "backtracks", "built", "case", "cut_tests", "delta1", "dim", "expansions", "f1", "f2", "fallback",
     "fc", "flipped", "half", "id", "level", "parent", "restarts", "service", "shape",
     "status", "swapped",
 }
@@ -1280,6 +1331,7 @@ def test_exit_1_messages_name_the_file_ids_of_a_relabelled_file(tmp_path, capsys
     # message names it by the file's id, not by its position
     text = _relabelled(make_preset(VariantSpec.random(1), 8), 5)
     g = graph_from_json(text)
+    assert check_shape(g).ok  # as the CLI checks it, which records its block tables
     ids = g.file_ids
     gpath, fpath, out = tmp_path / "g.json", tmp_path / "f.json", tmp_path / "out.json"
     gpath.write_text(text)
@@ -1320,7 +1372,9 @@ def test_exit_1_record_keeps_a_value_that_is_no_node_as_it_is(tmp_path, capsys, 
     # file: the record and the self-check's finding write it as it is, and
     # the file's ids for the nodes around it
     text = _relabelled(make_preset(VariantSpec.random(1), 8), 5)
-    ids = graph_from_json(text).file_ids
+    g = graph_from_json(text)
+    assert check_shape(g).ok  # as the CLI checks it, which records its block tables
+    ids = g.file_ids
     gpath, fpath, out = tmp_path / "g.json", tmp_path / "f.json", tmp_path / "out.json"
     gpath.write_text(text)
     fpath.write_text(json.dumps({"nodes": [], "edges": []}))
@@ -1336,7 +1390,7 @@ def test_exit_1_record_keeps_a_value_that_is_no_node_as_it_is(tmp_path, capsys, 
     assert code == 1
     record = json.loads(out.read_text())
     assert record["reason"] == "self-check failed: unknown node 999 at path position 6"
-    path = real(graph_from_json(text), FaultSet.empty(), 3, 200).path
+    path = real(g, FaultSet.empty(), 3, 200).path
     assert record["path"] == [ids[v] for v in path[:6]] + [999] + [ids[v] for v in path[7:]]
 
 

@@ -346,6 +346,35 @@ def test_view_rows_match_their_definition(seed):
         _assert_view_is(fewer, _view_by_definition(g, f, narrow), g)
 
 
+def test_a_view_is_intact_exactly_when_it_is_its_whole_level(graph8):
+    # intact by the definition: every node of the level alive and every
+    # edge of the level present. A fault outside the level, or on a cross
+    # edge of the level above, touches a row of it without cutting the level
+    d = graph8.decomposition
+    h1, h2 = d.half1, d.half2
+    u = h1[5]
+    inner = next(w for w in graph8.neighbors(u) if w in h1)
+    cases = [FaultSet.empty(), FaultSet.of(nodes=[u]), FaultSet.of(nodes=[h2[3]]),
+             FaultSet.of(edges=[(u, d.partner(u))]), FaultSet.of(edges=[(u, inner)]),
+             FaultSet.of(nodes=[d.partner(u)], edges=[(h2[0], d.partner(h2[0]))])]
+
+    def whole(g, f, scope):
+        nodes = set(range(g.num_nodes) if scope is None else scope)
+        live = nodes - f.nodes
+        return live == nodes and not any(a in nodes and b in nodes for a, b in f.edges)
+
+    for f in cases:
+        root = SurvivingView(graph8, f)
+        split = partition_decomposition(d, f)
+        assert root.intact() == whole(graph8, f, None)
+        for scope, view, own in zip((h1, h2), root.halves(split.f1, split.f2),
+                                    (split.f1, split.f2)):
+            assert view.intact() == whole(graph8, f, scope)
+            assert SurvivingView(graph8, own, scope=scope).intact() == view.intact()
+    # a node left out as a node fault is no longer intact
+    assert not SurvivingView(graph8, FaultSet.of(nodes=[h2[0]]), scope=h2).intact()
+
+
 def test_min_degree_witness_reads_touched_and_untouched_nodes(graph4):
     # the lowest of the nodes of least degree, whether its row was filtered
     # against the faults or not

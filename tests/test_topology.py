@@ -26,7 +26,13 @@ from thln import (
     validate_path,
 )
 from thln.errors import ThlnError
-from thln.topology import ThlnGraph, _checked_base, _level_rows, graph_to_json_obj
+from thln.topology import (
+    ThlnGraph,
+    _checked_base,
+    _level_rows,
+    covering_path,
+    graph_to_json_obj,
+)
 
 from conftest import base_graph, cross_partner
 
@@ -473,6 +479,14 @@ def test_decompose_then_join_rebuilds_identical_graph(join):
             assert graph_to_json(rebuilt) == graph_to_json(g), (spec.kind, n)
 
 
+def test_json_rejects_an_edge_listed_twice():
+    # the rows' sets would fold the repeat, and the graph would write back
+    # one edge fewer than its file lists
+    doc = {"dimension": 3, "edges": [list(e) for e in DEFAULT_BASE_EDGES] + [[1, 0]]}
+    with pytest.raises(MalformedGraph, match=r"^edge \(0,1\) is listed twice$"):
+        graph_from_json(json.dumps(doc))
+
+
 def test_json_rejects_malformed_documents():
     with pytest.raises(MalformedGraph):
         graph_from_json("not json at all [")
@@ -631,6 +645,89 @@ def test_a_graph_built_with_rows_out_of_level_order_fails_that_check_alone():
         except ThlnError:
             continue
         assert validate_path(h, FaultSet.empty(), 0, 200, res.path).is_valid
+
+
+# ----------------------------------------------------------------------
+# covering paths of fault-free levels, written from the block tables
+
+
+def _is_covering_path(g, lo, d, s, t, path):
+    """The reference check: ``path`` runs from s to t through every node of
+    the level of dimension d at ``lo`` once, over edges of the level."""
+    return (path[0] == s and path[-1] == t and sorted(path) == list(range(lo, lo + (1 << d)))
+            and all(v in g.adjacency[u] for u, v in zip(path, path[1:])))
+
+
+_TABLE_SPECS = [VariantSpec.random(seed) for seed in range(3)] + [
+    VariantSpec(kind) for kind in ("crossed", "locally-twisted", "mobius0", "mobius1")]
+
+
+@pytest.mark.parametrize("spec", _TABLE_SPECS, ids=lambda spec: f"{spec.kind}{spec.seed or ''}")
+def test_covering_path_covers_every_fault_free_level(spec):
+    # every pair at d <= 4 and 200 seeded pairs above, on the whole graph
+    # and on its last level one dimension down, whose ids do not start at 0
+    for d in range(3, 9):
+        g = make_preset(spec, d)
+        rng = random.Random(f"covering/{d}")
+        size = 1 << d
+        pairs = ([(s, t) for s in range(size) for t in range(size) if s != t] if d <= 4
+                 else [tuple(rng.sample(range(size), 2)) for _ in range(200)])
+        for lo, dim in ((0, d), (size >> 1, d - 1)) if d > 3 else ((0, d),):
+            for s, t in pairs:
+                s, t = lo + s % (1 << dim), lo + t % (1 << dim)
+                if s != t:
+                    path = covering_path(g, lo, dim, s, t)
+                    assert path is not None and _is_covering_path(g, lo, dim, s, t, path)
+
+
+def test_preset_blocks_share_their_base_tables():
+    # one table per base: every block of a random, crossed or
+    # locally-twisted preset holds the default base's, a Moebius preset's
+    # blocks one of two; a passing check_shape records equal tables
+    default = make_preset(VariantSpec("base3-default"), 3).block_tables
+    for spec, count in ((VariantSpec.random(1), 1), (VariantSpec("crossed"), 1),
+                        (VariantSpec("locally-twisted"), 1), (VariantSpec("mobius0"), 2),
+                        (VariantSpec("mobius1"), 2)):
+        g = make_preset(spec, 6)
+        assert len(g.block_tables) == 8 and len({id(t) for t in g.block_tables}) == count
+        if count == 1:
+            assert g.block_tables[0] is default[0]
+        loaded = graph_from_json(graph_to_json(g))
+        assert loaded.block_tables is None
+        assert check_shape(loaded).ok and loaded.block_tables == g.block_tables
+        assert len({id(t) for t in loaded.block_tables}) == count
+
+
+def test_a_binary_cube_base_has_no_path_between_nodes_of_one_colour(join):
+    # the 3-cube is bipartite: a path through its 8 nodes joins two nodes of
+    # opposite colour, so a same-colour pair has no table entry, and a level
+    # that needs one is searched, not built
+    cube = base_graph(Q3_EDGES)
+    assert check_shape(cube).ok
+    assert covering_path(cube, 0, 3, 0, 3) is None
+    assert _is_covering_path(cube, 0, 3, 0, 1, covering_path(cube, 0, 3, 0, 1))
+    g, rng = cube, random.Random(0)
+    while g.dimension < 7:
+        perm = list(g.nodes)
+        rng.shuffle(perm)
+        g = join(g, g, dict(enumerate(perm)))
+    assert check_shape(g).ok
+    t = next(t for t in range(1, 128) if covering_path(g, 0, 7, 0, t) is None)
+    res = embed(g, FaultSet.empty(), 0, t)
+    assert validate_path(g, FaultSet.empty(), 0, t, res.path).is_hamiltonian
+    level, search = res.trace.records
+    assert level["case"] == "base" and search["service"] == "ham_path" and search["level"] == 0
+
+
+def test_a_graph_without_tables_is_not_built():
+    # a graph not known to pass check_shape has no tables, so covering_path
+    # writes nothing and an intact level is searched
+    g = make_preset(VariantSpec.random(1), 7)
+    h = ThlnGraph(7, g.adjacency)
+    assert h.block_tables is None and covering_path(h, 0, 7, 3, 99) is None
+    assert [r.get("service") for r in embed(h, FaultSet.empty(), 3, 99).trace.records] == [
+        None, "ham_path"]
+    assert "built" in embed(g, FaultSet.empty(), 3, 99).trace.records[1]
 
 
 def test_partner_rejects_a_row_without_its_level_entry():
