@@ -44,8 +44,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import and_, itemgetter, ne
+from itertools import compress
+from operator import ne
 from typing import Iterable, Optional, Sequence
 
 from .errors import MalformedGraph, PreconditionViolated, UnknownNode
@@ -186,24 +186,27 @@ class ThlnGraph:
     own draws read it. ``decomposition`` derives the top level from the ids
     on each access (None for a dimension-3 base graph). ``file_ids`` is a loaded
     file's own id at each position, or None where ids are the file's; only
-    graph file I/O and the command line read it. ``shape_ok`` is True once
+    graph file I/O and the command line read it. ``block_tables`` is set once
     the graph is known to pass ``check_shape``: :func:`make_preset` builds it
-    so, and ``check_shape`` sets it on a pass. Then every level's view names
-    only nodes of its level in its rows, and search skips checking them.
-    ``block_tables`` is set with it: entry i is the covering-path table of
-    the 8-node block at ids 8i..8i + 7 (see :func:`covering_path`), one
-    reference per block to a table its base shares.
+    so, and ``check_shape`` sets it on a pass. Entry i is the covering-path
+    table of the 8-node block at ids 8i..8i + 7 (see :func:`covering_path`),
+    one reference per block to a table its base shares. ``shape_ok`` says
+    that it is set; then every level's view names only nodes of its level in
+    its rows, and search skips checking them.
     """
 
     dimension: int
     adjacency: tuple[tuple[int, ...], ...]
     file_ids: Optional[tuple[int, ...]] = field(default=None, repr=False)
-    shape_ok: bool = field(default=False, init=False, repr=False, compare=False)
     block_tables: Optional[tuple[BlockTable, ...]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "adjacency", tuple(map(tuple, self.adjacency)))
+
+    @property
+    def shape_ok(self) -> bool:
+        return self.block_tables is not None
 
     @property
     def decomposition(self) -> Optional[DecompositionNode]:
@@ -318,7 +321,7 @@ def _build_one_pass(n: int, base_at, matching_at) -> ThlnGraph:
             for u, w in zip(ids[lo:mid], phi):
                 rows[mid + w].append(u)
     g = ThlnGraph(n, rows)
-    object.__setattr__(g, "shape_ok", True)  # level order and symmetry by construction
+    # shape_ok: level order and symmetry hold by construction
     object.__setattr__(g, "block_tables", tuple(tables))
     return g
 
@@ -435,7 +438,7 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
     halves joined by a perfect matching (the loader checks a file's own). A
     failing check of the rows names the first node it fails at, in a loaded
     graph's file ids. Never raises; failures are carried in the report, and
-    a graph that passes is marked ``shape_ok`` and given its block tables."""
+    a graph that passes is given its block tables, which mark it ``shape_ok``."""
     n, rows = g.dimension, g.adjacency
     size = len(rows)
     n_nodes = 1 << n if n >= 0 else 0  # a negative dimension fails node-count
@@ -470,9 +473,8 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
         at_node("blocks-connected", "every 8-node block is connected"),
     ))
     if report.ok:
-        object.__setattr__(g, "shape_ok", True)
         # each row's block neighbours in local ids, 24 to a block
-        local = list(map(and_, chain.from_iterable(map(itemgetter(0, 1, 2), rows)), repeat(7)))
+        local = [w & 7 for row in rows for w in row[:3]]
         memo: dict[tuple[int, ...], BlockTable] = {}
         object.__setattr__(g, "block_tables", tuple(_block_table(tuple(local[i:i + 24]), memo)
                                                     for i in range(0, len(local), 24)))
