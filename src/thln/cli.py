@@ -52,6 +52,7 @@ from .topology import (
     graph_to_dot,
     graph_to_json,
     make_preset,
+    require_shape,
 )
 from .validate import validate_path
 
@@ -244,14 +245,9 @@ def cmd_embed(args) -> int:
         g = _load_graph(args.graph)
         with open(args.faults, "r", encoding="utf-8") as fh:
             f = FaultSet.from_json(fh.read())
+        require_shape(g)
     except (OSError, MalformedGraph, ValueError) as exc:
         _info(f"error: {exc}")
-        return 2
-    shape = check_shape(g)
-    if not shape.ok:
-        bad = shape.failures[0]
-        detail = f" ({bad.detail})" if bad.detail else ""
-        _info(f"error: graph fails shape check {bad.name}{detail}")
         return 2
     out_of_contract = args.unsafe and len(f) > 2 * g.dimension - 10
     ids = g.file_ids or g.nodes

@@ -37,9 +37,8 @@ A level or half that holds no fault (``SurvivingView.intact``) is not
 searched: ``topology.covering_path`` writes its covering path down by halves
 from the 8-node blocks' tables. A level given to the solver intact is
 labelled ``base`` at dimension 7 and ``intact`` above, and has no case or
-fault split. Only where the graph's tables cannot write the path (a graph
-not known to pass ``check_shape``, or a base with no path for a pair asked
-of it) is the level solved as if it held faults.
+fault split. Only where a block's table has no path for a pair asked of it
+(a bipartite base's) is the level solved as if it held faults.
 
 A covering path of half 2 (no node excluded) that holds faults is the
 theorem's own instance one dimension down whenever f2 <= 2k-10 and its

@@ -18,7 +18,7 @@ from operator import contains, itemgetter
 from typing import Container, Iterable, Optional, Sequence
 
 from .errors import ForeignFault, PreconditionViolated
-from .topology import DecompositionNode, Edge, ThlnGraph, _norm_edge
+from .topology import DecompositionNode, Edge, ThlnGraph, _norm_edge, require_shape
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,10 @@ class SurvivingView:
 
     A node is present iff it is in scope and not faulty; an edge is present
     iff both endpoints are present and the edge is not faulty. A view built
-    from a graph validates its fault set (:class:`ForeignFault`); the views
-    :meth:`halves` derives hold shares of faults validated already. Views are
-    cheap to share and safe to use concurrently.
+    from a graph validates its fault set (:class:`ForeignFault`), then the
+    graph's shape (:func:`~thln.topology.require_shape`), so its rows name
+    only its nodes; the views :meth:`halves` derives hold shares of faults
+    validated already. Views are cheap to share and safe to use concurrently.
 
     A view holds no row per node. It holds its graph's rows, its level (id
     range and dimension d), its dead nodes in that range, and the filtered
@@ -116,11 +117,9 @@ class SurvivingView:
     ``nodes``, built when first asked for and then kept, lists the nodes in
     ascending order.
 
-    The view keeps its fault set (``faults``), not its graph or scope, and
-    its graph's ``shape_ok`` flag: on a graph that passes ``check_shape``
-    every row names only nodes of the view, which search then need not
-    check. To leave nodes out of a view, add them to its faults as node
-    faults: the view of a scope under ``F + X`` is the view of that scope
+    The view keeps its fault set (``faults``), not its graph or scope. To
+    leave nodes out of a view, add them to its faults as node faults: the
+    view of a scope under ``F + X`` is the view of that scope
     under ``F`` with exactly the nodes of X and their edges removed.
 
     Building one costs O(faults x degree), and so does deriving the views of
@@ -130,7 +129,7 @@ class SurvivingView:
     and ``rows`` cost O(range).
     """
 
-    __slots__ = ("faults", "shape_ok", "_adj", "_lo", "_hi", "_d", "_dead", "_touched", "_nodes")
+    __slots__ = ("faults", "_adj", "_lo", "_hi", "_d", "_dead", "_touched", "_nodes")
 
     def __init__(
         self,
@@ -139,6 +138,7 @@ class SurvivingView:
         scope: Optional[range] = None,
     ):
         faults.validate_against(graph)
+        require_shape(graph)
         adj = graph.adjacency
         lo, hi, d = 0, len(adj), graph.dimension
         if scope is not None:
@@ -159,11 +159,10 @@ class SurvivingView:
             gone.setdefault(w, set()).add(u)
         touched = {v: tuple(filterfalse(lost.__contains__, adj[v][:d]))
                    for v, lost in gone.items() if lo <= v < hi and v not in dead}
-        self._fill(faults, graph.shape_ok, adj, lo, hi, d, dead, touched)
+        self._fill(faults, adj, lo, hi, d, dead, touched)
 
-    def _fill(self, faults, shape_ok, adj, lo, hi, d, dead, touched) -> "SurvivingView":
+    def _fill(self, faults, adj, lo, hi, d, dead, touched) -> "SurvivingView":
         self.faults = faults
-        self.shape_ok = shape_ok
         self._adj = adj
         self._lo, self._hi, self._d = lo, hi, d
         self._dead = dead
@@ -189,9 +188,9 @@ class SurvivingView:
             (low if side else high)[v] = row[:-1] if row and (row[-1] < mid) != side else row
         cls = type(self)
         return (
-            cls.__new__(cls)._fill(f_low, self.shape_ok, self._adj, self._lo, mid, d, low_dead, low),
-            cls.__new__(cls)._fill(f_high, self.shape_ok, self._adj, mid, self._hi, d,
-                                   self._dead - low_dead, high),
+            cls.__new__(cls)._fill(f_low, self._adj, self._lo, mid, d, low_dead, low),
+            cls.__new__(cls)._fill(f_high, self._adj, mid, self._hi, d, self._dead - low_dead,
+                                   high),
         )
 
     @property
@@ -266,9 +265,9 @@ class SurvivingView:
     def min_degree_witness(self) -> tuple[Optional[int], Optional[int]]:
         """(minimum degree, lowest-index node attaining it); (None, None) if empty.
 
-        On a graph that passes ``check_shape`` every untouched node of a
-        level of dimension d has degree d, so the touched rows and the
-        lowest untouched node are read.
+        The constructor judged the graph by ``check_shape``, so every
+        untouched node of a level of dimension d has degree d: the touched
+        rows and the lowest untouched node are read.
         """
         lo, hi, dead, touched = self._lo, self._hi, self._dead, self._touched
         # the lowest node neither dead nor touched, if any

@@ -74,10 +74,10 @@ ascending order), ``rows()`` (a new list of every node's neighbours, in
 no search depends on: successors go by key) and ``has_node`` for the
 endpoints; the enumerator reads ``neighbors`` node by node. Rows must name
 only nodes of the view: an id outside the range would index past the arrays
-or alias another slot. A ``SurvivingView`` of a graph marked ``shape_ok``
-(built by ``make_preset``, or passed by ``check_shape``) holds to that by
-the graph's level order and symmetry; any other view's rows are checked once
-per call, and a row that names no node of the view raises MalformedGraph.
+or alias another slot. A ``SurvivingView`` holds to that by its graph's
+level order and symmetry, which its constructor judged once
+(``topology.require_shape``); any other view's rows are checked once per
+call, and a row that names no node of the view raises MalformedGraph.
 
 ``enumerate_ham_path_exists`` is a tiny, prune-free enumerator kept
 deliberately independent of the main engine; tests use it as ground truth.
@@ -168,13 +168,13 @@ class _Table(NamedTuple):
 def _snapshot(view) -> _Table:
     """The view's rows and nodes by local index, its lowest id as ``base``.
 
-    A ``SurvivingView`` of a graph marked ``shape_ok`` names only its nodes
-    in its rows; any other view's rows are checked here, once per call, so
-    that a row naming an id outside the range, which would index past a
-    slot or alias another, or a dead id, raises MalformedGraph."""
+    A ``SurvivingView``, whose constructor judged its graph's shape, names
+    only its nodes in its rows; any other view's rows are checked here, once
+    per call, so that a row naming an id outside the range, which would
+    index past a slot or alias another, or a dead id, raises MalformedGraph."""
     ids = tuple(view.nodes)
     rows = view.rows()
-    if not (isinstance(view, SurvivingView) and view.shape_ok):
+    if not isinstance(view, SurvivingView):
         known = set(ids)
         if not known.issuperset(chain.from_iterable(rows)):
             bad = next(w for row in rows for w in row if w not in known)

@@ -35,9 +35,10 @@ graph that have the same rows share one table: every block of a random,
 crossed or locally-twisted preset shares the default base's, and Moebius
 blocks use one of two.
 :func:`make_preset` records each block's table as it writes the block, and
-a passing :func:`check_shape` records the tables of a loaded or directly
-built graph. :func:`covering_path` reads them to write down a covering path
-of any fault-free level by halves, without search.
+a loaded or directly built graph's first surviving view judges it once by
+:func:`require_shape`, whose passing :func:`check_shape` records them.
+:func:`covering_path` reads them to write down a covering path of any
+fault-free level by halves, without search.
 """
 from __future__ import annotations
 
@@ -188,11 +189,10 @@ class ThlnGraph:
     file's own id at each position, or None where ids are the file's; only
     graph file I/O and the command line read it. ``block_tables`` is set once
     the graph is known to pass ``check_shape``: :func:`make_preset` builds it
-    so, and ``check_shape`` sets it on a pass. Entry i is the covering-path
-    table of the 8-node block at ids 8i..8i + 7 (see :func:`covering_path`),
-    one reference per block to a table its base shares. ``shape_ok`` says
-    that it is set; then every level's view names only nodes of its level in
-    its rows, and search skips checking them.
+    so, and ``check_shape`` sets it on a pass, which a graph's first surviving
+    view asks for (:func:`require_shape`). Entry i is the covering-path table
+    of the 8-node block at ids 8i..8i + 7 (see :func:`covering_path`), one
+    reference per block to a table its base shares.
     """
 
     dimension: int
@@ -203,10 +203,6 @@ class ThlnGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "adjacency", tuple(map(tuple, self.adjacency)))
-
-    @property
-    def shape_ok(self) -> bool:
-        return self.block_tables is not None
 
     @property
     def decomposition(self) -> Optional[DecompositionNode]:
@@ -321,7 +317,7 @@ def _build_one_pass(n: int, base_at, matching_at) -> ThlnGraph:
             for u, w in zip(ids[lo:mid], phi):
                 rows[mid + w].append(u)
     g = ThlnGraph(n, rows)
-    # shape_ok: level order and symmetry hold by construction
+    # level order and symmetry hold by construction
     object.__setattr__(g, "block_tables", tuple(tables))
     return g
 
@@ -438,7 +434,7 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
     halves joined by a perfect matching (the loader checks a file's own). A
     failing check of the rows names the first node it fails at, in a loaded
     graph's file ids. Never raises; failures are carried in the report, and
-    a graph that passes is given its block tables, which mark it ``shape_ok``."""
+    a graph that passes is given its block tables."""
     n, rows = g.dimension, g.adjacency
     size = len(rows)
     n_nodes = 1 << n if n >= 0 else 0  # a negative dimension fails node-count
@@ -481,6 +477,18 @@ def check_shape(g: ThlnGraph) -> ShapeReport:
     return report
 
 
+def require_shape(g: ThlnGraph) -> None:
+    """Judge a graph without block tables by :func:`check_shape` (a pass
+    records them) and raise :class:`MalformedGraph` naming its first failing
+    check; a graph with tables has passed, and costs one attribute test."""
+    if g.block_tables is None:
+        failures = check_shape(g).failures
+        if failures:
+            bad = failures[0]
+            detail = f" ({bad.detail})" if bad.detail else ""
+            raise MalformedGraph(f"graph fails shape check {bad.name}{detail}")
+
+
 def _block_table(key: tuple[int, ...], memo: dict[tuple[int, ...], BlockTable]) -> BlockTable:
     """The table of an 8-node block whose nodes' block neighbours, in local
     ids, are ``key``'s entries three at a time; ``memo`` holds the tables
@@ -512,9 +520,9 @@ def _block_table(key: tuple[int, ...], memo: dict[tuple[int, ...], BlockTable]) 
 def covering_path(g: ThlnGraph, lo: int, d: int, s: int, t: int) -> Optional[tuple[int, ...]]:
     """A path from s to t through every node of the level of dimension d at
     ``lo`` (distinct nodes of it), over the graph's edges, written by halves
-    from the block tables; None when ``g`` has no tables (it is not known to
-    pass ``check_shape``) or a block's table has no path for a pair asked of
-    it. No fault is read: the caller holds a fault-free level.
+    from the block tables, which the graph's first surviving view recorded;
+    None when a block's table has no path for a pair asked of it. No fault
+    is read: the caller holds a fault-free level.
 
     - d = 3: the block's table entry.
     - s and t in different halves: P(s -> u) in s's half, then P(partner(u)
@@ -524,10 +532,7 @@ def covering_path(g: ThlnGraph, lo: int, d: int, s: int, t: int) -> Optional[tup
       detoured through the other half as s, P(partner(s) -> partner(b)), b.
 
     Each level costs O(2^d) list work, about d * 2^d in all."""
-    tables = g.block_tables
-    if tables is None:
-        return None
-    rows = g.adjacency
+    tables, rows = g.block_tables, g.adjacency
 
     def cover(lo: int, d: int, s: int, t: int) -> Optional[list[int]]:
         if d == 3:

@@ -1331,7 +1331,7 @@ def test_exit_1_messages_name_the_file_ids_of_a_relabelled_file(tmp_path, capsys
     # message names it by the file's id, not by its position
     text = _relabelled(make_preset(VariantSpec.random(1), 8), 5)
     g = graph_from_json(text)
-    assert check_shape(g).ok  # as the CLI checks it, which records its block tables
+    assert check_shape(g).ok
     ids = g.file_ids
     gpath, fpath, out = tmp_path / "g.json", tmp_path / "f.json", tmp_path / "out.json"
     gpath.write_text(text)
@@ -1373,7 +1373,7 @@ def test_exit_1_record_keeps_a_value_that_is_no_node_as_it_is(tmp_path, capsys, 
     # the file's ids for the nodes around it
     text = _relabelled(make_preset(VariantSpec.random(1), 8), 5)
     g = graph_from_json(text)
-    assert check_shape(g).ok  # as the CLI checks it, which records its block tables
+    assert check_shape(g).ok
     ids = g.file_ids
     gpath, fpath, out = tmp_path / "g.json", tmp_path / "f.json", tmp_path / "out.json"
     gpath.write_text(text)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from thln import (
     FaultSet,
     ForeignFault,
+    MalformedGraph,
     PreconditionViolated,
     SurvivingView,
     ThlnGraph,
@@ -21,10 +22,8 @@ from thln import (
     two_disjoint_spanning_paths,
 )
 from thln.cli import main
-from thln.errors import ThlnError
 from thln.faults import draw_endpoints, partition_decomposition, sample_faults
 from thln.topology import check_shape, graph_from_json, graph_to_json_obj
-from thln.validate import validate_path
 
 from conftest import cross_partner
 
@@ -513,15 +512,12 @@ def test_shape_check_rejects_a_row_with_two_neighbours_across_the_cut(tmp_path, 
     assert graph_from_json(gpath.read_text()).adjacency == bad.adjacency
     code = main(["embed", "--graph", str(gpath), "--faults", str(fpath), "-s", "0", "-t", "5"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: graph fails shape check root: regularity")
-    # embed itself skips the shape check: it raises a package error or returns
-    # a path the validator accepts
-    try:
-        res = embed(bad, FaultSet.empty(), 0, 5)
-    except ThlnError:
-        return
-    verdict = validate_path(bad, FaultSet.empty(), 0, 5, res.path)
-    assert verdict.is_valid and verdict.missed == res.missed
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph fails shape check root: regularity")
+    # embed's root view judges the graph, and raises with the CLI's words
+    with pytest.raises(MalformedGraph) as exc:
+        embed(bad, FaultSet.empty(), 0, 5)
+    assert f"error: {exc.value}\n" == err
 
 
 def test_shape_check_rejects_an_upper_row_with_two_neighbours_across_the_cut():

@@ -466,30 +466,31 @@ def _malformed_fake_views():
         yield pytest.param(_RowsView(nodes, rows), id=f"fake-{extra}")
 
 
-def _malformed_level_views():
-    """Views of graphs that fail ``check_shape``, built from the n = 8
-    graph. Node 100's level-7 and level-8 partners swapped put a half-2 id
-    into its half-1 row (above the range), and node 200's the same way a
-    half-1 id into its half-2 row (below the range). Node 100's level-4
-    partner replaced by a node x of its level-4 block that does not name it
-    back leaves x, once dead, in 100's row (a dead id of the range)."""
+def _malformed_level_cases():
+    """Graphs that fail ``check_shape``, built from the n = 8 graph, each with
+    the faults and scope of a view whose rows would name no node of it, and
+    the first check it fails. Node 100's level-7 and level-8 partners
+    swapped would put a half-2 id into its half-1 row (above the range), and
+    node 200's the same way a half-1 id into its half-2 row (below the
+    range). Node 100's level-4 partner replaced by a node x of its level-4
+    block that does not name it back would leave x, once dead, in 100's row
+    (a dead id of the range)."""
     g = make_preset(VariantSpec.random(1), 8)
     d = g.decomposition
     swapped = [list(row) for row in g.adjacency]
     for v in (100, 200):
         swapped[v][6:8] = swapped[v][7:5:-1]
     h = ThlnGraph(8, swapped)
-    yield pytest.param(SurvivingView(h, FaultSet.empty(), scope=d.half1), id="swapped-half1")
-    yield pytest.param(SurvivingView(h, FaultSet.empty(), scope=d.half2), id="swapped-half2")
+    yield pytest.param(h, FaultSet.empty(), d.half1, "level-order", id="swapped-half1")
+    yield pytest.param(h, FaultSet.empty(), d.half2, "level-order", id="swapped-half2")
     one_way = [list(row) for row in g.adjacency]
     x = next(x for x in range(96, 112) if x != 100 and x not in g.adjacency[100])
     one_way[100][3] = x
-    h = ThlnGraph(8, one_way)
-    yield pytest.param(SurvivingView(h, FaultSet.of(nodes=[x]), scope=d.half1),
+    yield pytest.param(ThlnGraph(8, one_way), FaultSet.of(nodes=[x]), d.half1, "symmetry",
                        id="one-way-dead")
 
 
-@pytest.mark.parametrize("view", [*_malformed_fake_views(), *_malformed_level_views()])
+@pytest.mark.parametrize("view", _malformed_fake_views())
 def test_rows_that_name_no_node_of_the_view_raise_malformed_graph(view):
     # a row naming an id below the view's lowest, above its highest, or dead
     # in its range: every service raises MalformedGraph, never IndexError,
@@ -500,6 +501,17 @@ def test_rows_that_name_no_node_of_the_view_raise_malformed_graph(view):
                  lambda: two_disjoint_spanning_paths(view, a, b, c, e)):
         with pytest.raises(MalformedGraph, match="is in a row of the view, not in the view"):
             call()
+
+
+@pytest.mark.parametrize("graph,faults,scope,check", _malformed_level_cases())
+def test_a_view_of_a_graph_that_fails_the_shape_check_raises_malformed_graph(graph, faults,
+                                                                             scope, check):
+    # such rows never reach a search: the view's constructor judges its
+    # graph, and a failing one raises, naming its first failing check, and
+    # gains no tables
+    with pytest.raises(MalformedGraph, match=f"^graph fails shape check root: {check} "):
+        SurvivingView(graph, faults, scope=scope)
+    assert graph.block_tables is None
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from thln import (
     make_preset,
     validate_path,
 )
-from thln.errors import ThlnError
+from thln.faults import sample_faults
 from thln.topology import (
     ThlnGraph,
     _checked_base,
@@ -605,34 +605,39 @@ def test_edge_queries_leave_nothing_on_the_graph():
 
 
 def test_only_a_graph_known_to_pass_the_shape_check_is_marked_shape_ok():
-    # search trusts the rows of a view only on a graph marked shape_ok: a
-    # preset is built so, a graph built or loaded from rows is marked when
-    # check_shape passes it, never when it fails, and a replaced graph starts
-    # unmarked; a view and the halves it derives carry its graph's mark
+    # the mark is the block tables: a preset is built with them; a graph
+    # built or loaded from rows has none until its first view, whose
+    # constructor judges it once and records them; a failing graph raises at
+    # every view (and every entry that builds one) and never gains tables;
+    # and a replaced graph starts without them
     g = make_preset(VariantSpec.random(1), 6)
-    assert g.shape_ok and make_preset(VariantSpec("base3-default"), 3).shape_ok
+    assert g.block_tables is not None
+    assert make_preset(VariantSpec("base3-default"), 3).block_tables is not None
     built = ThlnGraph(6, g.adjacency)
     loaded = graph_from_json(graph_to_json(g))
-    assert built == g and not built.shape_ok and not loaded.shape_ok
-    assert check_shape(built).ok and built.shape_ok
-    assert check_shape(loaded).ok and loaded.shape_ok
+    assert built == g and built.block_tables is None and loaded.block_tables is None
+    SurvivingView(built, FaultSet.of(nodes=[3]))
+    SurvivingView(loaded, FaultSet.empty(), scope=g.decomposition.half2)
+    assert built.block_tables == loaded.block_tables == g.block_tables
     bad = ThlnGraph(6, [row[::-1] for row in g.adjacency])
-    assert not check_shape(bad).ok and not bad.shape_ok
-    assert not dataclasses.replace(g, adjacency=g.adjacency).shape_ok
-    for graph in (g, bad):
-        view = SurvivingView(graph, FaultSet.of(nodes=[3]))
-        d = graph.decomposition
-        halves = view.halves(FaultSet.of(nodes=[3]), FaultSet.empty())
-        assert [v.shape_ok for v in (view, *halves)] == [graph.shape_ok] * 3
-        assert SurvivingView(graph, FaultSet.empty(), scope=d.half2).shape_ok == graph.shape_ok
+    d = bad.decomposition
+    for build in (lambda: SurvivingView(bad, FaultSet.of(nodes=[3])),
+                  lambda: SurvivingView(bad, FaultSet.empty(), scope=d.half1),
+                  lambda: SurvivingView(bad, FaultSet.empty(), scope=d.half2),
+                  lambda: sample_faults(bad, 2, random.Random(0)),
+                  lambda: embed(bad, FaultSet.empty(), 0, 40)):
+        with pytest.raises(MalformedGraph, match="graph fails shape check root: level-order"):
+            build()
+        assert bad.block_tables is None
+    assert dataclasses.replace(g, adjacency=g.adjacency).block_tables is None
 
 
 def test_a_graph_built_with_rows_out_of_level_order_fails_that_check_alone():
     # the graph stores its rows as given, and views and partners read them
-    # in level order; embed, which skips the shape check, raises a package
-    # error or returns a path the validator accepts. Reversed rows break
-    # every partner; node 100's swapped level-7 and level-8 partners put a
-    # node of the other half into its dimension-7 search rows
+    # in level order; embed's root view judges the graph, so it raises
+    # MalformedGraph naming that check before any level runs. Reversed rows
+    # break every partner; node 100's swapped level-7 and level-8 partners
+    # would put a node of the other half into its dimension-7 search rows
     g = make_preset(VariantSpec.random(1), 8)
     swapped = [list(row) for row in g.adjacency]
     swapped[100][6:8] = swapped[100][7:5:-1]
@@ -640,11 +645,8 @@ def test_a_graph_built_with_rows_out_of_level_order_fails_that_check_alone():
         h = ThlnGraph(8, rows)
         assert sorted(h.edges) == list(g.edges)
         assert [c.name for c in check_shape(h).failures] == ["root: level-order"]
-        try:
-            res = embed(h, FaultSet.empty(), 0, 200)
-        except ThlnError:
-            continue
-        assert validate_path(h, FaultSet.empty(), 0, 200, res.path).is_valid
+        with pytest.raises(MalformedGraph, match="graph fails shape check root: level-order"):
+            embed(h, FaultSet.empty(), 0, 200)
 
 
 # ----------------------------------------------------------------------
@@ -719,15 +721,18 @@ def test_a_binary_cube_base_has_no_path_between_nodes_of_one_colour(join):
     assert level["case"] == "base" and search["service"] == "ham_path" and search["level"] == 0
 
 
-def test_a_graph_without_tables_is_not_built():
-    # a graph not known to pass check_shape has no tables, so covering_path
-    # writes nothing and an intact level is searched
-    g = make_preset(VariantSpec.random(1), 7)
-    h = ThlnGraph(7, g.adjacency)
-    assert h.block_tables is None and covering_path(h, 0, 7, 3, 99) is None
-    assert [r.get("service") for r in embed(h, FaultSet.empty(), 3, 99).trace.records] == [
-        None, "ham_path"]
-    assert "built" in embed(g, FaultSet.empty(), 3, 99).trace.records[1]
+def test_a_loaded_graph_embeds_as_its_preset_does():
+    # a graph read back from its file has no tables until embed's root view
+    # judges it; it then embeds as the preset does, with no explicit
+    # check_shape: one intact level, written from the tables, and no search
+    g = make_preset(VariantSpec.random(1), 9)
+    loaded = graph_from_json(graph_to_json(g))
+    assert loaded.block_tables is None
+    res = embed(loaded, FaultSet.empty(), 3, 200)
+    assert res.to_json_obj() == embed(g, FaultSet.empty(), 3, 200).to_json_obj()
+    records = res.trace.records
+    assert [r["case"] for r in records if "case" in r] == ["intact"]
+    assert not any("service" in r for r in records)
 
 
 def test_partner_rejects_a_row_without_its_level_entry():
