@@ -466,6 +466,27 @@ def _malformed_fake_views():
         yield pytest.param(_RowsView(nodes, rows), id=f"fake-{extra}")
 
 
+def _swapped_graph():
+    """The n = 8 graph with the level-7 and level-8 partners of nodes 100
+    and 200 swapped, and its decomposition."""
+    g = make_preset(VariantSpec.random(1), 8)
+    swapped = [list(row) for row in g.adjacency]
+    for v in (100, 200):
+        swapped[v][6:8] = swapped[v][7:5:-1]
+    return ThlnGraph(8, swapped), g.decomposition
+
+
+def _swapped_level_views():
+    """The halves of the swapped graph as row views: each node of a half
+    with its row's first 7 entries, the share of the half in a level-order
+    row. Node 100's row in half 1 names a half-2 id (above the range), and
+    node 200's row in half 2 a half-1 id (below the range)."""
+    h, d = _swapped_graph()
+    for name, half in (("half1", d.half1), ("half2", d.half2)):
+        rows = [h.adjacency[v][:7] for v in half]
+        yield pytest.param(_RowsView(tuple(half), rows), id=f"swapped-{name}")
+
+
 def _malformed_level_cases():
     """Graphs that fail ``check_shape``, built from the n = 8 graph, each with
     the faults and scope of a view whose rows would name no node of it, and
@@ -475,12 +496,8 @@ def _malformed_level_cases():
     range). Node 100's level-4 partner replaced by a node x of its level-4
     block that does not name it back would leave x, once dead, in 100's row
     (a dead id of the range)."""
+    h, d = _swapped_graph()
     g = make_preset(VariantSpec.random(1), 8)
-    d = g.decomposition
-    swapped = [list(row) for row in g.adjacency]
-    for v in (100, 200):
-        swapped[v][6:8] = swapped[v][7:5:-1]
-    h = ThlnGraph(8, swapped)
     yield pytest.param(h, FaultSet.empty(), d.half1, "level-order", id="swapped-half1")
     yield pytest.param(h, FaultSet.empty(), d.half2, "level-order", id="swapped-half2")
     one_way = [list(row) for row in g.adjacency]
@@ -490,7 +507,7 @@ def _malformed_level_cases():
                        id="one-way-dead")
 
 
-@pytest.mark.parametrize("view", _malformed_fake_views())
+@pytest.mark.parametrize("view", [*_malformed_fake_views(), *_swapped_level_views()])
 def test_rows_that_name_no_node_of_the_view_raise_malformed_graph(view):
     # a row naming an id below the view's lowest, above its highest, or dead
     # in its range: every service raises MalformedGraph, never IndexError,
